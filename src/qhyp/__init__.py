@@ -9,7 +9,7 @@ The package decides, with explicit verified witnesses:
 
 and computes the classifying invariants behind those decisions: real traces,
 cross ratios, angular / distance / rotation invariants, semi-normalized Gram
-matrices, eigenframes, and eigenvalue-Grassmannian data.
+matrices and eigenframes.
 
 All values are immutable and all operations pure, so everything is safe for
 concurrent use.
@@ -67,22 +67,9 @@ from .linalg import (
     PointType,
     char_poly_real_coeffs,
     complex_embed,
-    gram_schmidt_indefinite,
     right_eigen,
 )
-from .pairs import (
-    CanonicalTuple,
-    EigenFrame,
-    GrassmannianPoint,
-    associated_points,
-    canonical_tuple,
-    eigenframe,
-    grassmannian_equal,
-    grassmannian_point,
-    have_common_fixed_point,
-    pair_conjugate,
-    pair_frame,
-)
+from .pairs import EigenFrame, eigenframe, have_common_fixed_point, pair_conjugate
 from .quaternion import (
     DEFAULT_TOL,
     PolarForm,
@@ -95,24 +82,22 @@ from .quaternion import (
 )
 
 __all__ = [
-    "CanonicalTuple", "Classification", "Decision", "DEFAULT_TOL",
+    "Classification", "Decision", "DEFAULT_TOL",
     "DegenerateConfigurationError", "DimensionMismatchError", "EigenClass",
     "EigenData", "EigenFrame", "EllipticSpec", "GramSchmidtError",
-    "GrassmannianPoint", "HermitianSpace", "HMatrix", "HVector",
+    "HermitianSpace", "HMatrix", "HVector",
     "HyperbolicSpec", "InvalidSpecError", "InvariantProfile", "Isometry",
     "NotSemisimpleError", "NumericalError", "PointConfig", "PointType",
     "PolarForm", "ProjPoint", "QhypError", "Quaternion", "SemiNormalizedGram",
     "SimilarityClass", "UnsupportedElementError", "Verdict",
-    "angular_invariant", "associated_points", "canonical_tuple",
-    "centralizer_contains", "char_poly_real_coeffs", "classify",
-    "complex_embed", "congruent", "conjugate_single", "cross_ratio",
-    "cross_ratio_triple", "distance_invariant", "eigenframe",
-    "equal_by_invariants", "gram_of", "gram_schmidt_indefinite",
-    "grassmannian_equal", "grassmannian_point", "have_common_fixed_point",
-    "is_member", "orbit_equal", "pair_conjugate", "pair_frame",
-    "polar_decompose", "profile", "random_member", "random_semisimple",
-    "real_trace", "reconstruct_gram", "right_eigen", "rotation_invariant",
-    "semi_normalize", "similar", "sp1_align",
+    "angular_invariant", "centralizer_contains", "char_poly_real_coeffs",
+    "classify", "complex_embed", "congruent", "conjugate_single",
+    "cross_ratio", "cross_ratio_triple", "distance_invariant", "eigenframe",
+    "equal_by_invariants", "gram_of", "have_common_fixed_point", "is_member",
+    "orbit_equal", "pair_conjugate", "polar_decompose", "profile",
+    "random_member", "random_semisimple", "real_trace", "reconstruct_gram",
+    "right_eigen", "rotation_invariant", "semi_normalize", "similar",
+    "sp1_align",
 ]
 
 __version__ = "0.1.0"

@@ -60,7 +60,6 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--suite", choices=("all", "quick"), default="all")
     c.add_argument("--criteria", type=str, default=None,
                    help="comma-separated criterion numbers to run")
-    c.add_argument("--workers", type=int, default=1)
     return p
 
 
@@ -173,8 +172,7 @@ def cmd_verify(args) -> int:
     wanted = None
     if args.criteria:
         wanted = [int(x) for x in args.criteria.split(",")]
-    results = run_suite(quick=(args.suite == "quick"), criteria=wanted,
-                        workers=args.workers)
+    results = run_suite(quick=(args.suite == "quick"), criteria=wanted)
     all_pass = True
     for r in results:
         status = "PASS" if r.passed else "FAIL"

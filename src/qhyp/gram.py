@@ -87,7 +87,14 @@ def gram_of(space: HermitianSpace, points: Sequence[ProjPoint],
         if p.kind == PointType.NEGATIVE:
             seen_negative = True
 
-    g = [[space.herm(pts[j].lift, pts[k].lift) for j in range(m)] for k in range(m)]
+    # g[k][j] = <p_j, p_k>; the form is Hermitian, so the lower triangle is
+    # the conjugate of the upper one
+    g = [[Quaternion()] * m for _ in range(m)]
+    for k in range(m):
+        g[k][k] = space.herm(pts[k].lift, pts[k].lift)
+        for j in range(k + 1, m):
+            g[k][j] = space.herm(pts[j].lift, pts[k].lift)
+            g[j][k] = g[k][j].conj()
     for k in range(m):
         for j in range(k + 1, m):
             scale = pts[k].lift.norm() * pts[j].lift.norm()

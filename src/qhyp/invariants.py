@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DegenerateConfigurationError, InvalidSpecError
 from .linalg import HermitianSpace, HVector, PointType
-from .quaternion import DEFAULT_TOL, Quaternion, SimilarityClass
+from .quaternion import DEFAULT_TOL, Quaternion
 
 if TYPE_CHECKING:  # pragma: no cover
     from .gram import PointConfig, SemiNormalizedGram
@@ -41,13 +41,6 @@ class ProjPoint:
 
     def rescaled(self, q: Quaternion) -> "ProjPoint":
         return ProjPoint(self.lift.times(q), self.kind)
-
-
-def projectively_equal(p: ProjPoint, q: ProjPoint, tol: float = 1e-8) -> bool:
-    """Rank test on the two quaternionic lines."""
-    from .isometry import quaternionic_spans_equal
-
-    return quaternionic_spans_equal([p.lift], [q.lift], tol)
 
 
 # ---------------------------------------------------------------------------
@@ -75,12 +68,6 @@ def cross_ratio(space: HermitianSpace, z1: ProjPoint, z2: ProjPoint,
     c = _pairing(space, z4, z2, tol)
     d = _pairing(space, z4, z1, tol)
     return a * b.inverse() * c * d.inverse()
-
-
-def cross_ratio_class(space: HermitianSpace, z1: ProjPoint, z2: ProjPoint,
-                      z3: ProjPoint, z4: ProjPoint,
-                      tol: float = DEFAULT_TOL) -> SimilarityClass:
-    return SimilarityClass.from_quaternion(cross_ratio(space, z1, z2, z3, z4, tol))
 
 
 def cross_ratio_triple(space: HermitianSpace, z1: ProjPoint, z2: ProjPoint,
@@ -129,11 +116,17 @@ def boundary_quadruple_slack(x1: Quaternion, x2: Quaternion, x3: Quaternion) -> 
 
 def hermitian_triple(space: HermitianSpace, z1: ProjPoint, z2: ProjPoint,
                      z3: ProjPoint) -> Quaternion:
-    """<z1,z2> <z2,z3> <z3,z1>."""
+    """<z1,z2> <z3,z1> <z2,z3>.
+
+    In this order the two pairings of each lift are cyclically adjacent, so
+    rescaling a lift by a quaternion multiplies the product by a positive
+    real and at most conjugates it by a unit quaternion: Re/|.| of the
+    product does not depend on the lifts.
+    """
     a = space.herm(z1.lift, z2.lift)
     b = space.herm(z2.lift, z3.lift)
     c = space.herm(z3.lift, z1.lift)
-    return a * b * c
+    return a * c * b
 
 
 def angular_invariant(space: HermitianSpace, z1: ProjPoint, z2: ProjPoint,

@@ -29,7 +29,6 @@ from .linalg import (
     HVector,
     PointType,
     char_poly_real_coeffs,
-    gram_schmidt_indefinite,
     matrix_rank,
     orthonormal_form_basis,
     right_eigen,

@@ -170,15 +170,6 @@ class HMatrix:
             emb[:, N + k] = tc[:, 1]
         return HMatrix(emb, check=False)
 
-    @staticmethod
-    def from_real(M: np.ndarray) -> "HMatrix":
-        M = np.asarray(M, dtype=float)
-        N = M.shape[0]
-        emb = np.zeros((2 * N, 2 * N), dtype=complex)
-        emb[:N, :N] = M
-        emb[N:, N:] = M
-        return HMatrix(emb, check=False)
-
     # -- access ------------------------------------------------------------
 
     def entry(self, r: int, c: int) -> Quaternion:
@@ -311,14 +302,6 @@ class HermitianSpace:
 
     def __repr__(self) -> str:
         return f"HermitianSpace(n={self.n})"
-
-
-def herm(space: HermitianSpace, z: HVector, w: HVector) -> Quaternion:
-    return space.herm(z, w)
-
-
-def classify_vector(space: HermitianSpace, z: HVector, tol: float = DEFAULT_TOL) -> PointType:
-    return space.classify_vector(z, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -644,97 +627,3 @@ def _polish_orthogonality(space: HermitianSpace, basis: list[HVector],
         w = w.times(1.0 / math.sqrt(abs(val)))
         out.append(w)
     return out
-
-
-def gram_schmidt_indefinite(space: HermitianSpace, vectors: Sequence[HVector],
-                            target_signs: Sequence[int],
-                            tol: float = DEFAULT_TOL) -> list[HVector]:
-    """Orthogonalize ``vectors`` against the form with prescribed self-pairings.
-
-    ``target_signs`` entries are -1, 0 or +1.  Zeros must come as exactly one
-    pair; the two output vectors a, r then satisfy <a,a> = <r,r> = 0 and
-    <a,r> = 1 (the null-pair convention).  Raises when vectors are dependent
-    or a requested sign is unattainable.
-    """
-    m = len(vectors)
-    if len(target_signs) != m:
-        raise DimensionMismatchError("one target sign per vector")
-    zero_idx = [k for k, s in enumerate(target_signs) if s == 0]
-    if len(zero_idx) not in (0, 2):
-        raise GramSchmidtError("null targets are only supported as a single pair")
-
-    out: list[Optional[HVector]] = [None] * m
-    completed: list[tuple[HVector, HVector | None, int]] = []  # (vec, partner, sign)
-
-    def project_off(v: HVector) -> HVector:
-        for u, partner, sign in completed:
-            if sign == 0:
-                assert partner is not None
-                v = v - u.times(space.herm(v, partner)) - partner.times(space.herm(v, u))
-            else:
-                v = v - u.times(space.herm(v, u) * sign)
-        return v
-
-    pending_zero: Optional[int] = None
-    for k in range(m):
-        s = target_signs[k]
-        if s == 0:
-            if pending_zero is None:
-                pending_zero = k
-                continue
-            a, r = _build_null_pair(space, project_off(vectors[pending_zero]),
-                                    project_off(vectors[k]), tol)
-            out[pending_zero] = a
-            out[k] = r
-            completed.append((a, r, 0))
-            pending_zero = None
-            continue
-        v = project_off(vectors[k])
-        val = space.herm(v, v).re
-        scale = max(v.norm() ** 2, 1e-300)
-        if abs(val) <= 100 * tol * scale or v.norm() <= tol * max(1.0, vectors[k].norm()):
-            raise GramSchmidtError(f"vector {k} is dependent or null after projection")
-        if (val < 0) != (s < 0):
-            raise GramSchmidtError(f"target sign {s} unattainable at position {k}")
-        v = v.times(1.0 / math.sqrt(abs(val)))
-        out[k] = v
-        completed.append((v, None, s))
-    if pending_zero is not None or any(v is None for v in out):
-        raise GramSchmidtError("unpaired null target")
-    return [v for v in out if v is not None]
-
-
-def _build_null_pair(space: HermitianSpace, va: HVector, vb: HVector,
-                     tol: float) -> tuple[HVector, HVector]:
-    """Extract a null pair with <a,r> = 1 from the span of two vectors."""
-    gaa = space.herm(va, va).re
-    scale = max(va.norm() ** 2, vb.norm() ** 2, 1e-300)
-    if abs(gaa) <= tol * scale:
-        # va already null: correct vb to a null partner
-        a = va
-        gab = space.herm(a, vb)  # <a, b>
-        if gab.norm() <= tol * scale:
-            raise GramSchmidtError("null vector pairs to zero with its partner")
-        gbb = space.herm(vb, vb).re
-        gamma = gab.conj() * (gbb / (2.0 * gab.norm_sq()))
-        r = vb - a.times(gamma)
-        p = space.herm(a, r)
-        lam = p.inverse().conj()
-        r = r.times(lam)
-        return a, r
-    # diagonalize the 2-dim span into u_plus, u_minus
-    sa = 1 if gaa > 0 else -1
-    u1 = va.times(1.0 / math.sqrt(abs(gaa)))
-    w = vb - u1.times(space.herm(vb, u1) * sa)
-    gww = space.herm(w, w).re
-    if abs(gww) <= tol * scale:
-        raise GramSchmidtError("span of the null-target pair is degenerate")
-    sb = 1 if gww > 0 else -1
-    if sa == sb:
-        raise GramSchmidtError("null pair needs a (1,1)-signature span")
-    u2 = w.times(1.0 / math.sqrt(abs(gww)))
-    u_plus, u_minus = (u1, u2) if sa > 0 else (u2, u1)
-    inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    a = (u_plus + u_minus).times(inv_sqrt2)
-    r = (u_plus - u_minus).times(inv_sqrt2)
-    return a, r

@@ -1,5 +1,5 @@
-"""Eigenframes, associated points, canonical tuples for semisimple pairs, and
-the conjugacy decider with explicit conjugator witnesses.
+"""Eigenframes of semisimple elements, the common-fixed-point test, and the
+pair-conjugacy decider with explicit conjugator witnesses.
 
 The decider reduces conjugacy of (A, B) and (A', B') to an intertwining
 problem for the diagonal gauge group left over after fixing eigenframes of A
@@ -18,27 +18,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .decision import Decision, Verdict
-from .errors import (
-    DegenerateConfigurationError,
-    NumericalError,
-    UnsupportedElementError,
-)
-from .invariants import ProjPoint
-from .isometry import (
-    Classification,
-    Isometry,
-    complex_spans_equal,
-    conjugate_single,
-    quaternionic_spans_equal,
-)
+from .errors import NumericalError, UnsupportedElementError
+from .isometry import Classification, Isometry, conjugate_single
 from .linalg import EigenClass, HMatrix, HVector, PointType
-from .quaternion import (
-    DEFAULT_TOL,
-    Quaternion,
-    SimilarityClass,
-    left_matrix,
-    right_matrix,
-)
+from .quaternion import Quaternion, left_matrix, right_matrix
 
 REASON_TRACE = "real trace mismatch"
 REASON_CLASSES = "eigenvalue class mismatch"
@@ -47,30 +30,24 @@ REASON_GRASSMANNIAN = "eigenvalue Grassmannian mismatch"
 
 
 # ---------------------------------------------------------------------------
-# Eigenframes and associated points
+# Eigenframes
 # ---------------------------------------------------------------------------
 
 @dataclass
 class EigenFrame:
     """Form-normalized eigenbasis of a semisimple element.
 
-    Hyperbolic: columns (a, x_1 .. x_{n-1}, r) with <a,r> = 1, <x,x> = 1 and
-    the column Gram equal to the corner form.  Elliptic: columns
-    (x_1 .. x_{n+1}) with <x_1,x_1> = -1, the rest +1, column Gram
-    diag(-1, 1, ..., 1).  Every column satisfies A x = x * rep for its
-    class representative, and A = C E C^{-1} reassembles.
+    Hyperbolic: the columns of C are (a, x_1 .. x_{n-1}, r) with <a,r> = 1,
+    <x,x> = 1 and the column Gram equal to the corner form.  Elliptic: the
+    columns are (x_1 .. x_{n+1}) with <x_1,x_1> = -1, the rest +1, column
+    Gram diag(-1, 1, ..., 1).  Column k satisfies A x = x * reps[k], and
+    A = C E C^{-1} reassembles.
     """
 
     kind: Classification
-    columns: list[HVector]
     reps: list[complex]
     C: HMatrix
     E: HMatrix
-    classes: list[EigenClass]
-
-    @property
-    def dim(self) -> int:
-        return len(self.columns)
 
 
 def _ordered_classes(A: Isometry) -> list[EigenClass]:
@@ -103,65 +80,11 @@ def eigenframe(A: Isometry, tol: float = 1e-8) -> EigenFrame:
     resid = (C @ E @ C.inverse() - A.matrix).norm()
     if resid > tol * max(1.0, A.matrix.norm()):
         raise NumericalError(f"eigenframe reassembly residual {resid:.3e}")
-    return EigenFrame(A.classification, columns, reps, C, E, ordered)
-
-
-def associated_points(A: "Isometry | EigenFrame", tol: float = DEFAULT_TOL) -> list[ProjPoint]:
-    """The points built from an eigenframe: boundary points for hyperbolic
-    elements, interior points for elliptic ones."""
-    frame = A if isinstance(A, EigenFrame) else eigenframe(A)
-    cols = frame.columns
-    if frame.kind is Classification.HYPERBOLIC:
-        a, r = cols[0], cols[-1]
-        mids = cols[1:-1]
-        pts = [ProjPoint(a, PointType.NULL), ProjPoint(r, PointType.NULL)]
-        diff = (a - r).times(1.0 / math.sqrt(2.0))
-        pts.extend(ProjPoint(diff + x, PointType.NULL) for x in mids)
-        return pts
-    x1 = cols[0]
-    pts = [ProjPoint(x1, PointType.NEGATIVE)]
-    pts.extend(ProjPoint(x1.times(math.sqrt(2.0)) + x, PointType.NEGATIVE)
-               for x in cols[1:])
-    return pts
+    return EigenFrame(A.classification, reps, C, E)
 
 
 # ---------------------------------------------------------------------------
-# Grassmannian points
-# ---------------------------------------------------------------------------
-
-@dataclass
-class GrassmannianPoint:
-    """A pinned eigenset: the complex span of eigenvectors for a fixed
-    complex representative of a nonreal class."""
-
-    rep: complex
-    basis: list[HVector]
-
-
-def grassmannian_point(A: Isometry, cls: "SimilarityClass | complex",
-                       tol: float = 1e-6) -> GrassmannianPoint:
-    target = cls if isinstance(cls, SimilarityClass) else SimilarityClass.from_complex(cls)
-    if target.is_real(tol):
-        raise UnsupportedElementError("real classes have a trivial Grassmannian")
-    match = A.eigen.find(target.representative, tol) if A.eigen else None
-    if match is None:
-        raise ValueError("class is not in the spectrum")
-    if match.is_real():
-        raise UnsupportedElementError("real classes have a trivial Grassmannian")
-    return GrassmannianPoint(match.rep, [v.copy() for v in match.vectors])
-
-
-def grassmannian_equal(P: GrassmannianPoint, Q: GrassmannianPoint,
-                       tol: float = 1e-8) -> bool:
-    """Same point on the class Grassmannian: equal complex spans."""
-    if not SimilarityClass.from_complex(P.rep).matches(
-            SimilarityClass.from_complex(Q.rep), 1e-6):
-        raise ValueError("Grassmannian points belong to different classes")
-    return complex_spans_equal(P.basis, Q.basis, tol)
-
-
-# ---------------------------------------------------------------------------
-# Common fixed points and pair frames
+# Common fixed points
 # ---------------------------------------------------------------------------
 
 def _fixed_set_bases(A: Isometry) -> list[list[HVector]]:
@@ -183,147 +106,6 @@ def have_common_fixed_point(A: Isometry, B: Isometry, tol: float = 1e-8) -> bool
             if rboth < ra + rb:
                 return True
     return False
-
-
-def pair_frame(A: Isometry, B: Isometry,
-               tol: float = DEFAULT_TOL) -> tuple[EigenFrame, EigenFrame]:
-    """Individually normalized frames with the cross-normalization linking them.
-
-    Hyperbolic-hyperbolic pairs set <r_A, a_B> = 1.  Elliptic-elliptic pairs
-    can only rotate the pairing of the two negative columns, whose modulus
-    exceeds 1 for distinct fixed points, so <x_1A, x_1B> is made positive
-    real instead.  Mixed pairs scale the boost pair of the hyperbolic member
-    so that <r_A, x_1B> = 1.  Cross-scalings may rotate the representative
-    pinning of the second frame; callers needing pinned frames should use
-    ``eigenframe`` directly.
-    """
-    if have_common_fixed_point(A, B):
-        raise UnsupportedElementError("pair has a common fixed point")
-    fa, fb = eigenframe(A), eigenframe(B)
-    space = A.space
-    if fa.kind is Classification.ELLIPTIC and fb.kind is Classification.HYPERBOLIC:
-        fb2, fa2 = pair_frame(B, A, tol)
-        return fa2, fb2
-
-    if fa.kind is Classification.HYPERBOLIC and fb.kind is Classification.HYPERBOLIC:
-        r_a, a_b, r_b = fa.columns[-1], fb.columns[0], fb.columns[-1]
-        h = space.herm(r_a, a_b)
-        if h.norm() == 0.0:
-            raise DegenerateConfigurationError("transversality pairing vanished")
-        mu = h * (1.0 / h.norm_sq())          # conj(mu) = h^{-1}
-        nu = mu.conj().inverse()              # keeps <a_B, r_B> = 1
-        cols = [a_b.times(mu)] + fb.columns[1:-1] + [r_b.times(nu)]
-    elif fa.kind is Classification.HYPERBOLIC and fb.kind is Classification.ELLIPTIC:
-        r_a, a_a = fa.columns[-1], fa.columns[0]
-        x1b = fb.columns[0]
-        h = space.herm(r_a, x1b)
-        if h.norm() == 0.0:
-            raise DegenerateConfigurationError("transversality pairing vanished")
-        t = 1.0 / h.norm()
-        mu = h.unit()                         # conj(mu) h = |h|
-        fa_cols = [a_a.times(1.0 / t)] + fa.columns[1:-1] + [r_a.times(t)]
-        fa = EigenFrame(fa.kind, fa_cols, fa.reps, HMatrix.from_columns(fa_cols),
-                        fa.E, fa.classes)
-        cols = [x1b.times(mu)] + fb.columns[1:]
-    else:
-        x1a, x1b = fa.columns[0], fb.columns[0]
-        h = space.herm(x1a, x1b)
-        if h.norm() == 0.0:
-            raise DegenerateConfigurationError("pairing of negative columns vanished")
-        mu = h.unit()                         # conj(mu) h = |h| > 0
-        cols = [x1b.times(mu)] + fb.columns[1:]
-    fb = EigenFrame(fb.kind, cols, fb.reps, HMatrix.from_columns(cols), fb.E, fb.classes)
-    return fa, fb
-
-
-# ---------------------------------------------------------------------------
-# Canonical tuples
-# ---------------------------------------------------------------------------
-
-@dataclass
-class CanonicalTuple:
-    """Ordered associated points of a pair under the canonical ordering."""
-
-    points: list[ProjPoint]
-    type_t: int
-    multiplicities_a: tuple[int, ...]
-    multiplicities_b: tuple[int, ...]
-    repairs: int
-
-
-_REPAIR_UNITS = [
-    Quaternion(math.cos(0.5), math.sin(0.5), 0, 0),
-    Quaternion(math.cos(0.5), 0, math.sin(0.5), 0),
-    Quaternion(math.cos(0.5), 0, 0, math.sin(0.5)),
-    Quaternion(math.cos(1.1), math.sin(1.1), 0, 0),
-    Quaternion(0.5, 0.5, 0.5, 0.5),
-    Quaternion(math.cos(0.3), 0, math.sin(0.3), 0),
-    Quaternion(math.cos(1.3), 0, 0, math.sin(1.3)),
-    Quaternion(math.cos(0.8), math.sin(0.8) / math.sqrt(2), math.sin(0.8) / math.sqrt(2), 0),
-]
-
-
-def _repairable_column(frame: EigenFrame, point_index: int) -> Optional[int]:
-    """Frame column whose unit rotation moves the given associated point.
-
-    Fixed points of the element (the null pair for hyperbolic, the negative
-    line for elliptic) are rigid: rotating their eigenvector does not move
-    the projective point.
-    """
-    if frame.kind is Classification.HYPERBOLIC:
-        return point_index - 1 if point_index >= 2 else None
-    return point_index if point_index >= 1 else None
-
-
-def canonical_tuple(A: Isometry, B: Isometry, tol: float = 1e-8) -> CanonicalTuple:
-    """Associated points of the pair, with coincidences repaired.
-
-    A collision between frame-dependent points is repaired by rotating the
-    responsible frame vector by a unit quaternion (a gauge move inside the
-    frame-change group) and rebuilding the point; persistent collisions
-    report a degenerate pair.
-    """
-    fa, fb = pair_frame(A, B, tol)
-    repairs = 0
-    for attempt in range(len(_REPAIR_UNITS) + 1):
-        pts_a = associated_points(fa)
-        pts_b = associated_points(fb)
-        collision = _find_collision(pts_a, pts_b, tol)
-        if collision is None:
-            pts = pts_a + pts_b
-            mult_a = tuple(c.multiplicity for c in fa.classes)
-            mult_b = tuple(c.multiplicity for c in fb.classes)
-            return CanonicalTuple(pts, len(pts), mult_a, mult_b, repairs)
-        ia, ib = collision
-        col_a = _repairable_column(fa, ia)
-        col_b = _repairable_column(fb, ib)
-        if col_a is None and col_b is None:
-            raise DegenerateConfigurationError(
-                "fixed points of the pair coincide; tuple undefined")
-        if attempt == len(_REPAIR_UNITS):
-            break
-        lam = _REPAIR_UNITS[attempt]
-        if col_a is not None:
-            cols = list(fa.columns)
-            cols[col_a] = cols[col_a].times(lam)
-            fa = EigenFrame(fa.kind, cols, fa.reps, HMatrix.from_columns(cols),
-                            fa.E, fa.classes)
-        else:
-            cols = list(fb.columns)
-            cols[col_b] = cols[col_b].times(lam)
-            fb = EigenFrame(fb.kind, cols, fb.reps, HMatrix.from_columns(cols),
-                            fb.E, fb.classes)
-        repairs += 1
-    raise DegenerateConfigurationError("could not separate coincident tuple points")
-
-
-def _find_collision(pts_a: Sequence[ProjPoint], pts_b: Sequence[ProjPoint],
-                    tol: float) -> Optional[tuple[int, int]]:
-    for ia, pa in enumerate(pts_a):
-        for ib, pb in enumerate(pts_b):
-            if quaternionic_spans_equal([pa.lift], [pb.lift], 1e-6):
-                return ia, ib
-    return None
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ pytest acceptance module and the ``qhyp verify`` command both call
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -660,11 +659,7 @@ CRITERIA: dict[int, Callable[[bool], CriterionResult]] = {
 }
 
 
-def run_suite(quick: bool = False, criteria: Optional[Sequence[int]] = None,
-              workers: int = 1) -> list[CriterionResult]:
+def run_suite(quick: bool = False,
+              criteria: Optional[Sequence[int]] = None) -> list[CriterionResult]:
     wanted = sorted(criteria) if criteria else sorted(CRITERIA)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {idx: pool.submit(CRITERIA[idx], quick) for idx in wanted}
-            return [futures[idx].result() for idx in wanted]
     return [CRITERIA[idx](quick) for idx in wanted]

@@ -171,10 +171,3 @@ def test_verify_criterion_6_exit_code(capsys):
     assert "[criterion  6]" in out
     assert code == 0
 
-
-def test_verify_workers_ordered_and_deterministic(capsys):
-    main(["verify", "--suite", "quick", "--criteria", "2,5,10"])
-    seq = capsys.readouterr().out
-    main(["verify", "--suite", "quick", "--criteria", "2,5,10", "--workers", "3"])
-    par = capsys.readouterr().out
-    assert seq == par

@@ -126,12 +126,16 @@ def test_angular_totally_real_triple():
 def test_angular_isometry_invariant():
     sp = HermitianSpace(2)
     rng = np.random.default_rng(42)
-    for _ in range(20):
-        pts = [ProjPoint(sample_null_lift(sp, rng), PointType.NULL) for _ in range(3)]
+    triples = [[ProjPoint(sample_null_lift(sp, rng), PointType.NULL) for _ in range(3)]
+               for _ in range(20)]
+    triples.append(sample_config(sp, 4, 0, np.random.default_rng(0)).points[:3])
+    for pts in triples:
         a0 = angular_invariant(sp, *pts)
         C = random_member(sp, rng)
         moved = [ProjPoint(C.apply(p.lift), p.kind) for p in pts]
         assert abs(angular_invariant(sp, *moved) - a0) < 1e-9
+        rescaled = [p.rescaled(random_quaternion(rng)) for p in pts]
+        assert abs(angular_invariant(sp, *rescaled) - a0) < 1e-9
         assert 0 <= a0 <= math.pi / 2 + 1e-12
 
 

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from qhyp.errors import GramSchmidtError, NotSemisimpleError
+from qhyp.errors import NotSemisimpleError
+from qhyp.isometry import random_member
 from qhyp.linalg import (
     HermitianSpace,
     HMatrix,
@@ -12,7 +13,6 @@ from qhyp.linalg import (
     char_poly_real_coeffs,
     complex_embed,
     corner_form,
-    gram_schmidt_indefinite,
     orthonormal_form_basis,
     right_eigen,
 )
@@ -193,20 +193,7 @@ def test_char_poly_palindromic_on_random_members():
 
 
 def _random_member(space, rng, cond_max=200.0):
-    # small wrapper used before the sampling module exists
-    from qhyp.linalg import gram_schmidt_indefinite
-    N = space.dim
-    for _ in range(50):
-        vecs = [random_hvector(rng, N) for _ in range(N)]
-        signs = [0] + [1] * (N - 2) + [0]
-        try:
-            frame = gram_schmidt_indefinite(space, vecs, signs)
-        except GramSchmidtError:
-            continue
-        C = HMatrix.from_columns(frame)
-        if C.cond() < cond_max and space.is_member(C, 1e-8):
-            return C
-    raise RuntimeError("could not sample a member")
+    return random_member(space, rng, cond_max)
 
 
 # -- right eigendecomposition -----------------------------------------------
@@ -297,50 +284,6 @@ def test_right_eigen_multiplicity_two():
     for x in pos.vectors:
         assert sp.herm(x, x).approx_eq(ONE, 1e-9)
         assert (A.apply(x) - x.times(complex(pos.rep))).norm() < 1e-8
-
-
-# -- indefinite Gram-Schmidt --------------------------------------------------
-
-def test_gs_standard_basis_passthrough():
-    sp = HermitianSpace(2)
-    basis = [qv(1, 0, 0), qv(0, 1, 0), qv(0, 0, 1)]
-    out = gram_schmidt_indefinite(sp, [basis[1]], [1])
-    assert sp.herm(out[0], out[0]).approx_eq(ONE, 1e-12)
-
-
-def test_gs_null_pair_from_pm():
-    sp = HermitianSpace(1)
-    vecs = [qv(1, 1), qv(1, -1)]
-    out = gram_schmidt_indefinite(sp, vecs, [0, 0])
-    a, r = out
-    assert sp.herm(a, a).norm() < 1e-10
-    assert sp.herm(r, r).norm() < 1e-10
-    assert sp.herm(a, r).approx_eq(ONE, 1e-10)
-
-
-def test_gs_postconditions_random():
-    rng = np.random.default_rng(20)
-    sp = HermitianSpace(2)
-    for _ in range(30):
-        vecs = [random_hvector(rng, 3) for _ in range(3)]
-        try:
-            out = gram_schmidt_indefinite(sp, vecs, [0, 0, 1])
-        except GramSchmidtError:
-            continue
-        a, r, x = out
-        assert sp.herm(a, a).norm() < 1e-9
-        assert sp.herm(r, r).norm() < 1e-9
-        assert sp.herm(a, r).approx_eq(ONE, 1e-9)
-        assert sp.herm(x, x).approx_eq(ONE, 1e-9)
-        assert sp.herm(x, a).norm() < 1e-9
-        assert sp.herm(x, r).norm() < 1e-9
-
-
-def test_gs_unattainable_sign():
-    sp = HermitianSpace(1)
-    # the span of a single positive vector cannot produce a negative one
-    with pytest.raises(GramSchmidtError):
-        gram_schmidt_indefinite(sp, [qv(1, 1)], [-1])
 
 
 def test_orthonormal_form_basis_signature():

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -13,17 +11,11 @@ from qhyp.isometry import (
     random_member,
     random_semisimple,
 )
-from qhyp.linalg import HermitianSpace, HMatrix, PointType
+from qhyp.linalg import HermitianSpace, HMatrix
 from qhyp.pairs import (
-    CanonicalTuple,
-    associated_points,
-    canonical_tuple,
     eigenframe,
-    grassmannian_equal,
-    grassmannian_point,
     have_common_fixed_point,
     pair_conjugate,
-    pair_frame,
     REASON_GRASSMANNIAN,
     REASON_ORBIT,
     REASON_TRACE,
@@ -51,7 +43,7 @@ def test_eigenframe_diagonal_hyperbolic():
     assert f.kind is HYP
     assert abs(f.reps[0]) == pytest.approx(2.0)
     assert abs(f.reps[-1]) == pytest.approx(0.5)
-    assert sp.herm(f.columns[0], f.columns[-1]).approx_eq(Quaternion.one(), 1e-10)
+    assert sp.herm(f.C.column(0), f.C.column(sp.dim - 1)).approx_eq(Quaternion.one(), 1e-10)
 
 
 def test_eigenframe_reassembly_random():
@@ -62,10 +54,10 @@ def test_eigenframe_reassembly_random():
         resid = (f.C @ f.E @ f.C.inverse() - A.matrix).norm()
         assert resid < 1e-8 * max(1, A.matrix.norm())
         # frame columns satisfy the normalization equations
-        assert sp.herm(f.columns[0], f.columns[-1]).approx_eq(Quaternion.one(), 1e-8)
-        x = f.columns[1]
+        assert sp.herm(f.C.column(0), f.C.column(sp.dim - 1)).approx_eq(Quaternion.one(), 1e-8)
+        x = f.C.column(1)
         assert sp.herm(x, x).approx_eq(Quaternion.one(), 1e-8)
-        assert sp.herm(x, f.columns[0]).norm() < 1e-8
+        assert sp.herm(x, f.C.column(0)).norm() < 1e-8
 
 
 def test_eigenframe_elliptic_normalization():
@@ -73,186 +65,12 @@ def test_eigenframe_elliptic_normalization():
     A = random_semisimple(ELL, 2, EllipticSpec((0.4, 1.0, 2.2)), seed=3)
     f = eigenframe(A)
     assert f.kind is ELL
-    assert sp.herm(f.columns[0], f.columns[0]).approx_eq(Quaternion.real(-1), 1e-8)
-    for x in f.columns[1:]:
+    assert sp.herm(f.C.column(0), f.C.column(0)).approx_eq(Quaternion.real(-1), 1e-8)
+    for k in range(1, sp.dim):
+        x = f.C.column(k)
         assert sp.herm(x, x).approx_eq(Quaternion.one(), 1e-8)
     resid = (f.C @ f.E @ f.C.inverse() - A.matrix).norm()
     assert resid < 1e-8
-
-
-# -- associated points -----------------------------------------------------------
-
-def test_associated_points_hyperbolic_n1():
-    sp = HermitianSpace(1)
-    A = Isometry(HMatrix.diag_complex([2.0, 0.5]), sp)
-    pts = associated_points(A)
-    assert len(pts) == 2
-    assert all(p.kind == PointType.NULL for p in pts)
-
-
-def test_associated_points_hyperbolic_n2_null():
-    A = random_semisimple(HYP, 2, HyperbolicSpec(1.9, 0.5, (0.9,)), seed=4)
-    sp = A.space
-    pts = associated_points(A)
-    assert len(pts) == 3
-    for p in pts:
-        assert abs(sp.herm(p.lift, p.lift).re) < 1e-8
-    # pairing constants of the normalized tuple
-    f = eigenframe(A)
-    p = associated_points(f)
-    assert sp.herm(p[0].lift, p[2].lift).approx_eq(
-        Quaternion.real(-1 / math.sqrt(2)), 1e-8)
-    assert sp.herm(p[1].lift, p[2].lift).approx_eq(
-        Quaternion.real(1 / math.sqrt(2)), 1e-8)
-
-
-def test_associated_points_elliptic_negative():
-    A = random_semisimple(ELL, 2, EllipticSpec((0.5, 1.3, 2.1)), seed=5)
-    sp = A.space
-    pts = associated_points(A)
-    assert len(pts) == 3
-    for p in pts:
-        assert sp.herm(p.lift, p.lift).re < 0
-    assert sp.herm(pts[1].lift, pts[1].lift).approx_eq(Quaternion.real(-1), 1e-8)
-    assert sp.herm(pts[0].lift, pts[1].lift).approx_eq(
-        Quaternion.real(-math.sqrt(2)), 1e-8)
-    if len(pts) > 2:
-        assert sp.herm(pts[1].lift, pts[2].lift).approx_eq(
-            Quaternion.real(-2), 1e-8)
-
-
-# -- Grassmannian points -----------------------------------------------------------
-
-def test_grassmannian_point_and_equality():
-    A = random_semisimple(HYP, 1, HyperbolicSpec(2.0, 0.7, ()), seed=6)
-    rep = [c for c in A.classes() if c.modulus > 1][0].rep
-    P = grassmannian_point(A, rep)
-    Q = grassmannian_point(A, rep)
-    assert grassmannian_equal(P, Q)
-    # complex rescalings of the basis stay on the same point
-    Q.basis[0] = Q.basis[0].times(complex(0.3, 1.2))
-    assert grassmannian_equal(P, Q)
-    # multiplication by j moves the eigenset
-    Q.basis[0] = P.basis[0].times_j()
-    assert not grassmannian_equal(P, Q)
-
-
-def test_grassmannian_rejects_real_class():
-    A = random_semisimple(HYP, 1, HyperbolicSpec(2.0, 0.0, ()), seed=7)
-    rep = A.classes()[0].rep
-    with pytest.raises(UnsupportedElementError):
-        grassmannian_point(A, rep)
-
-
-# -- pair frames and canonical tuples ------------------------------------------------
-
-def test_pair_frame_rejects_common_fixed_point():
-    A = random_semisimple(HYP, 2, HyperbolicSpec(1.8, 0.4, (1.1,)), seed=8)
-    with pytest.raises(UnsupportedElementError):
-        pair_frame(A, A)
-
-
-def test_pair_frame_cross_normalization_hyp_hyp():
-    sp = HermitianSpace(2)
-    rng = np.random.default_rng(70)
-    A, B = sample_pair(sp, rng, kinds=(HYP, HYP))
-    fa, fb = pair_frame(A, B)
-    h = sp.herm(fa.columns[-1], fb.columns[0])
-    assert h.approx_eq(Quaternion.one(), 1e-8)
-    # B's own normalization preserved
-    assert sp.herm(fb.columns[0], fb.columns[-1]).approx_eq(Quaternion.one(), 1e-8)
-
-
-def test_pair_frame_cross_normalization_ell_ell():
-    sp = HermitianSpace(2)
-    rng = np.random.default_rng(71)
-    A, B = sample_pair(sp, rng, kinds=(ELL, ELL))
-    fa, fb = pair_frame(A, B)
-    h = sp.herm(fa.columns[0], fb.columns[0])
-    assert h.im().norm() < 1e-8
-    assert h.re > 1.0  # distinct interior fixed points pair above 1
-
-
-def test_pair_frame_cross_normalization_mixed():
-    sp = HermitianSpace(2)
-    rng = np.random.default_rng(72)
-    A, B = sample_pair(sp, rng, kinds=(HYP, ELL))
-    fa, fb = pair_frame(A, B)
-    h = sp.herm(fa.columns[-1], fb.columns[0])
-    assert h.approx_eq(Quaternion.one(), 1e-8)
-    # elliptic frame preserved its self-normalization
-    assert sp.herm(fb.columns[0], fb.columns[0]).approx_eq(Quaternion.real(-1), 1e-8)
-
-
-def test_canonical_tuple_generic():
-    sp = HermitianSpace(2)
-    rng = np.random.default_rng(73)
-    A, B = sample_pair(sp, rng, kinds=(HYP, HYP))
-    tup = canonical_tuple(A, B)
-    assert tup.type_t == 6
-    assert len(tup.points) == 6
-    assert tup.repairs == 0
-    # pairing constants inside each half
-    pa = tup.points[:3]
-    assert sp.herm(pa[0].lift, pa[1].lift).approx_eq(Quaternion.one(), 1e-8)
-
-
-def test_canonical_tuple_n1():
-    sp = HermitianSpace(1)
-    rng = np.random.default_rng(74)
-    A, B = sample_pair(sp, rng, kinds=(HYP, HYP))
-    tup = canonical_tuple(A, B)
-    assert tup.type_t == 4
-    assert all(p.kind == PointType.NULL for p in tup.points)
-
-
-def test_canonical_tuple_pairing_constants():
-    sp = HermitianSpace(3)
-    rng = np.random.default_rng(75)
-    inv_sqrt2 = 1 / math.sqrt(2)
-    A, B = sample_pair(sp, rng, kinds=(HYP, HYP))
-    tup = canonical_tuple(A, B)
-    for half in (tup.points[:4], tup.points[4:]):
-        a, r = half[0], half[1]
-        assert sp.herm(a.lift, r.lift).approx_eq(Quaternion.one(), 1e-9)
-        for p in half[2:]:
-            assert sp.herm(a.lift, p.lift).approx_eq(Quaternion.real(-inv_sqrt2), 1e-9)
-            assert sp.herm(r.lift, p.lift).approx_eq(Quaternion.real(inv_sqrt2), 1e-9)
-        if len(half) > 3:
-            assert sp.herm(half[2].lift, half[3].lift).approx_eq(
-                Quaternion.real(-1), 1e-9)
-    A, B = sample_pair(sp, rng, kinds=(ELL, ELL))
-    tup = canonical_tuple(A, B)
-    for half in (tup.points[:4], tup.points[4:]):
-        x1 = half[0]
-        for p in half[1:]:
-            assert sp.herm(x1.lift, p.lift).approx_eq(Quaternion.real(-math.sqrt(2)), 1e-9)
-        for s in range(1, len(half)):
-            for t in range(s + 1, len(half)):
-                assert sp.herm(half[s].lift, half[t].lift).approx_eq(
-                    Quaternion.real(-2), 1e-9)
-
-
-def test_frame_map_realized_by_tuple_witness():
-    # a map carrying the associated points of A to those of A2 projectively
-    # also carries the frame vectors, up to the allowed scalars
-    from qhyp.gram import congruent, gram_of
-    from qhyp.invariants import ProjPoint
-    from qhyp.isometry import quaternionic_spans_equal
-
-    sp = HermitianSpace(2)
-    rng = np.random.default_rng(76)
-    A = random_semisimple(HYP, 2, HyperbolicSpec(1.8, 0.7, (1.1,)), seed=50)
-    C0 = random_member(sp, rng)
-    A2 = Isometry(sp.project_to_group(C0 @ A.matrix @ C0.inverse()), sp)
-    fa, fa2 = eigenframe(A), eigenframe(A2)
-    cfg = gram_of(sp, associated_points(fa))
-    cfg2 = gram_of(sp, associated_points(fa2))
-    dec = congruent(cfg, cfg2, 1e-7)
-    assert dec.verdict is Verdict.CONGRUENT
-    C = dec.witness
-    for xa, xa2 in zip(fa.columns, fa2.columns):
-        assert quaternionic_spans_equal([C.apply(xa)], [xa2], 1e-6)
 
 
 # -- the decider -----------------------------------------------------------------------
@@ -333,20 +151,3 @@ def test_pair_conjugate_rejects_common_fixed_point():
     with pytest.raises(UnsupportedElementError):
         pair_conjugate(A, A, A, A)
 
-
-def test_conjugate_pairs_have_congruent_tuples_n1():
-    # at n = 1 the canonical tuple is the four fixed points, which transform
-    # covariantly, so conjugate pairs must produce congruent tuples
-    from qhyp.gram import congruent, gram_of
-
-    sp = HermitianSpace(1)
-    rng = np.random.default_rng(85)
-    A, B = sample_pair(sp, rng, kinds=(HYP, HYP))
-    A2, B2 = conjugated_pair(sp, A, B, rng)
-    t1 = canonical_tuple(A, B)
-    t2 = canonical_tuple(A2, B2)
-    cfg1 = gram_of(sp, t1.points)
-    cfg2 = gram_of(sp, t2.points)
-    dec = congruent(cfg1, cfg2)
-    assert dec.verdict is Verdict.CONGRUENT
-    assert dec.residual < 1e-7

@@ -2,11 +2,12 @@
 congruence decider with an explicit witness, and reconstruction from a
 classifying profile.
 
-Conventions.  The Gram matrix of lifts (p_1, ..., p_m) is g[k][j] =
-<p_j, p_k>, so rescaling p_k -> p_k * lam_k maps g[k][j] to
-conj(lam_k) * g[k][j] * lam_j.  Semi-normalization fixes the scalings up to
-one unit quaternion acting by simultaneous conjugation; its vector of free
-entries V_G is what the orbit comparison aligns.
+Conventions.  The Gram matrix of lifts (p_1, ..., p_m) is g[k, j] =
+<p_j, p_k>, stored as one real (m, m, 4) array of quaternion components, so
+rescaling p_k -> p_k * lam_k maps g[k, j] to conj(lam_k) * g[k, j] * lam_j.
+Semi-normalization fixes the scalings up to one unit quaternion acting by
+simultaneous conjugation; its vector of free entries V_G is what the orbit
+comparison aligns.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .invariants import (
     InvariantProfile,
     ProjPoint,
     profile_from_gram,
-    rotation_invariant,
+    x_slot_families,
     x_slot_indices,
 )
 from .linalg import (
@@ -37,21 +38,37 @@ from .linalg import (
     HVector,
     PointType,
     matrix_rank,
+    nullspace,
     orthonormal_form_basis,
     quaternionic_basis,
 )
-from .quaternion import DEFAULT_TOL, Quaternion, canonical_sign, sp1_align
+from .quaternion import (
+    DEFAULT_TOL,
+    Quaternion,
+    canonical_sign,
+    qconj_array,
+    qmul_array,
+    rotation_matrix,
+    sp1_align,
+)
 
-PATTERN_TOL = 1e-10
+_UNIT_I = np.array([0.0, 1.0, 0.0, 0.0])
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)  # arrays have no single truth value: equality is identity
 class PointConfig:
-    """Ordered tuple of projective points: nulls first, negatives after."""
+    """Ordered tuple of projective points: nulls first, negatives after.
+
+    ``gram`` is the read-only (m, m, 4) array of quaternion components
+    (a0, a1, a2, a3) with gram[k, j] = <p_j, p_k>.
+    """
 
     space: HermitianSpace
     points: list[ProjPoint]
-    gram: list[list[Quaternion]]
+    gram: np.ndarray
+
+    def __post_init__(self) -> None:
+        self.gram.setflags(write=False)
 
     @property
     def m(self) -> int:
@@ -60,9 +77,6 @@ class PointConfig:
     @property
     def i(self) -> int:
         return sum(1 for p in self.points if p.kind == PointType.NULL)
-
-    def lifts(self) -> list[HVector]:
-        return [p.lift for p in self.points]
 
 
 def gram_of(space: HermitianSpace, points: Sequence[ProjPoint],
@@ -78,34 +92,37 @@ def gram_of(space: HermitianSpace, points: Sequence[ProjPoint],
     m = len(pts)
     if m < 2:
         raise InvalidSpecError("a configuration needs at least two points")
-    seen_negative = False
-    for p in pts:
-        if p.kind == PointType.POSITIVE:
-            raise InvalidSpecError("configurations contain null and negative points only")
-        if p.kind == PointType.NULL and seen_negative:
-            raise InvalidSpecError("ordering violated: null point after a negative one")
-        if p.kind == PointType.NEGATIVE:
-            seen_negative = True
+    kinds = [p.kind for p in pts]
+    if PointType.POSITIVE in kinds:
+        raise InvalidSpecError("configurations contain null and negative points only")
+    neg = np.array([k == PointType.NEGATIVE for k in kinds])
+    if np.any(neg[:-1] & ~neg[1:]):
+        raise InvalidSpecError("ordering violated: null point after a negative one")
+    if any(p.lift.dim != space.dim for p in pts):
+        raise DimensionMismatchError("vector dimension does not match the space")
 
-    # g[k][j] = <p_j, p_k>; the form is Hermitian, so the lower triangle is
-    # the conjugate of the upper one
-    g = [[Quaternion()] * m for _ in range(m)]
-    for k in range(m):
-        g[k][k] = space.herm(pts[k].lift, pts[k].lift)
-        for j in range(k + 1, m):
-            g[k][j] = space.herm(pts[j].lift, pts[k].lift)
-            g[j][k] = g[k][j].conj()
-    for k in range(m):
-        for j in range(k + 1, m):
-            scale = pts[k].lift.norm() * pts[j].lift.norm()
-            if g[k][j].norm() <= 1e3 * tol * scale:
-                raise DegenerateConfigurationError(
-                    f"points {k + 1} and {j + 1} pair to zero (coincident or degenerate)")
-            if pts[k].kind == pts[j].kind == PointType.NEGATIVE:
-                d = g[k][j].norm_sq() / (g[k][k].re * g[j][j].re)
-                if d <= 1.0 + 1e3 * tol:
-                    raise DegenerateConfigurationError(
-                        f"negative points {k + 1} and {j + 1} coincide")
+    # <p_j, p_k> = w* H z in the embedding, as in HermitianSpace.herm: row 2k
+    # of T* H S is the complex part of row k, row 2k + 1 its j part
+    T = np.concatenate([p.lift.two_column() for p in pts], axis=1)
+    S = T[:, 0::2]
+    A = T.conj().T @ space.H_emb @ S
+    g = np.stack([A[0::2].real, A[0::2].imag, A[1::2].real, -A[1::2].imag], axis=-1)
+    # the form is Hermitian: store the matrix exactly so
+    g = 0.5 * (g + qconj_array(g).transpose(1, 0, 2))
+
+    absg = np.linalg.norm(g, axis=2)
+    norms = np.linalg.norm(S, axis=0)
+    re = np.diagonal(g[..., 0])
+    zero = absg <= 1e3 * tol * np.outer(norms, norms)
+    # both negative, so d = |g_kj|^2 / (g_kk g_jj) <= 1 + 1e3 tol reads
+    coincide = np.outer(neg, neg) & (absg ** 2 <= (1.0 + 1e3 * tol) * np.outer(re, re))
+    bad = np.argwhere(np.triu(zero | coincide, 1))
+    if len(bad):
+        k, j = bad[0]
+        if zero[k, j]:
+            raise DegenerateConfigurationError(
+                f"points {k + 1} and {j + 1} pair to zero (coincident or degenerate)")
+        raise DegenerateConfigurationError(f"negative points {k + 1} and {j + 1} coincide")
     return PointConfig(space, pts, g)
 
 
@@ -113,51 +130,61 @@ def gram_of(space: HermitianSpace, points: Sequence[ProjPoint],
 # Semi-normalization
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class SemiNormalizedGram:
     """Gram matrix in the semi-normalized gauge plus its free-entry vector.
 
+    ``gram`` is a read-only (m, m, 4) array laid out like ``PointConfig.gram``.
     ``lifts`` carries the rescaled lifts when the matrix came from an actual
     configuration; reconstructed matrices have no lifts.
     """
 
     m: int
     i: int
-    entries: list[list[Quaternion]]
+    gram: np.ndarray
     lifts: Optional[list[HVector]] = None
 
-    def v_entries(self) -> list[Quaternion]:
-        """The gauge-covariant vector: first-row scales then upper entries."""
-        out: list[Quaternion] = []
-        lo = self.i + 1 if self.i >= 3 else 2
-        if self.i != self.m:
-            out.extend(self.entries[0][j - 1] for j in range(max(lo, self.i + 1), self.m + 1))
-        for k in range(2, self.m + 1):
-            for j in range(k + 1, self.m + 1):
-                out.append(self.entries[k - 1][j - 1])
-        return out
+    def __post_init__(self) -> None:
+        self.gram.setflags(write=False)
+
+    @property
+    def entries(self) -> list[list[Quaternion]]:
+        """The matrix as a grid of quaternions, for callers outside the array layer."""
+        return [[Quaternion.from_seq(e) for e in row] for row in self.gram]
+
+    def v_entries(self) -> np.ndarray:
+        """The gauge-covariant vector as a (k, 4) array.
+
+        First-row scales of the negative columns, then the entries above the
+        diagonal from the second row on.
+        """
+        m, i = self.m, self.i
+        first = np.arange(max(i, 1), m)
+        r, c = np.triu_indices(m - 1, 1)
+        return self.gram[np.concatenate([np.zeros_like(first), r + 1]),
+                         np.concatenate([first, c + 1])]
 
     def conjugated(self, mu: Quaternion) -> "SemiNormalizedGram":
-        ents = [[mu.conj() * e * mu for e in row] for row in self.entries]
+        """Every entry g -> conj(mu) g mu, for a unit quaternion mu."""
+        g = self.gram.copy()
+        g[..., 1:] = g[..., 1:] @ rotation_matrix(mu.conj()).T
         lifts = [v.times(mu) for v in self.lifts] if self.lifts is not None else None
-        return SemiNormalizedGram(self.m, self.i, ents, lifts)
+        return SemiNormalizedGram(self.m, self.i, g, lifts)
 
 
 def _check_pattern(sng: SemiNormalizedGram, tol: float = 1e-8) -> None:
-    m, i, g = sng.m, sng.i, sng.entries
-    for k in range(m):
-        target = 0.0 if k < i else -1.0
-        if abs(g[k][k].re - target) > tol or g[k][k].im().norm() > tol:
-            raise NumericalError("diagonal entry off pattern after normalization")
-    for j in range(1, m):
-        e = g[0][j]
-        if j < i:
-            if (e - Quaternion.one()).norm() > tol:
-                raise NumericalError("first-row null entry not 1")
-        elif i >= 3 or i == 0:
-            if e.im().norm() > tol or e.re <= 0:
-                raise NumericalError("first-row entry not positive real")
-    if i >= 3 and abs(g[1][2].norm() - 1.0) > tol:
+    m, i, g = sng.m, sng.i, sng.gram
+    diag = np.diagonal(g).T
+    target = np.where(np.arange(m) < i, 0.0, -1.0)
+    if (np.any(np.abs(diag[:, 0] - target) > tol)
+            or np.any(np.linalg.norm(diag[:, 1:], axis=1) > tol)):
+        raise NumericalError("diagonal entry off pattern after normalization")
+    if np.any(np.linalg.norm(g[0, 1:i] - [1.0, 0.0, 0.0, 0.0], axis=1) > tol):
+        raise NumericalError("first-row null entry not 1")
+    rest = g[0, max(i, 1):]
+    if np.any(np.linalg.norm(rest[:, 1:], axis=1) > tol) or np.any(rest[:, 0] <= 0):
+        raise NumericalError("first-row entry not positive real")
+    if i >= 3 and abs(np.linalg.norm(g[1, 2]) - 1.0) > tol:
         raise NumericalError("|g_23| != 1 after normalization")
 
 
@@ -182,69 +209,59 @@ def semi_normalize(config: PointConfig, tol: float = DEFAULT_TOL) -> SemiNormali
         raise InvalidSpecError(
             "configurations with one or two null points are not supported")
     g = config.gram
-    lam: list[Quaternion] = [Quaternion.one()] * m
 
+    # p_k -> p_k * lam_k.  lam_1 is a positive real, so conj(lam_1) g_1j =
+    # lam_1 g_1j = w_j; null points take w_j^-1, negative points
+    # w_j^-1 |w_j| / sqrt(-g_jj)
     if i >= 3:
-        g12, g13, g23 = g[0][1], g[0][2], g[1][2]
-        mod1 = math.sqrt(g23.norm() / (g12.norm() * g13.norm()))
-        lam[0] = Quaternion.real(mod1)
-        for j in range(1, i):
-            lam[j] = (lam[0].conj() * g[0][j]).inverse()
-        for j in range(i, m):
-            modj = 1.0 / math.sqrt(-g[j][j].re)
-            w = lam[0].conj() * g[0][j]
-            lam[j] = w.inverse() * (w.norm() * modj)
+        lam1 = math.sqrt(np.linalg.norm(g[1, 2])
+                         / (np.linalg.norm(g[0, 1]) * np.linalg.norm(g[0, 2])))
     else:  # i == 0
-        lam[0] = Quaternion.real(1.0 / math.sqrt(-g[0][0].re))
-        for j in range(1, m):
-            modj = 1.0 / math.sqrt(-g[j][j].re)
-            w = lam[0].conj() * g[0][j]
-            lam[j] = w.inverse() * (w.norm() * modj)
+        lam1 = 1.0 / math.sqrt(-g[0, 0, 0])
+    w = lam1 * g[0]
+    wn = np.linalg.norm(w, axis=1)
+    nul, neg = slice(1, max(i, 1)), slice(max(i, 1), m)
+    lam = np.zeros((m, 4))
+    lam[0, 0] = lam1
+    lam[nul] = qconj_array(w[nul]) / wn[nul, None] ** 2
+    lam[neg] = qconj_array(w[neg]) / (wn[neg] * np.sqrt(-np.diagonal(g[..., 0])[neg]))[:, None]
 
-    lifts = [p.lift.times(lam[k]) for k, p in enumerate(config.points)]
-    ents = [[lam[k].conj() * g[k][j] * lam[j] for j in range(m)] for k in range(m)]
+    ents = qmul_array(qmul_array(qconj_array(lam)[:, None], g), lam[None, :])
+    lifts = [p.lift.times(Quaternion.from_seq(l)) for p, l in zip(config.points, lam)]
     sng = SemiNormalizedGram(m, i, ents, lifts)
-    mu = _gauge_rotation(sng.v_entries(), tol)
-    sng = sng.conjugated(mu)
+    sng = sng.conjugated(_gauge_rotation(sng.v_entries(), tol))
     _check_pattern(sng)
     return sng
 
 
-def _gauge_rotation(entries: Sequence[Quaternion], tol: float) -> Quaternion:
+def _gauge_rotation(entries: np.ndarray, tol: float) -> Quaternion:
     """Unit quaternion fixing the residual gauge on the free-entry vector.
 
     Rotates the first nonzero imaginary direction onto i, then spins about i
     so a second independent direction lands in the i-j plane with positive
     j part.
     """
-    first = None
-    for e in entries:
-        v = e.imag_vec()
-        if np.linalg.norm(v) > 1e3 * tol * max(1.0, e.norm()):
-            first = v / np.linalg.norm(v)
-            break
-    if first is None:
+    floor = 1e3 * tol * np.maximum(1.0, np.linalg.norm(entries, axis=1))
+    im = entries[:, 1:]
+    imn = np.linalg.norm(im, axis=1)
+    found = np.flatnonzero(imn > floor)
+    if not found.size:
         return Quaternion.one()
-    mu1 = sp1_align([Quaternion.i()], [Quaternion.from_vector(0.0, first)], 1e-6)
+    k = found[0]
+    mu1 = sp1_align(_UNIT_I, np.concatenate(([0.0], im[k] / imn[k])), 1e-6)
     if mu1 is None:
         raise NumericalError("gauge rotation onto the i axis failed")
 
-    ex = np.array([1.0, 0.0, 0.0])
-    second = None
-    for e in entries:
-        v = (mu1.conj() * e * mu1).imag_vec()
-        v_perp = v - np.dot(v, ex) * ex
-        if np.linalg.norm(v_perp) > 1e3 * tol * max(1.0, e.norm()):
-            second = v
-            break
-    if second is None:
+    v = im @ rotation_matrix(mu1.conj()).T  # Im(conj(mu1) e mu1)
+    found = np.flatnonzero(np.linalg.norm(v[:, 1:], axis=1) > floor)
+    if not found.size:
         return canonical_sign(mu1)
     # spin about the i axis so the second direction lands in the i-j plane
     # with positive j part; reuse the certified aligner for the rotation
-    perp = second - np.dot(second, ex) * ex
-    target = np.dot(second, ex) * ex + np.linalg.norm(perp) * np.array([0.0, 1.0, 0.0])
-    mu2 = sp1_align([Quaternion.i(), Quaternion.from_vector(0.0, target)],
-                    [Quaternion.i(), Quaternion.from_vector(0.0, second)], 1e-6)
+    second = v[found[0]]
+    target = np.array([0.0, second[0], np.linalg.norm(second[1:]), 0.0])
+    mu2 = sp1_align(np.stack([_UNIT_I, target]),
+                    np.stack([_UNIT_I, np.concatenate(([0.0], second))]), 1e-6)
     if mu2 is None:
         raise NumericalError("gauge spin about the i axis failed")
     return canonical_sign(mu1 * mu2)
@@ -285,13 +302,7 @@ def _independent_subset(space: HermitianSpace, lifts: Sequence[HVector],
 
 def _form_perp_basis(space: HermitianSpace, lifts: Sequence[HVector]) -> list[HVector]:
     """Quaternionic basis of the form-orthogonal complement of a span."""
-    rows = []
-    for v in lifts:
-        rows.append(v.two_column().conj().T @ space.H_emb)
-    A = np.concatenate(rows, axis=0)
-    from .linalg import nullspace
-
-    ns = nullspace(A)
+    ns = nullspace(np.concatenate([v.two_column().conj().T @ space.H_emb for v in lifts]))
     if ns.shape[1] % 2 != 0:
         raise NumericalError("perp space is not quaternionic")
     return quaternionic_basis(ns, ns.shape[1] // 2)
@@ -299,8 +310,7 @@ def _form_perp_basis(space: HermitianSpace, lifts: Sequence[HVector]) -> list[HV
 
 def _projective_residual(space: HermitianSpace, u: HVector, v: HVector) -> float:
     """Relative distance between the lines through u and v."""
-    P = u.two_column()
-    Q = v.two_column()
+    P, Q = u.two_column(), v.two_column()
     alpha = np.linalg.lstsq(P, Q, rcond=None)[0]
     return float(np.linalg.norm(P @ alpha - Q) / max(np.linalg.norm(Q), 1e-300))
 
@@ -349,9 +359,8 @@ def congruent(config_a: PointConfig, config_b: PointConfig,
 
     if not space.is_member(witness, 1e-8):
         raise NumericalError("witness drifted off the isometry group")
-    worst = 0.0
-    for pa, pb in zip(lifts_a, lifts_b):
-        worst = max(worst, _projective_residual(space, witness.apply(pa), pb))
+    worst = max(_projective_residual(space, witness.apply(pa), pb)
+                for pa, pb in zip(lifts_a, lifts_b))
     if worst > tol:
         return Decision(Verdict.NOT_CONGRUENT,
                         reason=f"witness verification failed (residual {worst:.3e})")
@@ -361,6 +370,11 @@ def congruent(config_a: PointConfig, config_b: PointConfig,
 # ---------------------------------------------------------------------------
 # Reconstruction from a profile
 # ---------------------------------------------------------------------------
+
+def _polar(a: float, u: Quaternion) -> np.ndarray:
+    """Components of -cos(a) + u sin(a)."""
+    return math.sin(a) * u.to_array() - [math.cos(a), 0.0, 0.0, 0.0]
+
 
 def reconstruct_gram(prof: InvariantProfile, tol: float = 1e-7) -> SemiNormalizedGram:
     """Rebuild the semi-normalized Gram matrix (up to one unit conjugation).
@@ -373,70 +387,50 @@ def reconstruct_gram(prof: InvariantProfile, tol: float = 1e-7) -> SemiNormalize
     """
     m, i = prof.m, prof.i
     prof.check_structure()
-    expected_slots = x_slot_indices(m, i)
-    got = [(s.family, s.row, s.col) for s in prof.x_slots]
-    if got != expected_slots:
+    slots = x_slot_indices(m, i)
+    if [(s.family, s.row, s.col) for s in prof.x_slots] != slots:
         raise InvalidSpecError("cross-ratio slots do not match the index scheme")
+    if i >= 3 and min(prof.first_row, default=1.0) <= 0:
+        raise InvalidSpecError("first-row scales must be positive")
 
-    q0 = Quaternion()
-    g = [[q0 for _ in range(m)] for _ in range(m)]
-
-    def put(k: int, j: int, val: Quaternion) -> None:  # 1-based hermitian set
-        g[k - 1][j - 1] = val
-        g[j - 1][k - 1] = val.conj()
-
-    for k in range(1, m + 1):
-        g[k - 1][k - 1] = Quaternion() if k <= i else Quaternion.real(-1.0)
-
-    def r1(j: int) -> float:
-        if i >= 3:
-            if j <= i:
-                return 1.0
-            return prof.first_row[j - i - 1]
-        return prof.first_row[j - 2]
-
-    if i >= 3:
-        for j in range(2, i + 1):
-            put(1, j, Quaternion.one())
-        for j in range(i + 1, m + 1):
-            if r1(j) <= 0:
-                raise InvalidSpecError("first-row scales must be positive")
-            put(1, j, Quaternion.real(r1(j)))
-    else:
-        for j in range(2, m + 1):
-            put(1, j, Quaternion.real(r1(j)))
-
+    # fill the upper triangle, then mirror it and set the diagonal
+    g = np.zeros((m, m, 4))
+    g[0, 1:i, 0] = 1.0
+    g[0, max(i, 1):, 0] = prof.first_row
     # negative block from distance / angular / rotation data
     for slot in prof.pair_slots:
-        val = math.sqrt(slot.d) * (Quaternion.real(-math.cos(slot.a))
-                                   + slot.u * math.sin(slot.a))
-        put(slot.i1, slot.j1, val)
+        g[slot.i1 - 1, slot.j1 - 1] = math.sqrt(slot.d) * _polar(slot.a, slot.u)
 
     if i >= 3:
-        g23 = Quaternion.real(-math.cos(prof.a23)) + prof.u0 * math.sin(prof.a23)
-        put(2, 3, g23)
-        slots = {(s.family, s.row, s.col): s.value for s in prof.x_slots}
-        for j in range(4, m + 1):
-            put(2, j, g23 * slots[("X2", 2, j)] * r1(j))
-        for j in range(4, m + 1):
-            put(3, j, g23.conj() * slots[("X3", 3, j)] * r1(j))
-        for k in range(4, i + 1):
-            for j in range(k + 1, m + 1):
-                put(k, j, g[1][k - 1].conj() * slots[("Xk", k, j)] * r1(j))
-        # redundant family: consistency of the X1 slots
-        for j in range(i + 1, m + 1):
-            expect = g23 * (r1(j) / g[1][j - 1].norm_sq()) * g[1][j - 1].conj()
-            given = slots[("X1", 1, j)]
-            if not expect.approx_eq(given, max(tol, tol * expect.norm())):
-                raise InvalidSpecError(
-                    f"inconsistent profile: X1 slot at column {j} "
-                    "disagrees with the other slot families")
-        if abs(g[1][2].norm() - 1.0) > 1e-9:
+        r1 = g[0, :, 0].copy()
+        x = np.array([s.value.to_array() for s in prof.x_slots]).reshape(-1, 4)
+        fam = x_slot_families(m, i)
+        g23 = _polar(prof.a23, prof.u0)
+        if abs(np.linalg.norm(g23) - 1.0) > 1e-9:
             raise InvalidSpecError("base entry must have unit modulus")
+        g[1, 2] = g23
+        pos, _, cols = fam["X2"]
+        g[1, cols] = qmul_array(g23, x[pos]) * r1[cols, None]
+        # X3 and Xk: g_kj = conj(g_2k) X_kj r_j, rows from the third on, whose
+        # g_2k the X2 family and g_23 have set
+        pos, rows, cols = fam["Xk"]
+        g[rows, cols] = qmul_array(qconj_array(g[1, rows]), x[pos]) * r1[cols, None]
+    g += qconj_array(g).transpose(1, 0, 2)
+    g[np.arange(i, m), np.arange(i, m), 0] = -1.0
 
     sng = SemiNormalizedGram(m, i, g, lifts=None)
+    try:
+        rebuilt = profile_from_gram(sng)
+    except DegenerateConfigurationError as exc:
+        raise InvalidSpecError(f"degenerate profile: {exc}") from exc
+    # redundant family: the X1 slots the rebuilt matrix implies must match
+    for given, implied in zip(prof.x_slots, rebuilt.x_slots):
+        if given.family == "X1" and not implied.value.approx_eq(
+                given.value, max(tol, tol * implied.value.norm())):
+            raise InvalidSpecError(
+                f"inconsistent profile: X1 slot at column {given.col} "
+                "disagrees with the other slot families")
     # round-trip guard: the rebuilt matrix reproduces the profile
-    rebuilt = profile_from_gram(sng)
     if abs(rebuilt.a23 - prof.a23) > 1e-7:
         raise NumericalError("reconstruction failed its profile round trip")
     return sng

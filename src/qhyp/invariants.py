@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DegenerateConfigurationError, InvalidSpecError
 from .linalg import HermitianSpace, HVector, PointType
-from .quaternion import DEFAULT_TOL, Quaternion
+from .quaternion import DEFAULT_TOL, Quaternion, qconj_array, qmul_array
 
 if TYPE_CHECKING:  # pragma: no cover
     from .gram import PointConfig, SemiNormalizedGram
@@ -114,25 +114,17 @@ def boundary_quadruple_slack(x1: Quaternion, x2: Quaternion, x3: Quaternion) -> 
 # Angular and distance invariants
 # ---------------------------------------------------------------------------
 
-def hermitian_triple(space: HermitianSpace, z1: ProjPoint, z2: ProjPoint,
-                     z3: ProjPoint) -> Quaternion:
-    """<z1,z2> <z3,z1> <z2,z3>.
-
-    In this order the two pairings of each lift are cyclically adjacent, so
-    rescaling a lift by a quaternion multiplies the product by a positive
-    real and at most conjugates it by a unit quaternion: Re/|.| of the
-    product does not depend on the lifts.
-    """
-    a = space.herm(z1.lift, z2.lift)
-    b = space.herm(z2.lift, z3.lift)
-    c = space.herm(z3.lift, z1.lift)
-    return a * c * b
-
-
 def angular_invariant(space: HermitianSpace, z1: ProjPoint, z2: ProjPoint,
                       z3: ProjPoint, tol: float = DEFAULT_TOL) -> float:
-    """arccos of Re(-T)/|T| for the Hermitian triple product T; lies in [0, pi/2]."""
-    t = hermitian_triple(space, z1, z2, z3)
+    """arccos of Re(-T)/|T| for the Hermitian triple product T; lies in [0, pi/2].
+
+    T = <z1,z2> <z3,z1> <z2,z3>.  In this order the two pairings of each lift
+    are cyclically adjacent, so rescaling a lift by a quaternion multiplies T
+    by a positive real and at most conjugates it by a unit quaternion: Re/|.|
+    of T does not depend on the lifts.
+    """
+    t = (space.herm(z1.lift, z2.lift) * space.herm(z3.lift, z1.lift)
+         * space.herm(z2.lift, z3.lift))
     tn = t.norm()
     scale = (z1.lift.norm() * z2.lift.norm() * z3.lift.norm()) ** 2
     if tn <= tol * max(scale, 1e-300):
@@ -165,11 +157,17 @@ def distance_invariant(space: HermitianSpace, p: ProjPoint, q: ProjPoint,
 
 def rotation_invariant(g: Quaternion, tol: float = ROTATION_ZERO_RTOL) -> Quaternion:
     """Im(g)/|Im(g)|, or the zero quaternion when g is (relatively) real."""
-    v = g.imag_vec()
-    vn = float(np.linalg.norm(v))
-    if vn <= tol * max(1.0, g.norm()):
-        return Quaternion()
-    return Quaternion.from_vector(0.0, v / vn)
+    return Quaternion.from_seq(_rotation_invariants(g.to_array(), tol))
+
+
+def _rotation_invariants(e: np.ndarray, tol: float = ROTATION_ZERO_RTOL) -> np.ndarray:
+    """:func:`rotation_invariant` on the trailing axis of a component array."""
+    im = e[..., 1:]
+    imn = np.linalg.norm(im, axis=-1, keepdims=True)
+    real = imn <= tol * np.maximum(1.0, np.linalg.norm(e, axis=-1, keepdims=True))
+    u = np.zeros_like(e)
+    u[..., 1:] = np.divide(im, imn, out=np.zeros_like(im), where=~real)
+    return u
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +195,7 @@ class PairSlot:
     u: Quaternion
 
 
-@dataclass
+@dataclass(frozen=True)
 class InvariantProfile:
     """The full classifying tuple of an ordered configuration.
 
@@ -307,6 +305,20 @@ def x_slot_indices(m: int, i: int) -> list[tuple[str, int, int]]:
     return out
 
 
+def x_slot_families(m: int, i: int) -> dict[str, tuple[np.ndarray, ...]]:
+    """Where each family sits in ``x_slot_indices(m, i)``, for array code.
+
+    Maps "X1", "X2" and "Xk" (X3 is its k = 3 case) to int arrays of the slot
+    positions in the index scheme and of the 0-based Gram rows and columns.
+    """
+    slots = x_slot_indices(m, i)
+    out = {}
+    for key, members in (("X1", ("X1",)), ("X2", ("X2",)), ("Xk", ("X3", "Xk"))):
+        sel = [(t, r - 1, c - 1) for t, (f, r, c) in enumerate(slots) if f in members]
+        out[key] = tuple(np.array(sel, dtype=int).reshape(-1, 3).T)
+    return out
+
+
 def _slot_points(family: str, row: int, col: int) -> tuple[int, int, int, int]:
     """0-based point indices (z1, z2, z3, z4) of one cross-ratio slot."""
     j = col - 1
@@ -336,7 +348,7 @@ def profile(config: "PointConfig", tol: float = DEFAULT_TOL) -> InvariantProfile
     # Definition route: evaluate each slot as an actual four-point product
     # on the semi-normalized lifts, and require agreement with the entry
     # formulas used everywhere else.
-    points = [ProjPoint.from_lift(config.space, lift, tol) for lift in sng.lifts]
+    points = [ProjPoint(lift, p.kind) for lift, p in zip(sng.lifts, config.points)]
     for slot in prof.x_slots:
         idx = _slot_points(slot.family, slot.row, slot.col)
         direct = cross_ratio(config.space, *(points[t] for t in idx), tol)
@@ -349,50 +361,46 @@ def profile(config: "PointConfig", tol: float = DEFAULT_TOL) -> InvariantProfile
 
 def profile_from_gram(sng: "SemiNormalizedGram") -> InvariantProfile:
     """Profile evaluated through the semi-normalized Gram entry identities."""
-    m, i = sng.m, sng.i
-    g = sng.entries
+    m, i, g = sng.m, sng.i, sng.gram
+    lo = max(i, 1)  # the first negative column of the first row
+    r1 = g[0, :, 0].copy()  # first-row scales, exactly 1 on the null block
+    r1[:i] = 1.0
 
-    def r1(j: int) -> float:  # 1-based column
+    slots = x_slot_indices(m, i)
+    values = np.empty((len(slots), 4))
+    with np.errstate(divide="ignore", invalid="ignore"):
         if i >= 3:
-            return 1.0 if j <= i else g[0][j - 1].re
-        return g[0][j - 1].re if j >= 2 else 1.0
+            fam = x_slot_families(m, i)
+            g23 = g[1, 2]
+            pos, _, cols = fam["X1"]
+            g2 = g[1, cols]
+            values[pos] = qmul_array(g23, qconj_array(g2)) * (r1[cols]
+                                                              / np.sum(g2 ** 2, axis=1))[:, None]
+            pos, _, cols = fam["X2"]
+            values[pos] = qmul_array(qconj_array(g23), g[1, cols]) / r1[cols, None]
+            # X3 and Xk: conj(g_2k)^-1 g_kj / r_j, where conj(q)^-1 = q / |q|^2
+            pos, rows, cols = fam["Xk"]
+            gk = g[1, rows]
+            values[pos] = qmul_array(gk, g[rows, cols]) / (np.sum(gk ** 2, axis=1)
+                                                            * r1[cols])[:, None]
 
-    if i >= 3:
-        g23 = g[1][2]
-        a23 = math.acos(float(np.clip(-g23.re / g23.norm(), -1, 1)))
-        u0 = rotation_invariant(g23)
-        first_row = [g[0][j - 1].re for j in range(i + 1, m + 1)]
-    else:
-        g23 = g[1][2]
-        a23 = math.acos(float(np.clip(-g23.re / g23.norm(), -1, 1)))
-        u0 = rotation_invariant(g23)
-        first_row = [g[0][j - 1].re for j in range(2, m + 1)]
+        # the base entry g_23, then every pair of negative points
+        rows, cols = np.triu_indices(m, 1)
+        keep = rows >= lo
+        rows, cols = np.append(1, rows[keep]), np.append(2, cols[keep])
+        e = g[rows, cols]
+        d = np.sum(e ** 2, axis=1)
+        a = np.arccos(np.clip(-e[:, 0] / np.sqrt(d), -1.0, 1.0))
+    if not (np.isfinite(values).all() and np.isfinite(d).all() and np.isfinite(a).all()):
+        raise DegenerateConfigurationError(
+            "a Gram entry the profile divides by is zero or not finite")
 
-    x_slots: list[XSlot] = []
-    for family, row, col in x_slot_indices(m, i):
-        k, j = row, col
-        if family == "X1":
-            val = g23 * (r1(j) / g[1][j - 1].norm_sq()) * g[1][j - 1].conj()
-        elif family == "X2":
-            val = g23.conj() * g[1][j - 1] * (1.0 / r1(j))
-        elif family == "X3":
-            val = g23.conj().inverse() * g[2][j - 1] * (1.0 / r1(j))
-        else:
-            val = g[1][k - 1].conj().inverse() * g[k - 1][j - 1] * (1.0 / r1(j))
-        x_slots.append(XSlot(family, row, col, val))
+    x_slots = [XSlot(f, r, c, Quaternion.from_seq(v)) for (f, r, c), v in zip(slots, values)]
+    a = a.tolist()
+    u = [Quaternion.from_seq(x) for x in _rotation_invariants(e)]
+    pair_slots = [PairSlot(r + 1, c + 1, dk, 0.0 if ak <= ANGLE_ZERO_TOL else ak, uk)
+                  for r, c, dk, ak, uk in zip(rows.tolist(), cols.tolist(), d.tolist(), a, u)]
 
-    pair_slots: list[PairSlot] = []
-    lo = i + 1 if i >= 3 else 2
-    for i1 in range(lo, m + 1):
-        for j1 in range(i1 + 1, m + 1):
-            entry = g[i1 - 1][j1 - 1]
-            d = entry.norm_sq()
-            a = math.acos(float(np.clip(-entry.re / entry.norm(), -1, 1)))
-            if a <= ANGLE_ZERO_TOL:
-                a = 0.0
-            u = rotation_invariant(entry)
-            pair_slots.append(PairSlot(i1, j1, d, a, u))
-
-    prof = InvariantProfile(m, i, a23, u0, x_slots, pair_slots, first_row)
+    prof = InvariantProfile(m, i, a[0], u[0], x_slots, pair_slots[1:], r1[lo:].tolist())
     prof.check_structure()
     return prof

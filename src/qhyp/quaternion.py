@@ -82,9 +82,6 @@ class Quaternion:
     def to_array(self) -> np.ndarray:
         return np.array([self.a0, self.a1, self.a2, self.a3], dtype=float)
 
-    def to_list(self) -> list[float]:
-        return [self.a0, self.a1, self.a2, self.a3]
-
     def complex_pair(self) -> tuple[complex, complex]:
         """Split q = z1 + j*z2 with complex z1, z2.
 
@@ -162,9 +159,6 @@ class Quaternion:
 
     def is_real(self, tol: float = DEFAULT_TOL) -> bool:
         return math.sqrt(self.a1 ** 2 + self.a2 ** 2 + self.a3 ** 2) <= tol
-
-    def is_unit(self, tol: float = DEFAULT_TOL) -> bool:
-        return abs(self.norm() - 1.0) <= tol
 
     def approx_eq(self, other: "Quaternion", tol: float = DEFAULT_TOL) -> bool:
         return (self - other).norm() <= tol
@@ -278,7 +272,7 @@ def centralizer_contains(lam: Quaternion, q: Quaternion, tol: float = DEFAULT_TO
 
 
 # ---------------------------------------------------------------------------
-# Vectorized helpers (used by the brute-force oracle and bulk checks)
+# Vectorized helpers on trailing-axis-4 component arrays
 # ---------------------------------------------------------------------------
 
 def qmul_array(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -384,12 +378,13 @@ def canonical_sign(q: Quaternion) -> Quaternion:
 # Sp(1) simultaneous-conjugation alignment
 # ---------------------------------------------------------------------------
 
-def sp1_align(v: Sequence[Quaternion], w: Sequence[Quaternion],
+def sp1_align(v: np.ndarray, w: np.ndarray,
               tol: float = DEFAULT_TOL) -> Optional[Quaternion]:
     """Find a unit quaternion mu with conj(mu) * w_k * mu = v_k for every k.
 
-    Returns ``None`` when no unit quaternion achieves the alignment within
-    ``tol``.  Conjugation fixes real parts and norms, so those must match
+    ``v`` and ``w`` are (k, 4) arrays of quaternion components.  Returns
+    ``None`` when no unit quaternion achieves the alignment within ``tol``.
+    Conjugation fixes real parts and norms, so those must match
     componentwise first; the imaginary parts then pose an orthogonal
     Procrustes problem whose optimal proper rotation certifies absence when
     its residual is too large.
@@ -398,16 +393,18 @@ def sp1_align(v: Sequence[Quaternion], w: Sequence[Quaternion],
     of solutions; the representative closest to 1 is returned, which keeps
     the output deterministic.
     """
+    v = np.asarray(v, dtype=float).reshape(-1, 4)
+    w = np.asarray(w, dtype=float).reshape(-1, 4)
     if len(v) != len(w):
         raise DimensionMismatchError(f"length mismatch: {len(v)} vs {len(w)}")
-    scale = max([1.0] + [q.norm() for q in v] + [q.norm() for q in w])
-    for vk, wk in zip(v, w):
-        if not similar(vk, wk, tol * max(1.0, scale)):
-            return None
+    vn, wn = np.linalg.norm(v, axis=1), np.linalg.norm(w, axis=1)
+    scale = max(1.0, float(np.max(vn, initial=0.0)), float(np.max(wn, initial=0.0)))
+    if (np.any(np.abs(v[:, 0] - w[:, 0]) > tol * scale)
+            or np.any(np.abs(vn - wn) > tol * scale)):
+        return None
 
-    vi = np.array([q.imag_vec() for q in v], dtype=float).reshape(-1, 3)
-    wi = np.array([q.imag_vec() for q in w], dtype=float).reshape(-1, 3)
-    data_scale = max(1.0, float(np.max(np.abs(np.concatenate([vi, wi])))) if len(v) else 1.0)
+    vi, wi = v[:, 1:], w[:, 1:]
+    data_scale = max(1.0, float(np.max(np.abs(np.concatenate([vi, wi]))))) if len(v) else 1.0
 
     # Rank of the imaginary data decides which branch applies.
     if len(v) == 0 or float(np.linalg.norm(wi)) <= tol * data_scale:
@@ -429,9 +426,10 @@ def sp1_align(v: Sequence[Quaternion], w: Sequence[Quaternion],
             mu = quaternion_from_rotation(R).conj()
 
     mu = canonical_sign(mu)
-    for vk, wk in zip(v, w):
-        if not (mu.conj() * wk * mu).approx_eq(vk, tol * max(1.0, vk.norm(), scale)):
-            return None
+    m = mu.to_array()
+    aligned = qmul_array(qmul_array(qconj_array(m), w), m)
+    if np.any(np.linalg.norm(aligned - v, axis=1) > tol * np.maximum(vn, scale)):
+        return None
     return mu
 
 

@@ -19,8 +19,6 @@ from .isometry import (
     EllipticSpec,
     HyperbolicSpec,
     Isometry,
-    random_frame,
-    random_member,
     random_semisimple,
 )
 from .linalg import HermitianSpace, HMatrix, HVector, PointType

@@ -24,7 +24,6 @@ from .invariants import (
     cross_ratio,
     cross_ratio_triple,
     distance_invariant,
-    profile,
     profile_from_gram,
     x_slot_indices,
 )
@@ -326,8 +325,8 @@ def criterion_6(quick: bool = False) -> CriterionResult:
             if mu is None:
                 bad += 1
                 continue
-            resid = max((mu.conj() * v2 * mu - v1).norm()
-                        for v1, v2 in zip(sng.v_entries(), rebuilt.v_entries()))
+            resid = float(np.max(np.linalg.norm(
+                rebuilt.conjugated(mu).v_entries() - sng.v_entries(), axis=1)))
             worst = max(worst, resid)
             if resid > 1e-7:
                 bad += 1
@@ -427,10 +426,9 @@ def _perturbed_config(cfg, rng, delta: float = 1e-3):
             probe = semi_normalize(other)
         except Exception:
             continue
-        sep = max(abs(a.norm() - b.norm())
-                  for a, b in zip(base.v_entries(), probe.v_entries()))
-        sep = max(sep, max(abs(a.re - b.re) for a, b in
-                           zip(base.v_entries(), probe.v_entries())))
+        a, b = base.v_entries(), probe.v_entries()
+        sep = max(np.max(np.abs(np.linalg.norm(a, axis=1) - np.linalg.norm(b, axis=1))),
+                  np.max(np.abs(a[:, 0] - b[:, 0])))
         if sep > 1e-5:
             return other
     return None
@@ -624,11 +622,11 @@ def criterion_11(quick: bool = False) -> CriterionResult:
             v2 = Quaternion.from_vector(w2.re, [math.cos(bent), math.sin(bent), 0.0])
             v, w = [v1, v2], [w1, w2]
             solvable = False
-        mu = sp1_align(v, w, 1e-7)
-        mus = rng.normal(size=(samples, 4))
-        mus /= np.linalg.norm(mus, axis=1, keepdims=True)
         warr = np.array([q.to_array() for q in w])
         varr = np.array([q.to_array() for q in v])
+        mu = sp1_align(varr, warr, 1e-7)
+        mus = rng.normal(size=(samples, 4))
+        mus /= np.linalg.norm(mus, axis=1, keepdims=True)
         conj = qmul_array(qmul_array(qconj_array(mus)[:, None, :], warr[None, :, :]),
                           mus[:, None, :])
         best = float(np.min(np.max(np.linalg.norm(conj - varr[None, :, :], axis=2),

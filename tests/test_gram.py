@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,8 +18,8 @@ from qhyp.gram import (
 )
 from qhyp.invariants import ProjPoint, profile, profile_from_gram
 from qhyp.isometry import random_member
-from qhyp.linalg import HermitianSpace, HVector, PointType
-from qhyp.quaternion import Quaternion
+from qhyp.linalg import HermitianSpace, HMatrix, HVector, PointType
+from qhyp.quaternion import Quaternion, qconj_array, qmul_array
 from qhyp.sampling import (
     apply_isometry,
     random_quaternion,
@@ -38,22 +40,25 @@ def pp(space, *entries):
     return ProjPoint.from_lift(space, qv(*entries))
 
 
+def max_entry_gap(a, b):
+    """Largest |a_e - b_e| over the quaternion entries e of two component arrays."""
+    return np.max(np.linalg.norm(np.asarray(a) - np.asarray(b), axis=-1), initial=0.0)
+
+
 # -- gram_of -------------------------------------------------------------------
 
 def test_gram_of_null_pair():
     sp = HermitianSpace(1)
     cfg = gram_of(sp, [pp(sp, 0, 1), pp(sp, 1, 0)])
-    assert cfg.gram[0][0].is_zero() and cfg.gram[1][1].is_zero()
-    assert cfg.gram[0][1].approx_eq(ONE) and cfg.gram[1][0].approx_eq(ONE)
+    one = [1.0, 0.0, 0.0, 0.0]
+    assert max_entry_gap(cfg.gram, [[np.zeros(4), one], [one, np.zeros(4)]]) <= 1e-9
 
 
 def test_gram_hermitian_symmetry():
     sp = HermitianSpace(2)
     rng = np.random.default_rng(50)
     cfg = sample_config(sp, 5, 3, rng)
-    for k in range(5):
-        for j in range(5):
-            assert cfg.gram[k][j].approx_eq(cfg.gram[j][k].conj(), 1e-12)
+    assert max_entry_gap(cfg.gram, qconj_array(cfg.gram).transpose(1, 0, 2)) <= 1e-12
 
 
 def test_gram_of_ordering_violation():
@@ -67,6 +72,46 @@ def test_gram_of_coincident_points():
     p = pp(sp, -1, 1)
     with pytest.raises(DegenerateConfigurationError):
         gram_of(sp, [p, ProjPoint(p.lift.times(Quaternion(0.3, 1, 0, 0)), p.kind)])
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 8])
+@pytest.mark.parametrize("i", [0, 3, 5])
+def test_gram_of_matches_pairing_at_extreme_scales(n, i):
+    # the array assembly against the pairing, entry by entry, with lifts
+    # rescaled by quaternions of moduli 1e-6 .. 1e6
+    m = 5
+    sp = HermitianSpace(n)
+    rng = np.random.default_rng(500 + 10 * n + i)
+    moduli = rng.permutation(np.logspace(-6, 6, m))
+    pts = [p.rescaled(random_unit_quaternion(rng) * r)
+           for p, r in zip(sample_config(sp, m, i, rng).points, moduli)]
+    cfg = gram_of(sp, pts)
+    for k, pk in enumerate(pts):
+        for j, pj in enumerate(pts):
+            ref = sp.herm(pj.lift, pk.lift).to_array()
+            assert np.linalg.norm(cfg.gram[k, j] - ref) <= 1e-12 * pk.lift.norm() * pj.lift.norm()
+
+    g = semi_normalize(cfg).gram
+    target = [[0.0 if k < i else -1.0, 0.0, 0.0, 0.0] for k in range(m)]
+    assert max_entry_gap(np.diagonal(g).T, target) < 1e-9
+    assert max_entry_gap(g[0, 1:i], [1.0, 0.0, 0.0, 0.0]) < 1e-9
+    assert np.all(g[0, max(i, 1):, 0] > 0)
+    assert np.max(np.abs(g[0, max(i, 1):, 1:]), initial=0.0) < 1e-9
+    if i >= 3:
+        assert abs(np.linalg.norm(g[1, 2]) - 1.0) < 1e-9
+
+
+def test_gram_objects_are_immutable():
+    sp = HermitianSpace(2)
+    cfg = sample_config(sp, 5, 3, np.random.default_rng(63))
+    sng = semi_normalize(cfg)
+    prof = profile_from_gram(sng)
+    for obj, field in ((cfg, "gram"), (cfg, "points"), (sng, "gram"), (prof, "a23")):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, field, None)
+    for g in (cfg.gram, sng.gram, reconstruct_gram(prof).gram):
+        with pytest.raises(ValueError):
+            g[0, 0, 0] = 1.0
 
 
 # -- semi-normalization -----------------------------------------------------------
@@ -114,9 +159,7 @@ def test_semi_normalize_idempotent_gauge():
     s1 = semi_normalize(cfg)
     pts = [ProjPoint.from_lift(sp, v) for v in s1.lifts]
     s2 = semi_normalize(gram_of(sp, pts))
-    for r1, r2 in zip(s1.entries, s2.entries):
-        for e1, e2 in zip(r1, r2):
-            assert e1.approx_eq(e2, 1e-8)
+    assert max_entry_gap(s2.gram, s1.gram) <= 1e-8
 
 
 def test_gauge_theorem_random_rescalings():
@@ -137,13 +180,13 @@ def test_orbit_equal_constructed_conjugation():
     rng = np.random.default_rng(54)
     cfg = sample_config(sp, 4, 4, rng)
     s1 = semi_normalize(cfg)
-    mu0 = random_unit_quaternion(rng)
-    s2 = SemiNormalizedGram(s1.m, s1.i,
-                            [[mu0 * e * mu0.conj() for e in row] for row in s1.entries])
+    mu0 = random_unit_quaternion(rng).to_array()
+    s2 = SemiNormalizedGram(s1.m, s1.i, qmul_array(qmul_array(mu0, s1.gram), qconj_array(mu0)))
     mu = orbit_equal(s1, s2, 1e-8)
     assert mu is not None
-    for v1, v2 in zip(s1.v_entries(), s2.v_entries()):
-        assert (mu.conj() * v2 * mu).approx_eq(v1, 1e-8)
+    mu = mu.to_array()
+    aligned = qmul_array(qmul_array(qconj_array(mu), s2.v_entries()), mu)
+    assert max_entry_gap(aligned, s1.v_entries()) <= 1e-8
 
 
 def test_orbit_equal_detects_difference():
@@ -151,11 +194,11 @@ def test_orbit_equal_detects_difference():
     rng = np.random.default_rng(55)
     cfg = sample_config(sp, 4, 4, rng)
     s1 = semi_normalize(cfg)
-    rows = [[e for e in row] for row in s1.entries]
-    bump = rows[1][2] + Quaternion.real(0.1)
-    rows[1][2] = bump * (1.0 / bump.norm())
-    rows[2][1] = rows[1][2].conj()
-    s2 = SemiNormalizedGram(s1.m, s1.i, rows)
+    g = s1.gram.copy()
+    g[1, 2, 0] += 0.1
+    g[1, 2] /= np.linalg.norm(g[1, 2])
+    g[2, 1] = qconj_array(g[1, 2])
+    s2 = SemiNormalizedGram(s1.m, s1.i, g)
     assert orbit_equal(s1, s2, 1e-8) is None
 
 
@@ -255,6 +298,59 @@ def test_congruent_shape_mismatch():
     assert "shape" in dec.reason
 
 
+def _complex_lift(sp, rng, null):
+    """Random lift with complex coordinates, null or negative.
+
+    In the chart with last coordinate 1 and middle block zeta, the first
+    coordinate -|zeta|^2/2 - s + i t gives <z, z> = -2s; the lift is then
+    rescaled by a random complex number.
+    """
+    zeta = rng.normal(size=sp.dim - 2) + 1j * rng.normal(size=sp.dim - 2)
+    s = 0.0 if null else rng.uniform(0.5, 2.0)
+    z1 = -0.5 * np.vdot(zeta, zeta).real - s + 1j * rng.normal()
+    z = np.concatenate([[z1], zeta, [1.0]]) * (rng.normal() + 1j * rng.normal())
+    return HVector(np.concatenate([z, np.zeros(sp.dim)]))
+
+
+def _cayley_member(sp, rng):
+    """(I + Y)(I - Y)^-1 for a complex Y with Y* H + H Y = 0: a U(n,1) member."""
+    X = 0.3 * (rng.normal(size=(sp.dim, sp.dim)) + 1j * rng.normal(size=(sp.dim, sp.dim)))
+    Y = np.linalg.inv(sp.H) @ (X - X.conj().T)
+    eye = np.eye(sp.dim)
+    C = (eye + Y) @ np.linalg.inv(eye - Y)
+    return HMatrix(np.block([[C, np.zeros_like(C)], [np.zeros_like(C), C.conj()]]))
+
+
+def _jk_free(values):
+    """Largest j or k component of quaternion rows, over max(1, largest row norm)."""
+    values = np.asarray(values).reshape(-1, 4)
+    return np.max(np.abs(values[:, 2:])) / max(1.0, np.max(np.linalg.norm(values, axis=1)))
+
+
+@pytest.mark.parametrize("m,i,n", [(5, 3, 2), (4, 4, 1), (5, 0, 3), (6, 4, 3)])
+def test_complex_subfield_stays_complex(m, i, n):
+    # SU(n,1): configurations with complex lifts keep every Gram entry and
+    # every profile slot in the complex subfield, and the congruence decider
+    # accepts their images under a complex member of U(n,1)
+    sp = HermitianSpace(n)
+    rng = np.random.default_rng(700 + 10 * m + i)
+    cfg = gram_of(sp, [ProjPoint.from_lift(sp, _complex_lift(sp, rng, k < i)) for k in range(m)])
+    assert cfg.i == i
+    C = _cayley_member(sp, rng)
+    assert sp.is_member(C, 1e-10)
+    moved = apply_isometry(cfg, C)
+    for c in (cfg, moved):
+        assert _jk_free(c.gram) <= 1e-12
+        assert _jk_free(semi_normalize(c).gram) <= 1e-12
+        if m >= 4:
+            prof = profile(c)
+            assert _jk_free([q.to_array() for q in prof.quaternion_slots()]) <= 1e-12
+    dec = congruent(cfg, moved)
+    assert dec.verdict is Verdict.CONGRUENT
+    assert dec.residual < 1e-7
+    assert sp.is_member(dec.witness, 1e-8)
+
+
 # -- reconstruction -----------------------------------------------------------------
 
 @pytest.mark.parametrize("m,i,n", [(4, 4, 2), (4, 3, 2), (5, 5, 3), (5, 0, 2), (6, 3, 3)])
@@ -279,9 +375,7 @@ def test_reconstruct_all_real_profile():
     cfg = gram_of(sp, pts)
     prof = profile(cfg)
     rebuilt = reconstruct_gram(prof)
-    for row in rebuilt.entries:
-        for e in row:
-            assert e.im().norm() < 1e-9
+    assert np.max(np.linalg.norm(rebuilt.gram[..., 1:], axis=-1)) < 1e-9
 
 
 def test_reconstruct_rejects_wrong_slots():
@@ -292,3 +386,36 @@ def test_reconstruct_rejects_wrong_slots():
     prof.x_slots.pop()
     with pytest.raises(InvalidSpecError):
         reconstruct_gram(prof)
+
+
+def test_reconstruct_rejects_inconsistent_x1_slot():
+    # the X1 family is implied by the others; a changed X1 value must be caught
+    sp = HermitianSpace(2)
+    prof = profile(sample_config(sp, 5, 3, np.random.default_rng(64)))
+    k = next(t for t, s in enumerate(prof.x_slots) if s.family == "X1")
+    slots = list(prof.x_slots)
+    slots[k] = dataclasses.replace(slots[k], value=slots[k].value * Quaternion(1.0, 0.05, 0, 0))
+    with pytest.raises(InvalidSpecError, match="inconsistent profile"):
+        reconstruct_gram(dataclasses.replace(prof, x_slots=slots))
+
+
+@pytest.mark.parametrize("m,i", [(6, 3), (6, 5)])
+def test_reconstruct_rejects_degenerate_profiles(m, i):
+    # a zero negative-pair entry (d = 0) or a zero X2 slot makes an entry the
+    # profile identities divide by vanish; no configuration has either
+    sp = HermitianSpace(3)
+    prof = profile(sample_config(sp, m, i, np.random.default_rng(65 + m + i)))
+    if m - i >= 3:
+        pairs = list(prof.pair_slots)
+        pairs[0] = dataclasses.replace(pairs[0], d=0.0)
+        bad = dataclasses.replace(prof, pair_slots=pairs)
+    else:
+        # X2 at column 4, a null point: the Xk slots of row 4 divide by g_24
+        slots = list(prof.x_slots)
+        k = next(t for t, s in enumerate(slots) if (s.family, s.col) == ("X2", 4))
+        slots[k] = dataclasses.replace(slots[k], value=Quaternion())
+        bad = dataclasses.replace(prof, x_slots=slots)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidSpecError, match="degenerate profile"):
+            reconstruct_gram(bad)

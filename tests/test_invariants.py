@@ -253,5 +253,6 @@ def test_profile_invariance_up_to_sp1():
         for s1, s2 in zip(prof.pair_slots, prof2.pair_slots):
             assert s2.d == pytest.approx(s1.d, rel=1e-7)
             assert s2.a == pytest.approx(s1.a, abs=1e-7)
-        mu = sp1_align(prof.quaternion_slots(), prof2.quaternion_slots(), 1e-6)
+        mu = sp1_align(np.array([q.to_array() for q in prof.quaternion_slots()]),
+                       np.array([q.to_array() for q in prof2.quaternion_slots()]), 1e-6)
         assert mu is not None

@@ -1,4 +1,7 @@
-"""The package's public export list."""
+"""The package's public export list and its modules' imports."""
+
+import ast
+from pathlib import Path
 
 import qhyp
 
@@ -8,3 +11,23 @@ def test_all_names_resolve_once():
     assert len(names) == len(set(names))
     missing = [name for name in names if not hasattr(qhyp, name)]
     assert missing == []
+
+
+def test_no_unused_imports():
+    # every name a module imports at top level is referenced in the module;
+    # __init__.py imports to re-export, so it is left out
+    unused = []
+    for path in sorted(Path(qhyp.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    if name not in used:
+                        unused.append(f"{path.name}: {name}")
+    assert unused == []

@@ -52,9 +52,6 @@ from .quaternion import (
     sp1_align,
 )
 
-_UNIT_I = np.array([0.0, 1.0, 0.0, 0.0])
-
-
 @dataclass(frozen=True, eq=False)  # arrays have no single truth value: equality is identity
 class PointConfig:
     """Ordered tuple of projective points: nulls first, negatives after.
@@ -239,7 +236,7 @@ def _gauge_rotation(entries: np.ndarray, tol: float) -> Quaternion:
 
     Rotates the first nonzero imaginary direction onto i, then spins about i
     so a second independent direction lands in the i-j plane with positive
-    j part.
+    j part.  Both rotations are closed-form half-angle quaternions.
     """
     floor = 1e3 * tol * np.maximum(1.0, np.linalg.norm(entries, axis=1))
     im = entries[:, 1:]
@@ -247,24 +244,28 @@ def _gauge_rotation(entries: np.ndarray, tol: float) -> Quaternion:
     found = np.flatnonzero(imn > floor)
     if not found.size:
         return Quaternion.one()
-    k = found[0]
-    mu1 = sp1_align(_UNIT_I, np.concatenate(([0.0], im[k] / imn[k])), 1e-6)
-    if mu1 is None:
-        raise NumericalError("gauge rotation onto the i axis failed")
+    ux, uy, uz = im[found[0]] / imn[found[0]]
+    mu1 = _turn(ux, np.array([0.0, -uz, uy]), Quaternion.k())  # i onto u
 
     v = im @ rotation_matrix(mu1.conj()).T  # Im(conj(mu1) e mu1)
     found = np.flatnonzero(np.linalg.norm(v[:, 1:], axis=1) > floor)
     if not found.size:
         return canonical_sign(mu1)
-    # spin about the i axis so the second direction lands in the i-j plane
-    # with positive j part; reuse the certified aligner for the rotation
-    second = v[found[0]]
-    target = np.array([0.0, second[0], np.linalg.norm(second[1:]), 0.0])
-    mu2 = sp1_align(np.stack([_UNIT_I, target]),
-                    np.stack([_UNIT_I, np.concatenate(([0.0], second))]), 1e-6)
-    if mu2 is None:
-        raise NumericalError("gauge spin about the i axis failed")
+    _, y, z = v[found[0]]
+    r = math.hypot(y, z)
+    mu2 = _turn(y / r, np.array([z / r, 0.0, 0.0]), Quaternion.i())  # j onto (0, y, z) / r
     return canonical_sign(mu1 * mu2)
+
+
+def _turn(cos: float, axis: np.ndarray, half_turn: Quaternion) -> Quaternion:
+    """The unit quaternion rotating a onto b, for unit a, b with cos = a.b and axis = a x b.
+
+    It is (1 + cos, axis) normalized.  Near cos = -1, 1 + cos is taken as
+    |axis|^2 / (1 - cos) against cancellation; at b = -a it is ``half_turn``.
+    """
+    q = np.concatenate(([1.0 + cos if cos >= 0.0 else float(axis @ axis) / (1.0 - cos)], axis))
+    qn = np.linalg.norm(q)
+    return Quaternion.from_seq(q / qn) if qn > 0.0 else half_turn
 
 
 # ---------------------------------------------------------------------------

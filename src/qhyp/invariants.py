@@ -209,9 +209,14 @@ class InvariantProfile:
     i: int
     a23: float
     u0: Quaternion
-    x_slots: list[XSlot]
-    pair_slots: list[PairSlot]
-    first_row: list[float]
+    x_slots: tuple[XSlot, ...]
+    pair_slots: tuple[PairSlot, ...]
+    first_row: tuple[float, ...]
+
+    def __post_init__(self) -> None:
+        # stored as tuples, so a frozen profile cannot change in place
+        for name in ("x_slots", "pair_slots", "first_row"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
 
     @property
     def d_count(self) -> int:

@@ -28,10 +28,10 @@ from .linalg import (
     HMatrix,
     HVector,
     PointType,
-    char_poly_real_coeffs,
     matrix_rank,
     orthonormal_form_basis,
     right_eigen,
+    spectrum_char_coeffs,
 )
 from .quaternion import DEFAULT_TOL, Quaternion
 
@@ -74,7 +74,7 @@ class Isometry:
         if self.classification is Classification.PARABOLIC:
             self._real_trace = None
         else:
-            coeffs = char_poly_real_coeffs(matrix, max(tol, 1e-9))
+            coeffs = spectrum_char_coeffs(self.eigen.spectrum, max(tol, 1e-9))
             self._real_trace = coeffs[:space.n].copy()
 
     @property
@@ -89,7 +89,7 @@ class Isometry:
             raise UnsupportedElementError("real trace is not used for parabolic elements")
         return self._real_trace.copy()
 
-    def classes(self) -> list[EigenClass]:
+    def classes(self) -> tuple[EigenClass, ...]:
         if self.eigen is None:
             raise UnsupportedElementError("parabolic element has no class data")
         return self.eigen.classes
@@ -173,12 +173,7 @@ def conjugate_single(A: Isometry, B: Isometry, tol: float = 1e-7) -> bool:
 # ---------------------------------------------------------------------------
 
 def _stacked_with_j(vectors: Sequence[HVector]) -> np.ndarray:
-    cols = []
-    for v in vectors:
-        tc = v.two_column()
-        cols.append(tc[:, 0])
-        cols.append(tc[:, 1])
-    return np.stack(cols, axis=1)
+    return np.concatenate([v.two_column() for v in vectors], axis=1)
 
 
 def quaternionic_spans_equal(v1: Sequence[HVector], v2: Sequence[HVector],

@@ -14,7 +14,7 @@ J-symmetry s -> J conj(s) realizes right multiplication by j.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Optional, Sequence
 
@@ -26,7 +26,7 @@ from .errors import (
     NotSemisimpleError,
     NumericalError,
 )
-from .quaternion import DEFAULT_TOL, Quaternion, SimilarityClass
+from .quaternion import DEFAULT_TOL, Quaternion
 
 #: eigenvalues closer than this (relative) are one similarity class
 CLUSTER_RTOL = 1e-7
@@ -105,9 +105,6 @@ class HVector:
     def two_column(self) -> np.ndarray:
         """Full 2N x 2 embedding [s, J conj(s)] of the column vector."""
         return np.stack([self.s, _times_j(self.s)], axis=1)
-
-    def copy(self) -> "HVector":
-        return HVector(self.s.copy())
 
     def __repr__(self) -> str:
         return f"HVector({self.entries()!r})"
@@ -200,9 +197,6 @@ class HMatrix:
 
     def inverse(self) -> "HMatrix":
         return HMatrix(np.linalg.inv(self.emb), check=False)
-
-    def scale(self, x: float) -> "HMatrix":
-        return HMatrix(self.emb * x, check=False)
 
     def __add__(self, other: "HMatrix") -> "HMatrix":
         return HMatrix(self.emb + other.emb, check=False)
@@ -315,13 +309,16 @@ def char_poly_real_coeffs(A: HMatrix, tol: float = 1e-9) -> np.ndarray:
     parts must vanish and the sequence must be palindromic; a violation
     signals a non-member or a numerical failure.
     """
-    eigs = np.linalg.eigvals(A.emb)
+    return spectrum_char_coeffs(np.linalg.eigvals(A.emb), tol)
+
+
+def spectrum_char_coeffs(eigs: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+    """:func:`char_poly_real_coeffs` from the embedding's eigenvalues, with the same checks."""
     coeffs = np.poly(eigs)  # length 2N+1, coeffs[0] == 1
     scale = max(1.0, float(np.max(np.abs(coeffs))))
     if np.max(np.abs(coeffs.imag)) > tol * scale:
         raise NumericalError("characteristic coefficients have imaginary residue")
-    real = coeffs.real
-    full = real[1:-1]
+    full = coeffs.real[1:-1]
     if np.max(np.abs(full - full[::-1])) > max(tol, 1e-9) * scale:
         raise NumericalError("characteristic coefficients are not palindromic")
     return full
@@ -331,7 +328,7 @@ def char_poly_real_coeffs(A: HMatrix, tol: float = 1e-9) -> np.ndarray:
 # Right-eigenvalue decomposition
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class EigenClass:
     """One similarity class of right eigenvalues with its pinned eigenset basis.
 
@@ -342,7 +339,7 @@ class EigenClass:
     rep: complex
     multiplicity: int
     kind: PointType
-    vectors: list[HVector]
+    vectors: tuple[HVector, ...]
 
     @property
     def modulus(self) -> float:
@@ -355,23 +352,17 @@ class EigenClass:
     def is_real(self, tol: float = DEFAULT_TOL) -> bool:
         return abs(self.rep.imag) <= tol * max(1.0, abs(self.rep))
 
-    def similarity_class(self) -> SimilarityClass:
-        return SimilarityClass.from_complex(self.rep)
 
-
-@dataclass
+@dataclass(frozen=True, eq=False)  # arrays have no single truth value: equality is identity
 class EigenData:
-    classes: list[EigenClass]
+    """The classes, by decreasing modulus then angle, and the embedding's
+    spectrum they were read from (read-only)."""
 
-    def total_multiplicity(self) -> int:
-        return sum(c.multiplicity for c in self.classes)
+    classes: tuple[EigenClass, ...]
+    spectrum: np.ndarray
 
-    def find(self, rep: complex, tol: float = 1e-6) -> Optional[EigenClass]:
-        target = SimilarityClass.from_complex(rep)
-        for c in self.classes:
-            if c.similarity_class().matches(target, tol):
-                return c
-        return None
+    def __post_init__(self) -> None:
+        self.spectrum.setflags(write=False)
 
 
 def nullspace(M: np.ndarray, rtol: float = RANK_RTOL) -> np.ndarray:
@@ -416,152 +407,155 @@ def quaternionic_basis(columns: np.ndarray, expected: int) -> list[HVector]:
 
 
 def _cluster_eigenvalues(eigs: np.ndarray, rtol: float = CLUSTER_RTOL) -> list[np.ndarray]:
-    """Group embedding eigenvalues into conjugation-closed clusters."""
+    """Index groups of the embedding eigenvalues forming conjugation-closed clusters.
+
+    Eigenvalues a < b are linked when their folded points (imaginary part
+    made nonnegative) lie closer than rtol * max(1, |eig_a|).  The clusters
+    are the connected components of the links, ordered by first index.
+    """
     folded = np.stack([eigs.real, np.abs(eigs.imag)], axis=1)
-    K = len(eigs)
-    parent = list(range(K))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for a in range(K):
-        for b in range(a + 1, K):
-            scale = max(1.0, abs(eigs[a]))
-            if np.linalg.norm(folded[a] - folded[b]) < rtol * scale:
-                ra, rb = find(a), find(b)
-                if ra != rb:
-                    parent[ra] = rb
-    groups: dict[int, list[int]] = {}
-    for a in range(K):
-        groups.setdefault(find(a), []).append(a)
-    return [eigs[idx] for idx in groups.values()]
+    dist = np.linalg.norm(folded[:, None] - folded[None], axis=-1)
+    link = np.triu(dist < rtol * np.maximum(1.0, np.abs(eigs))[:, None], 1)
+    reach = link | link.T | np.eye(len(eigs), dtype=bool)
+    for _ in range(len(eigs).bit_length()):  # paths of any length up to len(eigs)
+        reach = reach @ reach
+    first = np.argmax(reach, axis=1)  # smallest index of each component
+    return [np.flatnonzero(first == k) for k in np.flatnonzero(first == np.arange(len(eigs)))]
 
 
 def right_eigen(A: HMatrix, space: HermitianSpace, tol: float = DEFAULT_TOL) -> EigenData:
     """Similarity classes of right eigenvalues with pinned eigenvectors and types.
 
-    Rejects non-semisimple input.  Eigenvectors are recovered from the null
-    space of (embedding - rep*I), so each one satisfies the right-eigen
-    equation with the canonical class representative.  Within a class the
-    basis is orthonormalized against the restricted form: positive classes
-    to unit vectors, the negative class to one negative and the rest unit.
+    One ``eig`` of the embedding gives the spectrum and the eigenvector of
+    every simple class (a cluster of two embedding eigenvalues).  A simple
+    class cannot be defective: a nonreal rep is a simple eigenvalue of the
+    embedding, and a real rep has a J-closed eigenspace, which holds both v
+    and J conj(v).  A repeated class is recovered from the null space of
+    (embedding - rep*I), whose dimension rejects non-semisimple input; eig's
+    vectors for a Jordan block are only about sqrt(eps) apart, too close to
+    the rank threshold to test.  Within a class the basis is orthonormalized
+    against the restricted form: positive classes to unit vectors, the
+    negative class to one negative and the rest unit.
     """
     M = A.emb
-    N = A.dim
-    eig_raw = np.linalg.eigvals(M)
-    clusters = _cluster_eigenvalues(eig_raw)
-
+    spectrum, V = np.linalg.eig(M)
     classes: list[EigenClass] = []
-    for cluster in clusters:
-        size = len(cluster)
-        if size % 2 != 0:
+    for idx in _cluster_eigenvalues(spectrum):
+        cluster = spectrum[idx]
+        if len(idx) % 2 != 0:
             raise NumericalError("eigenvalue cluster of odd size; clustering failed")
-        mult = size // 2
+        mult = len(idx) // 2
         re = float(np.mean(cluster.real))
         im = float(np.mean(np.abs(cluster.imag)))
         rep = complex(re, im)
         if im <= CLUSTER_RTOL * max(1.0, abs(rep)):
             rep = complex(re, 0.0)
-
-        shifted = M - rep * np.eye(2 * N)
-        ns = nullspace(shifted)
-        expected = 2 * mult if rep.imag == 0.0 else mult
-        if ns.shape[1] < expected:
-            raise NotSemisimpleError(
-                f"geometric multiplicity {ns.shape[1]} < algebraic {expected} "
-                f"for eigenvalue {rep:.6g}")
-        if ns.shape[1] > expected:
-            raise NumericalError("eigenvalue clusters overlap; cannot separate classes")
-
-        if rep.imag == 0.0:
-            vectors = quaternionic_basis(ns, mult)
+        if mult == 1:
+            S = V[:, idx[np.argmax(cluster.imag)], None]
         else:
-            vectors = [HVector(ns[:, k]) for k in range(mult)]
-
-        kind, vectors = _type_and_normalize(space, vectors, rep, tol)
+            S = _eigenspace_basis(M, rep, mult)
+        kind, vectors = _type_and_normalize(space, S, rep, tol)
         classes.append(EigenClass(rep, mult, kind, vectors))
 
-    data = EigenData(sorted(classes, key=lambda c: (-c.modulus, c.angle)))
-    if data.total_multiplicity() != N:
+    classes.sort(key=lambda c: (-c.modulus, c.angle))
+    if sum(c.multiplicity for c in classes) != A.dim:
         raise NumericalError("class multiplicities do not sum to the dimension")
-    _normalize_null_pair(space, data)
-    return data
+    return EigenData(tuple(_normalize_null_pair(space, classes)), spectrum)
 
 
-def _type_and_normalize(space: HermitianSpace, vectors: list[HVector], rep: complex,
-                        tol: float) -> tuple[PointType, list[HVector]]:
-    """Classify an eigenspace by its restricted form and orthonormalize it.
+def _eigenspace_basis(M: np.ndarray, rep: complex, mult: int) -> np.ndarray:
+    """Stacked basis (columns) of a repeated class, or NotSemisimpleError."""
+    ns = nullspace(M - rep * np.eye(M.shape[0]))
+    expected = 2 * mult if rep.imag == 0.0 else mult
+    if ns.shape[1] < expected:
+        raise NotSemisimpleError(
+            f"geometric multiplicity {ns.shape[1]} < algebraic {expected} "
+            f"for eigenvalue {rep:.6g}")
+    if ns.shape[1] > expected:
+        raise NumericalError("eigenvalue clusters overlap; cannot separate classes")
+    if rep.imag == 0.0:
+        return np.stack([v.s for v in quaternionic_basis(ns, mult)], axis=1)
+    return ns
+
+
+def _form_blocks(space: HermitianSpace, S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The form on the span of the stacked columns S, g[r, c] = <s_c, s_r> = G1 + j*G2,
+    as one product [G1; G2] = T* H S with T = [S, J conj(S)]."""
+    G = np.concatenate([S, _times_j(S)], axis=1).conj().T @ space.H_emb @ S
+    return G[:S.shape[1]], G[S.shape[1]:]
+
+
+def _form_gram(space: HermitianSpace, S: np.ndarray) -> np.ndarray:
+    """Complex embedding of the restricted form (exactly J-structured)."""
+    G1, G2 = _form_blocks(space, S)
+    return np.block([[G1, -np.conj(G2)], [G2, np.conj(G1)]])
+
+
+def _self_pairings(space: HermitianSpace, B: np.ndarray) -> np.ndarray:
+    """Re <b, b> for a stacked vector b, or for every column b of B."""
+    return np.einsum("i...,i...->...", B.conj(), space.H_emb @ B).real
+
+
+def _type_and_normalize(space: HermitianSpace, S: np.ndarray, rep: complex,
+                        tol: float) -> tuple[PointType, tuple[HVector, ...]]:
+    """Classify an eigenspace (stacked basis S) by its restricted form and orthonormalize it.
 
     Recombination must not unpin the vectors from ``rep``: for a nonreal
     representative the restricted form takes values in its centralizer, i.e.
     is complex Hermitian, and complex-unitary combinations are the allowed
     ones.  For a real representative any quaternionic combination is safe.
     """
-    m = len(vectors)
+    m = S.shape[1]
     if m == 1:
-        val = space.herm(vectors[0], vectors[0]).re
-        scale = max(1.0, vectors[0].norm() ** 2)
-        if abs(val) <= tol * scale:
-            return PointType.NULL, vectors
-        v = vectors[0].times(1.0 / math.sqrt(abs(val)))
-        return (PointType.NEGATIVE if val < 0 else PointType.POSITIVE), [v]
+        val = _self_pairings(space, S)[0]
+        if abs(val) <= tol * max(1.0, float(np.linalg.norm(S)) ** 2):
+            return PointType.NULL, (HVector(S[:, 0]),)
+        kind = PointType.NEGATIVE if val < 0 else PointType.POSITIVE
+        return kind, (HVector(S[:, 0] / math.sqrt(abs(val))),)
 
     if rep.imag == 0.0:
-        grid = [[space.herm(vectors[c], vectors[r]) for c in range(m)] for r in range(m)]
-        eigs = np.linalg.eigvalsh(HMatrix.from_quaternions(grid).emb)
+        eigs, U = np.linalg.eigh(_form_gram(space, S))
         scale = max(1.0, float(np.max(np.abs(eigs))))
         if int(np.sum(np.abs(eigs) > tol * scale)) == 0:
-            return PointType.NULL, vectors
-        basis, signs = orthonormal_form_basis(space, vectors)
-        return (PointType.NEGATIVE if -1 in signs else PointType.POSITIVE), basis
+            return PointType.NULL, tuple(HVector(s) for s in S.T)
+        basis, signs = _form_orthonormal(space, S, eigs, U)
+        return (PointType.NEGATIVE if -1 in signs else PointType.POSITIVE), tuple(basis)
 
-    G = np.empty((m, m), dtype=complex)
-    for r in range(m):
-        for c in range(m):
-            q = space.herm(vectors[c], vectors[r])
-            z1, z2 = q.complex_pair()
-            if abs(z2) > 1e-7 * max(1.0, q.norm()):
-                raise NumericalError("restricted form is not centralizer-valued")
-            G[r, c] = z1
-    eigs, U = np.linalg.eigh(G)
+    G1, G2 = _form_blocks(space, S)
+    if np.any(np.abs(G2) > 1e-7 * np.maximum(1.0, np.hypot(np.abs(G1), np.abs(G2)))):
+        raise NumericalError("restricted form is not centralizer-valued")
+    eigs, U = np.linalg.eigh(G1)
     scale = max(1.0, float(np.max(np.abs(eigs))))
     n_neg = int(np.sum(eigs < -tol * scale))
     n_pos = int(np.sum(eigs > tol * scale))
     if n_neg == 0 and n_pos == 0:
-        return PointType.NULL, vectors
+        return PointType.NULL, tuple(HVector(s) for s in S.T)
     if n_neg > 1:
         raise NumericalError("eigenspace with two negative directions is impossible")
-    order = np.argsort(eigs)  # negative direction first
-    basis: list[HVector] = []
-    for col in order:
-        v = vectors[0].times(complex(U[0, col]))
-        for k in range(1, m):
-            v = v + vectors[k].times(complex(U[k, col]))
-        val = space.herm(v, v).re
-        basis.append(v.times(1.0 / math.sqrt(abs(val))))
-    return (PointType.NEGATIVE if n_neg else PointType.POSITIVE), basis
+    B = S @ U[:, np.argsort(eigs)]  # negative direction first
+    B = B / np.sqrt(np.abs(_self_pairings(space, B)))
+    kind = PointType.NEGATIVE if n_neg else PointType.POSITIVE
+    return kind, tuple(HVector(b) for b in B.T)
 
 
-def _normalize_null_pair(space: HermitianSpace, data: EigenData) -> None:
-    """Scale the attracting/repelling null pair of a hyperbolic element so <a, r> = 1."""
-    nulls = [c for c in data.classes if c.kind == PointType.NULL]
+def _normalize_null_pair(space: HermitianSpace,
+                         classes: list[EigenClass]) -> list[EigenClass]:
+    """Rescale the attracting/repelling null pair of a hyperbolic element so <a, r> = 1."""
+    nulls = [c for c in classes if c.kind == PointType.NULL]
     if len(nulls) != 2:
-        return
+        return classes
     big = max(nulls, key=lambda c: c.modulus)
     small = min(nulls, key=lambda c: c.modulus)
     if abs(big.modulus - 1.0) < 1e-12:
-        return
+        return classes
     a, r = big.vectors[0], small.vectors[0]
     h = space.herm(a, r)  # pairing lies in the centralizer of the eigenvalue
     if h.norm() == 0.0:
         raise NumericalError("null eigenvectors pair to zero")
     hn = h.norm()
     nu = h * (1.0 / (hn * hn))  # conj(nu) = h^{-1}
-    big.vectors[0] = a.times(1.0 / math.sqrt(hn))
-    small.vectors[0] = r.times(nu * math.sqrt(hn))
+    scaled = {id(big): a.times(1.0 / math.sqrt(hn)), id(small): r.times(nu * math.sqrt(hn))}
+    return [replace(c, vectors=(scaled[id(c)],)) if id(c) in scaled else c for c in classes]
 
 
 # ---------------------------------------------------------------------------
@@ -575,55 +569,44 @@ def orthonormal_form_basis(space: HermitianSpace,
     Returns the basis (negative directions first) and the matching sign list.
     The restriction must be nondegenerate.
     """
-    m = len(vectors)
-    grid = [[space.herm(vectors[c], vectors[r]) for c in range(m)] for r in range(m)]
-    gram = HMatrix.from_quaternions(grid)
-    eigs, U = np.linalg.eigh(gram.emb)
+    S = np.stack([v.s for v in vectors], axis=1)
+    eigs, U = np.linalg.eigh(_form_gram(space, S))
+    return _form_orthonormal(space, S, eigs, U)
+
+
+def _form_orthonormal(space: HermitianSpace, S: np.ndarray, eigs: np.ndarray,
+                      U: np.ndarray) -> tuple[list[HVector], list[int]]:
+    """Form-orthonormal basis of span(S) from the eigh of its restricted-form embedding."""
     scale = max(1.0, float(np.max(np.abs(eigs))))
     if np.min(np.abs(eigs)) < 1e-10 * scale:
         raise GramSchmidtError("restricted form is degenerate on the span")
 
+    # a coefficient vector c in H^m (stacked) combines the columns as T c
+    T = np.concatenate([S, _times_j(S)], axis=1)
     order = np.argsort(eigs)  # negatives first
-    neg_cols = [k for k in order if eigs[k] < 0]
-    pos_cols = [k for k in order if eigs[k] > 0]
-    out: list[HVector] = []
+    out: list[np.ndarray] = []
     signs: list[int] = []
-    used: list[np.ndarray] = []
-    for group, sign in ((neg_cols, -1), (pos_cols, 1)):
-        if not group:
+    for group, sign in ((order[eigs[order] < 0], -1), (order[eigs[order] > 0], 1)):
+        if not group.size:
             continue
-        # combination coefficients live in H^m via the embedding rows
-        quat_needed = len(group) // 2
-        coeff_vectors = quaternionic_basis(U[:, group], quat_needed)
-        for cv in coeff_vectors:
-            v = _combine(vectors, cv)
-            val = space.herm(v, v).re
-            v = v.times(1.0 / math.sqrt(abs(val)))
+        for cv in quaternionic_basis(U[:, group], len(group) // 2):
+            v = T @ cv.s
+            val = _self_pairings(space, v)
             if (val < 0) != (sign < 0):
                 raise GramSchmidtError("sign bookkeeping failed in diagonalization")
-            out.append(v)
+            out.append(v / math.sqrt(abs(val)))
             signs.append(sign)
     # re-orthogonalize residual cross terms (one Gram-Schmidt sweep)
-    out = _polish_orthogonality(space, out, signs)
-    return out, signs
+    return _polish_orthogonality(space, out, signs), signs
 
 
-def _combine(vectors: Sequence[HVector], coeffs: HVector) -> HVector:
-    acc = vectors[0].times(coeffs.entry(0))
-    for k in range(1, len(vectors)):
-        acc = acc + vectors[k].times(coeffs.entry(k))
-    return acc
-
-
-def _polish_orthogonality(space: HermitianSpace, basis: list[HVector],
+def _polish_orthogonality(space: HermitianSpace, basis: list[np.ndarray],
                           signs: list[int]) -> list[HVector]:
-    out: list[HVector] = []
-    for v, sv in zip(basis, signs):
+    out: list[np.ndarray] = []
+    for v in basis:
         w = v
         for u, su in zip(out, signs):
-            c = space.herm(w, u) * su
-            w = w - u.times(c)
-        val = space.herm(w, w).re
-        w = w.times(1.0 / math.sqrt(abs(val)))
-        out.append(w)
-    return out
+            u2 = np.stack([u, _times_j(u)], axis=1)
+            w = w - su * (u2 @ (u2.conj().T @ space.H_emb @ w))  # w - u * <w, u> su
+        out.append(w / math.sqrt(abs(_self_pairings(space, w))))
+    return [HVector(w) for w in out]

@@ -87,7 +87,7 @@ def eigenframe(A: Isometry, tol: float = 1e-8) -> EigenFrame:
 # Common fixed points
 # ---------------------------------------------------------------------------
 
-def _fixed_set_bases(A: Isometry) -> list[list[HVector]]:
+def _fixed_set_bases(A: Isometry) -> list[tuple[HVector, ...]]:
     return [c.vectors for c in A.classes()
             if c.kind in (PointType.NULL, PointType.NEGATIVE)]
 

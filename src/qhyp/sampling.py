@@ -86,36 +86,50 @@ def apply_isometry(config: PointConfig, C: HMatrix) -> PointConfig:
     return gram_of(config.space, pts)
 
 
+def _repeated(values: np.ndarray) -> np.ndarray:
+    """Each leading value twice (an odd count keeps one single): repeated classes."""
+    return np.repeat(values[:(len(values) + 1) // 2], 2)[:len(values)]
+
+
 def random_hyperbolic_spec(n: int, rng: np.random.Generator,
-                           r_range: tuple[float, float] = (1.3, 2.5)) -> HyperbolicSpec:
+                           r_range: tuple[float, float] = (1.3, 2.5),
+                           regular: bool = True) -> HyperbolicSpec:
     r = float(rng.uniform(*r_range))
     theta = float(rng.uniform(0.1, math.pi - 0.1))
-    angles = tuple(sorted(float(a) for a in rng.uniform(0.1, math.pi - 0.1, n - 1)))
-    return HyperbolicSpec(r, theta, angles)
+    angles = np.sort(rng.uniform(0.1, math.pi - 0.1, n - 1))
+    if not regular:
+        angles = _repeated(angles)
+    return HyperbolicSpec(r, theta, tuple(float(a) for a in angles))
 
 
 def random_elliptic_spec(n: int, rng: np.random.Generator,
-                         min_gap: float = 0.15) -> EllipticSpec:
-    """Angles kept pairwise separated so all classes are regular."""
+                         min_gap: float = 0.15, regular: bool = True) -> EllipticSpec:
+    """Angles kept pairwise separated, so all classes are regular unless
+    ``regular`` is False, which repeats the positive-class angles in pairs."""
     while True:
         angles = np.sort(rng.uniform(0.1, math.pi - 0.1, n + 1))
         if n == 0 or np.min(np.diff(angles)) > min_gap:
-            shuffled = [float(angles[0])] + [float(a) for a in angles[1:]]
-            return EllipticSpec(tuple(shuffled))
+            positive = angles[1:] if regular else _repeated(angles[1:])
+            return EllipticSpec((float(angles[0]),) + tuple(float(a) for a in positive))
 
 
 def sample_semisimple(space: HermitianSpace, rng: np.random.Generator,
                       kind: Optional[Classification] = None,
                       regular: bool = True) -> Isometry:
-    """Random semisimple element with a fresh seed drawn from ``rng``."""
+    """Random semisimple element with a fresh seed drawn from ``rng``.
+
+    ``regular=False`` repeats the unit angles of a hyperbolic element (n >= 3)
+    or the positive-class angles of an elliptic one (n >= 2) in pairs; below
+    those dimensions every element of the kind drawn here is regular.
+    """
     n = space.n
     if kind is None:
         kind = Classification.HYPERBOLIC if rng.uniform() < 0.5 else Classification.ELLIPTIC
     seed = int(rng.integers(0, 2 ** 31 - 1))
     if kind is Classification.HYPERBOLIC:
-        spec = random_hyperbolic_spec(n, rng)
+        spec = random_hyperbolic_spec(n, rng, regular=regular)
     else:
-        spec = random_elliptic_spec(n, rng)
+        spec = random_elliptic_spec(n, rng, regular=regular)
     return random_semisimple(kind, n, spec, seed, space=space)
 
 

@@ -351,7 +351,7 @@ def criterion_6(quick: bool = False) -> CriterionResult:
             fails.append((m, i, bad, d_actual, d_family))
         detail_parts.append(
             f"(m={m},i={i}): roundtrip {per_shape - bad}/{per_shape}, "
-            f"slots {d_actual} vs family form {d_family}{stated}"
+            f"max residual {worst:.1e}, slots {d_actual} vs family form {d_family}{stated}"
             + ("" if count_ok else " MISMATCH"))
     return CriterionResult(6, "profile reconstruction round trip and counts",
                            not fails, "; ".join(detail_parts))

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -171,3 +172,11 @@ def test_verify_criterion_6_exit_code(capsys):
     assert "[criterion  6]" in out
     assert code == 0
 
+
+def test_verify_criterion_6_reports_residual(capsys):
+    # each shape's detail names its largest round-trip residual, under the bound
+    main(["verify", "--suite", "quick", "--criteria", "6"])
+    out = capsys.readouterr().out
+    found = re.findall(r"roundtrip (\d+)/(\d+), max residual ([0-9.e+-]+)", out)
+    assert len(found) == out.count("roundtrip") > 0
+    assert all(done == total and float(worst) < 1e-7 for done, total, worst in found)

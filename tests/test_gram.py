@@ -10,6 +10,7 @@ from qhyp.errors import DegenerateConfigurationError, InvalidSpecError
 from qhyp.gram import (
     PointConfig,
     SemiNormalizedGram,
+    _gauge_rotation,
     congruent,
     gram_of,
     orbit_equal,
@@ -109,6 +110,12 @@ def test_gram_objects_are_immutable():
     for obj, field in ((cfg, "gram"), (cfg, "points"), (sng, "gram"), (prof, "a23")):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(obj, field, None)
+    for seq in (prof.x_slots, prof.pair_slots, prof.first_row):
+        assert isinstance(seq, tuple)
+    with pytest.raises(AttributeError):
+        prof.x_slots.pop()
+    # lists handed in by a caller are stored as tuples too
+    assert isinstance(dataclasses.replace(prof, first_row=list(prof.first_row)).first_row, tuple)
     for g in (cfg.gram, sng.gram, reconstruct_gram(prof).gram):
         with pytest.raises(ValueError):
             g[0, 0, 0] = 1.0
@@ -139,6 +146,31 @@ def test_semi_normalize_pattern(m, i, n):
         for j in range(m):
             direct = sp.herm(sng.lifts[j], sng.lifts[k])
             assert direct.approx_eq(g[k][j], 1e-8)
+
+
+@pytest.mark.parametrize("first,second", [
+    ((0.3, 0.5, -0.2), (0.1, 0.4, 0.7)),      # generic
+    ((-2.0, 0.0, 0.0), (0.5, -1.0, 0.0)),     # first along -i, second along -j after it
+    ((-1.0, 1e-13, -1e-13), (0.0, 0.0, 3.0)),  # first next to -i
+    ((-1.0, 3e-8, 2e-8), (0.4, -0.5, 1e-9)),   # 1 + cos small: no cancellation
+    ((0.0, 0.0, 1.5), (0.2, 0.0, 0.0)),       # second collinear with the first
+])
+def test_gauge_rotation_closed_form(first, second):
+    # conj(mu) e mu puts the first imaginary direction on +i and the next
+    # independent one in the i-j plane with positive j part
+    entries = np.array([[0.7, 0.0, 0.0, 0.0], [0.2, *first], [-1.1, *second]])
+    mu = _gauge_rotation(entries, 1e-9)
+    assert abs(mu.norm() - 1.0) < 1e-14
+    m = mu.to_array()
+    rotated = qmul_array(qmul_array(qconj_array(m), entries), m)
+    np.testing.assert_allclose(rotated[:, 0], entries[:, 0], atol=1e-14)
+    u = rotated[1, 1:]
+    assert u[0] > 0 and np.linalg.norm(u[1:]) < 1e-12 * np.linalg.norm(u)
+    v = rotated[2, 1:]
+    if np.linalg.norm(np.cross(first, second)) > 1e-9:
+        assert v[1] > 0 and abs(v[2]) < 1e-12 * np.linalg.norm(v)
+    else:
+        assert np.linalg.norm(v[1:]) < 1e-12 * np.linalg.norm(v)
 
 
 def test_semi_normalize_rejects_small_null_counts():
@@ -383,9 +415,8 @@ def test_reconstruct_rejects_wrong_slots():
     rng = np.random.default_rng(61)
     cfg = sample_config(sp, 4, 4, rng)
     prof = profile(cfg)
-    prof.x_slots.pop()
     with pytest.raises(InvalidSpecError):
-        reconstruct_gram(prof)
+        reconstruct_gram(dataclasses.replace(prof, x_slots=prof.x_slots[:-1]))
 
 
 def test_reconstruct_rejects_inconsistent_x1_slot():

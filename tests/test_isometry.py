@@ -1,8 +1,10 @@
+import collections
 import math
 
 import numpy as np
 import pytest
 
+from qhyp import linalg
 from qhyp.errors import InvalidSpecError, UnsupportedElementError
 from qhyp.isometry import (
     Classification,
@@ -243,3 +245,25 @@ def test_random_member_determinism():
     A = random_member(sp, np.random.default_rng(99))
     B = random_member(sp, np.random.default_rng(99))
     assert (A - B).norm() == 0.0
+
+
+def test_regular_isometry_decomposes_once(monkeypatch):
+    # one eig of the embedding yields the classes, their vectors and the real
+    # trace; no second eigenvalue solve and no SVD for simple classes
+    sp = HermitianSpace(4)
+    specs = [(Classification.HYPERBOLIC, HyperbolicSpec(1.8, 0.6, (0.4, 1.1, 2.0))),
+             (Classification.ELLIPTIC, EllipticSpec((0.3, 0.9, 1.5, 2.2, 2.8)))]
+    for kind, spec in specs:
+        M = random_semisimple(kind, 4, spec, seed=9, space=sp).matrix
+        calls = collections.Counter()
+        with monkeypatch.context() as mp:
+            for name in ("eig", "eigvals", "eigh", "eigvalsh", "svd"):
+                def counted(*args, _name=name, _real=getattr(np.linalg, name), **kwargs):
+                    calls[_name] += 1
+                    return _real(*args, **kwargs)
+                mp.setattr(linalg.np.linalg, name, counted)
+            A = Isometry(M, sp)
+        assert A.classification is kind
+        assert all(c.multiplicity == 1 for c in A.classes())
+        assert calls["eig"] == 1
+        assert sum(calls.values()) == 1, dict(calls)

@@ -1,11 +1,21 @@
+import collections
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from qhyp.errors import NotSemisimpleError
-from qhyp.isometry import random_member
+from qhyp.errors import NotSemisimpleError, QhypError
+from qhyp.isometry import (
+    Classification,
+    EllipticSpec,
+    HyperbolicSpec,
+    Isometry,
+    random_member,
+    random_semisimple,
+)
 from qhyp.linalg import (
+    CLUSTER_RTOL,
     HermitianSpace,
     HMatrix,
     HVector,
@@ -13,10 +23,12 @@ from qhyp.linalg import (
     char_poly_real_coeffs,
     complex_embed,
     corner_form,
+    _cluster_eigenvalues,
     orthonormal_form_basis,
     right_eigen,
 )
 from qhyp.quaternion import Quaternion
+from qhyp.sampling import random_elliptic_spec, random_hyperbolic_spec
 
 I, J, K = Quaternion.i(), Quaternion.j(), Quaternion.k()
 ONE = Quaternion.one()
@@ -284,6 +296,151 @@ def test_right_eigen_multiplicity_two():
     for x in pos.vectors:
         assert sp.herm(x, x).approx_eq(ONE, 1e-9)
         assert (A.apply(x) - x.times(complex(pos.rep))).norm() < 1e-8
+
+
+def _pairwise_clusters(eigs):
+    """Reference: link a < b when the folded points are within CLUSTER_RTOL * max(1, |eig_a|)
+    and take connected components in order of first index, one pair at a time."""
+    folded = np.stack([eigs.real, np.abs(eigs.imag)], axis=1)
+    label = list(range(len(eigs)))
+    for a in range(len(eigs)):
+        for b in range(a + 1, len(eigs)):
+            if np.linalg.norm(folded[a] - folded[b]) < CLUSTER_RTOL * max(1.0, abs(eigs[a])):
+                old, new = max(label[a], label[b]), min(label[a], label[b])
+                label = [new if x == old else x for x in label]
+    return [[k for k in range(len(eigs)) if label[k] == c] for c in sorted(set(label))]
+
+
+def test_cluster_eigenvalues_matches_pairwise_reference():
+    # chains of nearly equal values with gaps on both sides of the threshold
+    rng = np.random.default_rng(39)
+    for _ in range(300):
+        K = int(rng.integers(1, 19))
+        base = rng.normal(size=K) + 1j * rng.normal(size=K)
+        noise = (rng.normal(size=K) + 1j * rng.normal(size=K)) * 10 ** rng.uniform(-10, -6, K)
+        eigs = base[rng.integers(0, max(1, K // 3), K)] + noise
+        eigs = np.where(rng.uniform(size=K) < 0.3, np.conj(eigs), eigs)
+        got = [list(c) for c in _cluster_eigenvalues(eigs)]
+        assert got == _pairwise_clusters(eigs)
+
+
+def test_eigen_data_is_immutable():
+    sp = HermitianSpace(2)
+    A = random_semisimple(Classification.HYPERBOLIC, 2, HyperbolicSpec(1.6, 0.8, (1.9,)),
+                          seed=3, space=sp).matrix
+    data = right_eigen(A, sp)
+    assert isinstance(data.classes, tuple)
+    assert all(isinstance(c.vectors, tuple) for c in data.classes)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        data.classes = ()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        data.classes[0].vectors = ()
+    with pytest.raises(ValueError):
+        data.spectrum[0] = 0.0
+    # the null pair comes back rescaled to <a, r> = 1 in new classes
+    a, r = (c.vectors[0] for c in data.classes if c.kind == PointType.NULL)
+    assert sp.herm(a, r).approx_eq(ONE, 1e-9)
+
+
+def _expected_multiplicities(kind, spec):
+    if kind is Classification.HYPERBOLIC:
+        return sorted([1, 1] + list(collections.Counter(spec.unit_angles).values()))
+    return sorted([1] + list(collections.Counter(spec.angles[1:]).values()))
+
+
+def _assert_pinned_orthonormal(A, sp, data):
+    for c in data.classes:
+        assert len(c.vectors) == c.multiplicity
+        for x in c.vectors:
+            resid = (A.apply(x) - x.times(complex(c.rep))).norm()
+            assert resid < 1e-8 * A.norm() * x.norm()
+        if c.kind is PointType.NULL:
+            continue
+        signs = [-1.0 if c.kind is PointType.NEGATIVE else 1.0] + [1.0] * (c.multiplicity - 1)
+        for r, (u, su) in enumerate(zip(c.vectors, signs)):
+            for k, v in enumerate(c.vectors):
+                target = Quaternion.real(su) if k == r else Q0
+                assert sp.herm(v, u).approx_eq(target, 1e-9)
+
+
+NON_REGULAR = [(2, Classification.ELLIPTIC), (3, Classification.ELLIPTIC),
+               (3, Classification.HYPERBOLIC), (4, Classification.ELLIPTIC),
+               (4, Classification.HYPERBOLIC)]
+
+
+@pytest.mark.parametrize("n,kind", NON_REGULAR)
+def test_right_eigen_non_regular(n, kind):
+    # repeated nonreal classes take the null-space branch of right_eigen
+    sp = HermitianSpace(n)
+    rng = np.random.default_rng(40 + 2 * n + (kind is Classification.HYPERBOLIC))
+    for trial in range(3):
+        if kind is Classification.HYPERBOLIC:
+            spec = random_hyperbolic_spec(n, rng, regular=False)
+        else:
+            spec = random_elliptic_spec(n, rng, regular=False)
+        A = random_semisimple(kind, n, spec, seed=100 + trial, space=sp).matrix
+        data = right_eigen(A, sp)
+        mults = sorted(c.multiplicity for c in data.classes)
+        assert mults == _expected_multiplicities(kind, spec)
+        assert max(mults) >= 2
+        _assert_pinned_orthonormal(A, sp, data)
+
+
+@pytest.mark.parametrize("angles", [(0.7, 0.0, 0.0), (0.7, math.pi, math.pi, 1.2),
+                                    (2.1, 0.0, 0.0, 0.0, 0.0)])
+def test_right_eigen_repeated_real_class(angles):
+    # a repeated real class (+-1) takes the quaternionic-basis branch
+    n = len(angles) - 1
+    sp = HermitianSpace(n)
+    A = random_semisimple(Classification.ELLIPTIC, n, EllipticSpec(angles), seed=7,
+                          space=sp).matrix
+    data = right_eigen(A, sp)
+    assert sorted(c.multiplicity for c in data.classes) == \
+        _expected_multiplicities(Classification.ELLIPTIC, EllipticSpec(angles))
+    _assert_pinned_orthonormal(A, sp, data)
+
+
+def _heisenberg(n, scale, rng, horizontal):
+    """Unipotent stabilizer element of the null point e_1 in the corner form.
+
+    The first row is (1, -a*, b) with Re b = -|a|^2 / 2, the middle rows of
+    the last column hold a, and the rest is the identity: a vertical
+    translation when a = 0, otherwise a horizontal one (a longer Jordan block).
+    """
+    N = n + 1
+    grid = [[ONE if r == c else Q0 for c in range(N)] for r in range(N)]
+    a = [Quaternion.from_seq(scale * rng.uniform(-1, 1, 4)) if horizontal else Q0
+         for _ in range(n - 1)]
+    im = Quaternion.from_seq(scale * rng.uniform(-1, 1, 4)).im()
+    grid[0][N - 1] = Quaternion.real(-0.5 * sum(q.norm_sq() for q in a)) + im
+    for k, q in enumerate(a):
+        grid[0][k + 1] = -q.conj()
+        grid[k + 1][N - 1] = q
+    return HMatrix.from_quaternions(grid)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_conjugated_heisenberg_translations_are_parabolic(n):
+    # never classified hyperbolic or elliptic; either found parabolic by the
+    # null-space test or refused.  Scales stop at 5: beyond it the computed
+    # eigenvalues of a conjugated vertical translation spread wider than
+    # CLUSTER_RTOL and can pass for a hyperbolic or elliptic spectrum
+    sp = HermitianSpace(n)
+    rng = np.random.default_rng(50 + n)
+    seen = collections.Counter()
+    for scale in (0.5, 1.0, 2.0, 5.0):
+        for horizontal in ((False, True) if n > 1 else (False,)):
+            for _ in range(4):
+                T = _heisenberg(n, scale, rng, horizontal)
+                assert sp.is_member(T, 1e-12)
+                C = random_member(sp, rng)
+                try:
+                    kind = Isometry(C @ T @ C.inverse(), sp).classification
+                except QhypError:
+                    kind = None
+                assert kind in (Classification.PARABOLIC, None)
+                seen[kind] += 1
+    assert seen[Classification.PARABOLIC] > 0
 
 
 def test_orthonormal_form_basis_signature():

@@ -17,7 +17,7 @@ class Verdict(Enum):
     INCONCLUSIVE = "inconclusive"
 
 
-@dataclass
+@dataclass(frozen=True)
 class Decision:
     """Outcome with an optional verified witness transformation.
 

@@ -41,11 +41,13 @@ from .linalg import (
     nullspace,
     orthonormal_form_basis,
     quaternionic_basis,
+    two_columns,
 )
 from .quaternion import (
     DEFAULT_TOL,
     Quaternion,
     canonical_sign,
+    from_complex_pairs,
     qconj_array,
     qmul_array,
     rotation_matrix,
@@ -100,10 +102,10 @@ def gram_of(space: HermitianSpace, points: Sequence[ProjPoint],
 
     # <p_j, p_k> = w* H z in the embedding, as in HermitianSpace.herm: row 2k
     # of T* H S is the complex part of row k, row 2k + 1 its j part
-    T = np.concatenate([p.lift.two_column() for p in pts], axis=1)
+    T = two_columns([p.lift for p in pts])
     S = T[:, 0::2]
     A = T.conj().T @ space.H_emb @ S
-    g = np.stack([A[0::2].real, A[0::2].imag, A[1::2].real, -A[1::2].imag], axis=-1)
+    g = from_complex_pairs(A[0::2], A[1::2])
     # the form is Hermitian: store the matrix exactly so
     g = 0.5 * (g + qconj_array(g).transpose(1, 0, 2))
 
@@ -286,30 +288,25 @@ def orbit_equal(g1: SemiNormalizedGram, g2: SemiNormalizedGram,
 def _independent_subset(space: HermitianSpace, lifts: Sequence[HVector],
                         tol: float = 1e-8) -> list[int]:
     chosen: list[int] = []
-    cols: list[np.ndarray] = []
-    rank = 0
-    for k, v in enumerate(lifts):
-        tc = v.two_column()
-        trial = cols + [tc[:, 0], tc[:, 1]]
-        r = matrix_rank(np.stack(trial, axis=1), tol)
-        if r == rank + 2:
-            chosen.append(k)
-            cols = trial
-            rank = r
-        if rank == 2 * space.dim:
+    for k in range(len(lifts)):
+        # each lift chosen so far adds a quaternionic line: complex rank 2
+        trial = chosen + [k]
+        if matrix_rank(two_columns([lifts[j] for j in trial]), tol) == 2 * len(trial):
+            chosen = trial
+        if len(chosen) == space.dim:
             break
     return chosen
 
 
 def _form_perp_basis(space: HermitianSpace, lifts: Sequence[HVector]) -> list[HVector]:
     """Quaternionic basis of the form-orthogonal complement of a span."""
-    ns = nullspace(np.concatenate([v.two_column().conj().T @ space.H_emb for v in lifts]))
+    ns = nullspace(two_columns(lifts).conj().T @ space.H_emb)
     if ns.shape[1] % 2 != 0:
         raise NumericalError("perp space is not quaternionic")
     return quaternionic_basis(ns, ns.shape[1] // 2)
 
 
-def _projective_residual(space: HermitianSpace, u: HVector, v: HVector) -> float:
+def _projective_residual(u: HVector, v: HVector) -> float:
     """Relative distance between the lines through u and v."""
     P, Q = u.two_column(), v.two_column()
     alpha = np.linalg.lstsq(P, Q, rcond=None)[0]
@@ -360,7 +357,7 @@ def congruent(config_a: PointConfig, config_b: PointConfig,
 
     if not space.is_member(witness, 1e-8):
         raise NumericalError("witness drifted off the isometry group")
-    worst = max(_projective_residual(space, witness.apply(pa), pb)
+    worst = max(_projective_residual(witness.apply(pa), pb)
                 for pa, pb in zip(lifts_a, lifts_b))
     if worst > tol:
         return Decision(Verdict.NOT_CONGRUENT,

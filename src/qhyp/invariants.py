@@ -138,8 +138,7 @@ def angular_invariant(space: HermitianSpace, z1: ProjPoint, z2: ProjPoint,
     return min(angle, math.pi / 2)
 
 
-def distance_invariant(space: HermitianSpace, p: ProjPoint, q: ProjPoint,
-                       tol: float = DEFAULT_TOL) -> float:
+def distance_invariant(space: HermitianSpace, p: ProjPoint, q: ProjPoint) -> float:
     """(<q,p><p,q>) / (<q,q><p,p>) for two negative points; real and >= 1.
 
     Equals cosh^2(rho/2) in the invariant metric, so it is 1 exactly at

@@ -32,8 +32,9 @@ from .linalg import (
     orthonormal_form_basis,
     right_eigen,
     spectrum_char_coeffs,
+    two_columns,
 )
-from .quaternion import DEFAULT_TOL, Quaternion
+from .quaternion import DEFAULT_TOL
 
 
 class Classification(Enum):
@@ -172,14 +173,10 @@ def conjugate_single(A: Isometry, B: Isometry, tol: float = 1e-7) -> bool:
 # Equality by invariants
 # ---------------------------------------------------------------------------
 
-def _stacked_with_j(vectors: Sequence[HVector]) -> np.ndarray:
-    return np.concatenate([v.two_column() for v in vectors], axis=1)
-
-
 def quaternionic_spans_equal(v1: Sequence[HVector], v2: Sequence[HVector],
                              tol: float = 1e-8) -> bool:
     """True when the right quaternionic spans coincide."""
-    B1, B2 = _stacked_with_j(v1), _stacked_with_j(v2)
+    B1, B2 = two_columns(v1), two_columns(v2)
     r1 = matrix_rank(B1, tol)
     r2 = matrix_rank(B2, tol)
     return r1 == r2 == matrix_rank(np.concatenate([B1, B2], axis=1), tol)
@@ -270,8 +267,7 @@ class EllipticSpec:
 
 
 def _random_hvector(space: HermitianSpace, rng: np.random.Generator) -> HVector:
-    return HVector.from_quaternions(
-        [Quaternion.from_seq(rng.uniform(-1.0, 1.0, 4)) for _ in range(space.dim)])
+    return HVector.from_components(rng.uniform(-1.0, 1.0, (space.dim, 4)))
 
 
 def random_frame(space: HermitianSpace, rng: np.random.Generator,

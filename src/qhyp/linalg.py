@@ -26,7 +26,7 @@ from .errors import (
     NotSemisimpleError,
     NumericalError,
 )
-from .quaternion import DEFAULT_TOL, Quaternion
+from .quaternion import DEFAULT_TOL, Quaternion, complex_pairs, from_complex_pairs
 
 #: eigenvalues closer than this (relative) are one similarity class
 CLUSTER_RTOL = 1e-7
@@ -69,16 +69,23 @@ class HVector:
         return self.s.shape[0] // 2
 
     @staticmethod
+    def from_components(a: np.ndarray) -> "HVector":
+        """The vector with (N, 4) quaternion components ``a``."""
+        return HVector(np.concatenate(complex_pairs(a)))
+
+    @staticmethod
     def from_quaternions(entries: Sequence[Quaternion]) -> "HVector":
-        pairs = [q.complex_pair() for q in entries]
-        return HVector(np.array([p[0] for p in pairs] + [p[1] for p in pairs]))
+        return HVector.from_components([q.to_array() for q in entries])
+
+    def components(self) -> np.ndarray:
+        """The (N, 4) quaternion components of the entries."""
+        return from_complex_pairs(self.s[:self.dim], self.s[self.dim:])
 
     def entries(self) -> list[Quaternion]:
-        N = self.dim
-        return [Quaternion.from_complex_pair(self.s[k], self.s[N + k]) for k in range(N)]
+        return [Quaternion.from_seq(c) for c in self.components()]
 
     def entry(self, k: int) -> Quaternion:
-        return Quaternion.from_complex_pair(self.s[k], self.s[self.dim + k])
+        return Quaternion.from_seq(from_complex_pairs(self.s[k], self.s[self.dim + k]))
 
     def times(self, q: "Quaternion | complex | float") -> "HVector":
         """Right scalar action v -> v*q."""
@@ -134,17 +141,19 @@ class HMatrix:
     # -- constructors ------------------------------------------------------
 
     @staticmethod
+    def from_components(a: np.ndarray) -> "HMatrix":
+        """The matrix with (N, N, 4) quaternion components ``a``."""
+        A1, A2 = complex_pairs(a)
+        if A1.ndim != 2 or A1.shape[0] != A1.shape[1]:
+            raise DimensionMismatchError("grid must be square")
+        return HMatrix(np.block([[A1, -np.conj(A2)], [A2, np.conj(A1)]]), check=False)
+
+    @staticmethod
     def from_quaternions(grid: Sequence[Sequence[Quaternion]]) -> "HMatrix":
         N = len(grid)
-        A1 = np.empty((N, N), dtype=complex)
-        A2 = np.empty((N, N), dtype=complex)
-        for r, row in enumerate(grid):
-            if len(row) != N:
-                raise DimensionMismatchError("grid must be square")
-            for c, q in enumerate(row):
-                A1[r, c], A2[r, c] = q.complex_pair()
-        emb = np.block([[A1, -np.conj(A2)], [A2, np.conj(A1)]])
-        return HMatrix(emb, check=False)
+        if any(len(row) != N for row in grid):
+            raise DimensionMismatchError("grid must be square")
+        return HMatrix.from_components([[q.to_array() for q in row] for row in grid])
 
     @staticmethod
     def identity(N: int) -> "HMatrix":
@@ -160,22 +169,22 @@ class HMatrix:
         N = cols[0].dim
         if len(cols) != N:
             raise DimensionMismatchError("need exactly dim columns")
-        emb = np.empty((2 * N, 2 * N), dtype=complex)
-        for k, c in enumerate(cols):
-            tc = c.two_column()
-            emb[:, k] = tc[:, 0]
-            emb[:, N + k] = tc[:, 1]
-        return HMatrix(emb, check=False)
+        T = two_columns(cols)
+        return HMatrix(np.concatenate([T[:, 0::2], T[:, 1::2]], axis=1), check=False)
 
     # -- access ------------------------------------------------------------
 
+    def components(self) -> np.ndarray:
+        """The (N, N, 4) quaternion components of the entries."""
+        N = self.dim
+        return from_complex_pairs(self.emb[:N, :N], self.emb[N:, :N])
+
     def entry(self, r: int, c: int) -> Quaternion:
         N = self.dim
-        return Quaternion.from_complex_pair(self.emb[r, c], self.emb[N + r, c])
+        return Quaternion.from_seq(from_complex_pairs(self.emb[r, c], self.emb[N + r, c]))
 
     def to_grid(self) -> list[list[Quaternion]]:
-        N = self.dim
-        return [[self.entry(r, c) for c in range(N)] for r in range(N)]
+        return [[Quaternion.from_seq(c) for c in row] for row in self.components()]
 
     def column(self, k: int) -> HVector:
         N = self.dim
@@ -221,6 +230,11 @@ class HMatrix:
 def complex_embed(A: HMatrix) -> np.ndarray:
     """The 2(n+1) complex representation of a quaternionic matrix."""
     return A.emb.copy()
+
+
+def two_columns(vectors: Sequence[HVector]) -> np.ndarray:
+    """The complex columns [v_1, v_1 j, v_2, v_2 j, ...] of the vectors' embeddings."""
+    return np.concatenate([v.two_column() for v in vectors], axis=1)
 
 
 # ---------------------------------------------------------------------------

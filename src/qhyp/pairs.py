@@ -13,15 +13,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from .decision import Decision, Verdict
 from .errors import NumericalError, UnsupportedElementError
 from .isometry import Classification, Isometry, conjugate_single
-from .linalg import EigenClass, HMatrix, HVector, PointType
-from .quaternion import Quaternion, left_matrix, right_matrix
+from .linalg import EigenClass, HMatrix, HVector, PointType, nullspace, two_columns
+from .quaternion import left_matrix, qconj_array, qmul_array, right_matrix
 
 REASON_TRACE = "real trace mismatch"
 REASON_CLASSES = "eigenvalue class mismatch"
@@ -33,7 +33,7 @@ REASON_GRASSMANNIAN = "eigenvalue Grassmannian mismatch"
 # Eigenframes
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class EigenFrame:
     """Form-normalized eigenbasis of a semisimple element.
 
@@ -45,7 +45,7 @@ class EigenFrame:
     """
 
     kind: Classification
-    reps: list[complex]
+    reps: tuple[complex, ...]
     C: HMatrix
     E: HMatrix
 
@@ -80,7 +80,7 @@ def eigenframe(A: Isometry, tol: float = 1e-8) -> EigenFrame:
     resid = (C @ E @ C.inverse() - A.matrix).norm()
     if resid > tol * max(1.0, A.matrix.norm()):
         raise NumericalError(f"eigenframe reassembly residual {resid:.3e}")
-    return EigenFrame(A.classification, reps, C, E)
+    return EigenFrame(A.classification, tuple(reps), C, E)
 
 
 # ---------------------------------------------------------------------------
@@ -92,15 +92,13 @@ def _fixed_set_bases(A: Isometry) -> list[tuple[HVector, ...]]:
             if c.kind in (PointType.NULL, PointType.NEGATIVE)]
 
 
-def have_common_fixed_point(A: Isometry, B: Isometry, tol: float = 1e-8) -> bool:
+def have_common_fixed_point(A: Isometry, B: Isometry) -> bool:
     """Shared fixed point on the closed ball: intersecting fixed eigenspaces."""
-    from .isometry import _stacked_with_j  # reuse the embedding helper
-
     for ua in _fixed_set_bases(A):
-        Ba = _stacked_with_j(ua)
+        Ba = two_columns(ua)
         ra = np.linalg.matrix_rank(Ba, 1e-8)
         for ub in _fixed_set_bases(B):
-            Bb = _stacked_with_j(ub)
+            Bb = two_columns(ub)
             rb = np.linalg.matrix_rank(Bb, 1e-8)
             rboth = np.linalg.matrix_rank(np.concatenate([Ba, Bb], axis=1), 1e-8)
             if rboth < ra + rb:
@@ -155,33 +153,33 @@ def _decide_regular(A: Isometry, B: Isometry, A2: Isometry, B2: Isometry,
     if (fa.E - fa2.E).norm() > 1e-6 * max(1.0, fa.E.norm()):
         return Decision(Verdict.NOT_CONJUGATE, reason=REASON_CLASSES)
 
-    N = space.dim
     M = fa.C.inverse() @ B.matrix @ fa.C
     M2 = fa2.C.inverse() @ B2.matrix @ fa2.C
-    mg = [[M.entry(r, c) for c in range(N)] for r in range(N)]
-    mg2 = [[M2.entry(r, c) for c in range(N)] for r in range(N)]
+    m, m2 = M.components(), M2.components()
     mscale = max(M.norm(), M2.norm(), 1.0)
 
     # zero patterns must match for a diagonal intertwiner to exist
     z = 1e-9 * mscale
-    for r in range(N):
-        for c in range(N):
-            n1, n2 = mg[r][c].norm(), mg2[r][c].norm()
-            if (n1 < z and n2 > 1e3 * z) or (n2 < z and n1 > 1e3 * z):
-                return Decision(Verdict.NOT_CONJUGATE, reason=REASON_ORBIT)
+    n1, n2 = np.linalg.norm(m, axis=-1), np.linalg.norm(m2, axis=-1)
+    if np.any((n1 < z) & (n2 > 1e3 * z) | (n2 < z) & (n1 > 1e3 * z)):
+        return Decision(Verdict.NOT_CONJUGATE, reason=REASON_ORBIT)
 
-    maps = _propagation_maps(mg, mg2, mscale)
+    # a diagonal gauge D intertwines when m2_kl d_l = d_k m_kl for all k, l
+    R, L2 = right_matrix(m), left_matrix(m2)
+    maps = _propagation_maps(np.minimum(n1, n2), m, R, L2, mscale)
     if maps is None:
         return Decision(Verdict.NOT_CONJUGATE, reason=REASON_ORBIT)
 
-    rows_intertwine = _intertwine_rows(mg, mg2, maps)
-    null1 = _nullspace_rows(rows_intertwine)
+    rows_intertwine = (R @ maps[:, None] - L2 @ maps[None, :]).reshape(-1, 4)
+    null1 = nullspace(rows_intertwine, 1e-7)
     if null1.shape[1] == 0:
         return Decision(Verdict.NOT_CONJUGATE, reason=REASON_ORBIT)
 
-    rows_central = _centralizer_rows(fa.reps, maps)
-    if rows_central.size:
-        null2 = _nullspace_rows(np.vstack([rows_intertwine, rows_central]))
+    # a nonreal class pins d_k to its centralizer: no j, k components
+    reps = np.array(fa.reps)
+    central = np.abs(reps.imag) > 1e-9 * np.maximum(1.0, np.abs(reps))
+    if central.any():
+        null2 = nullspace(np.vstack([rows_intertwine, maps[central, 2:4].reshape(-1, 4)]), 1e-7)
     else:
         null2 = null1
     if null2.shape[1] == 0:
@@ -192,7 +190,7 @@ def _decide_regular(A: Isometry, B: Isometry, A2: Isometry, B2: Isometry,
         candidates += [null2[:, 0] + null2[:, k] for k in range(1, null2.shape[1])]
     any_gauge_ok = False
     for vec in candidates:
-        D = _candidate_gauge(fa, vec, maps)
+        D = _candidate_gauge(fa.kind, maps @ vec)
         if D is None:
             continue
         any_gauge_ok = True
@@ -212,84 +210,47 @@ def _decide_regular(A: Isometry, B: Isometry, A2: Isometry, B2: Isometry,
                     reason="gauge candidates failed verification")
 
 
-def _propagation_maps(mg, mg2, mscale) -> Optional[list[np.ndarray]]:
-    """Real-linear maps vec(d_root) -> vec(d_k) along a max-weight tree."""
-    N = len(mg)
-    maps: list[Optional[np.ndarray]] = [None] * N
+def _propagation_maps(weight: np.ndarray, m: np.ndarray, R: np.ndarray, L2: np.ndarray,
+                      mscale: float) -> Optional[np.ndarray]:
+    """Real-linear maps vec(d_root) -> vec(d_k) along a max-weight tree, as (N, 4, 4)."""
+    N = len(weight)
+    maps = np.zeros((N, 4, 4))
     maps[0] = np.eye(4)
-    visited = {0}
-    while len(visited) < N:
-        best = None
-        for k in range(N):
-            if k in visited:
-                continue
-            for l in visited:
-                w = min(mg[k][l].norm(), mg2[k][l].norm())
-                if best is None or w > best[0]:
-                    best = (w, k, l)
-        if best is None or best[0] < 1e-8 * mscale:
+    visited = np.zeros(N, dtype=bool)
+    visited[0] = True
+    while not visited.all():
+        w = np.where(~visited[:, None] & visited[None, :], weight, -1.0)
+        k, l = np.unravel_index(np.argmax(w), w.shape)
+        if w[k, l] < 1e-8 * mscale:
             return None
-        _, k, l = best
-        # d_k = m2_{kl} d_l m_{kl}^{-1}
-        maps[k] = left_matrix(mg2[k][l]) @ right_matrix(mg[k][l].inverse()) @ maps[l]
-        visited.add(k)
-    return maps  # type: ignore[return-value]
+        # d_k = m2_kl d_l m_kl^-1, and right multiplication by q^-1 is R(q)^T / |q|^2
+        maps[k] = L2[k, l] @ (R[k, l].T / np.sum(m[k, l] * m[k, l])) @ maps[l]
+        visited[k] = True
+    return maps
 
 
-def _intertwine_rows(mg, mg2, maps) -> np.ndarray:
-    N = len(mg)
-    rows = []
-    for k in range(N):
-        for l in range(N):
-            rows.append(right_matrix(mg[k][l]) @ maps[k]
-                        - left_matrix(mg2[k][l]) @ maps[l])
-    return np.vstack(rows)
-
-
-def _centralizer_rows(reps: Sequence[complex], maps) -> np.ndarray:
-    rows = []
-    for k, rep in enumerate(reps):
-        if abs(rep.imag) > 1e-9 * max(1.0, abs(rep)):
-            rows.append(maps[k][2:4, :])
-    return np.vstack(rows) if rows else np.empty((0, 4))
-
-
-def _nullspace_rows(rows: np.ndarray, rtol: float = 1e-7) -> np.ndarray:
-    U, s, Vt = np.linalg.svd(rows, full_matrices=True)
-    if s.size == 0:
-        return np.eye(4)
-    cutoff = rtol * max(s[0], 1.0)
-    rank = int(np.sum(s > cutoff))
-    return Vt[rank:].T
-
-
-def _candidate_gauge(fa: EigenFrame, vec: np.ndarray,
-                     maps: Sequence[np.ndarray]) -> Optional[HMatrix]:
-    """Scale a null-space direction into the gauge group, if possible."""
-    N = len(maps)
-    ds = [Quaternion.from_seq(maps[k] @ vec) for k in range(N)]
-    if any(d.norm() < 1e-12 for d in ds):
+def _candidate_gauge(kind: Classification, ds: np.ndarray) -> Optional[HMatrix]:
+    """Scale a null-space direction, mapped to the (N, 4) diagonal ds, into the
+    gauge group, if possible."""
+    N = len(ds)
+    if np.any(np.linalg.norm(ds, axis=1) < 1e-12):
         return None
-    if fa.kind is Classification.HYPERBOLIC:
-        unit_slots = list(range(1, N - 1))
+    unit_slots = np.arange(1, N - 1) if kind is Classification.HYPERBOLIC else np.arange(N)
+    if unit_slots.size:
+        t = 1.0 / np.linalg.norm(ds[unit_slots[0]])
     else:
-        unit_slots = list(range(N))
-    if unit_slots:
-        t = 1.0 / ds[unit_slots[0]].norm()
-    else:
-        q = ds[0].conj() * ds[-1]
-        if q.norm() < 1e-12 or abs(q.unit().a0 - 1.0) > 1e-5:
+        q = qmul_array(qconj_array(ds[0]), ds[-1])
+        qn = np.linalg.norm(q)
+        if qn < 1e-12 or abs(q[0] / qn - 1.0) > 1e-5:
             return None
-        t = 1.0 / math.sqrt(q.norm())
-    ds = [d * t for d in ds]
-    for k in unit_slots:
-        if abs(ds[k].norm() - 1.0) > 1e-5:
+        t = 1.0 / math.sqrt(qn)
+    ds = ds * t
+    if np.any(np.abs(np.linalg.norm(ds[unit_slots], axis=1) - 1.0) > 1e-5):
+        return None
+    if kind is Classification.HYPERBOLIC:
+        tie = qmul_array(qconj_array(ds[0]), ds[-1])
+        if np.linalg.norm(tie - [1.0, 0.0, 0.0, 0.0]) > 1e-5:
             return None
-    if fa.kind is Classification.HYPERBOLIC:
-        tie = ds[0].conj() * ds[-1]
-        if not tie.approx_eq(Quaternion.one(), 1e-5):
-            return None
-    grid = [[Quaternion() for _ in range(N)] for _ in range(N)]
-    for k in range(N):
-        grid[k][k] = ds[k]
-    return HMatrix.from_quaternions(grid)
+    grid = np.zeros((N, N, 4))
+    grid[np.arange(N), np.arange(N)] = ds
+    return HMatrix.from_components(grid)

@@ -85,8 +85,8 @@ class Quaternion:
     def complex_pair(self) -> tuple[complex, complex]:
         """Split q = z1 + j*z2 with complex z1, z2.
 
-        The convention is z1 = a0 + a1*i and z2 = a2 - a3*i, so that
-        j*z2 = a2*j + a3*k.
+        The scalar form of :func:`complex_pairs`, kept free of array
+        overhead for the Hermitian pairing of two vectors.
         """
         return complex(self.a0, self.a1), complex(self.a2, -self.a3)
 
@@ -293,26 +293,36 @@ def qconj_array(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def left_matrix(q: Quaternion) -> np.ndarray:
-    """4x4 real matrix of left multiplication: left_matrix(q) @ vec(p) = vec(q*p)."""
-    a, b, c, d = q.a0, q.a1, q.a2, q.a3
-    return np.array([
-        [a, -b, -c, -d],
-        [b, a, -d, c],
-        [c, d, a, -b],
-        [d, -c, b, a],
-    ], dtype=float)
+def complex_pairs(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Split trailing-axis-4 components as q = z1 + j*z2 with complex z1, z2.
+
+    The convention is z1 = a0 + a1*i and z2 = a2 - a3*i, so that
+    j*z2 = a2*j + a3*k.  Every component is copied or negated exactly,
+    signed zeros included.
+    """
+    a = np.asarray(a, dtype=float)
+    z = np.empty(a.shape[:-1] + (2,), dtype=complex)
+    z.real = a[..., 0::2]
+    z.imag = a[..., 1::2] * [1.0, -1.0]
+    return z[..., 0], z[..., 1]
 
 
-def right_matrix(q: Quaternion) -> np.ndarray:
-    """4x4 real matrix of right multiplication: right_matrix(q) @ vec(p) = vec(p*q)."""
-    a, b, c, d = q.a0, q.a1, q.a2, q.a3
-    return np.array([
-        [a, -b, -c, -d],
-        [b, a, d, -c],
-        [c, -d, a, b],
-        [d, c, -b, a],
-    ], dtype=float)
+def from_complex_pairs(z1: np.ndarray, z2: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`complex_pairs`: the (..., 4) components of z1 + j*z2."""
+    z1, z2 = np.asarray(z1), np.asarray(z2)
+    return np.stack([z1.real, z1.imag, z2.real, -z2.imag], axis=-1)
+
+
+def left_matrix(q: np.ndarray) -> np.ndarray:
+    """Real 4x4 matrices of left multiplication by trailing-axis-4 components:
+    left_matrix(q) @ p = q*p.  Column c is q times the c-th basis unit."""
+    return qmul_array(np.asarray(q, dtype=float)[..., None, :], np.eye(4)).swapaxes(-1, -2)
+
+
+def right_matrix(q: np.ndarray) -> np.ndarray:
+    """Real 4x4 matrices of right multiplication by trailing-axis-4 components:
+    right_matrix(q) @ p = p*q.  Column c is the c-th basis unit times q."""
+    return qmul_array(np.eye(4), np.asarray(q, dtype=float)[..., None, :]).swapaxes(-1, -2)
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +423,7 @@ def sp1_align(v: np.ndarray, w: np.ndarray,
         sv = np.linalg.svd(wi, compute_uv=False)
         rank = int(np.sum(sv > tol * max(1.0, sv[0])))
         if rank <= 1:
-            mu = _align_collinear(vi, wi, tol)
+            mu = _align_collinear(vi, wi)
             if mu is None:
                 return None
         else:
@@ -433,7 +443,7 @@ def sp1_align(v: np.ndarray, w: np.ndarray,
     return mu
 
 
-def _align_collinear(vi: np.ndarray, wi: np.ndarray, tol: float) -> Optional[Quaternion]:
+def _align_collinear(vi: np.ndarray, wi: np.ndarray) -> Optional[Quaternion]:
     """Minimal rotation for rank-one imaginary data (stabilizer is a circle)."""
     k = int(np.argmax(np.linalg.norm(wi, axis=1)))
     u = wi[k]

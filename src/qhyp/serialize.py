@@ -12,6 +12,8 @@ from __future__ import annotations
 import io
 from typing import Any, Optional
 
+import numpy as np
+
 from .decision import Decision
 from .errors import InvalidSpecError
 from .gram import PointConfig, gram_of
@@ -31,10 +33,19 @@ def quaternion_from_json(data: Any) -> Quaternion:
     return Quaternion.from_seq(data)
 
 
+def _components(rows: Any, what: str) -> np.ndarray:
+    """Wire quaternions as one float array, every entry a finite number."""
+    try:
+        comps = np.asarray(rows, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InvalidSpecError(f"{what} must be equal-length lists of numbers") from exc
+    if not np.isfinite(comps).all():  # asarray reads null as NaN
+        raise InvalidSpecError(f"{what} must be finite numbers")
+    return comps
+
+
 def hmatrix_to_json(M: HMatrix, n: Optional[int] = None) -> dict:
-    grid = M.to_grid()
-    return {"n": n if n is not None else M.dim - 1,
-            "rows": [[quaternion_to_json(q) for q in row] for row in grid]}
+    return {"n": n if n is not None else M.dim - 1, "rows": M.components().tolist()}
 
 
 def hmatrix_from_json(data: dict) -> tuple[HMatrix, int]:
@@ -43,10 +54,11 @@ def hmatrix_from_json(data: dict) -> tuple[HMatrix, int]:
         rows = data["rows"]
     except (KeyError, TypeError) as exc:
         raise InvalidSpecError("matrix JSON needs 'n' and 'rows'") from exc
-    if len(rows) != n + 1 or any(len(r) != n + 1 for r in rows):
-        raise InvalidSpecError(f"expected {n + 1} x {n + 1} rows")
-    grid = [[quaternion_from_json(q) for q in row] for row in rows]
-    return HMatrix.from_quaternions(grid), n
+    comps = _components(rows, "matrix rows")
+    if comps.shape != (n + 1, n + 1, 4):
+        raise InvalidSpecError(f"expected {n + 1} x {n + 1} rows of quaternions, "
+                               f"got shape {comps.shape}")
+    return HMatrix.from_components(comps), n
 
 
 def isometry_from_json(data: dict, tol: float = 1e-8) -> Isometry:
@@ -61,8 +73,7 @@ def isometry_from_json(data: dict, tol: float = 1e-8) -> Isometry:
 
 def config_to_json(cfg: PointConfig) -> dict:
     return {"n": cfg.space.n, "i": cfg.i,
-            "points": [[quaternion_to_json(q) for q in p.lift.entries()]
-                       for p in cfg.points]}
+            "points": [p.lift.components().tolist() for p in cfg.points]}
 
 
 def config_from_json(data: dict, tol: float = 1e-8) -> PointConfig:
@@ -72,13 +83,11 @@ def config_from_json(data: dict, tol: float = 1e-8) -> PointConfig:
     except (KeyError, TypeError) as exc:
         raise InvalidSpecError("config JSON needs 'n' and 'points'") from exc
     space = HermitianSpace(n)
-    pts = []
-    for row in points:
-        if len(row) != n + 1:
-            raise InvalidSpecError(f"each point needs {n + 1} coordinates")
-        lift = HVector.from_quaternions([quaternion_from_json(q) for q in row])
-        pts.append(ProjPoint.from_lift(space, lift, tol))
-    cfg = gram_of(space, pts, tol)
+    lifts = _components(points, "points")
+    if lifts.ndim != 3 or lifts.shape[1:] != (n + 1, 4):
+        raise InvalidSpecError(f"each point needs {n + 1} quaternion coordinates")
+    cfg = gram_of(space, [ProjPoint.from_lift(space, HVector.from_components(a), tol)
+                          for a in lifts], tol)
     declared = data.get("i")
     if declared is not None and int(declared) != cfg.i:
         raise InvalidSpecError(f"declared i={declared} but found {cfg.i} null points")

@@ -1,0 +1,21 @@
+"""Fixtures shared by several test modules."""
+
+import numpy as np
+import pytest
+
+from qhyp.linalg import HMatrix
+
+
+def _cayley_member(sp, rng):
+    """(I + Y)(I - Y)^-1 for a complex Y with Y* H + H Y = 0: a U(n,1) member."""
+    X = 0.3 * (rng.normal(size=(sp.dim, sp.dim)) + 1j * rng.normal(size=(sp.dim, sp.dim)))
+    Y = np.linalg.inv(sp.H) @ (X - X.conj().T)
+    eye = np.eye(sp.dim)
+    C = (eye + Y) @ np.linalg.inv(eye - Y)
+    return HMatrix(np.block([[C, np.zeros_like(C)], [np.zeros_like(C), C.conj()]]))
+
+
+@pytest.fixture
+def cayley_member():
+    """The complex-member factory ``cayley_member(space, rng)``."""
+    return _cayley_member

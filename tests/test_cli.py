@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from qhyp.cli import main
+from qhyp.errors import InvalidSpecError
 from qhyp.isometry import Classification, HyperbolicSpec, random_semisimple
 from qhyp.linalg import HermitianSpace
 from qhyp.sampling import apply_isometry, sample_config
@@ -57,6 +58,45 @@ def test_profile_json_roundtrip():
     data = profile_to_json(prof)
     prof2 = profile_from_json(data)
     assert profile_to_json(prof2) == data
+
+
+def _spoiled(rows, how):
+    """A deep copy of wire rows (matrix rows or configuration points) with one defect."""
+    rows = json.loads(json.dumps(rows))
+    if how == "null component":
+        rows[0][1][2] = None
+    elif how == "null quaternion":
+        rows[0][1] = None
+    elif how == "string":
+        rows[1][0][0] = "one"
+    elif how == "3-component quaternion":
+        rows[0][0] = rows[0][0][:3]
+    elif how == "ragged row":
+        rows[1] = rows[1][:-1]
+    elif how == "wrong point length":
+        rows = [row + [row[0]] for row in rows]
+    elif how == "NaN":
+        rows[0][0][3] = float("nan")
+    elif how == "Infinity":
+        rows[1][1][0] = float("inf")
+    return rows
+
+
+DEFECTS = ("null component", "null quaternion", "string", "3-component quaternion",
+           "ragged row", "wrong point length", "NaN", "Infinity")
+
+
+@pytest.mark.parametrize("how", DEFECTS)
+def test_decoders_reject_malformed_entries(how, tmp_path, hyperbolic_json):
+    bad_matrix = dict(hyperbolic_json, rows=_spoiled(hyperbolic_json["rows"], how))
+    with pytest.raises(InvalidSpecError):
+        hmatrix_from_json(bad_matrix)
+    cfg = config_to_json(sample_config(HermitianSpace(2), 4, 3, np.random.default_rng(7)))
+    bad_config = dict(cfg, points=_spoiled(cfg["points"], how))
+    with pytest.raises(InvalidSpecError):
+        config_from_json(bad_config)
+    assert main(["classify", write(tmp_path, "m.json", bad_matrix)]) == 2
+    assert main(["invariants", write(tmp_path, "c.json", bad_config)]) == 2
 
 
 # -- commands ----------------------------------------------------------------------

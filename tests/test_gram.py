@@ -19,7 +19,7 @@ from qhyp.gram import (
 )
 from qhyp.invariants import ProjPoint, profile, profile_from_gram
 from qhyp.isometry import random_member
-from qhyp.linalg import HermitianSpace, HMatrix, HVector, PointType
+from qhyp.linalg import HermitianSpace, HVector, PointType
 from qhyp.quaternion import Quaternion, qconj_array, qmul_array
 from qhyp.sampling import (
     apply_isometry,
@@ -107,7 +107,9 @@ def test_gram_objects_are_immutable():
     cfg = sample_config(sp, 5, 3, np.random.default_rng(63))
     sng = semi_normalize(cfg)
     prof = profile_from_gram(sng)
-    for obj, field in ((cfg, "gram"), (cfg, "points"), (sng, "gram"), (prof, "a23")):
+    dec = congruent(cfg, cfg)
+    for obj, field in ((cfg, "gram"), (cfg, "points"), (sng, "gram"), (prof, "a23"),
+                       (dec, "verdict"), (dec, "witness")):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(obj, field, None)
     for seq in (prof.x_slots, prof.pair_slots, prof.first_row):
@@ -344,15 +346,6 @@ def _complex_lift(sp, rng, null):
     return HVector(np.concatenate([z, np.zeros(sp.dim)]))
 
 
-def _cayley_member(sp, rng):
-    """(I + Y)(I - Y)^-1 for a complex Y with Y* H + H Y = 0: a U(n,1) member."""
-    X = 0.3 * (rng.normal(size=(sp.dim, sp.dim)) + 1j * rng.normal(size=(sp.dim, sp.dim)))
-    Y = np.linalg.inv(sp.H) @ (X - X.conj().T)
-    eye = np.eye(sp.dim)
-    C = (eye + Y) @ np.linalg.inv(eye - Y)
-    return HMatrix(np.block([[C, np.zeros_like(C)], [np.zeros_like(C), C.conj()]]))
-
-
 def _jk_free(values):
     """Largest j or k component of quaternion rows, over max(1, largest row norm)."""
     values = np.asarray(values).reshape(-1, 4)
@@ -360,7 +353,7 @@ def _jk_free(values):
 
 
 @pytest.mark.parametrize("m,i,n", [(5, 3, 2), (4, 4, 1), (5, 0, 3), (6, 4, 3)])
-def test_complex_subfield_stays_complex(m, i, n):
+def test_complex_subfield_stays_complex(m, i, n, cayley_member):
     # SU(n,1): configurations with complex lifts keep every Gram entry and
     # every profile slot in the complex subfield, and the congruence decider
     # accepts their images under a complex member of U(n,1)
@@ -368,7 +361,7 @@ def test_complex_subfield_stays_complex(m, i, n):
     rng = np.random.default_rng(700 + 10 * m + i)
     cfg = gram_of(sp, [ProjPoint.from_lift(sp, _complex_lift(sp, rng, k < i)) for k in range(m)])
     assert cfg.i == i
-    C = _cayley_member(sp, rng)
+    C = cayley_member(sp, rng)
     assert sp.is_member(C, 1e-10)
     moved = apply_isometry(cfg, C)
     for c in (cfg, moved):

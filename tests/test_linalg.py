@@ -27,6 +27,7 @@ from qhyp.linalg import (
     orthonormal_form_basis,
     right_eigen,
 )
+from qhyp.pairs import eigenframe
 from qhyp.quaternion import Quaternion
 from qhyp.sampling import random_elliptic_spec, random_hyperbolic_spec
 
@@ -83,6 +84,14 @@ def test_embed_star_and_grid_roundtrip():
     grid = A.to_grid()
     again = HMatrix.from_quaternions(grid)
     assert np.max(np.abs(A.emb - again.emb)) < 1e-14
+    # the component array round-trips bit for bit, signed zeros included
+    comps = rng.uniform(-1.0, 1.0, (3, 3, 4))
+    comps[0, 1] = [-0.0, 0.0, -0.0, -0.0]
+    comps[2, 0, 1:] = [-0.0, 0.0, -0.0]
+    back = HMatrix.from_components(comps).components()
+    assert back.tobytes() == comps.tobytes()
+    assert HVector.from_components(comps[0]).components().tobytes() == comps[0].tobytes()
+    assert np.array_equal([[q.to_array() for q in row] for row in grid], A.components())
     # star is entrywise conjugate transpose
     S = A.star().to_grid()
     for r in range(3):
@@ -340,6 +349,12 @@ def test_eigen_data_is_immutable():
     # the null pair comes back rescaled to <a, r> = 1 in new classes
     a, r = (c.vectors[0] for c in data.classes if c.kind == PointType.NULL)
     assert sp.herm(a, r).approx_eq(ONE, 1e-9)
+    # so does the eigenframe the pair decider assembles from them
+    frame = eigenframe(Isometry(A, sp))
+    assert isinstance(frame.reps, tuple)
+    for field in ("reps", "C"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(frame, field, None)
 
 
 def _expected_multiplicities(kind, spec):

@@ -31,3 +31,23 @@ def test_no_unused_imports():
                     if name not in used:
                         unused.append(f"{path.name}: {name}")
     assert unused == []
+
+
+def test_every_parameter_is_read():
+    # every parameter of every function is read in that function's body;
+    # self, cls and _-prefixed names are exempt
+    unread = []
+    for path in sorted(Path(qhyp.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args = fn.args
+            params = args.posonlyargs + args.args + args.kwonlyargs
+            params += [a for a in (args.vararg, args.kwarg) if a is not None]
+            read = {node.id for stmt in fn.body for node in ast.walk(stmt)
+                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            unread += [f"{path.name}: {fn.name}({a.arg})" for a in params
+                       if a.arg not in read and a.arg not in ("self", "cls")
+                       and not a.arg.startswith("_")]
+    assert unread == []

@@ -151,3 +151,51 @@ def test_pair_conjugate_rejects_common_fixed_point():
     with pytest.raises(UnsupportedElementError):
         pair_conjugate(A, A, A, A)
 
+
+
+@pytest.mark.parametrize("kinds", [(HYP, HYP), (ELL, ELL), (HYP, ELL)])
+@pytest.mark.parametrize("n", [2, 4])
+def test_pair_decider_builds_no_quaternions(n, kinds, monkeypatch):
+    # the decider works on component arrays from eigenframe to witness
+    sp = HermitianSpace(n)
+    rng = np.random.default_rng(90 + n)
+    A, B = sample_pair(sp, rng, kinds=kinds)
+    A2, B2 = conjugated_pair(sp, A, B, rng)
+    built = []
+    init = Quaternion.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Quaternion, "__init__", counting_init)
+    dec = pair_conjugate(A, B, A2, B2)
+    assert dec.verdict is Verdict.CONJUGATE
+    assert len(built) == 0
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_complex_hyperbolic_pairs(n, cayley_member):
+    # SU(n,1): pairs of complex members C diag(...) C^-1 and their images
+    # under another complex member are conjugate by a complex witness
+    sp = HermitianSpace(n)
+    for seed in range(10):
+        rng = np.random.default_rng(900 + 10 * n + seed)
+        members = []
+        for _ in range(2):
+            r, theta = rng.uniform(1.3, 3.0), rng.uniform(0.2, 2.9)
+            middle = np.exp(1j * np.sort(rng.uniform(0.2, 2.9, n - 1)))
+            E = HMatrix.diag_complex([r * np.exp(1j * theta), *middle, np.exp(1j * theta) / r])
+            C = cayley_member(sp, rng)
+            members.append(Isometry(sp.project_to_group(C @ E @ C.inverse()), sp))
+        A, B = members
+        C0 = cayley_member(sp, rng)
+        A2, B2 = (Isometry(sp.project_to_group(C0 @ X.matrix @ C0.inverse()), sp)
+                  for X in (A, B))
+        dec = pair_conjugate(A, B, A2, B2)
+        assert dec.verdict is Verdict.CONJUGATE
+        W = dec.witness
+        bound = 1e-7 * max(1.0, A.matrix.norm() + B.matrix.norm())
+        assert (W @ A.matrix @ W.inverse() - A2.matrix).norm() < bound
+        assert (W @ B.matrix @ W.inverse() - B2.matrix).norm() < bound
+        assert np.max(np.abs(W.emb[sp.dim:, :sp.dim])) <= 1e-12

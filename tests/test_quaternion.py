@@ -11,7 +11,11 @@ from qhyp.quaternion import (
     centralizer_contains,
     polar_decompose,
     qconj_array,
+    complex_pairs,
+    from_complex_pairs,
+    left_matrix,
     qmul_array,
+    right_matrix,
     quaternion_from_rotation,
     rotation_matrix,
     similar,
@@ -71,6 +75,23 @@ def test_complex_pair_roundtrip():
     # j * z2 convention: j has pair (0, 1)
     assert J.complex_pair() == (0j, 1 + 0j)
     assert K.complex_pair() == (0j, -1j)
+    # the array form splits every entry the same way and inverts exactly
+    a = rng.normal(size=(3, 2, 4))
+    z1, z2 = complex_pairs(a)
+    assert np.array_equal(z1, a[..., 0] + 1j * a[..., 1])
+    assert np.array_equal(z2, a[..., 2] - 1j * a[..., 3])
+    assert from_complex_pairs(z1, z2).tobytes() == a.tobytes()
+    for idx in np.ndindex(3, 2):
+        assert Quaternion.from_seq(a[idx]).complex_pair() == (z1[idx], z2[idx])
+
+
+def test_multiplication_matrices_batch():
+    rng = np.random.default_rng(3)
+    q, p = rng.normal(size=(2, 5, 3, 4))
+    np.testing.assert_allclose(left_matrix(q) @ p[..., None], qmul_array(q, p)[..., None],
+                               rtol=0, atol=1e-14)
+    np.testing.assert_allclose(right_matrix(q) @ p[..., None], qmul_array(p, q)[..., None],
+                               rtol=0, atol=1e-14)
 
 
 # -- polar form -------------------------------------------------------------

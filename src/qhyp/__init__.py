@@ -70,16 +70,7 @@ from .linalg import (
     right_eigen,
 )
 from .pairs import EigenFrame, eigenframe, have_common_fixed_point, pair_conjugate
-from .quaternion import (
-    DEFAULT_TOL,
-    PolarForm,
-    Quaternion,
-    SimilarityClass,
-    centralizer_contains,
-    polar_decompose,
-    similar,
-    sp1_align,
-)
+from .quaternion import DEFAULT_TOL, Quaternion, sp1_align
 
 __all__ = [
     "Classification", "Decision", "DEFAULT_TOL",
@@ -88,16 +79,14 @@ __all__ = [
     "HermitianSpace", "HMatrix", "HVector",
     "HyperbolicSpec", "InvalidSpecError", "InvariantProfile", "Isometry",
     "NotSemisimpleError", "NumericalError", "PointConfig", "PointType",
-    "PolarForm", "ProjPoint", "QhypError", "Quaternion", "SemiNormalizedGram",
-    "SimilarityClass", "UnsupportedElementError", "Verdict",
-    "angular_invariant", "centralizer_contains", "char_poly_real_coeffs",
-    "classify", "complex_embed", "congruent", "conjugate_single",
+    "ProjPoint", "QhypError", "Quaternion", "SemiNormalizedGram",
+    "UnsupportedElementError", "Verdict", "angular_invariant",
+    "char_poly_real_coeffs", "classify", "complex_embed", "congruent", "conjugate_single",
     "cross_ratio", "cross_ratio_triple", "distance_invariant", "eigenframe",
     "equal_by_invariants", "gram_of", "have_common_fixed_point", "is_member",
-    "orbit_equal", "pair_conjugate", "polar_decompose", "profile",
+    "orbit_equal", "pair_conjugate", "profile",
     "random_member", "random_semisimple", "real_trace", "reconstruct_gram",
-    "right_eigen", "rotation_invariant", "semi_normalize", "similar",
-    "sp1_align",
+    "right_eigen", "rotation_invariant", "semi_normalize", "sp1_align",
 ]
 
 __version__ = "0.1.0"

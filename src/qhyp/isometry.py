@@ -124,12 +124,14 @@ def real_trace(A: Isometry) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _class_multisets_match(a: Sequence[EigenClass], b: Sequence[EigenClass],
-                           tol: float) -> bool:
-    """Greedy tolerance matching; a sorted zip would misalign near-ties."""
+                           tol: float) -> Optional[list[tuple[int, int]]]:
+    """Greedy tolerance matching of two class multisets: the matched index
+    pairs, or None.  A sorted zip would misalign near-ties."""
     if len(a) != len(b):
-        return False
+        return None
     used = [False] * len(b)
-    for ca in a:
+    pairs = []
+    for ia, ca in enumerate(a):
         hit = None
         for idx, cb in enumerate(b):
             if used[idx] or cb.multiplicity != ca.multiplicity:
@@ -140,9 +142,10 @@ def _class_multisets_match(a: Sequence[EigenClass], b: Sequence[EigenClass],
                 hit = idx
                 break
         if hit is None:
-            return False
+            return None
         used[hit] = True
-    return True
+        pairs.append((ia, hit))
+    return pairs
 
 
 def conjugate_single(A: Isometry, B: Isometry, tol: float = 1e-7) -> bool:
@@ -156,7 +159,7 @@ def conjugate_single(A: Isometry, B: Isometry, tol: float = 1e-7) -> bool:
         raise UnsupportedElementError("conjugacy test supports semisimple elements only")
     if A.classification is not B.classification:
         return False
-    if not _class_multisets_match(A.classes(), B.classes(), tol):
+    if _class_multisets_match(A.classes(), B.classes(), tol) is None:
         return False
     if A.classification is Classification.ELLIPTIC:
         neg_a = [c for c in A.classes() if c.kind == PointType.NEGATIVE]
@@ -173,23 +176,23 @@ def conjugate_single(A: Isometry, B: Isometry, tol: float = 1e-7) -> bool:
 # Equality by invariants
 # ---------------------------------------------------------------------------
 
+def _spans_equal(B1: np.ndarray, B2: np.ndarray, tol: float) -> bool:
+    """True when the column spans of B1 and B2 coincide."""
+    return (matrix_rank(B1, tol) == matrix_rank(B2, tol)
+            == matrix_rank(np.concatenate([B1, B2], axis=1), tol))
+
+
 def quaternionic_spans_equal(v1: Sequence[HVector], v2: Sequence[HVector],
                              tol: float = 1e-8) -> bool:
     """True when the right quaternionic spans coincide."""
-    B1, B2 = two_columns(v1), two_columns(v2)
-    r1 = matrix_rank(B1, tol)
-    r2 = matrix_rank(B2, tol)
-    return r1 == r2 == matrix_rank(np.concatenate([B1, B2], axis=1), tol)
+    return _spans_equal(two_columns(v1), two_columns(v2), tol)
 
 
 def complex_spans_equal(v1: Sequence[HVector], v2: Sequence[HVector],
                         tol: float = 1e-8) -> bool:
     """True when the complex spans of the stacked vectors coincide."""
-    B1 = np.stack([v.s for v in v1], axis=1)
-    B2 = np.stack([v.s for v in v2], axis=1)
-    r1 = matrix_rank(B1, tol)
-    r2 = matrix_rank(B2, tol)
-    return r1 == r2 == matrix_rank(np.concatenate([B1, B2], axis=1), tol)
+    return _spans_equal(np.stack([v.s for v in v1], axis=1),
+                        np.stack([v.s for v in v2], axis=1), tol)
 
 
 def equal_by_invariants(A: Isometry, B: Isometry, tol: float = 1e-7) -> bool:
@@ -204,23 +207,11 @@ def equal_by_invariants(A: Isometry, B: Isometry, tol: float = 1e-7) -> bool:
     ta, tb = A.real_trace(), B.real_trace()
     if not np.allclose(ta, tb, atol=tol * max(1.0, float(np.max(np.abs(ta))))):
         return False
-    if len(A.classes()) != len(B.classes()):
+    pairs = _class_multisets_match(A.classes(), B.classes(), tol)
+    if pairs is None:
         return False
-    used = [False] * len(B.classes())
-    for ca in A.classes():
-        match = None
-        for idx, cb in enumerate(B.classes()):
-            if used[idx] or cb.multiplicity != ca.multiplicity:
-                continue
-            scale = max(1.0, ca.modulus)
-            if (abs(ca.modulus - cb.modulus) <= tol * scale
-                    and abs(ca.angle - cb.angle) <= tol):
-                match = idx
-                break
-        if match is None:
-            return False
-        used[match] = True
-        cb = B.classes()[match]
+    for ia, ib in pairs:
+        ca, cb = A.classes()[ia], B.classes()[ib]
         if ca.is_real():
             if not quaternionic_spans_equal(ca.vectors, cb.vectors, tol):
                 return False

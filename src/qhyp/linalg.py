@@ -23,6 +23,7 @@ import numpy as np
 from .errors import (
     DimensionMismatchError,
     GramSchmidtError,
+    InvalidSpecError,
     NotSemisimpleError,
     NumericalError,
 )
@@ -256,15 +257,15 @@ class HermitianSpace:
 
     def __init__(self, n: int, form: Optional[np.ndarray] = None):
         if n < 1:
-            raise ValueError("need n >= 1")
+            raise InvalidSpecError("need n >= 1")
         self.n = n
         self.dim = n + 1
         H = corner_form(self.dim) if form is None else np.asarray(form, dtype=float)
         if H.shape != (self.dim, self.dim) or np.linalg.norm(H - H.T) > 1e-12:
-            raise ValueError("form must be a real symmetric (n+1) x (n+1) matrix")
+            raise InvalidSpecError("form must be a real symmetric (n+1) x (n+1) matrix")
         eigs = np.linalg.eigvalsh(H)
         if np.sum(eigs > 0) != n or np.sum(eigs < 0) != 1:
-            raise ValueError("form must have signature (n, 1)")
+            raise InvalidSpecError("form must have signature (n, 1)")
         self.H = H
         self.H_emb = np.zeros((2 * self.dim, 2 * self.dim), dtype=complex)
         self.H_emb[:self.dim, :self.dim] = H

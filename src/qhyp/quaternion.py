@@ -1,10 +1,10 @@
-"""Quaternion scalars: arithmetic, polar form, similarity classes, and the
-unit-quaternion simultaneous-conjugation solver.
+"""Quaternion scalars, broadcast arithmetic on (..., 4) component arrays, and
+the unit-quaternion simultaneous-conjugation solver.
 
 A quaternion is stored by its four real components a0 + a1*i + a2*j + a3*k.
-Conjugation by a unit quaternion fixes real parts and rotates imaginary parts,
-which is what makes the alignment problem here an orthogonal Procrustes
-problem on 3-vectors.
+Conjugation by a unit quaternion fixes real parts and norms; for unit mu the
+equation conj(mu) * w * mu = v reads w * mu - mu * v = 0, which is linear in
+mu, so the alignment problem here is one null-space computation.
 """
 
 from __future__ import annotations
@@ -75,9 +75,6 @@ class Quaternion:
 
     def im(self) -> "Quaternion":
         return Quaternion(0.0, self.a1, self.a2, self.a3)
-
-    def imag_vec(self) -> np.ndarray:
-        return np.array([self.a1, self.a2, self.a3], dtype=float)
 
     def to_array(self) -> np.ndarray:
         return np.array([self.a0, self.a1, self.a2, self.a3], dtype=float)
@@ -157,9 +154,6 @@ class Quaternion:
     def is_zero(self, tol: float = DEFAULT_TOL) -> bool:
         return self.norm() <= tol
 
-    def is_real(self, tol: float = DEFAULT_TOL) -> bool:
-        return math.sqrt(self.a1 ** 2 + self.a2 ** 2 + self.a3 ** 2) <= tol
-
     def approx_eq(self, other: "Quaternion", tol: float = DEFAULT_TOL) -> bool:
         return (self - other).norm() <= tol
 
@@ -173,102 +167,7 @@ def _coerce(x: "Quaternion | float | int") -> Quaternion:
     return Quaternion(float(x))
 
 
-ZERO = Quaternion()
 ONE = Quaternion(1.0)
-
-
-# ---------------------------------------------------------------------------
-# Polar form and similarity classes
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class PolarForm:
-    """Polar coordinates of a quaternion: modulus * (cos(angle) + axis*sin(angle)).
-
-    ``axis`` is a unit pure quaternion, or zero exactly when the source is
-    real (the angle is then 0 or pi).
-    """
-
-    modulus: float
-    angle: float
-    axis: Quaternion
-
-    def value(self) -> Quaternion:
-        c, s = math.cos(self.angle), math.sin(self.angle)
-        return Quaternion.real(self.modulus * c) + self.axis * (self.modulus * s)
-
-
-def polar_decompose(q: Quaternion, tol: float = DEFAULT_TOL) -> PolarForm:
-    """Decompose ``q`` as modulus * (cos(angle) + axis*sin(angle)), angle in [0, pi]."""
-    r = q.norm()
-    if r == 0.0:
-        return PolarForm(0.0, 0.0, ZERO)
-    v = q.imag_vec()
-    vn = float(np.linalg.norm(v))
-    if vn <= tol * r:
-        # Real quaternion: angle 0 for positive, pi for negative.
-        return PolarForm(r, 0.0 if q.a0 >= 0 else math.pi, ZERO)
-    angle = math.atan2(vn, q.a0)
-    axis = Quaternion.from_vector(0.0, v / vn)
-    return PolarForm(r, angle, axis)
-
-
-@dataclass(frozen=True)
-class SimilarityClass:
-    """Conjugation class of a quaternion, represented by r*e^(i*theta), theta in [0, pi].
-
-    Two quaternions are similar exactly when their real parts and norms agree,
-    so (modulus, angle) is a complete invariant.
-    """
-
-    modulus: float
-    angle: float
-
-    @staticmethod
-    def from_quaternion(q: Quaternion) -> "SimilarityClass":
-        r = q.norm()
-        if r == 0.0:
-            return SimilarityClass(0.0, 0.0)
-        vn = float(np.linalg.norm(q.imag_vec()))
-        return SimilarityClass(r, math.atan2(vn, q.a0))
-
-    @staticmethod
-    def from_complex(z: complex) -> "SimilarityClass":
-        return SimilarityClass(abs(z), math.atan2(abs(z.imag), z.real))
-
-    @property
-    def representative(self) -> complex:
-        return self.modulus * complex(math.cos(self.angle), math.sin(self.angle))
-
-    def is_real(self, tol: float = DEFAULT_TOL) -> bool:
-        return self.modulus * math.sin(self.angle) <= tol
-
-    def matches(self, other: "SimilarityClass", tol: float = DEFAULT_TOL) -> bool:
-        scale = max(1.0, self.modulus, other.modulus)
-        return (abs(self.modulus - other.modulus) <= tol * scale
-                and abs(self.modulus * math.cos(self.angle)
-                        - other.modulus * math.cos(other.angle)) <= tol * scale)
-
-
-def similar(a: Quaternion, b: Quaternion, tol: float = DEFAULT_TOL) -> bool:
-    """True when ``a`` and ``b`` lie in one conjugation class (equal Re and norm)."""
-    return abs(a.re - b.re) <= tol and abs(a.norm() - b.norm()) <= tol
-
-
-def centralizer_contains(lam: Quaternion, q: Quaternion, tol: float = DEFAULT_TOL) -> bool:
-    """True when ``q`` lies in the real span of {1, lam}.
-
-    ``lam`` must be nonreal; its centralizer in the quaternions is exactly
-    that two-dimensional real subalgebra.
-    """
-    lam_im = lam.imag_vec()
-    lam_im_norm = float(np.linalg.norm(lam_im))
-    if lam_im_norm <= tol * max(1.0, lam.norm()):
-        raise ValueError("lam must be nonreal: its centralizer is the whole algebra")
-    u = lam_im / lam_im_norm
-    v = q.imag_vec()
-    resid = v - np.dot(v, u) * u
-    return float(np.linalg.norm(resid)) <= tol * max(1.0, q.norm())
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +225,7 @@ def right_matrix(q: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Rotation <-> unit quaternion
+# Rotation of the imaginary part
 # ---------------------------------------------------------------------------
 
 def rotation_matrix(q: Quaternion) -> np.ndarray:
@@ -337,41 +236,6 @@ def rotation_matrix(q: Quaternion) -> np.ndarray:
         [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
         [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
     ], dtype=float)
-
-
-def quaternion_from_rotation(R: np.ndarray) -> Quaternion:
-    """Unit quaternion for a proper rotation matrix (Shepperd's method)."""
-    t = float(np.trace(R))
-    d0 = 1.0 + t
-    d1 = 1.0 + 2.0 * R[0, 0] - t
-    d2 = 1.0 + 2.0 * R[1, 1] - t
-    d3 = 1.0 + 2.0 * R[2, 2] - t
-    dmax = max(d0, d1, d2, d3)
-    if dmax == d0:
-        w = 0.5 * math.sqrt(d0)
-        s = 0.25 / w
-        x = (R[2, 1] - R[1, 2]) * s
-        y = (R[0, 2] - R[2, 0]) * s
-        z = (R[1, 0] - R[0, 1]) * s
-    elif dmax == d1:
-        x = 0.5 * math.sqrt(d1)
-        s = 0.25 / x
-        w = (R[2, 1] - R[1, 2]) * s
-        y = (R[0, 1] + R[1, 0]) * s
-        z = (R[0, 2] + R[2, 0]) * s
-    elif dmax == d2:
-        y = 0.5 * math.sqrt(d2)
-        s = 0.25 / y
-        w = (R[0, 2] - R[2, 0]) * s
-        x = (R[0, 1] + R[1, 0]) * s
-        z = (R[1, 2] + R[2, 1]) * s
-    else:
-        z = 0.5 * math.sqrt(d3)
-        s = 0.25 / z
-        w = (R[1, 0] - R[0, 1]) * s
-        x = (R[0, 2] + R[2, 0]) * s
-        y = (R[1, 2] + R[2, 1]) * s
-    return Quaternion(w, x, y, z).unit()
 
 
 def canonical_sign(q: Quaternion) -> Quaternion:
@@ -395,13 +259,19 @@ def sp1_align(v: np.ndarray, w: np.ndarray,
     ``v`` and ``w`` are (k, 4) arrays of quaternion components.  Returns
     ``None`` when no unit quaternion achieves the alignment within ``tol``.
     Conjugation fixes real parts and norms, so those must match
-    componentwise first; the imaginary parts then pose an orthogonal
-    Procrustes problem whose optimal proper rotation certifies absence when
-    its residual is too large.
+    componentwise first.  For unit mu the equations read
+    w_k * mu - mu * v_k = 0, so the solutions span the null space of the
+    stacked (4k, 4) matrix left_matrix(w) - right_matrix(v), read off one
+    SVD as the right singular vectors whose singular value is within
+    ``tol * scale`` of the smallest.  On exact data the smallest is zero up
+    to rounding; otherwise the least-squares optimum and its near-ties are
+    tried, and the final check certifies or rejects the result.
 
     Degenerate inputs (all imaginary parts zero or collinear) have a circle
-    of solutions; the representative closest to 1 is returned, which keeps
-    the output deterministic.
+    of solutions or more; the representative closest to 1, the normalized
+    projection of 1 onto the null space, is returned, which keeps the output
+    deterministic.  Only antipodal rank-one data (to within ``tol``) leave 1
+    orthogonal to every solution; then i, j, k are projected in that order.
     """
     v = np.asarray(v, dtype=float).reshape(-1, 4)
     w = np.asarray(w, dtype=float).reshape(-1, 4)
@@ -413,60 +283,18 @@ def sp1_align(v: np.ndarray, w: np.ndarray,
             or np.any(np.abs(vn - wn) > tol * scale)):
         return None
 
-    vi, wi = v[:, 1:], w[:, 1:]
-    data_scale = max(1.0, float(np.max(np.abs(np.concatenate([vi, wi]))))) if len(v) else 1.0
+    if len(v) == 0:  # nothing to align
+        return ONE
+    _, s, vt = np.linalg.svd((left_matrix(w) - right_matrix(v)).reshape(-1, 4),
+                             full_matrices=False)
+    null = vt[int(np.sum(s > s[-1] + tol * scale)):]
+    proj = null.T @ null  # column c: projection of the c-th unit onto the solutions
+    norms = np.linalg.norm(proj, axis=0)
+    c = int(np.argmax(norms > tol))
+    mu = canonical_sign(Quaternion.from_seq(proj[:, c] / norms[c]))
 
-    # Rank of the imaginary data decides which branch applies.
-    if len(v) == 0 or float(np.linalg.norm(wi)) <= tol * data_scale:
-        mu = ONE
-    else:
-        sv = np.linalg.svd(wi, compute_uv=False)
-        rank = int(np.sum(sv > tol * max(1.0, sv[0])))
-        if rank <= 1:
-            mu = _align_collinear(vi, wi)
-            if mu is None:
-                return None
-        else:
-            B = vi.T @ wi
-            U, _, Vt = np.linalg.svd(B)
-            d = np.sign(np.linalg.det(U @ Vt))
-            if d == 0:
-                d = 1.0
-            R = U @ np.diag([1.0, 1.0, d]) @ Vt
-            mu = quaternion_from_rotation(R).conj()
-
-    mu = canonical_sign(mu)
     m = mu.to_array()
     aligned = qmul_array(qmul_array(qconj_array(m), w), m)
     if np.any(np.linalg.norm(aligned - v, axis=1) > tol * np.maximum(vn, scale)):
         return None
     return mu
-
-
-def _align_collinear(vi: np.ndarray, wi: np.ndarray) -> Optional[Quaternion]:
-    """Minimal rotation for rank-one imaginary data (stabilizer is a circle)."""
-    k = int(np.argmax(np.linalg.norm(wi, axis=1)))
-    u = wi[k]
-    un = np.linalg.norm(u)
-    u = u / un
-    up = vi[k]
-    upn = np.linalg.norm(up)
-    if upn == 0.0:
-        return None
-    up = up / upn
-    c = float(np.clip(np.dot(u, up), -1.0, 1.0))
-    if c >= 1.0 - 1e-14:
-        return ONE
-    if c <= -1.0 + 1e-14:
-        # Half-turn about any axis orthogonal to u; pick deterministically.
-        basis = np.eye(3)
-        e = basis[int(np.argmin(np.abs(u)))]
-        axis = np.cross(u, e)
-        axis = axis / np.linalg.norm(axis)
-        return Quaternion.from_vector(0.0, axis)
-    axis = np.cross(u, up)
-    axis = axis / np.linalg.norm(axis)
-    half = 0.5 * math.acos(c)
-    # R rotates u onto up; mu is its conjugate so that conj(mu)*q*mu applies R.
-    mu_bar = Quaternion.from_vector(math.cos(half), axis * math.sin(half))
-    return mu_bar.conj()

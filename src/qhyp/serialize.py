@@ -3,13 +3,16 @@
 Quaternions travel as 4-arrays [a0, a1, a2, a3]; matrices as
 {"n": ..., "rows": [[quaternion, ...], ...]}; configurations as
 {"n": ..., "i": ..., "points": [[quaternion, ...], ...]} where each point is
-a lift (a row of n+1 quaternions).  CSV flattens quaternions into four
-adjacent columns suffixed .w/.x/.y/.z.
+a lift (a row of n+1 quaternions).  Components and real fields are finite
+JSON numbers and counts and indices are JSON integers (n >= 1); decoders
+reject strings, booleans, null, NaN and Infinity in their place.  CSV
+flattens quaternions into four adjacent columns suffixed .w/.x/.y/.z.
 """
 
 from __future__ import annotations
 
 import io
+import math
 from typing import Any, Optional
 
 import numpy as np
@@ -27,21 +30,55 @@ def quaternion_to_json(q: Quaternion) -> list[float]:
     return [q.a0, q.a1, q.a2, q.a3]
 
 
+#: what JSON numbers decode to; ``bool`` subclasses ``int``, so types are
+#: compared exactly, and ``float()`` or ``np.asarray`` would also read
+#: numeric strings
+_NUMBER_TYPES = {int, float}
+
+
+def _number(x: Any, what: str) -> float:
+    if type(x) not in _NUMBER_TYPES or not math.isfinite(x):
+        raise InvalidSpecError(f"{what} must be a finite number, got {x!r}")
+    return float(x)
+
+
+def _integer(x: Any, what: str) -> int:
+    if type(x) is not int:
+        raise InvalidSpecError(f"{what} must be an integer, got {x!r}")
+    return x
+
+
 def quaternion_from_json(data: Any) -> Quaternion:
     if not isinstance(data, (list, tuple)) or len(data) != 4:
         raise InvalidSpecError(f"quaternion must be a 4-array, got {data!r}")
-    return Quaternion.from_seq(data)
+    return Quaternion.from_seq([_number(x, "a quaternion component") for x in data])
 
 
 def _components(rows: Any, what: str) -> np.ndarray:
-    """Wire quaternions as one float array, every entry a finite number."""
+    """Wire lists of quaternions (matrix rows or points) as one (a, b, 4)
+    float array, every entry a finite JSON number."""
     try:
         comps = np.asarray(rows, dtype=float)
     except (TypeError, ValueError) as exc:
         raise InvalidSpecError(f"{what} must be equal-length lists of numbers") from exc
-    if not np.isfinite(comps).all():  # asarray reads null as NaN
+    if comps.ndim != 3:
+        raise InvalidSpecError(f"{what} must be lists of quaternions, got shape {comps.shape}")
+    # asarray also reads null as NaN, and numeric strings and booleans as numbers
+    if ({type(x) for row in rows for q in row for x in q} - _NUMBER_TYPES
+            or not np.isfinite(comps).all()):
         raise InvalidSpecError(f"{what} must be finite numbers")
     return comps
+
+
+def _dimension(data: dict, key: str) -> tuple[int, Any]:
+    """The declared integer n >= 1 and the payload under ``key``."""
+    try:
+        n, payload = data["n"], data[key]
+    except (KeyError, TypeError) as exc:
+        raise InvalidSpecError(f"JSON needs 'n' and '{key}'") from exc
+    if _integer(n, "n") < 1:
+        raise InvalidSpecError(f"need n >= 1, got {n}")
+    return n, payload
 
 
 def hmatrix_to_json(M: HMatrix, n: Optional[int] = None) -> dict:
@@ -49,11 +86,7 @@ def hmatrix_to_json(M: HMatrix, n: Optional[int] = None) -> dict:
 
 
 def hmatrix_from_json(data: dict) -> tuple[HMatrix, int]:
-    try:
-        n = int(data["n"])
-        rows = data["rows"]
-    except (KeyError, TypeError) as exc:
-        raise InvalidSpecError("matrix JSON needs 'n' and 'rows'") from exc
+    n, rows = _dimension(data, "rows")
     comps = _components(rows, "matrix rows")
     if comps.shape != (n + 1, n + 1, 4):
         raise InvalidSpecError(f"expected {n + 1} x {n + 1} rows of quaternions, "
@@ -77,19 +110,15 @@ def config_to_json(cfg: PointConfig) -> dict:
 
 
 def config_from_json(data: dict, tol: float = 1e-8) -> PointConfig:
-    try:
-        n = int(data["n"])
-        points = data["points"]
-    except (KeyError, TypeError) as exc:
-        raise InvalidSpecError("config JSON needs 'n' and 'points'") from exc
+    n, points = _dimension(data, "points")
     space = HermitianSpace(n)
     lifts = _components(points, "points")
-    if lifts.ndim != 3 or lifts.shape[1:] != (n + 1, 4):
+    if lifts.shape[1:] != (n + 1, 4):
         raise InvalidSpecError(f"each point needs {n + 1} quaternion coordinates")
     cfg = gram_of(space, [ProjPoint.from_lift(space, HVector.from_components(a), tol)
                           for a in lifts], tol)
     declared = data.get("i")
-    if declared is not None and int(declared) != cfg.i:
+    if declared is not None and _integer(declared, "i") != cfg.i:
         raise InvalidSpecError(f"declared i={declared} but found {cfg.i} null points")
     return cfg
 
@@ -121,17 +150,18 @@ def profile_to_json(prof: InvariantProfile) -> dict:
 def profile_from_json(data: dict) -> InvariantProfile:
     try:
         prof = InvariantProfile(
-            m=int(data["m"]),
-            i=int(data["i"]),
-            a23=float(data["a23"]),
+            m=_integer(data["m"], "m"),
+            i=_integer(data["i"], "i"),
+            a23=_number(data["a23"], "a23"),
             u0=quaternion_from_json(data["u0"]),
-            x_slots=[XSlot(s["family"], int(s["row"]), int(s["col"]),
+            x_slots=[XSlot(s["family"], _integer(s["row"], "row"), _integer(s["col"], "col"),
                            quaternion_from_json(s["value"]))
                      for s in data["x_slots"]],
-            pair_slots=[PairSlot(int(s["i1"]), int(s["j1"]), float(s["d"]),
-                                 float(s["a"]), quaternion_from_json(s["u"]))
+            pair_slots=[PairSlot(_integer(s["i1"], "i1"), _integer(s["j1"], "j1"),
+                                 _number(s["d"], "d"), _number(s["a"], "a"),
+                                 quaternion_from_json(s["u"]))
                         for s in data["pair_slots"]],
-            first_row=[float(x) for x in data["first_row"]],
+            first_row=[_number(x, "a first-row entry") for x in data["first_row"]],
         )
     except (KeyError, TypeError) as exc:
         raise InvalidSpecError("malformed profile JSON") from exc

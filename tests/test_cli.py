@@ -18,8 +18,10 @@ from qhyp.serialize import (
     isometry_from_json,
     profile_from_json,
     profile_to_json,
+    quaternion_from_json,
 )
 from qhyp.invariants import profile
+from qhyp.quaternion import Quaternion
 
 
 def write(tmp_path, name, obj):
@@ -79,11 +81,16 @@ def _spoiled(rows, how):
         rows[0][0][3] = float("nan")
     elif how == "Infinity":
         rows[1][1][0] = float("inf")
+    elif how == "numeric string":
+        rows[0][0][0] = str(rows[0][0][0])
+    elif how == "boolean":
+        rows[1][1][0] = True
     return rows
 
 
 DEFECTS = ("null component", "null quaternion", "string", "3-component quaternion",
-           "ragged row", "wrong point length", "NaN", "Infinity")
+           "ragged row", "wrong point length", "NaN", "Infinity", "numeric string",
+           "boolean")
 
 
 @pytest.mark.parametrize("how", DEFECTS)
@@ -97,6 +104,67 @@ def test_decoders_reject_malformed_entries(how, tmp_path, hyperbolic_json):
         config_from_json(bad_config)
     assert main(["classify", write(tmp_path, "m.json", bad_matrix)]) == 2
     assert main(["invariants", write(tmp_path, "c.json", bad_config)]) == 2
+
+
+def test_numbers_are_json_numbers(tmp_path):
+    # a numeric string and a boolean spell the identity; neither is a number
+    spelled = {"n": 1, "rows": [[["1", "0", "0", "0"], [0, 0, 0, 0]],
+                                [[0, 0, 0, 0], [True, 0, 0, 0]]]}
+    with pytest.raises(InvalidSpecError):
+        hmatrix_from_json(spelled)
+    assert main(["classify", write(tmp_path, "m.json", spelled)]) == 2
+    assert quaternion_from_json([1, 0.5, 0, -2]) == Quaternion(1.0, 0.5, 0.0, -2.0)
+    for bad in (["1", 0, 0, 0], [True, 0, 0, 0], [0, 0, float("nan"), 0], [None, 0, 0, 0]):
+        with pytest.raises(InvalidSpecError):
+            quaternion_from_json(bad)
+
+
+@pytest.mark.parametrize("field", ["a23", "x_slots", "pair_slots", "first_row", "u0",
+                                   "m", "row"])
+def test_profile_decoder_rejects_non_numbers(field):
+    # (m, i) = (5, 3) fills every field of the profile
+    data = profile_to_json(profile(sample_config(HermitianSpace(3), 5, 3,
+                                                 np.random.default_rng(8))))
+    profile_from_json(data)
+    if field == "a23":
+        data["a23"] = float("nan")
+    elif field == "x_slots":
+        data["x_slots"][0]["value"][2] = float("nan")
+    elif field == "pair_slots":
+        data["pair_slots"][0]["d"] = float("inf")
+    elif field == "first_row":
+        data["first_row"][-1] = float("nan")
+    elif field == "u0":
+        data["u0"][0] = True
+    elif field == "m":
+        data["m"] = "5"
+    else:
+        data["x_slots"][0]["row"] = True
+    with pytest.raises(InvalidSpecError):
+        profile_from_json(data)
+
+
+def test_space_spec_errors_are_invalid_spec():
+    for n in (0, -1):
+        with pytest.raises(InvalidSpecError):
+            HermitianSpace(n)
+    with pytest.raises(InvalidSpecError):
+        HermitianSpace(2, form=np.eye(3))  # signature (3, 0)
+
+
+@pytest.mark.parametrize("n", [0, -1, "1", True, 1.0])
+def test_decoders_need_integer_dimension(n, tmp_path, hyperbolic_json):
+    for doc in ({"n": n, "rows": [[[1, 0, 0, 0]]]}, dict(hyperbolic_json, n=n)):
+        with pytest.raises(InvalidSpecError):
+            hmatrix_from_json(doc)
+        with pytest.raises(InvalidSpecError):
+            isometry_from_json(doc)
+        assert main(["classify", write(tmp_path, "m.json", doc)]) == 2
+    with pytest.raises(InvalidSpecError):
+        config_from_json({"n": n, "points": [[[1, 0, 0, 0]]]})
+    cfg = config_to_json(sample_config(HermitianSpace(2), 4, 3, np.random.default_rng(7)))
+    with pytest.raises(InvalidSpecError):
+        config_from_json(dict(cfg, i=str(cfg["i"])))
 
 
 # -- commands ----------------------------------------------------------------------

@@ -2,23 +2,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from qhyp.quaternion import (
     ONE,
     Quaternion,
-    SimilarityClass,
     canonical_sign,
-    centralizer_contains,
-    polar_decompose,
     qconj_array,
     complex_pairs,
     from_complex_pairs,
     left_matrix,
     qmul_array,
     right_matrix,
-    quaternion_from_rotation,
     rotation_matrix,
-    similar,
     sp1_align,
 )
 
@@ -94,49 +92,14 @@ def test_multiplication_matrices_batch():
                                rtol=0, atol=1e-14)
 
 
-# -- polar form -------------------------------------------------------------
-
-def test_polar_examples():
-    p = polar_decompose(ONE)
-    assert p.modulus == pytest.approx(1.0) and p.angle == pytest.approx(0.0)
-    assert p.axis.is_zero()
-
-    p = polar_decompose(I)
-    assert p.modulus == pytest.approx(1.0)
-    assert p.angle == pytest.approx(math.pi / 2)
-    assert p.axis.approx_eq(I)
-
-    # cos(theta) = a0/|a| = 1/2 for 1+i+j+k
-    p = polar_decompose(Quaternion(1, 1, 1, 1))
-    assert p.modulus == pytest.approx(2.0)
-    assert p.angle == pytest.approx(math.pi / 3)
-    assert p.axis.approx_eq(Quaternion(0, 1, 1, 1) / math.sqrt(3), 1e-12)
-    assert p.value().approx_eq(Quaternion(1, 1, 1, 1), 1e-12)
-
-
-def test_polar_negative_real():
-    p = polar_decompose(Quaternion.real(-2.5))
-    assert p.angle == pytest.approx(math.pi)
-    assert p.axis.is_zero()
-    assert p.value().approx_eq(Quaternion.real(-2.5), 1e-12)
-
-
-def test_polar_reconstruction_random():
-    rng = np.random.default_rng(3)
-    for _ in range(500):
-        q = random_quaternion(rng, 5.0)
-        if q.norm() < 1e-12:
-            continue
-        err = (polar_decompose(q).value() - q).norm() / q.norm()
-        assert err < 1e-12
-
-
 # -- similarity -------------------------------------------------------------
 
 def test_similar_examples():
-    assert similar(I, J)
-    assert similar(I, -I)
-    assert not similar(Quaternion(1, 1), Quaternion(1, -1) + Quaternion.real(0.001), 1e-9)
+    # one quaternion is conjugate to another exactly when norm and real part agree
+    for a, b in ((I, J), (I, -I), (Quaternion(1, 2, 3, 4), Quaternion(1, 0, 0, math.sqrt(29)))):
+        mu = align([b], [a])
+        assert mu is not None and (mu.conj() * a * mu).approx_eq(b, 1e-12)
+    assert align([Quaternion(1, -1) + Quaternion.real(0.001)], [Quaternion(1, 1)]) is None
 
 
 def test_similar_under_conjugation():
@@ -146,25 +109,8 @@ def test_similar_under_conjugation():
         c = random_quaternion(rng, 2.0)
         if c.norm() < 1e-3:
             continue
-        assert similar(a, c.inverse() * a * c, 1e-9)
-
-
-def test_similarity_class_representative():
-    cls = SimilarityClass.from_quaternion(Quaternion(1, 1, 1, 1))
-    z = cls.representative
-    assert abs(z) == pytest.approx(2.0)
-    assert z.real == pytest.approx(1.0)
-    assert cls.matches(SimilarityClass.from_quaternion(Quaternion(1, math.sqrt(3), 0, 0)))
-
-
-# -- centralizer ------------------------------------------------------------
-
-def test_centralizer_examples():
-    assert centralizer_contains(I, Quaternion(3, 2))
-    assert not centralizer_contains(I, J)
-    assert centralizer_contains(J, Quaternion(1, 0, -5, 0))
-    with pytest.raises(ValueError):
-        centralizer_contains(Quaternion.real(2.0), I)
+        b = c.inverse() * a * c
+        assert abs(a.re - b.re) <= 1e-9 and abs(a.norm() - b.norm()) <= 1e-9
 
 
 # -- rotation helpers -------------------------------------------------------
@@ -174,12 +120,13 @@ def test_rotation_matrix_identity():
     for _ in range(50):
         q = random_unit(rng)
         R = rotation_matrix(q)
-        x = rng.normal(size=3)
-        direct = (q * Quaternion.from_vector(0, x) * q.conj()).imag_vec()
-        np.testing.assert_allclose(R @ x, direct, atol=1e-12)
-        # Shepperd inversion recovers q up to sign
-        q2 = quaternion_from_rotation(R)
-        assert min((q2 - q).norm(), (q2 + q).norm()) < 1e-10
+        x = rng.normal(size=(5, 3))
+        pure = np.concatenate([np.zeros((5, 1)), x], axis=1)
+        sandwich = qmul_array(qmul_array(q.to_array(), pure), qconj_array(q.to_array()))
+        np.testing.assert_allclose(x @ R.T, sandwich[:, 1:], atol=1e-12)
+        np.testing.assert_allclose(sandwich[:, 0], 0.0, atol=1e-12)
+        np.testing.assert_allclose(R @ R.T, np.eye(3), atol=1e-12)
+        assert np.linalg.det(R) == pytest.approx(1.0, abs=1e-12)
 
 
 # -- sp1_align --------------------------------------------------------------
@@ -228,12 +175,30 @@ def test_align_degenerate_collinear():
     assert (mu.conj() * I * mu).approx_eq(J, 1e-12)
     # minimal rotation from i to j is by pi/2 about k: |Re mu| = cos(pi/4)
     assert abs(mu.a0) == pytest.approx(math.cos(math.pi / 4), abs=1e-12)
+    # directions 6e-8 rad apart on a large imaginary part: too far apart to
+    # treat as one direction, since the turn moves w by 3.4e-7
+    w = Quaternion(0, 4, 1.2e-7, 1.2e-7)
+    v = I.conj() * w * I
+    mu = align([v], [w])
+    assert mu is not None and (mu.conj() * w * mu).approx_eq(v, 1e-9)
 
 
 def test_align_degenerate_antipodal():
     mu = align([-I], [I])
     assert mu is not None
     assert (mu.conj() * I * mu).approx_eq(-I, 1e-12)
+    # 1 and i are orthogonal to the solutions span{j, k}: j is projected next
+    assert mu.approx_eq(J, 1e-12)
+
+
+def test_align_within_tolerance_of_real_data():
+    # imaginary noise inside the certification bound on real data: all four
+    # singular values tie above tol * scale, so the least-squares vector
+    # alone would be an arbitrary unit quaternion
+    w = np.array([[2.0, 0, 0, 0], [-1.0, 0, 0, 0]])
+    v = w + [0, 1.8e-9, 0, 0]  # sqrt(2) * 1.8e-9 > tol * scale = 2e-9
+    mu = sp1_align(v, w)
+    assert mu is not None and mu.approx_eq(ONE, 1e-15)
 
 
 def test_align_all_real():
@@ -309,3 +274,77 @@ def test_canonical_sign():
     assert canonical_sign(q).a0 > 0
     q = Quaternion(0, -1, 0, 0)
     assert canonical_sign(q).a1 > 0
+
+
+# -- sp1_align properties -----------------------------------------------------------
+
+ALIGN_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True)
+
+
+@st.composite
+def alignment_instances(draw, ranks=(0, 1, 3)):
+    """(mu0, w, rank): a unit mu0 and k = 1..5 components at one scale in
+    1e-3..1e3 whose imaginary parts span a subspace of the drawn rank.
+
+    The first ``rank`` imaginary parts are rows of 4 I + B with B in
+    [-0.5, 0.5], so they are well conditioned and pairwise 61..119 degrees
+    apart; the rest are real combinations of them.
+    """
+    rank = draw(st.sampled_from(ranks))
+    k = draw(st.integers(max(1, rank), 5))
+    scale = 10.0 ** draw(st.floats(-3.0, 3.0))
+    mu0 = draw(hnp.arrays(float, 4, elements=st.floats(-1.0, 1.0)).filter(
+        lambda c: np.linalg.norm(c) > 0.1))
+    reals = draw(hnp.arrays(float, k, elements=st.floats(-1.0, 1.0)))
+    basis = 4.0 * np.eye(3)[:rank] + draw(
+        hnp.arrays(float, (rank, 3), elements=st.floats(-0.5, 0.5)))
+    coeffs = np.eye(k, rank)
+    coeffs[rank:] = draw(hnp.arrays(float, (k - rank, rank), elements=st.floats(-1.0, 1.0)))
+    w = scale * np.concatenate([reals[:, None], coeffs @ basis], axis=1)
+    return mu0 / np.linalg.norm(mu0), w, rank
+
+
+def conjugated(mu, w):
+    """The components of conj(mu) * w_k * mu."""
+    return qmul_array(qmul_array(qconj_array(mu), w), mu)
+
+
+@ALIGN_SETTINGS
+@given(alignment_instances())
+def test_align_finds_exact_conjugates(instance):
+    mu0, w, _ = instance
+    v = conjugated(mu0, w)
+    mu = sp1_align(v, w)
+    assert mu is not None
+    assert mu.norm() == pytest.approx(1.0, abs=1e-12)
+    resid = np.linalg.norm(conjugated(mu.to_array(), w) - v, axis=1)
+    assert np.all(resid <= 1e-9 * max(1.0, float(np.max(np.linalg.norm(v, axis=1)))))
+
+
+@ALIGN_SETTINGS
+@given(alignment_instances(ranks=(0, 1)))
+def test_align_degenerate_returns_closest_to_one(instance):
+    mu0, w, rank = instance
+    v = conjugated(mu0, w)
+    mu = sp1_align(v, w)
+    if rank == 0:
+        assert mu.approx_eq(ONE, 1e-12)
+    else:
+        # the solutions closest to 1 turn w's direction onto v's by the least angle
+        d, e = w[0, 1:], v[0, 1:]
+        angle = math.atan2(np.linalg.norm(np.cross(d, e)), np.dot(d, e))
+        assert abs(mu.a0) == pytest.approx(math.cos(angle / 2), abs=1e-9)
+
+
+@ALIGN_SETTINGS
+@given(alignment_instances(ranks=(2, 3)), st.floats(1e-3, 0.5))
+def test_align_rejects_turned_direction(instance, angle):
+    mu0, w, _ = instance
+    v = conjugated(mu0, w)
+    # turn v_0 away from v_1 in their plane: the angle between them grows by
+    # ``angle``, which no conjugation can do; reals and norms are unchanged
+    axis = np.cross(v[1, 1:], v[0, 1:])
+    turn = np.concatenate([[math.cos(angle / 2)],
+                           math.sin(angle / 2) * axis / np.linalg.norm(axis)])
+    v[0] = qmul_array(qmul_array(turn, v[0]), qconj_array(turn))
+    assert sp1_align(v, w) is None

@@ -117,6 +117,9 @@ def test_numbers_are_json_numbers(tmp_path):
     for bad in (["1", 0, 0, 0], [True, 0, 0, 0], [0, 0, float("nan"), 0], [None, 0, 0, 0]):
         with pytest.raises(InvalidSpecError):
             quaternion_from_json(bad)
+    cfg = config_to_json(sample_config(HermitianSpace(2), 4, 3, np.random.default_rng(7)))
+    with pytest.raises(InvalidSpecError):
+        config_from_json(dict(cfg, i=str(cfg["i"])))
 
 
 @pytest.mark.parametrize("field", ["a23", "x_slots", "pair_slots", "first_row", "u0",
@@ -162,9 +165,6 @@ def test_decoders_need_integer_dimension(n, tmp_path, hyperbolic_json):
         assert main(["classify", write(tmp_path, "m.json", doc)]) == 2
     with pytest.raises(InvalidSpecError):
         config_from_json({"n": n, "points": [[[1, 0, 0, 0]]]})
-    cfg = config_to_json(sample_config(HermitianSpace(2), 4, 3, np.random.default_rng(7)))
-    with pytest.raises(InvalidSpecError):
-        config_from_json(dict(cfg, i=str(cfg["i"])))
 
 
 # -- commands ----------------------------------------------------------------------

@@ -382,7 +382,8 @@ class EigenData:
 
 def nullspace(M: np.ndarray, rtol: float = RANK_RTOL) -> np.ndarray:
     """Orthonormal basis (columns) of the numerical null space."""
-    U, s, Vh = np.linalg.svd(M)
+    # a tall M has every right singular vector in its thin SVD
+    _, s, Vh = np.linalg.svd(M, full_matrices=M.shape[0] <= M.shape[1])
     if s.size == 0:
         return np.eye(M.shape[1], dtype=complex)
     cutoff = rtol * max(s[0], 1.0)

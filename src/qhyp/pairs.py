@@ -1,19 +1,24 @@
 """Eigenframes of semisimple elements, the common-fixed-point test, and the
 pair-conjugacy decider with explicit conjugator witnesses.
 
-The decider reduces conjugacy of (A, B) and (A', B') to an intertwining
-problem for the diagonal gauge group left over after fixing eigenframes of A
-and A'.  For a regular A (all eigenvalue classes simple) that gauge is an
-explicit diagonal family, the intertwining equations are real-linear in the
-root entry, and candidate solutions are certified by direct conjugation
-before any positive verdict is returned.
+The decider reduces conjugacy of (A, B) and (A', B') to one real-linear
+system in the eigenframes C, C' of A and A'.  A conjugator W, written as
+X = C'^-1 W C, commutes with the diagonal normal form E of A: it is
+block-diagonal over the eigenvalue classes, with complex entries in a block
+of a nonreal class and quaternionic ones in a block of a real class.  It
+also intertwines the second members in those frames, M' X = X M.  The null
+space of that system holds every conjugator.  A candidate from it that is a
+positive multiple of a group element is scaled into the group and certified
+by direct conjugation before any positive verdict is returned.  The decider
+is complete when the null space is one-dimensional, the generic case; a
+larger one, as for a pair preserving a common proper subspace, may leave it
+Inconclusive.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -21,7 +26,7 @@ from .decision import Decision, Verdict
 from .errors import NumericalError, UnsupportedElementError
 from .isometry import Classification, Isometry, conjugate_single
 from .linalg import EigenClass, HMatrix, HVector, PointType, nullspace, two_columns
-from .quaternion import left_matrix, qconj_array, qmul_array, right_matrix
+from .quaternion import left_matrix, right_matrix
 
 REASON_TRACE = "real trace mismatch"
 REASON_CLASSES = "eigenvalue class mismatch"
@@ -110,18 +115,17 @@ def have_common_fixed_point(A: Isometry, B: Isometry) -> bool:
 # The pair-conjugacy decider
 # ---------------------------------------------------------------------------
 
-def _is_regular(A: Isometry) -> bool:
-    return all(c.multiplicity == 1 for c in A.classes())
-
-
 def pair_conjugate(A: Isometry, B: Isometry, A2: Isometry, B2: Isometry,
                    tol: float = 1e-7) -> Decision:
     """Decide simultaneous conjugacy of the pairs (A, B) and (A2, B2).
 
-    Complete whenever one pair member is regular (all eigenvalue classes
-    simple); higher-multiplicity pairs return Inconclusive unless an
-    invariant already separates them.  Every Conjugate verdict carries a
-    witness verified by direct conjugation.
+    Every conjugator lies in the null space of one real-linear system in A's
+    eigenframe (see the module docstring).  An empty null space separates the
+    pairs.  A one-dimensional one decides them: its candidate is either a
+    positive multiple of a group element or no conjugator exists.  A larger
+    one, as for a pair preserving a common proper subspace, returns Inconclusive
+    unless a candidate verifies.  Every Conjugate verdict carries a witness
+    verified by direct conjugation.
     """
     for x in (A, B, A2, B2):
         if not x.is_semisimple():
@@ -138,119 +142,68 @@ def pair_conjugate(A: Isometry, B: Isometry, A2: Isometry, B2: Isometry,
     if not conjugate_single(A, A2) or not conjugate_single(B, B2):
         return Decision(Verdict.NOT_CONJUGATE, reason=REASON_CLASSES)
 
-    if _is_regular(A):
-        return _decide_regular(A, B, A2, B2, tol)
-    if _is_regular(B):
-        return _decide_regular(B, A, B2, A2, tol)
-    return Decision(Verdict.INCONCLUSIVE,
-                    reason="no regular member; invariants computed agree")
-
-
-def _decide_regular(A: Isometry, B: Isometry, A2: Isometry, B2: Isometry,
-                    tol: float) -> Decision:
-    space = A.space
     fa, fa2 = eigenframe(A), eigenframe(A2)
     if (fa.E - fa2.E).norm() > 1e-6 * max(1.0, fa.E.norm()):
         return Decision(Verdict.NOT_CONJUGATE, reason=REASON_CLASSES)
 
-    M = fa.C.inverse() @ B.matrix @ fa.C
-    M2 = fa2.C.inverse() @ B2.matrix @ fa2.C
-    m, m2 = M.components(), M2.components()
-    mscale = max(M.norm(), M2.norm(), 1.0)
+    # a conjugator W gives X = fa2.C^-1 W fa.C with M2 X = X M
+    Cinv = fa.C.inverse()
+    m = (Cinv @ B.matrix @ fa.C).components()
+    m2 = (fa2.C.inverse() @ B2.matrix @ fa2.C).components()
 
-    # zero patterns must match for a diagonal intertwiner to exist
-    z = 1e-9 * mscale
-    n1, n2 = np.linalg.norm(m, axis=-1), np.linalg.norm(m2, axis=-1)
-    if np.any((n1 < z) & (n2 > 1e3 * z) | (n2 < z) & (n1 > 1e3 * z)):
-        return Decision(Verdict.NOT_CONJUGATE, reason=REASON_ORBIT)
-
-    # a diagonal gauge D intertwines when m2_kl d_l = d_k m_kl for all k, l
-    R, L2 = right_matrix(m), left_matrix(m2)
-    maps = _propagation_maps(np.minimum(n1, n2), m, R, L2, mscale)
-    if maps is None:
-        return Decision(Verdict.NOT_CONJUGATE, reason=REASON_ORBIT)
-
-    rows_intertwine = (R @ maps[:, None] - L2 @ maps[None, :]).reshape(-1, 4)
-    null1 = nullspace(rows_intertwine, 1e-7)
-    if null1.shape[1] == 0:
-        return Decision(Verdict.NOT_CONJUGATE, reason=REASON_ORBIT)
-
-    # a nonreal class pins d_k to its centralizer: no j, k components
+    # X commutes with E: zero between classes, and complex in a nonreal class
     reps = np.array(fa.reps)
-    central = np.abs(reps.imag) > 1e-9 * np.maximum(1.0, np.abs(reps))
-    if central.any():
-        null2 = nullspace(np.vstack([rows_intertwine, maps[central, 2:4].reshape(-1, 4)]), 1e-7)
-    else:
-        null2 = null1
-    if null2.shape[1] == 0:
+    N = len(reps)
+    block = np.repeat(reps[:, None] == reps[None, :], 4).reshape(N, N, 4)
+    nonreal = np.abs(reps.imag) > 1e-9 * np.maximum(1.0, np.abs(reps))
+    free = block & ~(nonreal[:, None, None] & (np.arange(4) >= 2))
+    null = nullspace(_intertwiner_rows(m, m2, free), 1e-7)
+    if null.shape[1] == 0:
+        if nullspace(_intertwiner_rows(m, m2, block), 1e-7).shape[1] == 0:
+            return Decision(Verdict.NOT_CONJUGATE, reason=REASON_ORBIT)
         return Decision(Verdict.NOT_CONJUGATE, reason=REASON_GRASSMANNIAN)
 
-    candidates = [null2[:, k] for k in range(null2.shape[1])]
-    if null2.shape[1] > 1:
-        candidates += [null2[:, 0] + null2[:, k] for k in range(1, null2.shape[1])]
-    any_gauge_ok = False
+    candidates = [null[:, k] for k in range(null.shape[1])]
+    if null.shape[1] > 1:
+        candidates += [null[:, 0] + null[:, k] for k in range(1, null.shape[1])]
+    space, H = A.space, A.space.H_emb
+    bound = tol * max(1.0, A.matrix.norm() + B.matrix.norm())
+    any_member = False
     for vec in candidates:
-        D = _candidate_gauge(fa.kind, maps @ vec)
-        if D is None:
+        x = np.zeros(free.shape)
+        x[free] = vec
+        W = (fa2.C @ HMatrix.from_components(x) @ Cinv).emb
+        # a real multiple t W of a group element has W* H W = t^2 H
+        G = W.conj().T @ H @ W
+        c = np.vdot(H, G).real / np.vdot(H, H).real
+        if not c > 0 or np.linalg.norm(G - c * H) > 1e-5 * c * np.linalg.norm(H):
             continue
-        any_gauge_ok = True
-        C = fa2.C @ D @ fa.C.inverse()
-        C = space.project_to_group(C)
+        any_member = True
+        C = space.project_to_group(HMatrix(W / math.sqrt(c), check=False))
         resid = ((C @ A.matrix @ C.inverse() - A2.matrix).norm()
                  + (C @ B.matrix @ C.inverse() - B2.matrix).norm())
-        if resid < tol * max(1.0, A.matrix.norm() + B.matrix.norm()):
+        if resid < bound:
             return Decision(Verdict.CONJUGATE, witness=C, residual=resid)
-    if null2.shape[1] == 1 and not any_gauge_ok:
-        # the one-dimensional candidate failed its modulus constraints:
-        # the normalized tuples cannot be matched
+    if null.shape[1] == 1 and not any_member:
+        # every conjugator is a multiple of the one candidate, and it is not
+        # a multiple of a group element
         return Decision(Verdict.NOT_CONJUGATE, reason=REASON_ORBIT)
-    # a structurally valid gauge failed its conjugation verification, or the
-    # solution space is too degenerate to search exhaustively: stay honest
+    # a group-valued candidate failed its conjugation verification, or the
+    # solution space is too large to search exhaustively: stay honest
     return Decision(Verdict.INCONCLUSIVE,
                     reason="gauge candidates failed verification")
 
 
-def _propagation_maps(weight: np.ndarray, m: np.ndarray, R: np.ndarray, L2: np.ndarray,
-                      mscale: float) -> Optional[np.ndarray]:
-    """Real-linear maps vec(d_root) -> vec(d_k) along a max-weight tree, as (N, 4, 4)."""
-    N = len(weight)
-    maps = np.zeros((N, 4, 4))
-    maps[0] = np.eye(4)
-    visited = np.zeros(N, dtype=bool)
-    visited[0] = True
-    while not visited.all():
-        w = np.where(~visited[:, None] & visited[None, :], weight, -1.0)
-        k, l = np.unravel_index(np.argmax(w), w.shape)
-        if w[k, l] < 1e-8 * mscale:
-            return None
-        # d_k = m2_kl d_l m_kl^-1, and right multiplication by q^-1 is R(q)^T / |q|^2
-        maps[k] = L2[k, l] @ (R[k, l].T / np.sum(m[k, l] * m[k, l])) @ maps[l]
-        visited[k] = True
-    return maps
-
-
-def _candidate_gauge(kind: Classification, ds: np.ndarray) -> Optional[HMatrix]:
-    """Scale a null-space direction, mapped to the (N, 4) diagonal ds, into the
-    gauge group, if possible."""
-    N = len(ds)
-    if np.any(np.linalg.norm(ds, axis=1) < 1e-12):
-        return None
-    unit_slots = np.arange(1, N - 1) if kind is Classification.HYPERBOLIC else np.arange(N)
-    if unit_slots.size:
-        t = 1.0 / np.linalg.norm(ds[unit_slots[0]])
-    else:
-        q = qmul_array(qconj_array(ds[0]), ds[-1])
-        qn = np.linalg.norm(q)
-        if qn < 1e-12 or abs(q[0] / qn - 1.0) > 1e-5:
-            return None
-        t = 1.0 / math.sqrt(qn)
-    ds = ds * t
-    if np.any(np.abs(np.linalg.norm(ds[unit_slots], axis=1) - 1.0) > 1e-5):
-        return None
-    if kind is Classification.HYPERBOLIC:
-        tie = qmul_array(qconj_array(ds[0]), ds[-1])
-        if np.linalg.norm(tie - [1.0, 0.0, 0.0, 0.0]) > 1e-5:
-            return None
-    grid = np.zeros((N, N, 4))
-    grid[np.arange(N), np.arange(N)] = ds
-    return HMatrix.from_components(grid)
+def _intertwiner_rows(m: np.ndarray, m2: np.ndarray, free: np.ndarray) -> np.ndarray:
+    """Real matrix of X -> M2 X - X M, with rows the raveled (N, N, 4)
+    components of the image and columns the components of X marked in the
+    (N, N, 4) mask ``free`` (the others held at zero)."""
+    N = len(m)
+    l, j, c = np.nonzero(free)
+    k = np.arange(len(l))
+    rows = np.zeros((N, N, 4, len(l)))
+    # unknown k is component c of X[l, j]: (M2 X)[i, j] holds M2[i, l] X[l, j],
+    # and (X M)[l, i] holds X[l, j] M[j, i]
+    rows[:, j, :, k] = left_matrix(m2)[:, l, :, c]
+    rows[l, :, :, k] -= right_matrix(m)[j, :, :, c]
+    return rows.reshape(4 * N * N, len(l))

@@ -212,16 +212,24 @@ def from_complex_pairs(z1: np.ndarray, z2: np.ndarray) -> np.ndarray:
     return np.stack([z1.real, z1.imag, z2.real, -z2.imag], axis=-1)
 
 
+#: left_matrix(q)[r, c] = q[_MUL_IDX[r, c]] * _LEFT_SIGN[r, c], and the same
+#: index table with _RIGHT_SIGN for right_matrix: the coefficient of p_c in
+#: component r of q*p (or p*q), read off the Hamilton product above
+_MUL_IDX = np.array([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]])
+_LEFT_SIGN = np.array([[1, -1, -1, -1], [1, 1, -1, 1], [1, 1, 1, -1], [1, -1, 1, 1]], dtype=float)
+_RIGHT_SIGN = np.array([[1, -1, -1, -1], [1, 1, 1, -1], [1, -1, 1, 1], [1, 1, -1, 1]], dtype=float)
+
+
 def left_matrix(q: np.ndarray) -> np.ndarray:
     """Real 4x4 matrices of left multiplication by trailing-axis-4 components:
-    left_matrix(q) @ p = q*p.  Column c is q times the c-th basis unit."""
-    return qmul_array(np.asarray(q, dtype=float)[..., None, :], np.eye(4)).swapaxes(-1, -2)
+    left_matrix(q) @ p = q*p."""
+    return np.asarray(q, dtype=float)[..., _MUL_IDX] * _LEFT_SIGN
 
 
 def right_matrix(q: np.ndarray) -> np.ndarray:
     """Real 4x4 matrices of right multiplication by trailing-axis-4 components:
-    right_matrix(q) @ p = p*q.  Column c is the c-th basis unit times q."""
-    return qmul_array(np.eye(4), np.asarray(q, dtype=float)[..., None, :]).swapaxes(-1, -2)
+    right_matrix(q) @ p = p*q."""
+    return np.asarray(q, dtype=float)[..., _MUL_IDX] * _RIGHT_SIGN
 
 
 # ---------------------------------------------------------------------------

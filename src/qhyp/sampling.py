@@ -135,13 +135,14 @@ def sample_semisimple(space: HermitianSpace, rng: np.random.Generator,
 
 def sample_pair(space: HermitianSpace, rng: np.random.Generator,
                 kinds: Optional[tuple[Classification, Classification]] = None,
-                max_tries: int = 20) -> tuple[Isometry, Isometry]:
-    """Semisimple pair without a common fixed point."""
+                max_tries: int = 20, regular: bool = True) -> tuple[Isometry, Isometry]:
+    """Semisimple pair without a common fixed point; ``regular`` as in
+    :func:`sample_semisimple`."""
     from .pairs import have_common_fixed_point
 
     for _ in range(max_tries):
-        A = sample_semisimple(space, rng, kinds[0] if kinds else None)
-        B = sample_semisimple(space, rng, kinds[1] if kinds else None)
+        A = sample_semisimple(space, rng, kinds[0] if kinds else None, regular)
+        B = sample_semisimple(space, rng, kinds[1] if kinds else None, regular)
         if not have_common_fixed_point(A, B):
             return A, B
     raise NumericalError("failed to sample a pair without common fixed points")

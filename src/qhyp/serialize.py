@@ -202,7 +202,7 @@ def profile_to_csv(prof: InvariantProfile) -> str:
 
 
 def classification_to_csv(report: dict) -> str:
-    buf = io.StringIO()
-    buf.write("type,real_trace\n")
-    buf.write(f"{report['type']},\"{report['real_trace']}\"\n")
-    return buf.getvalue()
+    """Header and one row: the type, and the real trace as a quoted list,
+    left empty for a parabolic element, which has none."""
+    trace = f"\"{report['real_trace']}\"" if "real_trace" in report else ""
+    return f"type,real_trace\n{report['type']},{trace}\n"

@@ -478,7 +478,7 @@ def criterion_8(quick: bool = False) -> CriterionResult:
 
 
 # ---------------------------------------------------------------------------
-# 9. pair decider on regular pairs
+# 9. pair decider on regular pairs and on pairs with repeated classes
 # ---------------------------------------------------------------------------
 
 def criterion_9(quick: bool = False) -> CriterionResult:
@@ -550,13 +550,36 @@ def criterion_9(quick: bool = False) -> CriterionResult:
             dec = pair_conjugate(A, B, A_moved, B, 1e-7)
             if dec.verdict is Verdict.NOT_CONJUGATE and dec.reason == REASON_GRASSMANNIAN:
                 grass_ok += 1
+
+    # repeated eigenvalue classes, drawn from their own stream so that the
+    # regular draws above stay as they were
+    rng = np.random.default_rng(2009)
+    half = _scaled(60, quick)
+    rep_pos = rep_sep = n_sep = 0
+    for t in range(2 * half):
+        sp = HermitianSpace(2 + t % 3)
+        A, B = sample_pair(sp, rng, kinds=kind_cycle[t % 3], regular=False)
+        C1 = random_member(sp, rng)
+        B2 = Isometry(sp.project_to_group(C1 @ B.matrix @ C1.inverse()), sp)
+        if t < half:  # conjugate: both members moved by C1
+            A2 = Isometry(sp.project_to_group(C1 @ A.matrix @ C1.inverse()), sp)
+            dec = pair_conjugate(A, B, A2, B2, 1e-7)
+            if dec.verdict is Verdict.CONJUGATE and dec.residual < 1e-7:
+                rep_pos += 1
+        elif not have_common_fixed_point(A, B2):  # only B moved
+            n_sep += 1
+            dec = pair_conjugate(A, B, A, B2, 1e-7)
+            if dec.verdict is Verdict.NOT_CONJUGATE or (
+                    dec.verdict is Verdict.CONJUGATE and dec.residual < 1e-7):
+                rep_sep += 1
     passed = (pos_ok == count and trace_ok == n_trace and orbit_ok == n_orbit
-              and grass_ok == n_grass)
+              and grass_ok == n_grass and rep_pos == half and rep_sep == n_sep)
     return CriterionResult(
-        9, "pair decider on regular pairs", passed,
+        9, "pair decider", passed,
         f"{pos_ok}/{count} conjugate pairs accepted (max residual {worst:.2e}); "
         f"separated: trace {trace_ok}/{n_trace}, orbit {orbit_ok}/{n_orbit}, "
-        f"Grassmannian {grass_ok}/{n_grass}")
+        f"Grassmannian {grass_ok}/{n_grass}; repeated classes: "
+        f"{rep_pos}/{half} conjugate accepted, {rep_sep}/{n_sep} moved decided")
 
 
 def _theta_of(A: Isometry) -> float:

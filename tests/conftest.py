@@ -1,5 +1,12 @@
 """Fixtures shared by several test modules."""
 
+import os
+
+# Every matrix is at most 10 x 10 complex, and OpenBLAS's default thread pool
+# stalls such small operations for 50-90 ms on a two-core machine; one thread,
+# set before numpy loads, keeps test wall times steady.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import numpy as np
 import pytest
 

@@ -177,6 +177,26 @@ def test_classify_command(tmp_path, capsys, hyperbolic_json):
     assert report["real_trace"] == pytest.approx([-5.0])
 
 
+def test_classify_csv(tmp_path, capsys, hyperbolic_json):
+    assert main(["classify", write(tmp_path, "a.json", hyperbolic_json), "--format", "csv"]) == 0
+    header, row = capsys.readouterr().out.splitlines()
+    assert header == "type,real_trace"
+    assert row.startswith("hyperbolic,\"[") and row.endswith("]\"")
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_classify_csv_parabolic(n, tmp_path, capsys):
+    # a Heisenberg translation: the identity plus i at entry (0, n); a parabolic
+    # element has no real trace, so its cell stays empty
+    rows = [[[float(r == c), 0.0, 0.0, 0.0] for c in range(n + 1)] for r in range(n + 1)]
+    rows[0][n][1] = 1.0
+    path = write(tmp_path, "p.json", {"n": n, "rows": rows})
+    assert main(["classify", path]) == 0
+    assert json.loads(capsys.readouterr().out)["type"] == "parabolic"
+    assert main(["classify", path, "--format", "csv"]) == 0
+    assert capsys.readouterr().out.splitlines() == ["type,real_trace", "parabolic,"]
+
+
 def test_classify_expect_mismatch(tmp_path, capsys, hyperbolic_json):
     hyperbolic_json = dict(hyperbolic_json)
     hyperbolic_json["expect"] = "elliptic"

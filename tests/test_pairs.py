@@ -133,17 +133,69 @@ def test_pair_conjugate_grassmannian_separated():
     assert dec.reason == REASON_GRASSMANNIAN
 
 
-def test_pair_conjugate_inconclusive_on_multiplicity():
-    sp = HermitianSpace(2)
-    rng = np.random.default_rng(84)
-    specA = EllipticSpec((0.5, 1.4, 1.4))
-    A = random_semisimple(ELL, 2, specA, seed=30)
-    B = random_semisimple(ELL, 2, specA, seed=31)
-    if have_common_fixed_point(A, B):
-        pytest.skip("degenerate draw")
-    A2, B2 = conjugated_pair(sp, A, B, rng)
-    dec = pair_conjugate(A, B, A2, B2)
-    assert dec.verdict is Verdict.INCONCLUSIVE
+KIND_PAIRS = [(HYP, HYP), (ELL, ELL), (HYP, ELL), (ELL, HYP)]
+
+
+@pytest.mark.parametrize("kinds", KIND_PAIRS)
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_pair_conjugate_repeated_classes(n, kinds):
+    sp = HermitianSpace(n)
+    rng = np.random.default_rng(840 + 10 * n + KIND_PAIRS.index(kinds))
+    for _ in range(3):
+        # classes repeat in pairs from n = 2 (elliptic) and n = 3 (hyperbolic)
+        A, B = sample_pair(sp, rng, kinds=kinds, regular=False)
+        if n >= 3:
+            assert any(c.multiplicity > 1 for X in (A, B) for c in X.classes())
+        A2, B2 = conjugated_pair(sp, A, B, rng)
+        dec = pair_conjugate(A, B, A2, B2)
+        assert dec.verdict is Verdict.CONJUGATE
+        assert dec.residual < 1e-7
+        W = dec.witness
+        assert (W @ A.matrix @ W.inverse() - A2.matrix).norm() < 1e-7
+        assert (W @ B.matrix @ W.inverse() - B2.matrix).norm() < 1e-7
+
+        C1 = random_member(sp, rng)
+        B_moved = Isometry(sp.project_to_group(C1 @ B2.matrix @ C1.inverse()), sp)
+        if have_common_fixed_point(A2, B_moved):
+            continue
+        dec = pair_conjugate(A, B, A2, B_moved)
+        if dec.verdict is Verdict.CONJUGATE:
+            assert dec.residual < 1e-7
+        else:
+            assert dec.verdict is Verdict.NOT_CONJUGATE
+
+
+def line_preserving_pair(n, rng):
+    """A diagonal hyperbolic A and a boost B moved by Sp(1,1) x 1 on span(e_0, e_n):
+    both preserve that quaternionic line and its complement, without a common
+    fixed point."""
+    sp = HermitianSpace(n)
+    r, theta = rng.uniform(1.3, 2.5), rng.uniform(0.2, 2.9)
+    mids = np.exp(1j * np.sort(rng.uniform(0.2, 2.9, n - 1)))
+    A = Isometry(HMatrix.diag_complex([r * np.exp(1j * theta), *mids, np.exp(1j * theta) / r]), sp)
+    s = rng.uniform(1.3, 2.5)
+    g = np.zeros((sp.dim, sp.dim, 4))
+    g[np.arange(sp.dim), np.arange(sp.dim), 0] = 1.0
+    g[np.ix_([0, n], [0, n])] = random_member(HermitianSpace(1), rng).components()
+    G = HMatrix.from_components(g)
+    boost = HMatrix.diag_complex([s] + [1.0] * (n - 1) + [1.0 / s])
+    B = Isometry(sp.project_to_group(G @ boost @ G.inverse()), sp)
+    return sp, A, B
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_line_preserving_pairs_never_separated(n):
+    # the intertwiners of such a pair scale the line and its complement
+    # independently: no negative verdict may come from that
+    rng = np.random.default_rng(850 + n)
+    for _ in range(5):
+        sp, A, B = line_preserving_pair(n, rng)
+        assert not have_common_fixed_point(A, B)
+        A2, B2 = conjugated_pair(sp, A, B, rng)
+        dec = pair_conjugate(A, B, A2, B2)
+        assert dec.verdict is not Verdict.NOT_CONJUGATE
+        if dec.verdict is Verdict.CONJUGATE:
+            assert dec.residual < 1e-7
 
 
 def test_pair_conjugate_rejects_common_fixed_point():

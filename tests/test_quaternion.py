@@ -92,6 +92,15 @@ def test_multiplication_matrices_batch():
                                rtol=0, atol=1e-14)
 
 
+@pytest.mark.parametrize("shape", [(4,), (5, 5, 4), (2, 3, 1, 4)])
+def test_multiplication_tables_match_hamilton_product(shape):
+    # column c of each table is the product with the c-th basis unit, exactly
+    q = np.random.default_rng(4).normal(size=shape)
+    for c, unit in enumerate(np.eye(4)):
+        assert np.array_equal(left_matrix(q)[..., c], qmul_array(q, unit))
+        assert np.array_equal(right_matrix(q)[..., c], qmul_array(unit, q))
+
+
 # -- similarity -------------------------------------------------------------
 
 def test_similar_examples():

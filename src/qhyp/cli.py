@@ -2,20 +2,29 @@
 conjugacy decisions, seeded sampling, and the verification suite.
 
 Exit codes: 0 success / positive verdict, 1 negative verdict or failed
-verification, 2 malformed input, 3 inconclusive.
+verification, 2 malformed input, 3 inconclusive, 141 stdout closed early.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Optional
 
 import numpy as np
 
 from .errors import QhypError
-from .quaternion import DEFAULT_TOL
+from .tolerances import CLASSIFY_TOL_FLOOR, DECIDER_TOL_FLOOR, DEFAULT_TOL
+
+
+def _tolerance(text: str) -> float:
+    """A ``--tol`` value: positive and finite, as NaN and inf pass every check."""
+    tol = float(text)
+    if not 0.0 < tol < np.inf:
+        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text!r}")
+    return tol
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -24,30 +33,25 @@ def build_parser() -> argparse.ArgumentParser:
                                             "quaternionic hyperbolic space")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, fmt=True):
-        sp.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    def reader(name, text, run, *inputs, fmt=True):
+        """A command reading the JSON files ``inputs``, with ``--tol`` [and ``--format``]."""
+        sp = sub.add_parser(name, help=text)
+        sp.set_defaults(run=run)
+        for arg in inputs:
+            sp.add_argument(arg)
+        sp.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
         if fmt:
             sp.add_argument("--format", choices=("json", "csv"), default="json")
 
-    c = sub.add_parser("classify", help="classify an isometry from matrix JSON")
-    c.add_argument("input")
-    common(c)
-
-    c = sub.add_parser("invariants", help="profile of a point configuration")
-    c.add_argument("input")
-    common(c)
-
-    c = sub.add_parser("congruent", help="decide congruence of two configurations")
-    c.add_argument("config_a")
-    c.add_argument("config_b")
-    common(c, fmt=False)
-
-    c = sub.add_parser("conjugate-pair", help="decide conjugacy of two pairs")
-    c.add_argument("pair_a")
-    c.add_argument("pair_b")
-    common(c, fmt=False)
+    reader("classify", "classify an isometry from matrix JSON", cmd_classify, "input")
+    reader("invariants", "profile of a point configuration", cmd_invariants, "input")
+    reader("congruent", "decide congruence of two configurations", cmd_congruent,
+           "config_a", "config_b", fmt=False)
+    reader("conjugate-pair", "decide conjugacy of two pairs", cmd_conjugate_pair,
+           "pair_a", "pair_b", fmt=False)
 
     c = sub.add_parser("sample", help="generate seeded random objects")
+    c.set_defaults(run=cmd_sample)
     c.add_argument("--kind", choices=("hyperbolic", "elliptic", "config", "pair"),
                    required=True)
     c.add_argument("--signature", type=int, default=2, metavar="N")
@@ -57,6 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--nulls", type=int, default=4, help="null points in a config (i)")
 
     c = sub.add_parser("verify", help="run the acceptance criteria")
+    c.set_defaults(run=cmd_verify)
     c.add_argument("--suite", choices=("all", "quick"), default="all")
     c.add_argument("--criteria", type=str, default=None,
                    help="comma-separated criterion numbers to run")
@@ -78,7 +83,7 @@ def _emit(obj) -> None:
 def cmd_classify(args) -> int:
     from .serialize import classification_to_csv, isometry_from_json
 
-    A = isometry_from_json(_load_json(args.input), tol=max(args.tol, 1e-9))
+    A = isometry_from_json(_load_json(args.input), tol=max(args.tol, CLASSIFY_TOL_FLOOR))
     report = {"type": A.classification.value}
     if A.is_semisimple():
         report["real_trace"] = [float(x) for x in A.real_trace()]
@@ -114,7 +119,7 @@ def cmd_congruent(args) -> int:
 
     a = config_from_json(_load_json(args.config_a))
     b = config_from_json(_load_json(args.config_b))
-    dec = congruent(a, b, max(args.tol, 1e-8))
+    dec = congruent(a, b, max(args.tol, DECIDER_TOL_FLOOR))
     _emit(decision_to_json(dec))
     return dec.exit_code()
 
@@ -133,7 +138,7 @@ def cmd_conjugate_pair(args) -> int:
 
     A, B = _pair_from_json(_load_json(args.pair_a))
     A2, B2 = _pair_from_json(_load_json(args.pair_b))
-    dec = pair_conjugate(A, B, A2, B2, max(args.tol, 1e-8))
+    dec = pair_conjugate(A, B, A2, B2, max(args.tol, DECIDER_TOL_FLOOR))
     _emit(decision_to_json(dec))
     return dec.exit_code()
 
@@ -155,9 +160,7 @@ def cmd_sample(args) -> int:
             A, B = sample_pair(space, rng)
             item = {"A": hmatrix_to_json(A.matrix), "B": hmatrix_to_json(B.matrix)}
         else:
-            kind = (Classification.HYPERBOLIC if args.kind == "hyperbolic"
-                    else Classification.ELLIPTIC)
-            A = sample_semisimple(space, rng, kind)
+            A = sample_semisimple(space, rng, Classification(args.kind))
             item = hmatrix_to_json(A.matrix)
             item["expect"] = args.kind
         item["seed"] = [args.seed, k]
@@ -184,16 +187,13 @@ def cmd_verify(args) -> int:
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    handlers = {
-        "classify": cmd_classify,
-        "invariants": cmd_invariants,
-        "congruent": cmd_congruent,
-        "conjugate-pair": cmd_conjugate_pair,
-        "sample": cmd_sample,
-        "verify": cmd_verify,
-    }
     try:
-        return handlers[args.command](args)
+        code = args.run(args)
+        sys.stdout.flush()  # a reader that closed the pipe shows here, not at exit
+        return code
+    except BrokenPipeError:  # exit as a SIGPIPE kill would; the exit-time flush goes nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except QhypError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -43,16 +43,11 @@ from .linalg import (
     quaternionic_basis,
     two_columns,
 )
-from .quaternion import (
-    DEFAULT_TOL,
-    Quaternion,
-    canonical_sign,
-    from_complex_pairs,
-    qconj_array,
-    qmul_array,
-    rotation_matrix,
-    sp1_align,
-)
+from .quaternion import (Quaternion, canonical_sign, from_complex_pairs, qconj_array, qmul_array,
+                         rotation_matrix, sp1_align)
+from .tolerances import (BASE_MODULUS_TOL, DECIDER_TOL, DEFAULT_TOL, DEGENERACY_FACTOR,
+                         DIVISION_FLOOR, GAUGE_FLOOR_FACTOR, PATTERN_TOL, ROUND_TRIP_TOL,
+                         SLOT_REDUNDANCY_RTOL, WITNESS_MEMBER_TOL)
 
 @dataclass(frozen=True, eq=False)  # arrays have no single truth value: equality is identity
 class PointConfig:
@@ -112,9 +107,10 @@ def gram_of(space: HermitianSpace, points: Sequence[ProjPoint],
     absg = np.linalg.norm(g, axis=2)
     norms = np.linalg.norm(S, axis=0)
     re = np.diagonal(g[..., 0])
-    zero = absg <= 1e3 * tol * np.outer(norms, norms)
-    # both negative, so d = |g_kj|^2 / (g_kk g_jj) <= 1 + 1e3 tol reads
-    coincide = np.outer(neg, neg) & (absg ** 2 <= (1.0 + 1e3 * tol) * np.outer(re, re))
+    zero_tol = DEGENERACY_FACTOR * tol
+    zero = absg <= zero_tol * np.outer(norms, norms)
+    # both negative, so d = |g_kj|^2 / (g_kk g_jj) <= 1 + zero_tol reads
+    coincide = np.outer(neg, neg) & (absg ** 2 <= (1.0 + zero_tol) * np.outer(re, re))
     bad = np.argwhere(np.triu(zero | coincide, 1))
     if len(bad):
         k, j = bad[0]
@@ -171,19 +167,19 @@ class SemiNormalizedGram:
         return SemiNormalizedGram(self.m, self.i, g, lifts)
 
 
-def _check_pattern(sng: SemiNormalizedGram, tol: float = 1e-8) -> None:
+def _check_pattern(sng: SemiNormalizedGram) -> None:
     m, i, g = sng.m, sng.i, sng.gram
     diag = np.diagonal(g).T
     target = np.where(np.arange(m) < i, 0.0, -1.0)
-    if (np.any(np.abs(diag[:, 0] - target) > tol)
-            or np.any(np.linalg.norm(diag[:, 1:], axis=1) > tol)):
+    if (np.any(np.abs(diag[:, 0] - target) > PATTERN_TOL)
+            or np.any(np.linalg.norm(diag[:, 1:], axis=1) > PATTERN_TOL)):
         raise NumericalError("diagonal entry off pattern after normalization")
-    if np.any(np.linalg.norm(g[0, 1:i] - [1.0, 0.0, 0.0, 0.0], axis=1) > tol):
+    if np.any(np.linalg.norm(g[0, 1:i] - [1.0, 0.0, 0.0, 0.0], axis=1) > PATTERN_TOL):
         raise NumericalError("first-row null entry not 1")
     rest = g[0, max(i, 1):]
-    if np.any(np.linalg.norm(rest[:, 1:], axis=1) > tol) or np.any(rest[:, 0] <= 0):
+    if np.any(np.linalg.norm(rest[:, 1:], axis=1) > PATTERN_TOL) or np.any(rest[:, 0] <= 0):
         raise NumericalError("first-row entry not positive real")
-    if i >= 3 and abs(np.linalg.norm(g[1, 2]) - 1.0) > tol:
+    if i >= 3 and abs(np.linalg.norm(g[1, 2]) - 1.0) > PATTERN_TOL:
         raise NumericalError("|g_23| != 1 after normalization")
 
 
@@ -240,7 +236,7 @@ def _gauge_rotation(entries: np.ndarray, tol: float) -> Quaternion:
     so a second independent direction lands in the i-j plane with positive
     j part.  Both rotations are closed-form half-angle quaternions.
     """
-    floor = 1e3 * tol * np.maximum(1.0, np.linalg.norm(entries, axis=1))
+    floor = GAUGE_FLOOR_FACTOR * tol * np.maximum(1.0, np.linalg.norm(entries, axis=1))
     im = entries[:, 1:]
     imn = np.linalg.norm(im, axis=1)
     found = np.flatnonzero(imn > floor)
@@ -275,7 +271,7 @@ def _turn(cos: float, axis: np.ndarray, half_turn: Quaternion) -> Quaternion:
 # ---------------------------------------------------------------------------
 
 def orbit_equal(g1: SemiNormalizedGram, g2: SemiNormalizedGram,
-                tol: float = 1e-7) -> Optional[Quaternion]:
+                tol: float = DECIDER_TOL) -> Optional[Quaternion]:
     """Unit quaternion mu with conj(mu) V_2 mu = V_1, or None.
 
     Delegates to the certified alignment solver on the free-entry vectors.
@@ -285,13 +281,12 @@ def orbit_equal(g1: SemiNormalizedGram, g2: SemiNormalizedGram,
     return sp1_align(g1.v_entries(), g2.v_entries(), tol)
 
 
-def _independent_subset(space: HermitianSpace, lifts: Sequence[HVector],
-                        tol: float = 1e-8) -> list[int]:
+def _independent_subset(space: HermitianSpace, lifts: Sequence[HVector]) -> list[int]:
     chosen: list[int] = []
     for k in range(len(lifts)):
         # each lift chosen so far adds a quaternionic line: complex rank 2
         trial = chosen + [k]
-        if matrix_rank(two_columns([lifts[j] for j in trial]), tol) == 2 * len(trial):
+        if matrix_rank(two_columns([lifts[j] for j in trial])) == 2 * len(trial):
             chosen = trial
         if len(chosen) == space.dim:
             break
@@ -310,11 +305,10 @@ def _projective_residual(u: HVector, v: HVector) -> float:
     """Relative distance between the lines through u and v."""
     P, Q = u.two_column(), v.two_column()
     alpha = np.linalg.lstsq(P, Q, rcond=None)[0]
-    return float(np.linalg.norm(P @ alpha - Q) / max(np.linalg.norm(Q), 1e-300))
+    return float(np.linalg.norm(P @ alpha - Q) / max(np.linalg.norm(Q), DIVISION_FLOOR))
 
 
-def congruent(config_a: PointConfig, config_b: PointConfig,
-              tol: float = 1e-7) -> Decision:
+def congruent(config_a: PointConfig, config_b: PointConfig, tol: float = DECIDER_TOL) -> Decision:
     """Decide whether two configurations lie in one isometry-group orbit.
 
     Positive decisions ship a witness isometry verified to map each point of
@@ -355,7 +349,7 @@ def congruent(config_a: PointConfig, config_b: PointConfig,
     basis_b = HMatrix.from_columns(span_b)
     witness = space.project_to_group(basis_b @ basis_a.inverse())
 
-    if not space.is_member(witness, 1e-8):
+    if not space.is_member(witness, WITNESS_MEMBER_TOL):
         raise NumericalError("witness drifted off the isometry group")
     worst = max(_projective_residual(witness.apply(pa), pb)
                 for pa, pb in zip(lifts_a, lifts_b))
@@ -374,7 +368,7 @@ def _polar(a: float, u: Quaternion) -> np.ndarray:
     return math.sin(a) * u.to_array() - [math.cos(a), 0.0, 0.0, 0.0]
 
 
-def reconstruct_gram(prof: InvariantProfile, tol: float = 1e-7) -> SemiNormalizedGram:
+def reconstruct_gram(prof: InvariantProfile) -> SemiNormalizedGram:
     """Rebuild the semi-normalized Gram matrix (up to one unit conjugation).
 
     Inverts the entry identities behind the profile: the base entry comes
@@ -404,7 +398,7 @@ def reconstruct_gram(prof: InvariantProfile, tol: float = 1e-7) -> SemiNormalize
         x = np.array([s.value.to_array() for s in prof.x_slots]).reshape(-1, 4)
         fam = x_slot_families(m, i)
         g23 = _polar(prof.a23, prof.u0)
-        if abs(np.linalg.norm(g23) - 1.0) > 1e-9:
+        if abs(np.linalg.norm(g23) - 1.0) > BASE_MODULUS_TOL:
             raise InvalidSpecError("base entry must have unit modulus")
         g[1, 2] = g23
         pos, _, cols = fam["X2"]
@@ -424,11 +418,11 @@ def reconstruct_gram(prof: InvariantProfile, tol: float = 1e-7) -> SemiNormalize
     # redundant family: the X1 slots the rebuilt matrix implies must match
     for given, implied in zip(prof.x_slots, rebuilt.x_slots):
         if given.family == "X1" and not implied.value.approx_eq(
-                given.value, max(tol, tol * implied.value.norm())):
+                given.value, SLOT_REDUNDANCY_RTOL * max(1.0, implied.value.norm())):
             raise InvalidSpecError(
                 f"inconsistent profile: X1 slot at column {given.col} "
                 "disagrees with the other slot families")
     # round-trip guard: the rebuilt matrix reproduces the profile
-    if abs(rebuilt.a23 - prof.a23) > 1e-7:
+    if abs(rebuilt.a23 - prof.a23) > ROUND_TRIP_TOL:
         raise NumericalError("reconstruction failed its profile round trip")
     return sng

@@ -16,15 +16,13 @@ import numpy as np
 
 from .errors import DegenerateConfigurationError, InvalidSpecError
 from .linalg import HermitianSpace, HVector, PointType
-from .quaternion import DEFAULT_TOL, Quaternion, qconj_array, qmul_array
+from .quaternion import Quaternion, qconj_array, qmul_array
+from .tolerances import (ANGLE_RANGE_TOL, ANGLE_ZERO_TOL, DEFAULT_TOL, DISTANCE_FLOOR_TOL,
+                         DIVISION_FLOOR, QUADRUPLE_RELATION_TOL, ROTATION_ZERO_RTOL,
+                         SLOT_IDENTITY_RTOL)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .gram import PointConfig, SemiNormalizedGram
-
-#: below this, the imaginary part of a Gram entry counts as zero (relative)
-ROTATION_ZERO_RTOL = 1e-9
-#: angular invariants below this many radians count as zero
-ANGLE_ZERO_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -50,7 +48,7 @@ class ProjPoint:
 def _pairing(space: HermitianSpace, a: ProjPoint, b: ProjPoint,
              tol: float) -> Quaternion:
     h = space.herm(a.lift, b.lift)
-    scale = max(a.lift.norm() * b.lift.norm(), 1e-300)
+    scale = max(a.lift.norm() * b.lift.norm(), DIVISION_FLOOR)
     if h.norm() <= tol * scale:
         raise DegenerateConfigurationError("vanishing pairing in a cross-ratio factor")
     return h
@@ -71,28 +69,27 @@ def cross_ratio(space: HermitianSpace, z1: ProjPoint, z2: ProjPoint,
 
 
 def cross_ratio_triple(space: HermitianSpace, z1: ProjPoint, z2: ProjPoint,
-                       z3: ProjPoint, z4: ProjPoint, tol: float = DEFAULT_TOL,
-                       check_relations: Optional[bool] = None
+                       z3: ProjPoint, z4: ProjPoint, check_relations: Optional[bool] = None
                        ) -> tuple[Quaternion, Quaternion, Quaternion]:
     """The three symmetric-group orbit representatives of the cross ratio.
 
     For quadruples of null points the moduli satisfy |X2| = |X1| |X3|; this
     is asserted unless ``check_relations`` disables it.
     """
-    x1 = cross_ratio(space, z1, z2, z3, z4, tol)
-    x2 = cross_ratio(space, z1, z4, z3, z2, tol)
-    x3 = cross_ratio(space, z2, z4, z3, z1, tol)
+    x1 = cross_ratio(space, z1, z2, z3, z4)
+    x2 = cross_ratio(space, z1, z4, z3, z2)
+    x3 = cross_ratio(space, z2, z4, z3, z1)
     all_null = all(p.kind == PointType.NULL for p in (z1, z2, z3, z4))
     if check_relations is None:
         check_relations = all_null
     if check_relations:
         lhs = x2.norm()
         rhs = x1.norm() * x3.norm()
-        if abs(lhs - rhs) > 1e-8 * max(1.0, lhs, rhs):
+        if abs(lhs - rhs) > QUADRUPLE_RELATION_TOL * max(1.0, lhs, rhs):
             raise DegenerateConfigurationError(
                 f"modulus relation |X2| = |X1||X3| violated ({lhs:.3e} vs {rhs:.3e})")
         slack = boundary_quadruple_slack(x1, x2, x3)
-        if slack < -1e-8:
+        if slack < -QUADRUPLE_RELATION_TOL:
             raise DegenerateConfigurationError(
                 f"boundary quadruple relation violated (slack {slack:.3e})")
     return x1, x2, x3
@@ -115,7 +112,7 @@ def boundary_quadruple_slack(x1: Quaternion, x2: Quaternion, x3: Quaternion) -> 
 # ---------------------------------------------------------------------------
 
 def angular_invariant(space: HermitianSpace, z1: ProjPoint, z2: ProjPoint,
-                      z3: ProjPoint, tol: float = DEFAULT_TOL) -> float:
+                      z3: ProjPoint) -> float:
     """arccos of Re(-T)/|T| for the Hermitian triple product T; lies in [0, pi/2].
 
     T = <z1,z2> <z3,z1> <z2,z3>.  In this order the two pairings of each lift
@@ -127,11 +124,11 @@ def angular_invariant(space: HermitianSpace, z1: ProjPoint, z2: ProjPoint,
          * space.herm(z2.lift, z3.lift))
     tn = t.norm()
     scale = (z1.lift.norm() * z2.lift.norm() * z3.lift.norm()) ** 2
-    if tn <= tol * max(scale, 1e-300):
+    if tn <= DEFAULT_TOL * max(scale, DIVISION_FLOOR):
         raise DegenerateConfigurationError("vanishing Hermitian triple product")
     val = float(np.clip(-t.re / tn, -1.0, 1.0))
     angle = math.acos(val)
-    if angle > math.pi / 2 + 1e-9:
+    if angle > math.pi / 2 + ANGLE_RANGE_TOL:
         raise DegenerateConfigurationError(
             f"angular invariant {angle:.6f} outside [0, pi/2]; "
             "input is not a configuration on the closed ball")
@@ -149,21 +146,21 @@ def distance_invariant(space: HermitianSpace, p: ProjPoint, q: ProjPoint) -> flo
     num = space.herm(q.lift, p.lift)
     den = space.herm(q.lift, q.lift).re * space.herm(p.lift, p.lift).re
     val = num.norm_sq() / den
-    if val < 1.0 - 1e-9:
+    if val < 1.0 - DISTANCE_FLOOR_TOL:
         raise DegenerateConfigurationError("distance invariant below 1")
     return max(val, 1.0)
 
 
-def rotation_invariant(g: Quaternion, tol: float = ROTATION_ZERO_RTOL) -> Quaternion:
+def rotation_invariant(g: Quaternion) -> Quaternion:
     """Im(g)/|Im(g)|, or the zero quaternion when g is (relatively) real."""
-    return Quaternion.from_seq(_rotation_invariants(g.to_array(), tol))
+    return Quaternion.from_seq(_rotation_invariants(g.to_array()))
 
 
-def _rotation_invariants(e: np.ndarray, tol: float = ROTATION_ZERO_RTOL) -> np.ndarray:
+def _rotation_invariants(e: np.ndarray) -> np.ndarray:
     """:func:`rotation_invariant` on the trailing axis of a component array."""
     im = e[..., 1:]
     imn = np.linalg.norm(im, axis=-1, keepdims=True)
-    real = imn <= tol * np.maximum(1.0, np.linalg.norm(e, axis=-1, keepdims=True))
+    real = imn <= ROTATION_ZERO_RTOL * np.maximum(1.0, np.linalg.norm(e, axis=-1, keepdims=True))
     u = np.zeros_like(e)
     u[..., 1:] = np.divide(im, imn, out=np.zeros_like(im), where=~real)
     return u
@@ -356,7 +353,7 @@ def profile(config: "PointConfig", tol: float = DEFAULT_TOL) -> InvariantProfile
     for slot in prof.x_slots:
         idx = _slot_points(slot.family, slot.row, slot.col)
         direct = cross_ratio(config.space, *(points[t] for t in idx), tol)
-        if not direct.approx_eq(slot.value, 1e-7 * max(1.0, direct.norm())):
+        if not direct.approx_eq(slot.value, SLOT_IDENTITY_RTOL * max(1.0, direct.norm())):
             raise DegenerateConfigurationError(
                 f"cross-ratio slot {slot.family}({slot.row},{slot.col}) "
                 "disagrees with its Gram identity")

@@ -34,7 +34,8 @@ from .linalg import (
     spectrum_char_coeffs,
     two_columns,
 )
-from .quaternion import DEFAULT_TOL
+from .tolerances import (CHAR_COEFF_TOL, CLASS_MATCH_TOL, DEFAULT_TOL, FRAME_COND_MAX,
+                         GENERATED_MEMBER_TOL, HYPERBOLIC_MODULUS_TOL, SPAN_RTOL, TRACE_RTOL)
 
 
 class Classification(Enum):
@@ -75,7 +76,7 @@ class Isometry:
         if self.classification is Classification.PARABOLIC:
             self._real_trace = None
         else:
-            coeffs = spectrum_char_coeffs(self.eigen.spectrum, max(tol, 1e-9))
+            coeffs = spectrum_char_coeffs(self.eigen.spectrum, max(tol, CHAR_COEFF_TOL))
             self._real_trace = coeffs[:space.n].copy()
 
     @property
@@ -101,7 +102,7 @@ class Isometry:
 
 def _classify_from_eigen(eigen: EigenData) -> Classification:
     moduli = [c.modulus for c in eigen.classes]
-    if max(moduli) > 1.0 + 1e-8:
+    if max(moduli) > 1.0 + HYPERBOLIC_MODULUS_TOL:
         nulls = [c for c in eigen.classes if c.kind == PointType.NULL]
         if len(nulls) != 2:
             raise NumericalError("expanding spectrum without a null fixed pair")
@@ -123,8 +124,8 @@ def real_trace(A: Isometry) -> np.ndarray:
 # Single-element conjugacy (eigenvalue-class comparison)
 # ---------------------------------------------------------------------------
 
-def _class_multisets_match(a: Sequence[EigenClass], b: Sequence[EigenClass],
-                           tol: float) -> Optional[list[tuple[int, int]]]:
+def _class_multisets_match(a: Sequence[EigenClass],
+                           b: Sequence[EigenClass]) -> Optional[list[tuple[int, int]]]:
     """Greedy tolerance matching of two class multisets: the matched index
     pairs, or None.  A sorted zip would misalign near-ties."""
     if len(a) != len(b):
@@ -137,8 +138,8 @@ def _class_multisets_match(a: Sequence[EigenClass], b: Sequence[EigenClass],
             if used[idx] or cb.multiplicity != ca.multiplicity:
                 continue
             scale = max(1.0, ca.modulus, cb.modulus)
-            if (abs(ca.modulus - cb.modulus) <= tol * scale
-                    and abs(ca.angle - cb.angle) <= tol):
+            if (abs(ca.modulus - cb.modulus) <= CLASS_MATCH_TOL * scale
+                    and abs(ca.angle - cb.angle) <= CLASS_MATCH_TOL):
                 hit = idx
                 break
         if hit is None:
@@ -148,7 +149,7 @@ def _class_multisets_match(a: Sequence[EigenClass], b: Sequence[EigenClass],
     return pairs
 
 
-def conjugate_single(A: Isometry, B: Isometry, tol: float = 1e-7) -> bool:
+def conjugate_single(A: Isometry, B: Isometry) -> bool:
     """Decide conjugacy of two semisimple elements from their eigenvalue classes.
 
     Hyperbolic elements need equal similarity-class multisets; elliptic
@@ -159,7 +160,7 @@ def conjugate_single(A: Isometry, B: Isometry, tol: float = 1e-7) -> bool:
         raise UnsupportedElementError("conjugacy test supports semisimple elements only")
     if A.classification is not B.classification:
         return False
-    if _class_multisets_match(A.classes(), B.classes(), tol) is None:
+    if _class_multisets_match(A.classes(), B.classes()) is None:
         return False
     if A.classification is Classification.ELLIPTIC:
         neg_a = [c for c in A.classes() if c.kind == PointType.NEGATIVE]
@@ -167,7 +168,8 @@ def conjugate_single(A: Isometry, B: Isometry, tol: float = 1e-7) -> bool:
         if len(neg_a) != 1 or len(neg_b) != 1:
             raise NumericalError("elliptic element without a unique negative class")
         a, b = neg_a[0], neg_b[0]
-        if abs(a.modulus - b.modulus) > tol or abs(a.angle - b.angle) > tol:
+        if (abs(a.modulus - b.modulus) > CLASS_MATCH_TOL
+                or abs(a.angle - b.angle) > CLASS_MATCH_TOL):
             return False
     return True
 
@@ -176,26 +178,19 @@ def conjugate_single(A: Isometry, B: Isometry, tol: float = 1e-7) -> bool:
 # Equality by invariants
 # ---------------------------------------------------------------------------
 
-def _spans_equal(B1: np.ndarray, B2: np.ndarray, tol: float) -> bool:
-    """True when the column spans of B1 and B2 coincide."""
-    return (matrix_rank(B1, tol) == matrix_rank(B2, tol)
-            == matrix_rank(np.concatenate([B1, B2], axis=1), tol))
+def _eigensets_equal(ca: EigenClass, cb: EigenClass) -> bool:
+    """True when two classes' eigensets span one subspace: the right
+    quaternionic span for a real class, the complex span of the stacked
+    vectors otherwise."""
+    if ca.is_real():
+        B1, B2 = two_columns(ca.vectors), two_columns(cb.vectors)
+    else:
+        B1, B2 = (np.stack([v.s for v in c.vectors], axis=1) for c in (ca, cb))
+    return (matrix_rank(B1, SPAN_RTOL) == matrix_rank(B2, SPAN_RTOL)
+            == matrix_rank(np.concatenate([B1, B2], axis=1), SPAN_RTOL))
 
 
-def quaternionic_spans_equal(v1: Sequence[HVector], v2: Sequence[HVector],
-                             tol: float = 1e-8) -> bool:
-    """True when the right quaternionic spans coincide."""
-    return _spans_equal(two_columns(v1), two_columns(v2), tol)
-
-
-def complex_spans_equal(v1: Sequence[HVector], v2: Sequence[HVector],
-                        tol: float = 1e-8) -> bool:
-    """True when the complex spans of the stacked vectors coincide."""
-    return _spans_equal(np.stack([v.s for v in v1], axis=1),
-                        np.stack([v.s for v in v2], axis=1), tol)
-
-
-def equal_by_invariants(A: Isometry, B: Isometry, tol: float = 1e-7) -> bool:
+def equal_by_invariants(A: Isometry, B: Isometry) -> bool:
     """Decide A == B from real trace, projective fixed sets, and eigensets.
 
     For each nonreal class the pinned eigenset (a point on the class
@@ -205,20 +200,11 @@ def equal_by_invariants(A: Isometry, B: Isometry, tol: float = 1e-7) -> bool:
     if not A.is_semisimple() or not B.is_semisimple():
         raise UnsupportedElementError("equality test supports semisimple elements only")
     ta, tb = A.real_trace(), B.real_trace()
-    if not np.allclose(ta, tb, atol=tol * max(1.0, float(np.max(np.abs(ta))))):
+    if not np.allclose(ta, tb, atol=TRACE_RTOL * max(1.0, float(np.max(np.abs(ta))))):
         return False
-    pairs = _class_multisets_match(A.classes(), B.classes(), tol)
-    if pairs is None:
-        return False
-    for ia, ib in pairs:
-        ca, cb = A.classes()[ia], B.classes()[ib]
-        if ca.is_real():
-            if not quaternionic_spans_equal(ca.vectors, cb.vectors, tol):
-                return False
-        else:
-            if not complex_spans_equal(ca.vectors, cb.vectors, tol):
-                return False
-    return True
+    pairs = _class_multisets_match(A.classes(), B.classes())
+    return pairs is not None and all(_eigensets_equal(A.classes()[ia], B.classes()[ib])
+                                     for ia, ib in pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -262,17 +248,16 @@ def _random_hvector(space: HermitianSpace, rng: np.random.Generator) -> HVector:
 
 
 def random_frame(space: HermitianSpace, rng: np.random.Generator,
-                 elliptic: bool = False, cond_max: float = 1e6,
-                 max_tries: int = 200) -> HMatrix:
+                 elliptic: bool = False, cond_max: float = FRAME_COND_MAX) -> HMatrix:
     """Seeded pseudo-random frame: column Gram is the corner form (hyperbolic
     ordering a, x_1..x_{n-1}, r) or diag(-1, 1, ..., 1) when ``elliptic``.
 
-    Draws are rejected while the frame is near-degenerate.
+    Draws are rejected while the frame is near-degenerate, 200 times at most.
     """
     from .errors import GramSchmidtError
 
     N = space.dim
-    for _ in range(max_tries):
+    for _ in range(200):
         vecs = [_random_hvector(space, rng) for _ in range(N)]
         try:
             basis, signs = orthonormal_form_basis(space, vecs)
@@ -304,8 +289,7 @@ def random_member(space: HermitianSpace, rng: np.random.Generator,
 
 def random_semisimple(kind: Classification, n: int,
                       eigen_spec: "HyperbolicSpec | EllipticSpec",
-                      seed: int, space: Optional[HermitianSpace] = None,
-                      cond_max: float = 1e6) -> Isometry:
+                      seed: int, space: Optional[HermitianSpace] = None) -> Isometry:
     """Generate C E C^-1 with E the diagonal normal form and C a seeded frame.
 
     Membership and classification are verified before returning.
@@ -319,20 +303,20 @@ def random_semisimple(kind: Classification, n: int,
         entries = ([eigen_spec.r * np.exp(1j * eigen_spec.theta)]
                    + [np.exp(1j * t) for t in eigen_spec.unit_angles]
                    + [np.exp(1j * eigen_spec.theta) / eigen_spec.r])
-        C = random_frame(space, rng, elliptic=False, cond_max=cond_max)
+        C = random_frame(space, rng, elliptic=False)
     elif kind is Classification.ELLIPTIC:
         if not isinstance(eigen_spec, EllipticSpec):
             raise InvalidSpecError("elliptic kind needs an EllipticSpec")
         eigen_spec.validate(n)
         entries = [np.exp(1j * t) for t in eigen_spec.angles]
-        C = random_frame(space, rng, elliptic=True, cond_max=cond_max)
+        C = random_frame(space, rng, elliptic=True)
     else:
         raise InvalidSpecError("kind must be hyperbolic or elliptic")
 
     E = HMatrix.diag_complex(entries)
     A = C @ E @ C.inverse()
     A = space.project_to_group(A)
-    out = Isometry(A, space, tol=1e-7)
+    out = Isometry(A, space, tol=GENERATED_MEMBER_TOL)
     if out.classification is not kind:
         raise NumericalError(
             f"generated element classified as {out.classification.value}, "

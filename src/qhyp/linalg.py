@@ -27,12 +27,11 @@ from .errors import (
     NotSemisimpleError,
     NumericalError,
 )
-from .quaternion import DEFAULT_TOL, Quaternion, complex_pairs, from_complex_pairs
-
-#: eigenvalues closer than this (relative) are one similarity class
-CLUSTER_RTOL = 1e-7
-#: relative singular-value threshold for rank decisions
-RANK_RTOL = 1e-8
+from .quaternion import Quaternion, complex_pairs, from_complex_pairs
+from .tolerances import (BASIS_RANK_RTOL, CENTRALIZER_RTOL, CHAR_COEFF_TOL, CLUSTER_RTOL,
+                         DEFAULT_TOL, FORM_DEGENERACY_RTOL, FORM_SYMMETRY_TOL,
+                         J_STRUCTURE_RTOL, NEWTON_STEP_RTOL, RANK_RTOL, REAL_CLASS_RTOL,
+                         UNIT_MODULUS_TOL)
 
 
 class PointType(Enum):
@@ -131,7 +130,7 @@ class HMatrix:
             N = emb.shape[0] // 2
             J = _j_mat(N)
             drift = np.linalg.norm(J @ np.conj(emb) - emb @ J)
-            if drift > 1e-9 * max(1.0, np.linalg.norm(emb)):
+            if drift > J_STRUCTURE_RTOL * max(1.0, np.linalg.norm(emb)):
                 raise NumericalError("matrix does not have quaternionic J-structure")
         self.emb = emb
 
@@ -261,7 +260,7 @@ class HermitianSpace:
         self.n = n
         self.dim = n + 1
         H = corner_form(self.dim) if form is None else np.asarray(form, dtype=float)
-        if H.shape != (self.dim, self.dim) or np.linalg.norm(H - H.T) > 1e-12:
+        if H.shape != (self.dim, self.dim) or np.linalg.norm(H - H.T) > FORM_SYMMETRY_TOL:
             raise InvalidSpecError("form must be a real symmetric (n+1) x (n+1) matrix")
         eigs = np.linalg.eigvalsh(H)
         if np.sum(eigs > 0) != n or np.sum(eigs < 0) != 1:
@@ -295,15 +294,15 @@ class HermitianSpace:
     def is_member(self, A: HMatrix, tol: float = DEFAULT_TOL) -> bool:
         return self.member_residual(A) <= tol * max(1.0, A.norm() ** 2)
 
-    def project_to_group(self, A: HMatrix, iters: int = 5) -> HMatrix:
-        """Polish an approximate member: average with H^-1 A^-* H (Newton step)."""
+    def project_to_group(self, A: HMatrix) -> HMatrix:
+        """Polish an approximate member: up to five Newton steps M -> (M + H^-1 M^-* H) / 2."""
         Hc = self.H_emb
         Hinv = np.linalg.inv(Hc)
         M = A.emb.copy()
-        for _ in range(iters):
+        for _ in range(5):
             phi = Hinv @ np.linalg.inv(M).conj().T @ Hc
             M_next = 0.5 * (M + phi)
-            if np.linalg.norm(M_next - M) < 1e-15 * max(1.0, np.linalg.norm(M)):
+            if np.linalg.norm(M_next - M) < NEWTON_STEP_RTOL * max(1.0, np.linalg.norm(M)):
                 M = M_next
                 break
             M = M_next
@@ -317,7 +316,7 @@ class HermitianSpace:
 # Characteristic polynomial
 # ---------------------------------------------------------------------------
 
-def char_poly_real_coeffs(A: HMatrix, tol: float = 1e-9) -> np.ndarray:
+def char_poly_real_coeffs(A: HMatrix, tol: float = CHAR_COEFF_TOL) -> np.ndarray:
     """Middle coefficients (a_1 .. a_{2n+1}) of the embedding's characteristic polynomial.
 
     The leading and trailing coefficients are 1 and are dropped.  Imaginary
@@ -327,14 +326,14 @@ def char_poly_real_coeffs(A: HMatrix, tol: float = 1e-9) -> np.ndarray:
     return spectrum_char_coeffs(np.linalg.eigvals(A.emb), tol)
 
 
-def spectrum_char_coeffs(eigs: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+def spectrum_char_coeffs(eigs: np.ndarray, tol: float = CHAR_COEFF_TOL) -> np.ndarray:
     """:func:`char_poly_real_coeffs` from the embedding's eigenvalues, with the same checks."""
     coeffs = np.poly(eigs)  # length 2N+1, coeffs[0] == 1
     scale = max(1.0, float(np.max(np.abs(coeffs))))
     if np.max(np.abs(coeffs.imag)) > tol * scale:
         raise NumericalError("characteristic coefficients have imaginary residue")
     full = coeffs.real[1:-1]
-    if np.max(np.abs(full - full[::-1])) > max(tol, 1e-9) * scale:
+    if np.max(np.abs(full - full[::-1])) > max(tol, CHAR_COEFF_TOL) * scale:
         raise NumericalError("characteristic coefficients are not palindromic")
     return full
 
@@ -364,8 +363,8 @@ class EigenClass:
     def angle(self) -> float:
         return math.atan2(self.rep.imag, self.rep.real)
 
-    def is_real(self, tol: float = DEFAULT_TOL) -> bool:
-        return abs(self.rep.imag) <= tol * max(1.0, abs(self.rep))
+    def is_real(self) -> bool:
+        return abs(self.rep.imag) <= REAL_CLASS_RTOL * max(1.0, abs(self.rep))
 
 
 @dataclass(frozen=True, eq=False)  # arrays have no single truth value: equality is identity
@@ -418,20 +417,20 @@ def quaternionic_basis(columns: np.ndarray, expected: int) -> list[HVector]:
         basis = np.stack([s, sj], axis=1)
         proj = remaining - basis @ (basis.conj().T @ remaining)
         U, sv, _ = np.linalg.svd(proj, full_matrices=False)
-        remaining = U[:, sv > 1e-10 * max(1.0, sv[0] if sv.size else 1.0)]
+        remaining = U[:, sv > BASIS_RANK_RTOL * max(1.0, sv[0] if sv.size else 1.0)]
     return out
 
 
-def _cluster_eigenvalues(eigs: np.ndarray, rtol: float = CLUSTER_RTOL) -> list[np.ndarray]:
+def _cluster_eigenvalues(eigs: np.ndarray) -> list[np.ndarray]:
     """Index groups of the embedding eigenvalues forming conjugation-closed clusters.
 
     Eigenvalues a < b are linked when their folded points (imaginary part
-    made nonnegative) lie closer than rtol * max(1, |eig_a|).  The clusters
+    made nonnegative) lie closer than CLUSTER_RTOL * max(1, |eig_a|).  The clusters
     are the connected components of the links, ordered by first index.
     """
     folded = np.stack([eigs.real, np.abs(eigs.imag)], axis=1)
     dist = np.linalg.norm(folded[:, None] - folded[None], axis=-1)
-    link = np.triu(dist < rtol * np.maximum(1.0, np.abs(eigs))[:, None], 1)
+    link = np.triu(dist < CLUSTER_RTOL * np.maximum(1.0, np.abs(eigs))[:, None], 1)
     reach = link | link.T | np.eye(len(eigs), dtype=bool)
     for _ in range(len(eigs).bit_length()):  # paths of any length up to len(eigs)
         reach = reach @ reach
@@ -538,7 +537,7 @@ def _type_and_normalize(space: HermitianSpace, S: np.ndarray, rep: complex,
         return (PointType.NEGATIVE if -1 in signs else PointType.POSITIVE), tuple(basis)
 
     G1, G2 = _form_blocks(space, S)
-    if np.any(np.abs(G2) > 1e-7 * np.maximum(1.0, np.hypot(np.abs(G1), np.abs(G2)))):
+    if np.any(np.abs(G2) > CENTRALIZER_RTOL * np.maximum(1.0, np.hypot(np.abs(G1), np.abs(G2)))):
         raise NumericalError("restricted form is not centralizer-valued")
     eigs, U = np.linalg.eigh(G1)
     scale = max(1.0, float(np.max(np.abs(eigs))))
@@ -562,7 +561,7 @@ def _normalize_null_pair(space: HermitianSpace,
         return classes
     big = max(nulls, key=lambda c: c.modulus)
     small = min(nulls, key=lambda c: c.modulus)
-    if abs(big.modulus - 1.0) < 1e-12:
+    if abs(big.modulus - 1.0) < UNIT_MODULUS_TOL:
         return classes
     a, r = big.vectors[0], small.vectors[0]
     h = space.herm(a, r)  # pairing lies in the centralizer of the eigenvalue
@@ -594,7 +593,7 @@ def _form_orthonormal(space: HermitianSpace, S: np.ndarray, eigs: np.ndarray,
                       U: np.ndarray) -> tuple[list[HVector], list[int]]:
     """Form-orthonormal basis of span(S) from the eigh of its restricted-form embedding."""
     scale = max(1.0, float(np.max(np.abs(eigs))))
-    if np.min(np.abs(eigs)) < 1e-10 * scale:
+    if np.min(np.abs(eigs)) < FORM_DEGENERACY_RTOL * scale:
         raise GramSchmidtError("restricted form is degenerate on the span")
 
     # a coefficient vector c in H^m (stacked) combines the columns as T c

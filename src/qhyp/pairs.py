@@ -27,6 +27,8 @@ from .errors import NumericalError, UnsupportedElementError
 from .isometry import Classification, Isometry, conjugate_single
 from .linalg import EigenClass, HMatrix, HVector, PointType, nullspace, two_columns
 from .quaternion import left_matrix, right_matrix
+from .tolerances import (DECIDER_TOL, FIXED_SET_RANK_ATOL, GROUP_MULTIPLE_RTOL, INTERTWINER_RTOL,
+                         NORMAL_FORM_RTOL, REAL_CLASS_RTOL, REASSEMBLY_RTOL, TRACE_RTOL)
 
 REASON_TRACE = "real trace mismatch"
 REASON_CLASSES = "eigenvalue class mismatch"
@@ -69,21 +71,16 @@ def _ordered_classes(A: Isometry) -> list[EigenClass]:
     return neg + pos
 
 
-def eigenframe(A: Isometry, tol: float = 1e-8) -> EigenFrame:
+def eigenframe(A: Isometry) -> EigenFrame:
     """Assemble the normalized eigenframe; verifies the reassembly residual."""
     if not A.is_semisimple():
         raise UnsupportedElementError("parabolic elements have no eigenframe")
     ordered = _ordered_classes(A)
-    columns: list[HVector] = []
-    reps: list[complex] = []
-    for c in ordered:
-        for v in c.vectors:
-            columns.append(v)
-            reps.append(c.rep)
-    C = HMatrix.from_columns(columns)
+    reps = [c.rep for c in ordered for _ in c.vectors]
+    C = HMatrix.from_columns([v for c in ordered for v in c.vectors])
     E = HMatrix.diag_complex(reps)
     resid = (C @ E @ C.inverse() - A.matrix).norm()
-    if resid > tol * max(1.0, A.matrix.norm()):
+    if resid > REASSEMBLY_RTOL * max(1.0, A.matrix.norm()):
         raise NumericalError(f"eigenframe reassembly residual {resid:.3e}")
     return EigenFrame(A.classification, tuple(reps), C, E)
 
@@ -101,11 +98,11 @@ def have_common_fixed_point(A: Isometry, B: Isometry) -> bool:
     """Shared fixed point on the closed ball: intersecting fixed eigenspaces."""
     for ua in _fixed_set_bases(A):
         Ba = two_columns(ua)
-        ra = np.linalg.matrix_rank(Ba, 1e-8)
+        ra = np.linalg.matrix_rank(Ba, FIXED_SET_RANK_ATOL)
         for ub in _fixed_set_bases(B):
             Bb = two_columns(ub)
-            rb = np.linalg.matrix_rank(Bb, 1e-8)
-            rboth = np.linalg.matrix_rank(np.concatenate([Ba, Bb], axis=1), 1e-8)
+            rb = np.linalg.matrix_rank(Bb, FIXED_SET_RANK_ATOL)
+            rboth = np.linalg.matrix_rank(np.concatenate([Ba, Bb], axis=1), FIXED_SET_RANK_ATOL)
             if rboth < ra + rb:
                 return True
     return False
@@ -116,7 +113,7 @@ def have_common_fixed_point(A: Isometry, B: Isometry) -> bool:
 # ---------------------------------------------------------------------------
 
 def pair_conjugate(A: Isometry, B: Isometry, A2: Isometry, B2: Isometry,
-                   tol: float = 1e-7) -> Decision:
+                   tol: float = DECIDER_TOL) -> Decision:
     """Decide simultaneous conjugacy of the pairs (A, B) and (A2, B2).
 
     Every conjugator lies in the null space of one real-linear system in A's
@@ -136,14 +133,14 @@ def pair_conjugate(A: Isometry, B: Isometry, A2: Isometry, B2: Isometry,
     ta, ta2 = A.real_trace(), A2.real_trace()
     tb, tb2 = B.real_trace(), B2.real_trace()
     scale = max(1.0, float(np.max(np.abs(ta))), float(np.max(np.abs(tb))))
-    if (np.max(np.abs(ta - ta2)) > 1e-7 * scale
-            or np.max(np.abs(tb - tb2)) > 1e-7 * scale):
+    if (np.max(np.abs(ta - ta2)) > TRACE_RTOL * scale
+            or np.max(np.abs(tb - tb2)) > TRACE_RTOL * scale):
         return Decision(Verdict.NOT_CONJUGATE, reason=REASON_TRACE)
     if not conjugate_single(A, A2) or not conjugate_single(B, B2):
         return Decision(Verdict.NOT_CONJUGATE, reason=REASON_CLASSES)
 
     fa, fa2 = eigenframe(A), eigenframe(A2)
-    if (fa.E - fa2.E).norm() > 1e-6 * max(1.0, fa.E.norm()):
+    if (fa.E - fa2.E).norm() > NORMAL_FORM_RTOL * max(1.0, fa.E.norm()):
         return Decision(Verdict.NOT_CONJUGATE, reason=REASON_CLASSES)
 
     # a conjugator W gives X = fa2.C^-1 W fa.C with M2 X = X M
@@ -155,11 +152,11 @@ def pair_conjugate(A: Isometry, B: Isometry, A2: Isometry, B2: Isometry,
     reps = np.array(fa.reps)
     N = len(reps)
     block = np.repeat(reps[:, None] == reps[None, :], 4).reshape(N, N, 4)
-    nonreal = np.abs(reps.imag) > 1e-9 * np.maximum(1.0, np.abs(reps))
+    nonreal = np.abs(reps.imag) > REAL_CLASS_RTOL * np.maximum(1.0, np.abs(reps))
     free = block & ~(nonreal[:, None, None] & (np.arange(4) >= 2))
-    null = nullspace(_intertwiner_rows(m, m2, free), 1e-7)
+    null = nullspace(_intertwiner_rows(m, m2, free), INTERTWINER_RTOL)
     if null.shape[1] == 0:
-        if nullspace(_intertwiner_rows(m, m2, block), 1e-7).shape[1] == 0:
+        if nullspace(_intertwiner_rows(m, m2, block), INTERTWINER_RTOL).shape[1] == 0:
             return Decision(Verdict.NOT_CONJUGATE, reason=REASON_ORBIT)
         return Decision(Verdict.NOT_CONJUGATE, reason=REASON_GRASSMANNIAN)
 
@@ -176,7 +173,7 @@ def pair_conjugate(A: Isometry, B: Isometry, A2: Isometry, B2: Isometry,
         # a real multiple t W of a group element has W* H W = t^2 H
         G = W.conj().T @ H @ W
         c = np.vdot(H, G).real / np.vdot(H, H).real
-        if not c > 0 or np.linalg.norm(G - c * H) > 1e-5 * c * np.linalg.norm(H):
+        if not c > 0 or np.linalg.norm(G - c * H) > GROUP_MULTIPLE_RTOL * c * np.linalg.norm(H):
             continue
         any_member = True
         C = space.project_to_group(HMatrix(W / math.sqrt(c), check=False))

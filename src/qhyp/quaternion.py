@@ -16,9 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DimensionMismatchError
-
-#: Default absolute tolerance on quaternion components.
-DEFAULT_TOL = 1e-9
+from .tolerances import DEFAULT_TOL
 
 
 @dataclass(frozen=True)
@@ -151,8 +149,8 @@ class Quaternion:
 
     # -- predicates --------------------------------------------------------
 
-    def is_zero(self, tol: float = DEFAULT_TOL) -> bool:
-        return self.norm() <= tol
+    def is_zero(self) -> bool:
+        return self.norm() <= DEFAULT_TOL
 
     def approx_eq(self, other: "Quaternion", tol: float = DEFAULT_TOL) -> bool:
         return (self - other).norm() <= tol

@@ -47,24 +47,22 @@ def sample_null_lift(space: HermitianSpace, rng: np.random.Generator) -> HVector
     return HVector.from_quaternions([z1] + middle + [Quaternion.one()])
 
 
-def sample_negative_lift(space: HermitianSpace, rng: np.random.Generator,
-                         depth_range: tuple[float, float] = (0.2, 2.0)) -> HVector:
+def sample_negative_lift(space: HermitianSpace, rng: np.random.Generator) -> HVector:
     n = space.n
     middle = [random_quaternion(rng) for _ in range(n - 1)]
     im = random_quaternion(rng).im()
-    depth = rng.uniform(*depth_range)
+    depth = rng.uniform(0.2, 2.0)
     re = -0.5 * (sum(q.norm_sq() for q in middle) + depth)
     z1 = Quaternion.real(re) + im
     return HVector.from_quaternions([z1] + middle + [Quaternion.one()])
 
 
 def sample_config(space: HermitianSpace, m: int, i: int,
-                  rng: np.random.Generator, max_tries: int = 50,
-                  scramble_lifts: bool = False) -> PointConfig:
-    """Random configuration of i null points followed by m - i negative ones."""
+                  rng: np.random.Generator, scramble_lifts: bool = False) -> PointConfig:
+    """Random configuration of i null points then m - i negative ones, in 50 draws at most."""
     if not (i == 0 or 3 <= i <= m):
         raise ValueError("null count must be 0 or at least 3")
-    for _ in range(max_tries):
+    for _ in range(50):
         pts = []
         for _ in range(i):
             pts.append(ProjPoint(sample_null_lift(space, rng), PointType.NULL))
@@ -92,9 +90,8 @@ def _repeated(values: np.ndarray) -> np.ndarray:
 
 
 def random_hyperbolic_spec(n: int, rng: np.random.Generator,
-                           r_range: tuple[float, float] = (1.3, 2.5),
                            regular: bool = True) -> HyperbolicSpec:
-    r = float(rng.uniform(*r_range))
+    r = float(rng.uniform(1.3, 2.5))
     theta = float(rng.uniform(0.1, math.pi - 0.1))
     angles = np.sort(rng.uniform(0.1, math.pi - 0.1, n - 1))
     if not regular:
@@ -103,12 +100,12 @@ def random_hyperbolic_spec(n: int, rng: np.random.Generator,
 
 
 def random_elliptic_spec(n: int, rng: np.random.Generator,
-                         min_gap: float = 0.15, regular: bool = True) -> EllipticSpec:
-    """Angles kept pairwise separated, so all classes are regular unless
+                         regular: bool = True) -> EllipticSpec:
+    """Angles kept pairwise more than 0.15 apart, so all classes are regular unless
     ``regular`` is False, which repeats the positive-class angles in pairs."""
     while True:
         angles = np.sort(rng.uniform(0.1, math.pi - 0.1, n + 1))
-        if n == 0 or np.min(np.diff(angles)) > min_gap:
+        if n == 0 or np.min(np.diff(angles)) > 0.15:
             positive = angles[1:] if regular else _repeated(angles[1:])
             return EllipticSpec((float(angles[0]),) + tuple(float(a) for a in positive))
 
@@ -135,12 +132,12 @@ def sample_semisimple(space: HermitianSpace, rng: np.random.Generator,
 
 def sample_pair(space: HermitianSpace, rng: np.random.Generator,
                 kinds: Optional[tuple[Classification, Classification]] = None,
-                max_tries: int = 20, regular: bool = True) -> tuple[Isometry, Isometry]:
-    """Semisimple pair without a common fixed point; ``regular`` as in
-    :func:`sample_semisimple`."""
+                regular: bool = True) -> tuple[Isometry, Isometry]:
+    """Semisimple pair without a common fixed point (20 draws at most);
+    ``regular`` as in :func:`sample_semisimple`."""
     from .pairs import have_common_fixed_point
 
-    for _ in range(max_tries):
+    for _ in range(20):
         A = sample_semisimple(space, rng, kinds[0] if kinds else None, regular)
         B = sample_semisimple(space, rng, kinds[1] if kinds else None, regular)
         if not have_common_fixed_point(A, B):

@@ -11,7 +11,6 @@ flattens quaternions into four adjacent columns suffixed .w/.x/.y/.z.
 
 from __future__ import annotations
 
-import io
 import math
 from typing import Any, Optional
 
@@ -24,6 +23,7 @@ from .invariants import InvariantProfile, PairSlot, ProjPoint, XSlot
 from .isometry import Isometry
 from .linalg import HermitianSpace, HMatrix, HVector
 from .quaternion import Quaternion
+from .tolerances import WIRE_TOL
 
 
 def quaternion_to_json(q: Quaternion) -> list[float]:
@@ -94,7 +94,7 @@ def hmatrix_from_json(data: dict) -> tuple[HMatrix, int]:
     return HMatrix.from_components(comps), n
 
 
-def isometry_from_json(data: dict, tol: float = 1e-8) -> Isometry:
+def isometry_from_json(data: dict, tol: float = WIRE_TOL) -> Isometry:
     M, n = hmatrix_from_json(data)
     A = Isometry(M, HermitianSpace(n), tol=tol)
     expect = data.get("expect")
@@ -109,14 +109,14 @@ def config_to_json(cfg: PointConfig) -> dict:
             "points": [p.lift.components().tolist() for p in cfg.points]}
 
 
-def config_from_json(data: dict, tol: float = 1e-8) -> PointConfig:
+def config_from_json(data: dict) -> PointConfig:
     n, points = _dimension(data, "points")
     space = HermitianSpace(n)
     lifts = _components(points, "points")
     if lifts.shape[1:] != (n + 1, 4):
         raise InvalidSpecError(f"each point needs {n + 1} quaternion coordinates")
-    cfg = gram_of(space, [ProjPoint.from_lift(space, HVector.from_components(a), tol)
-                          for a in lifts], tol)
+    cfg = gram_of(space, [ProjPoint.from_lift(space, HVector.from_components(a), WIRE_TOL)
+                          for a in lifts], WIRE_TOL)
     declared = data.get("i")
     if declared is not None and _integer(declared, "i") != cfg.i:
         raise InvalidSpecError(f"declared i={declared} but found {cfg.i} null points")
@@ -195,10 +195,8 @@ def profile_to_csv(prof: InvariantProfile) -> str:
     for j, r in enumerate(prof.first_row):
         col = (prof.i if prof.i >= 3 else 1) + 1 + j
         cells += _flatten(f"r_1{col}", r)
-    buf = io.StringIO()
-    buf.write(",".join(name for name, _ in cells) + "\n")
-    buf.write(",".join(repr(v) for _, v in cells) + "\n")
-    return buf.getvalue()
+    return (",".join(name for name, _ in cells) + "\n"
+            + ",".join(repr(v) for _, v in cells) + "\n")
 
 
 def classification_to_csv(report: dict) -> str:

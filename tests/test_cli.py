@@ -1,9 +1,14 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from qhyp import cli
 from qhyp.cli import main
 from qhyp.errors import InvalidSpecError
 from qhyp.isometry import Classification, HyperbolicSpec, random_semisimple
@@ -241,6 +246,40 @@ def test_congruent_command_exit_codes(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     if report["verdict"] == "not_congruent":
         assert code == 1
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+def test_tol_must_be_positive_and_finite(tol, tmp_path, capsys):
+    # every comparison against NaN or inf passes, so these once turned a
+    # negative verdict into "congruent"
+    assert main(["sample", "--kind", "config", "--signature", "2", "--points", "5",
+                 "--nulls", "3", "--seed", "1", "--count", "2"]) == 0
+    paths = [write(tmp_path, f"c{k}.json", doc)
+             for k, doc in enumerate(json.loads(capsys.readouterr().out))]
+    assert main(["congruent", *paths]) == 1
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["congruent", *paths, "--tol", tol])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "positive finite" in err
+
+
+def test_closed_stdout_exits_quietly():
+    # the reading end is closed before the command writes, as when a pager
+    # or `head` exits early
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = [src] + [os.environ["PYTHONPATH"]] * ("PYTHONPATH" in os.environ)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    try:
+        proc = subprocess.run([sys.executable, "-m", "qhyp.cli", "sample", "--kind", "config"],
+                              stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert proc.stderr == b""
 
 
 def test_conjugate_pair_command(tmp_path, capsys):

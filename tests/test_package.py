@@ -1,9 +1,12 @@
 """The package's public export list and its modules' imports."""
 
 import ast
+import re
+import tokenize
 from pathlib import Path
 
 import qhyp
+from qhyp import tolerances
 
 
 def test_all_names_resolve_once():
@@ -51,3 +54,70 @@ def test_every_parameter_is_read():
                        if a.arg not in read and a.arg not in ("self", "cls")
                        and not a.arg.startswith("_")]
     assert unread == []
+
+
+def test_thresholds_live_in_the_table():
+    # a number in scientific notation is a threshold, and every threshold
+    # is named in tolerances.py; verify.py keeps its own acceptance bounds,
+    # which judge the thresholds from outside
+    found = []
+    for path in sorted(Path(qhyp.__file__).parent.glob("*.py")):
+        if path.name in ("tolerances.py", "verify.py"):
+            continue
+        with path.open() as fh:
+            found += [f"{path.name}:{tok.start[0]}: {tok.string}"
+                      for tok in tokenize.generate_tokens(fh.readline)
+                      if tok.type == tokenize.NUMBER and re.search("[eE]", tok.string)]
+    assert found == []
+
+
+#: every threshold at its value; moving one is a visible edit here too, and
+#: speed is never bought by loosening a tolerance
+PINNED = {
+    "DEFAULT_TOL": 1e-9,
+    "DECIDER_TOL": 1e-7,
+    "WIRE_TOL": 1e-8,
+    "CLASSIFY_TOL_FLOOR": 1e-9,
+    "DECIDER_TOL_FLOOR": 1e-8,
+    "CLUSTER_RTOL": 1e-7,
+    "RANK_RTOL": 1e-8,
+    "REAL_CLASS_RTOL": 1e-9,
+    "BASIS_RANK_RTOL": 1e-10,
+    "FORM_DEGENERACY_RTOL": 1e-10,
+    "CENTRALIZER_RTOL": 1e-7,
+    "J_STRUCTURE_RTOL": 1e-9,
+    "FORM_SYMMETRY_TOL": 1e-12,
+    "NEWTON_STEP_RTOL": 1e-15,
+    "CHAR_COEFF_TOL": 1e-9,
+    "UNIT_MODULUS_TOL": 1e-12,
+    "HYPERBOLIC_MODULUS_TOL": 1e-8,
+    "GENERATED_MEMBER_TOL": 1e-7,
+    "FRAME_COND_MAX": 1e6,
+    "CLASS_MATCH_TOL": 1e-7,
+    "TRACE_RTOL": 1e-7,
+    "SPAN_RTOL": 1e-7,
+    "REASSEMBLY_RTOL": 1e-8,
+    "FIXED_SET_RANK_ATOL": 1e-8,
+    "NORMAL_FORM_RTOL": 1e-6,
+    "INTERTWINER_RTOL": 1e-7,
+    "GROUP_MULTIPLE_RTOL": 1e-5,
+    "DEGENERACY_FACTOR": 1e3,
+    "GAUGE_FLOOR_FACTOR": 1e3,
+    "PATTERN_TOL": 1e-8,
+    "WITNESS_MEMBER_TOL": 1e-8,
+    "QUADRUPLE_RELATION_TOL": 1e-8,
+    "ANGLE_RANGE_TOL": 1e-9,
+    "ANGLE_ZERO_TOL": 1e-9,
+    "DISTANCE_FLOOR_TOL": 1e-9,
+    "ROTATION_ZERO_RTOL": 1e-9,
+    "SLOT_IDENTITY_RTOL": 1e-7,
+    "SLOT_REDUNDANCY_RTOL": 1e-7,
+    "BASE_MODULUS_TOL": 1e-9,
+    "ROUND_TRIP_TOL": 1e-7,
+    "DIVISION_FLOOR": 1e-300,
+}
+
+
+def test_tolerance_table_is_pinned():
+    table = {name: value for name, value in vars(tolerances).items() if name.isupper()}
+    assert table == PINNED

@@ -200,7 +200,3 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (KeyError, ValueError, TypeError) as exc:
         print(f"error: malformed input ({exc})", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -43,8 +43,8 @@ from .linalg import (
     quaternionic_basis,
     two_columns,
 )
-from .quaternion import (Quaternion, canonical_sign, from_complex_pairs, qconj_array, qmul_array,
-                         rotation_matrix, sp1_align)
+from .quaternion import (Quaternion, canonical_sign, qconj_array, qmul_array, rotation_matrix,
+                         sp1_align)
 from .tolerances import (BASE_MODULUS_TOL, DECIDER_TOL, DEFAULT_TOL, DEGENERACY_FACTOR,
                          DIVISION_FLOOR, GAUGE_FLOOR_FACTOR, PATTERN_TOL, ROUND_TRIP_TOL,
                          SLOT_REDUNDANCY_RTOL, WITNESS_MEMBER_TOL)
@@ -92,20 +92,13 @@ def gram_of(space: HermitianSpace, points: Sequence[ProjPoint],
     neg = np.array([k == PointType.NEGATIVE for k in kinds])
     if np.any(neg[:-1] & ~neg[1:]):
         raise InvalidSpecError("ordering violated: null point after a negative one")
-    if any(p.lift.dim != space.dim for p in pts):
-        raise DimensionMismatchError("vector dimension does not match the space")
 
-    # <p_j, p_k> = w* H z in the embedding, as in HermitianSpace.herm: row 2k
-    # of T* H S is the complex part of row k, row 2k + 1 its j part
-    T = two_columns([p.lift for p in pts])
-    S = T[:, 0::2]
-    A = T.conj().T @ space.H_emb @ S
-    g = from_complex_pairs(A[0::2], A[1::2])
+    g = space.pairings([p.lift for p in pts])
     # the form is Hermitian: store the matrix exactly so
     g = 0.5 * (g + qconj_array(g).transpose(1, 0, 2))
 
     absg = np.linalg.norm(g, axis=2)
-    norms = np.linalg.norm(S, axis=0)
+    norms = np.linalg.norm(np.stack([p.lift.s for p in pts], axis=1), axis=0)
     re = np.diagonal(g[..., 0])
     zero_tol = DEGENERACY_FACTOR * tol
     zero = absg <= zero_tol * np.outer(norms, norms)

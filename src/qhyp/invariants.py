@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
@@ -45,13 +45,28 @@ class ProjPoint:
 # Cross ratios
 # ---------------------------------------------------------------------------
 
-def _pairing(space: HermitianSpace, a: ProjPoint, b: ProjPoint,
-             tol: float) -> Quaternion:
-    h = space.herm(a.lift, b.lift)
-    scale = max(a.lift.norm() * b.lift.norm(), DIVISION_FLOOR)
-    if h.norm() <= tol * scale:
+def _cross_ratios(space: HermitianSpace, lifts: Sequence[HVector], quads: Sequence[Sequence[int]],
+                  tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Four-point ratios of rows (z1, z2, z3, z4) of indices into ``lifts``.
+
+    One array pass over one :meth:`HermitianSpace.pairings` product.  Returns
+    the (k, 4) ratios and the mask of rows with a factor |<z,w>| <= tol *
+    max(|z||w|, DIVISION_FLOOR), whose ratios mean nothing.
+    """
+    z1, z2, z3, z4 = np.asarray(quads, dtype=int).reshape(-1, 4).T
+    z, w = np.stack([z3, z3, z4, z4]), np.stack([z1, z2, z2, z1])
+    f = space.pairings(lifts)[w, z]  # <z, w> sits at [w, z]
+    norms = np.array([v.norm() for v in lifts])
+    vanish = np.linalg.norm(f, axis=-1) <= tol * np.maximum(norms[z] * norms[w], DIVISION_FLOOR)
+    a, b, c, d = f
+    with np.errstate(divide="ignore", invalid="ignore"):
+        b_inv, d_inv = (qconj_array(q) / np.sum(q ** 2, axis=-1, keepdims=True) for q in (b, d))
+    return qmul_array(qmul_array(qmul_array(a, b_inv), c), d_inv), vanish.any(axis=0)
+
+
+def _require_factors(vanish: np.ndarray) -> None:
+    if vanish.any():
         raise DegenerateConfigurationError("vanishing pairing in a cross-ratio factor")
-    return h
 
 
 def cross_ratio(space: HermitianSpace, z1: ProjPoint, z2: ProjPoint,
@@ -61,11 +76,9 @@ def cross_ratio(space: HermitianSpace, z1: ProjPoint, z2: ProjPoint,
     The value depends on the chosen lifts, but its similarity class
     (real part and modulus) does not.
     """
-    a = _pairing(space, z3, z1, tol)
-    b = _pairing(space, z3, z2, tol)
-    c = _pairing(space, z4, z2, tol)
-    d = _pairing(space, z4, z1, tol)
-    return a * b.inverse() * c * d.inverse()
+    x, vanish = _cross_ratios(space, [z.lift for z in (z1, z2, z3, z4)], [(0, 1, 2, 3)], tol)
+    _require_factors(vanish)
+    return Quaternion.from_seq(x[0])
 
 
 def cross_ratio_triple(space: HermitianSpace, z1: ProjPoint, z2: ProjPoint,
@@ -76,9 +89,10 @@ def cross_ratio_triple(space: HermitianSpace, z1: ProjPoint, z2: ProjPoint,
     For quadruples of null points the moduli satisfy |X2| = |X1| |X3|; this
     is asserted unless ``check_relations`` disables it.
     """
-    x1 = cross_ratio(space, z1, z2, z3, z4)
-    x2 = cross_ratio(space, z1, z4, z3, z2)
-    x3 = cross_ratio(space, z2, z4, z3, z1)
+    x, vanish = _cross_ratios(space, [z.lift for z in (z1, z2, z3, z4)],
+                              [(0, 1, 2, 3), (0, 3, 2, 1), (1, 3, 2, 0)], DEFAULT_TOL)
+    _require_factors(vanish)
+    x1, x2, x3 = (Quaternion.from_seq(v) for v in x)
     all_null = all(p.kind == PointType.NULL for p in (z1, z2, z3, z4))
     if check_relations is None:
         check_relations = all_null
@@ -320,24 +334,14 @@ def x_slot_families(m: int, i: int) -> dict[str, tuple[np.ndarray, ...]]:
     return out
 
 
-def _slot_points(family: str, row: int, col: int) -> tuple[int, int, int, int]:
-    """0-based point indices (z1, z2, z3, z4) of one cross-ratio slot."""
-    j = col - 1
-    if family == "X1":
-        return (1, 0, 2, j)
-    if family == "X2":
-        return (0, 1, 2, j)
-    if family == "X3":
-        return (0, 2, 1, j)
-    return (0, row - 1, 1, j)
-
-
 def profile(config: "PointConfig", tol: float = DEFAULT_TOL) -> InvariantProfile:
     """Compute the classifying profile of a configuration.
 
-    The configuration is semi-normalized first; cross-ratio slots are then
-    evaluated from the defining four-point products and cross-checked
-    against the Gram-entry identities.
+    The configuration is semi-normalized and the profile read off the Gram
+    entry identities.  Then every cross-ratio slot is evaluated from its
+    defining four-point product on the semi-normalized lifts, in one array
+    pass, and the first slot with a vanishing factor or off its identity by
+    more than SLOT_IDENTITY_RTOL * max(1, |direct|) raises.
     """
     from .gram import semi_normalize
 
@@ -346,17 +350,20 @@ def profile(config: "PointConfig", tol: float = DEFAULT_TOL) -> InvariantProfile
     sng = semi_normalize(config, tol)
     prof = profile_from_gram(sng)
 
-    # Definition route: evaluate each slot as an actual four-point product
-    # on the semi-normalized lifts, and require agreement with the entry
-    # formulas used everywhere else.
-    points = [ProjPoint(lift, p.kind) for lift, p in zip(sng.lifts, config.points)]
-    for slot in prof.x_slots:
-        idx = _slot_points(slot.family, slot.row, slot.col)
-        direct = cross_ratio(config.space, *(points[t] for t in idx), tol)
-        if not direct.approx_eq(slot.value, SLOT_IDENTITY_RTOL * max(1.0, direct.norm())):
-            raise DegenerateConfigurationError(
-                f"cross-ratio slot {slot.family}({slot.row},{slot.col}) "
-                "disagrees with its Gram identity")
+    # X(p2, p1, p3, pc) at row 1, X(p1, pr, p3, pc) at row 2 and X(p1, pr, p2, pc) after it
+    r, c = np.array([(s.row, s.col) for s in prof.x_slots], dtype=int).reshape(-1, 2).T
+    quads = np.stack([r == 1, r - 1, 1 + (r <= 2), c - 1], axis=1)
+    direct, vanish = _cross_ratios(config.space, sng.lifts, quads, tol)
+    values = np.array([s.value.to_array() for s in prof.x_slots]).reshape(-1, 4)
+    agree = (np.linalg.norm(direct - values, axis=1)
+             <= SLOT_IDENTITY_RTOL * np.maximum(1.0, np.linalg.norm(direct, axis=1)))
+    bad = np.flatnonzero(vanish | ~agree)
+    if bad.size:
+        _require_factors(vanish[bad[0]])
+        slot = prof.x_slots[bad[0]]
+        raise DegenerateConfigurationError(
+            f"cross-ratio slot {slot.family}({slot.row},{slot.col}) "
+            "disagrees with its Gram identity")
     return prof
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -29,9 +29,8 @@ from .errors import (
 )
 from .quaternion import Quaternion, complex_pairs, from_complex_pairs
 from .tolerances import (BASIS_RANK_RTOL, CENTRALIZER_RTOL, CHAR_COEFF_TOL, CLUSTER_RTOL,
-                         DEFAULT_TOL, FORM_DEGENERACY_RTOL, FORM_SYMMETRY_TOL,
-                         J_STRUCTURE_RTOL, NEWTON_STEP_RTOL, RANK_RTOL, REAL_CLASS_RTOL,
-                         UNIT_MODULUS_TOL)
+                         DEFAULT_TOL, FORM_DEGENERACY_RTOL, J_STRUCTURE_RTOL, NEWTON_STEP_RTOL,
+                         RANK_RTOL, REAL_CLASS_RTOL, UNIT_MODULUS_TOL)
 
 
 class PointType(Enum):
@@ -254,21 +253,14 @@ def corner_form(N: int) -> np.ndarray:
 class HermitianSpace:
     """H^{n,1}: right quaternionic (n+1)-space with a signature-(n,1) form."""
 
-    def __init__(self, n: int, form: Optional[np.ndarray] = None):
+    def __init__(self, n: int):
         if n < 1:
             raise InvalidSpecError("need n >= 1")
         self.n = n
         self.dim = n + 1
-        H = corner_form(self.dim) if form is None else np.asarray(form, dtype=float)
-        if H.shape != (self.dim, self.dim) or np.linalg.norm(H - H.T) > FORM_SYMMETRY_TOL:
-            raise InvalidSpecError("form must be a real symmetric (n+1) x (n+1) matrix")
-        eigs = np.linalg.eigvalsh(H)
-        if np.sum(eigs > 0) != n or np.sum(eigs < 0) != 1:
-            raise InvalidSpecError("form must have signature (n, 1)")
-        self.H = H
+        self.H = corner_form(self.dim)
         self.H_emb = np.zeros((2 * self.dim, 2 * self.dim), dtype=complex)
-        self.H_emb[:self.dim, :self.dim] = H
-        self.H_emb[self.dim:, self.dim:] = H
+        self.H_emb[:self.dim, :self.dim] = self.H_emb[self.dim:, self.dim:] = self.H
 
     def herm(self, z: HVector, w: HVector) -> Quaternion:
         """The form <z, w> = w* H z (conjugate-linear in w)."""
@@ -276,6 +268,14 @@ class HermitianSpace:
             raise DimensionMismatchError("vector dimension does not match the space")
         M = w.two_column().conj().T @ self.H_emb @ z.two_column()
         return Quaternion.from_complex_pair(M[0, 0], M[1, 0])
+
+    def pairings(self, vectors: Sequence[HVector]) -> np.ndarray:
+        """(m, m, 4) components of <v_j, v_k> at [k, j]: one product T* H S, as in :meth:`herm`."""
+        if any(v.dim != self.dim for v in vectors):
+            raise DimensionMismatchError("vector dimension does not match the space")
+        T = two_columns(vectors)
+        A = T.conj().T @ self.H_emb @ T[:, 0::2]
+        return from_complex_pairs(A[0::2], A[1::2])
 
     def classify_vector(self, z: HVector, tol: float = DEFAULT_TOL) -> PointType:
         nz = z.norm()

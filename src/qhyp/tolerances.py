@@ -41,8 +41,6 @@ FORM_DEGENERACY_RTOL = 1e-10
 CENTRALIZER_RTOL = 1e-7
 #: largest relative drift of an embedding from the quaternionic J-structure
 J_STRUCTURE_RTOL = 1e-9
-#: largest asymmetry of a Hermitian form matrix
-FORM_SYMMETRY_TOL = 1e-12
 #: the Newton polish onto the group stops once a step moves less than this (relative)
 NEWTON_STEP_RTOL = 1e-15
 #: characteristic coefficients: the largest imaginary residue and palindrome

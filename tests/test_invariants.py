@@ -1,12 +1,16 @@
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
 
+from qhyp import invariants
 from qhyp.errors import DegenerateConfigurationError, InvalidSpecError
 from qhyp.invariants import (
     InvariantProfile,
     ProjPoint,
+    _cross_ratios,
     angular_invariant,
     cross_ratio,
     cross_ratio_triple,
@@ -83,6 +87,18 @@ def test_cross_ratio_degenerate_pairing(sp1):
     inf = pp(sp1, 1, 0)
     with pytest.raises(DegenerateConfigurationError):
         cross_ratio(sp1, o, inf, o, inf)
+
+
+def test_batched_cross_ratios_flag_each_vanishing_row(sp1):
+    o, inf, u, v = pp(sp1, 0, 1), pp(sp1, 1, 0), pp(sp1, I, 1), pp(sp1, J, 1)
+    lifts = [p.lift for p in (o, inf, u, v)]
+    # the second row's factor <z3, z1> is <o, o> = 0
+    x, vanish = _cross_ratios(sp1, lifts, [(0, 1, 2, 3), (0, 1, 0, 1)], 1e-9)
+    assert vanish.tolist() == [False, True]
+    assert Quaternion.from_seq(x[0]).approx_eq(cross_ratio(sp1, o, inf, u, v), 1e-15)
+    with pytest.raises(DegenerateConfigurationError,
+                       match="vanishing pairing in a cross-ratio factor"):
+        cross_ratio_triple(sp1, o, inf, o, v)
 
 
 def test_cross_ratio_triple_relations():
@@ -257,3 +273,48 @@ def test_profile_invariance_up_to_sp1():
         mu = sp1_align(np.array([q.to_array() for q in prof.quaternion_slots()]),
                        np.array([q.to_array() for q in prof2.quaternion_slots()]), 1e-6)
         assert mu is not None
+
+
+def _config_484():
+    sp = HermitianSpace(4)
+    return sample_config(sp, 8, 4, np.random.default_rng(45))
+
+
+def test_profile_names_the_slot_off_its_gram_identity(monkeypatch):
+    cfg = _config_484()
+    honest = invariants.profile_from_gram
+
+    def corrupted(sng):
+        prof = honest(sng)
+        slots = list(prof.x_slots)
+        k = next(t for t, s in enumerate(slots) if (s.family, s.row, s.col) == ("X2", 2, 4))
+        bad = slots[k].value + Quaternion(0.0, 1e-3, 0.0, 0.0) * max(1.0, slots[k].value.norm())
+        slots[k] = dataclasses.replace(slots[k], value=bad)
+        return dataclasses.replace(prof, x_slots=slots)
+
+    monkeypatch.setattr(invariants, "profile_from_gram", corrupted)
+    message = "cross-ratio slot X2(2,4) disagrees with its Gram identity"
+    with pytest.raises(DegenerateConfigurationError, match=re.escape(message)):
+        profile(cfg)
+
+
+def test_profile_rejects_a_vanishing_factor():
+    # the corner form has norm 1, so |<z, w>| <= |z| |w| and at tol = 1 every
+    # factor of the definition route vanishes
+    with pytest.raises(DegenerateConfigurationError,
+                       match="vanishing pairing in a cross-ratio factor"):
+        profile(_config_484(), tol=1.0)
+
+
+def test_profile_makes_no_scalar_pairings(monkeypatch):
+    # the definition route reads every pairing off one array product
+    cfg = _config_484()
+    calls = []
+    herm, ratio = HermitianSpace.herm, invariants.cross_ratio
+    monkeypatch.setattr(HermitianSpace, "herm",
+                        lambda *a: calls.append("herm") or herm(*a))
+    monkeypatch.setattr(invariants, "cross_ratio",
+                        lambda *a, **k: calls.append("cross_ratio") or ratio(*a, **k))
+    prof = profile(cfg)
+    assert prof.d_count == 18
+    assert calls == []

@@ -135,6 +135,16 @@ def test_corner_form_n1_values():
     assert sp.herm(w, w).approx_eq(Quaternion.real(-1), 1e-14)
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_corner_form_has_signature_n_1(n):
+    # HermitianSpace takes this form as given, so its signature is checked here
+    H = corner_form(n + 1)
+    eigs = np.linalg.eigvalsh(H)
+    assert (np.sum(eigs > 0.5), np.sum(eigs < -0.5)) == (n, 1)
+    zero = np.zeros_like(H)
+    np.testing.assert_array_equal(HermitianSpace(n).H_emb, np.block([[H, zero], [zero, H]]))
+
+
 def test_herm_symmetry_and_sesquilinearity():
     rng = np.random.default_rng(14)
     sp = HermitianSpace(2)

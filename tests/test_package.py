@@ -86,7 +86,6 @@ PINNED = {
     "FORM_DEGENERACY_RTOL": 1e-10,
     "CENTRALIZER_RTOL": 1e-7,
     "J_STRUCTURE_RTOL": 1e-9,
-    "FORM_SYMMETRY_TOL": 1e-12,
     "NEWTON_STEP_RTOL": 1e-15,
     "CHAR_COEFF_TOL": 1e-9,
     "UNIT_MODULUS_TOL": 1e-12,

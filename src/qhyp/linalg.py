@@ -29,8 +29,8 @@ from .errors import (
 )
 from .quaternion import Quaternion, complex_pairs, from_complex_pairs
 from .tolerances import (BASIS_RANK_RTOL, CENTRALIZER_RTOL, CHAR_COEFF_TOL, CLUSTER_RTOL,
-                         DEFAULT_TOL, FORM_DEGENERACY_RTOL, J_STRUCTURE_RTOL, NEWTON_STEP_RTOL,
-                         RANK_RTOL, REAL_CLASS_RTOL, UNIT_MODULUS_TOL)
+                         DEFAULT_TOL, FORM_DEGENERACY_RTOL, J_STRUCTURE_RTOL, NEWTON_MAX_STEPS,
+                         NEWTON_STEP_RTOL, RANK_RTOL, REAL_CLASS_RTOL, UNIT_MODULUS_TOL)
 
 
 class PointType(Enum):
@@ -277,14 +277,19 @@ class HermitianSpace:
         A = T.conj().T @ self.H_emb @ T[:, 0::2]
         return from_complex_pairs(A[0::2], A[1::2])
 
-    def classify_vector(self, z: HVector, tol: float = DEFAULT_TOL) -> PointType:
-        nz = z.norm()
-        if nz == 0.0:
+    def classify_vectors(self, vectors: Sequence[HVector],
+                         tol: float = DEFAULT_TOL) -> list[PointType]:
+        """Null when |<z,z>| <= tol |z|^2, else the sign of <z,z>, for every
+        vector from the real diagonal of one :meth:`pairings` product."""
+        sq_norms = np.array([v.norm() for v in vectors]) ** 2
+        if not sq_norms.all():
             raise ValueError("cannot classify the zero vector")
-        val = self.herm(z, z).re
-        if abs(val) <= tol * nz * nz:
-            return PointType.NULL
-        return PointType.NEGATIVE if val < 0 else PointType.POSITIVE
+        return [PointType.NULL if abs(val) <= tol * sq
+                else PointType.NEGATIVE if val < 0 else PointType.POSITIVE
+                for val, sq in zip(np.diagonal(self.pairings(vectors)[..., 0]), sq_norms)]
+
+    def classify_vector(self, z: HVector, tol: float = DEFAULT_TOL) -> PointType:
+        return self.classify_vectors([z], tol)[0]
 
     def member_residual(self, A: HMatrix) -> float:
         """Frobenius norm of A* H A - H in the embedding."""
@@ -295,17 +300,22 @@ class HermitianSpace:
         return self.member_residual(A) <= tol * max(1.0, A.norm() ** 2)
 
     def project_to_group(self, A: HMatrix) -> HMatrix:
-        """Polish an approximate member: up to five Newton steps M -> (M + H^-1 M^-* H) / 2."""
-        Hc = self.H_emb
-        Hinv = np.linalg.inv(Hc)
-        M = A.emb.copy()
-        for _ in range(5):
-            phi = Hinv @ np.linalg.inv(M).conj().T @ Hc
-            M_next = 0.5 * (M + phi)
-            if np.linalg.norm(M_next - M) < NEWTON_STEP_RTOL * max(1.0, np.linalg.norm(M)):
-                M = M_next
-                break
-            M = M_next
+        """Generalized polar factor: Newton steps M -> (mu M + (mu M)^-⋆) / 2 with
+        M^-⋆ = H M^-* H (H is its own inverse), mu = |det M|^(-1/2N) on the embedding.
+        A real span closed under M -> M^-⋆ holds every step, and t U goes to sign(t) U
+        for a member U.  Stops at a step below NEWTON_STEP_RTOL (relative) or no shorter
+        than the last; a caller that needs a member checks.  Singular A: NumericalError."""
+        H, M, last = self.H_emb, A.emb, math.inf
+        for _ in range(NEWTON_MAX_STEPS):
+            sign, logdet = np.linalg.slogdet(M)
+            if sign == 0:
+                raise NumericalError("cannot take the polar factor of a singular matrix")
+            mu = math.exp(-logdet / len(M))
+            M_next = 0.5 * (mu * M + H @ np.linalg.inv(M).conj().T @ H / mu)
+            step, M = np.linalg.norm(M_next - M), M_next
+            if step < NEWTON_STEP_RTOL * max(1.0, np.linalg.norm(M)) or not step < last:
+                break  # converged, at rounding level, or not converging (or not finite)
+            last = step
         return HMatrix(M, check=False)
 
     def __repr__(self) -> str:

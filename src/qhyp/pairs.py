@@ -7,17 +7,16 @@ X = C'^-1 W C, commutes with the diagonal normal form E of A: it is
 block-diagonal over the eigenvalue classes, with complex entries in a block
 of a nonreal class and quaternionic ones in a block of a real class.  It
 also intertwines the second members in those frames, M' X = X M.  The null
-space of that system holds every conjugator.  A candidate from it that is a
-positive multiple of a group element is scaled into the group and certified
-by direct conjugation before any positive verdict is returned.  The decider
-is complete when the null space is one-dimensional, the generic case; a
-larger one, as for a pair preserving a common proper subspace, may leave it
-Inconclusive.
+space of that system holds every conjugator, and with W it holds W^-⋆ =
+H W^-* H, so the polar factor of the W made from the sum of its basis is a
+conjugator in the group, certified by direct conjugation before any
+positive verdict.  An empty null space, or a one-dimensional one that holds
+no multiple of a group element, separates the pairs; a polar factor that
+does not converge or verify leaves them Inconclusive.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,15 +24,17 @@ import numpy as np
 from .decision import Decision, Verdict
 from .errors import NumericalError, UnsupportedElementError
 from .isometry import Classification, Isometry, conjugate_single
-from .linalg import EigenClass, HMatrix, HVector, PointType, nullspace, two_columns
+from .linalg import EigenClass, HMatrix, PointType, nullspace, two_columns
 from .quaternion import left_matrix, right_matrix
 from .tolerances import (DECIDER_TOL, FIXED_SET_RANK_ATOL, GROUP_MULTIPLE_RTOL, INTERTWINER_RTOL,
-                         NORMAL_FORM_RTOL, REAL_CLASS_RTOL, REASSEMBLY_RTOL, TRACE_RTOL)
+                         NORMAL_FORM_RTOL, REAL_CLASS_RTOL, REASSEMBLY_RTOL, TRACE_RTOL,
+                         WITNESS_MEMBER_TOL)
 
 REASON_TRACE = "real trace mismatch"
 REASON_CLASSES = "eigenvalue class mismatch"
 REASON_ORBIT = "canonical orbit mismatch"
 REASON_GRASSMANNIAN = "eigenvalue Grassmannian mismatch"
+REASON_UNVERIFIED = "polar factor did not converge or failed verification"
 
 
 # ---------------------------------------------------------------------------
@@ -89,23 +90,18 @@ def eigenframe(A: Isometry) -> EigenFrame:
 # Common fixed points
 # ---------------------------------------------------------------------------
 
-def _fixed_set_bases(A: Isometry) -> list[tuple[HVector, ...]]:
-    return [c.vectors for c in A.classes()
-            if c.kind in (PointType.NULL, PointType.NEGATIVE)]
+def _fixed_sets(A: Isometry) -> list[tuple[np.ndarray, int]]:
+    """Complex bases of the null and negative eigenspaces, with their ranks."""
+    bases = [two_columns(c.vectors) for c in A.classes()
+             if c.kind in (PointType.NULL, PointType.NEGATIVE)]
+    return [(b, np.linalg.matrix_rank(b, FIXED_SET_RANK_ATOL)) for b in bases]
 
 
 def have_common_fixed_point(A: Isometry, B: Isometry) -> bool:
     """Shared fixed point on the closed ball: intersecting fixed eigenspaces."""
-    for ua in _fixed_set_bases(A):
-        Ba = two_columns(ua)
-        ra = np.linalg.matrix_rank(Ba, FIXED_SET_RANK_ATOL)
-        for ub in _fixed_set_bases(B):
-            Bb = two_columns(ub)
-            rb = np.linalg.matrix_rank(Bb, FIXED_SET_RANK_ATOL)
-            rboth = np.linalg.matrix_rank(np.concatenate([Ba, Bb], axis=1), FIXED_SET_RANK_ATOL)
-            if rboth < ra + rb:
-                return True
-    return False
+    sets_b = _fixed_sets(B)
+    return any(np.linalg.matrix_rank(np.concatenate([Ba, Bb], axis=1), FIXED_SET_RANK_ATOL)
+               < ra + rb for Ba, ra in _fixed_sets(A) for Bb, rb in sets_b)
 
 
 # ---------------------------------------------------------------------------
@@ -118,11 +114,10 @@ def pair_conjugate(A: Isometry, B: Isometry, A2: Isometry, B2: Isometry,
 
     Every conjugator lies in the null space of one real-linear system in A's
     eigenframe (see the module docstring).  An empty null space separates the
-    pairs.  A one-dimensional one decides them: its candidate is either a
-    positive multiple of a group element or no conjugator exists.  A larger
-    one, as for a pair preserving a common proper subspace, returns Inconclusive
-    unless a candidate verifies.  Every Conjugate verdict carries a witness
-    verified by direct conjugation.
+    pairs, and so does a one-dimensional one whose vector is not a positive
+    multiple of a group element.  Otherwise the witness is the polar factor
+    of the sum of the null-space basis, whatever the dimension, once it is a
+    member that conjugates both pairs directly; if not, Inconclusive.
     """
     for x in (A, B, A2, B2):
         if not x.is_semisimple():
@@ -160,35 +155,27 @@ def pair_conjugate(A: Isometry, B: Isometry, A2: Isometry, B2: Isometry,
             return Decision(Verdict.NOT_CONJUGATE, reason=REASON_ORBIT)
         return Decision(Verdict.NOT_CONJUGATE, reason=REASON_GRASSMANNIAN)
 
-    candidates = [null[:, k] for k in range(null.shape[1])]
-    if null.shape[1] > 1:
-        candidates += [null[:, 0] + null[:, k] for k in range(1, null.shape[1])]
+    # the conjugators are closed under W -> W^-⋆: the polar iteration stays in them
+    x = np.zeros(free.shape)
+    x[free] = null.sum(axis=1)
+    W = fa2.C @ HMatrix.from_components(x) @ Cinv
     space, H = A.space, A.space.H_emb
-    bound = tol * max(1.0, A.matrix.norm() + B.matrix.norm())
-    any_member = False
-    for vec in candidates:
-        x = np.zeros(free.shape)
-        x[free] = vec
-        W = (fa2.C @ HMatrix.from_components(x) @ Cinv).emb
-        # a real multiple t W of a group element has W* H W = t^2 H
-        G = W.conj().T @ H @ W
+    if null.shape[1] == 1:
+        # every conjugator is a real multiple of W, so W* H W = c H with c > 0
+        G = W.emb.conj().T @ H @ W.emb
         c = np.vdot(H, G).real / np.vdot(H, H).real
         if not c > 0 or np.linalg.norm(G - c * H) > GROUP_MULTIPLE_RTOL * c * np.linalg.norm(H):
-            continue
-        any_member = True
-        C = space.project_to_group(HMatrix(W / math.sqrt(c), check=False))
+            return Decision(Verdict.NOT_CONJUGATE, reason=REASON_ORBIT)
+    try:
+        C = space.project_to_group(W)
+    except NumericalError:  # a singular sum
+        return Decision(Verdict.INCONCLUSIVE, reason=REASON_UNVERIFIED)
+    if space.is_member(C, WITNESS_MEMBER_TOL):  # and so invertible
         resid = ((C @ A.matrix @ C.inverse() - A2.matrix).norm()
                  + (C @ B.matrix @ C.inverse() - B2.matrix).norm())
-        if resid < bound:
+        if resid < tol * max(1.0, A.matrix.norm() + B.matrix.norm()):
             return Decision(Verdict.CONJUGATE, witness=C, residual=resid)
-    if null.shape[1] == 1 and not any_member:
-        # every conjugator is a multiple of the one candidate, and it is not
-        # a multiple of a group element
-        return Decision(Verdict.NOT_CONJUGATE, reason=REASON_ORBIT)
-    # a group-valued candidate failed its conjugation verification, or the
-    # solution space is too large to search exhaustively: stay honest
-    return Decision(Verdict.INCONCLUSIVE,
-                    reason="gauge candidates failed verification")
+    return Decision(Verdict.INCONCLUSIVE, reason=REASON_UNVERIFIED)
 
 
 def _intertwiner_rows(m: np.ndarray, m2: np.ndarray, free: np.ndarray) -> np.ndarray:

@@ -115,8 +115,9 @@ def config_from_json(data: dict) -> PointConfig:
     lifts = _components(points, "points")
     if lifts.shape[1:] != (n + 1, 4):
         raise InvalidSpecError(f"each point needs {n + 1} quaternion coordinates")
-    cfg = gram_of(space, [ProjPoint.from_lift(space, HVector.from_components(a), WIRE_TOL)
-                          for a in lifts], WIRE_TOL)
+    vectors = [HVector.from_components(a) for a in lifts]
+    kinds = space.classify_vectors(vectors, WIRE_TOL)
+    cfg = gram_of(space, [ProjPoint(v, k) for v, k in zip(vectors, kinds)], WIRE_TOL)
     declared = data.get("i")
     if declared is not None and _integer(declared, "i") != cfg.i:
         raise InvalidSpecError(f"declared i={declared} but found {cfg.i} null points")

@@ -41,8 +41,10 @@ FORM_DEGENERACY_RTOL = 1e-10
 CENTRALIZER_RTOL = 1e-7
 #: largest relative drift of an embedding from the quaternionic J-structure
 J_STRUCTURE_RTOL = 1e-9
-#: the Newton polish onto the group stops once a step moves less than this (relative)
+#: the polar iteration onto the group stops once a step moves less than this (relative)
 NEWTON_STEP_RTOL = 1e-15
+#: the polar iteration onto the group stops after this many steps at most
+NEWTON_MAX_STEPS = 50
 #: characteristic coefficients: the largest imaginary residue and palindrome
 #: defect (relative); also the floor of a caller's tolerance for them
 CHAR_COEFF_TOL = 1e-9
@@ -72,8 +74,7 @@ FIXED_SET_RANK_ATOL = 1e-8
 NORMAL_FORM_RTOL = 1e-6
 #: relative singular-value cutoff of the pair intertwiner null space
 INTERTWINER_RTOL = 1e-7
-#: a candidate W counts as a multiple of a group element when W* H W is
-#: within this (relative) of a positive multiple of H
+#: W is a multiple of a group element when W* H W is within this (relative) of c H, c > 0
 GROUP_MULTIPLE_RTOL = 1e-5
 
 # -- configurations and invariants ------------------------------------------
@@ -85,7 +86,7 @@ DEGENERACY_FACTOR = 1e3
 GAUGE_FLOOR_FACTOR = 1e3
 #: largest deviation of a semi-normalized Gram matrix from its entry pattern
 PATTERN_TOL = 1e-8
-#: largest membership residual of a congruence witness
+#: largest membership residual of a congruence or pair-conjugacy witness
 WITNESS_MEMBER_TOL = 1e-8
 #: the null-quadruple relations |X2| = |X1||X3| (relative) and the boundary
 #: slack (absolute) hold within this

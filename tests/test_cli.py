@@ -58,6 +58,17 @@ def test_config_json_roundtrip():
     assert config_to_json(cfg2) == data
 
 
+def test_config_decoder_classifies_without_scalar_pairings(monkeypatch):
+    # every point's kind comes from the diagonal of one pairings product
+    sp = HermitianSpace(4)
+    cfg = sample_config(sp, 8, 4, np.random.default_rng(9), scramble_lifts=True)
+    calls = []
+    monkeypatch.setattr(HermitianSpace, "herm", lambda *args: calls.append(args))
+    cfg2 = config_from_json(config_to_json(cfg))
+    assert calls == []
+    assert [p.kind for p in cfg2.points] == [p.kind for p in cfg.points]
+
+
 def test_profile_json_roundtrip():
     sp = HermitianSpace(2)
     cfg = sample_config(sp, 4, 4, np.random.default_rng(8))

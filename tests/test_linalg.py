@@ -169,6 +169,16 @@ def test_classify_vector():
         sp.classify_vector(qv(0, 0))
 
 
+def test_classify_vectors_is_the_one_vector_rule_per_vector():
+    sp = HermitianSpace(2)
+    vectors = [qv(0, 1, 0), qv(-1, 0, 1), qv(1, 0, 0), qv(1e-12, 0, 1), qv(J, 2, 1)]
+    assert sp.classify_vectors(vectors) == [sp.classify_vector(v) for v in vectors]
+    assert sp.classify_vectors(vectors)[:3] == [PointType.POSITIVE, PointType.NEGATIVE,
+                                                PointType.NULL]
+    with pytest.raises(ValueError):
+        sp.classify_vectors([qv(0, 1, 0), qv(0, 0, 0)])
+
+
 # -- membership -------------------------------------------------------------
 
 def diag_member(entries):
@@ -191,6 +201,17 @@ def test_form_invariance_under_members():
         z = random_hvector(rng, 3)
         w = random_hvector(rng, 3)
         assert sp.herm(A.apply(z), A.apply(w)).approx_eq(sp.herm(z, w), 1e-9)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_project_to_group_is_the_polar_factor(n):
+    # the determinant scaling takes a real multiple t U of a member to
+    # sign(t) U, however far t is from 1
+    sp = HermitianSpace(n)
+    U = random_member(sp, np.random.default_rng(160 + n))
+    for t in (-1e3, -2.0, 1e-3, 0.5, 1e3):
+        P = sp.project_to_group(HMatrix(t * U.emb, check=False))
+        assert np.linalg.norm(P.emb - np.sign(t) * U.emb) <= 1e-12 * np.linalg.norm(U.emb)
 
 
 # -- characteristic polynomial ----------------------------------------------

@@ -87,6 +87,7 @@ PINNED = {
     "CENTRALIZER_RTOL": 1e-7,
     "J_STRUCTURE_RTOL": 1e-9,
     "NEWTON_STEP_RTOL": 1e-15,
+    "NEWTON_MAX_STEPS": 50,
     "CHAR_COEFF_TOL": 1e-9,
     "UNIT_MODULUS_TOL": 1e-12,
     "HYPERBOLIC_MODULUS_TOL": 1e-8,

@@ -12,6 +12,7 @@ from qhyp.isometry import (
     random_semisimple,
 )
 from qhyp.linalg import HermitianSpace, HMatrix
+from qhyp import pairs
 from qhyp.pairs import (
     eigenframe,
     have_common_fixed_point,
@@ -19,6 +20,7 @@ from qhyp.pairs import (
     REASON_GRASSMANNIAN,
     REASON_ORBIT,
     REASON_TRACE,
+    REASON_UNVERIFIED,
 )
 from qhyp.quaternion import Quaternion
 from qhyp.sampling import sample_pair, sample_semisimple
@@ -183,19 +185,50 @@ def line_preserving_pair(n, rng):
     return sp, A, B
 
 
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("n", [2, 3, 4])
 def test_line_preserving_pairs_never_separated(n):
     # the intertwiners of such a pair scale the line and its complement
-    # independently: no negative verdict may come from that
+    # independently: no negative verdict may come from that, and the polar
+    # factor of their sum is a conjugating member
     rng = np.random.default_rng(850 + n)
     for _ in range(5):
         sp, A, B = line_preserving_pair(n, rng)
         assert not have_common_fixed_point(A, B)
         A2, B2 = conjugated_pair(sp, A, B, rng)
         dec = pair_conjugate(A, B, A2, B2)
-        assert dec.verdict is not Verdict.NOT_CONJUGATE
+        assert dec.verdict is Verdict.CONJUGATE
+        assert dec.residual < 1e-7
+        W = dec.witness
+        assert (W @ A.matrix @ W.inverse() - A2.matrix).norm() < 1e-7
+        assert (W @ B.matrix @ W.inverse() - B2.matrix).norm() < 1e-7
+        assert sp.member_residual(W) <= 1e-8
+
+        C1 = random_member(sp, rng)
+        B_moved = Isometry(sp.project_to_group(C1 @ B2.matrix @ C1.inverse()), sp)
+        dec = pair_conjugate(A, B, A2, B_moved)
         if dec.verdict is Verdict.CONJUGATE:
-            assert dec.residual < 1e-7
+            W = dec.witness
+            assert (W @ B.matrix @ W.inverse() - B_moved.matrix).norm() < 1e-7
+            assert sp.member_residual(W) <= 1e-8
+        else:
+            assert dec.verdict is Verdict.NOT_CONJUGATE
+
+
+def test_singular_combination_is_inconclusive(monkeypatch):
+    # a null space whose columns sum to zero leaves nothing to take the polar
+    # factor of: the decider stays honest and raises nothing
+    sp, A, B = line_preserving_pair(2, np.random.default_rng(860))
+    A2, B2 = conjugated_pair(sp, A, B, np.random.default_rng(861))
+    nullspace = pairs.nullspace
+
+    def cancelling(rows, rtol):
+        v = nullspace(rows, rtol)[:, :1]
+        return np.concatenate([v, -v], axis=1)
+
+    monkeypatch.setattr(pairs, "nullspace", cancelling)
+    dec = pair_conjugate(A, B, A2, B2)
+    assert dec.verdict is Verdict.INCONCLUSIVE
+    assert dec.reason == REASON_UNVERIFIED
 
 
 def test_pair_conjugate_rejects_common_fixed_point():

@@ -37,68 +37,90 @@ from .linalg import (
     HMatrix,
     HVector,
     PointType,
+    line_residuals,
     matrix_rank,
     nullspace,
     orthonormal_form_basis,
+    point_types,
     quaternionic_basis,
+    right_times,
+    stacked,
     two_columns,
 )
-from .quaternion import (Quaternion, canonical_sign, qconj_array, qmul_array, rotation_matrix,
-                         sp1_align)
+from .quaternion import (Quaternion, canonical_sign, complex_pairs, qconj_array, qmul_array,
+                         rotation_matrix, sp1_align)
 from .tolerances import (BASE_MODULUS_TOL, DECIDER_TOL, DEFAULT_TOL, DEGENERACY_FACTOR,
-                         DIVISION_FLOOR, GAUGE_FLOOR_FACTOR, PATTERN_TOL, ROUND_TRIP_TOL,
-                         SLOT_REDUNDANCY_RTOL, WITNESS_MEMBER_TOL)
+                         GAUGE_FLOOR_FACTOR, PATTERN_TOL, ROUND_TRIP_TOL, SLOT_REDUNDANCY_RTOL,
+                         WITNESS_MEMBER_TOL)
 
 @dataclass(frozen=True, eq=False)  # arrays have no single truth value: equality is identity
 class PointConfig:
     """Ordered tuple of projective points: nulls first, negatives after.
 
-    ``gram`` is the read-only (m, m, 4) array of quaternion components
-    (a0, a1, a2, a3) with gram[k, j] = <p_j, p_k>.
+    ``lifts`` is the read-only (2N, m) complex array whose column k is the
+    stacked lift of point k, and ``kinds`` holds the point types.  ``gram``
+    is the read-only (m, m, 4) array of quaternion components (a0, a1, a2,
+    a3) with gram[k, j] = <p_j, p_k>.
     """
 
     space: HermitianSpace
-    points: list[ProjPoint]
+    lifts: np.ndarray
+    kinds: tuple[PointType, ...]
     gram: np.ndarray
 
     def __post_init__(self) -> None:
+        self.lifts.setflags(write=False)
         self.gram.setflags(write=False)
 
     @property
+    def points(self) -> list[ProjPoint]:
+        """The points as :class:`ProjPoint` values, for callers outside the array layer."""
+        return [ProjPoint(HVector(s), k) for s, k in zip(self.lifts.T.copy(), self.kinds)]
+
+    @property
     def m(self) -> int:
-        return len(self.points)
+        return self.lifts.shape[1]
 
     @property
     def i(self) -> int:
-        return sum(1 for p in self.points if p.kind == PointType.NULL)
+        return self.kinds.count(PointType.NULL)
 
 
-def gram_of(space: HermitianSpace, points: Sequence[ProjPoint],
-            tol: float = DEFAULT_TOL) -> PointConfig:
+def gram_of(space: HermitianSpace, points: "Sequence[ProjPoint] | np.ndarray",
+            tol: float = DEFAULT_TOL, kinds: Optional[Sequence[PointType]] = None) -> PointConfig:
     """Assemble and validate the Gram matrix of an ordered point tuple.
+
+    ``points`` holds ProjPoints, or is the stacked (2N, m) array of their
+    lifts, which is copied.  An array's point types are ``kinds`` or, left
+    out, are read at ``tol`` off the real diagonal of the pairings product
+    that gives the Gram matrix.
 
     Points must be distinct, ordered nulls-first, and of null or negative
     type only.  Distinctness is certified through the Gram entries: distinct
     points of these types never pair to zero, and two negative points
     coincide exactly when their distance invariant is 1.
     """
-    pts = list(points)
-    m = len(pts)
-    if m < 2:
+    if not isinstance(points, np.ndarray):
+        pts = list(points)
+        points, kinds = stacked([p.lift for p in pts]), [p.kind for p in pts]
+    lifts = np.array(points, dtype=complex, order="C")
+    if lifts.ndim != 2 or lifts.shape[1] < 2:
         raise InvalidSpecError("a configuration needs at least two points")
-    kinds = [p.kind for p in pts]
+    g = space.pairings(lifts)
+    if kinds is None:
+        kinds = point_types(np.diagonal(g[..., 0]), lifts, tol)
+    kinds = tuple(kinds)
     if PointType.POSITIVE in kinds:
         raise InvalidSpecError("configurations contain null and negative points only")
     neg = np.array([k == PointType.NEGATIVE for k in kinds])
     if np.any(neg[:-1] & ~neg[1:]):
         raise InvalidSpecError("ordering violated: null point after a negative one")
 
-    g = space.pairings([p.lift for p in pts])
     # the form is Hermitian: store the matrix exactly so
     g = 0.5 * (g + qconj_array(g).transpose(1, 0, 2))
 
     absg = np.linalg.norm(g, axis=2)
-    norms = np.linalg.norm(np.stack([p.lift.s for p in pts], axis=1), axis=0)
+    norms = np.linalg.norm(lifts, axis=0)
     re = np.diagonal(g[..., 0])
     zero_tol = DEGENERACY_FACTOR * tol
     zero = absg <= zero_tol * np.outer(norms, norms)
@@ -111,7 +133,7 @@ def gram_of(space: HermitianSpace, points: Sequence[ProjPoint],
             raise DegenerateConfigurationError(
                 f"points {k + 1} and {j + 1} pair to zero (coincident or degenerate)")
         raise DegenerateConfigurationError(f"negative points {k + 1} and {j + 1} coincide")
-    return PointConfig(space, pts, g)
+    return PointConfig(space, lifts, kinds, g)
 
 
 # ---------------------------------------------------------------------------
@@ -123,17 +145,20 @@ class SemiNormalizedGram:
     """Gram matrix in the semi-normalized gauge plus its free-entry vector.
 
     ``gram`` is a read-only (m, m, 4) array laid out like ``PointConfig.gram``.
-    ``lifts`` carries the rescaled lifts when the matrix came from an actual
-    configuration; reconstructed matrices have no lifts.
+    ``lifts`` carries the rescaled lifts as a read-only (2N, m) array like
+    ``PointConfig.lifts`` when the matrix came from an actual configuration;
+    reconstructed matrices have no lifts.
     """
 
     m: int
     i: int
     gram: np.ndarray
-    lifts: Optional[list[HVector]] = None
+    lifts: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
         self.gram.setflags(write=False)
+        if self.lifts is not None:
+            self.lifts.setflags(write=False)
 
     @property
     def entries(self) -> list[list[Quaternion]]:
@@ -156,7 +181,8 @@ class SemiNormalizedGram:
         """Every entry g -> conj(mu) g mu, for a unit quaternion mu."""
         g = self.gram.copy()
         g[..., 1:] = g[..., 1:] @ rotation_matrix(mu.conj()).T
-        lifts = [v.times(mu) for v in self.lifts] if self.lifts is not None else None
+        lifts = (right_times(self.lifts, *mu.complex_pair())
+                 if self.lifts is not None else None)
         return SemiNormalizedGram(self.m, self.i, g, lifts)
 
 
@@ -215,8 +241,7 @@ def semi_normalize(config: PointConfig, tol: float = DEFAULT_TOL) -> SemiNormali
     lam[neg] = qconj_array(w[neg]) / (wn[neg] * np.sqrt(-np.diagonal(g[..., 0])[neg]))[:, None]
 
     ents = qmul_array(qmul_array(qconj_array(lam)[:, None], g), lam[None, :])
-    lifts = [p.lift.times(Quaternion.from_seq(l)) for p, l in zip(config.points, lam)]
-    sng = SemiNormalizedGram(m, i, ents, lifts)
+    sng = SemiNormalizedGram(m, i, ents, right_times(config.lifts, *complex_pairs(lam)))
     sng = sng.conjugated(_gauge_rotation(sng.v_entries(), tol))
     _check_pattern(sng)
     return sng
@@ -274,31 +299,24 @@ def orbit_equal(g1: SemiNormalizedGram, g2: SemiNormalizedGram,
     return sp1_align(g1.v_entries(), g2.v_entries(), tol)
 
 
-def _independent_subset(space: HermitianSpace, lifts: Sequence[HVector]) -> list[int]:
+def _independent_subset(space: HermitianSpace, lifts: np.ndarray) -> list[int]:
     chosen: list[int] = []
-    for k in range(len(lifts)):
+    for k in range(lifts.shape[1]):
         # each lift chosen so far adds a quaternionic line: complex rank 2
         trial = chosen + [k]
-        if matrix_rank(two_columns([lifts[j] for j in trial])) == 2 * len(trial):
+        if matrix_rank(two_columns(lifts[:, trial])) == 2 * len(trial):
             chosen = trial
         if len(chosen) == space.dim:
             break
     return chosen
 
 
-def _form_perp_basis(space: HermitianSpace, lifts: Sequence[HVector]) -> list[HVector]:
-    """Quaternionic basis of the form-orthogonal complement of a span."""
-    ns = nullspace(two_columns(lifts).conj().T @ space.H_emb)
+def _form_perp_basis(space: HermitianSpace, span: np.ndarray) -> np.ndarray:
+    """Stacked quaternionic basis of the form-orthogonal complement of a span."""
+    ns = nullspace(two_columns(span).conj().T @ space.H_emb)
     if ns.shape[1] % 2 != 0:
         raise NumericalError("perp space is not quaternionic")
     return quaternionic_basis(ns, ns.shape[1] // 2)
-
-
-def _projective_residual(u: HVector, v: HVector) -> float:
-    """Relative distance between the lines through u and v."""
-    P, Q = u.two_column(), v.two_column()
-    alpha = np.linalg.lstsq(P, Q, rcond=None)[0]
-    return float(np.linalg.norm(P @ alpha - Q) / max(np.linalg.norm(Q), DIVISION_FLOOR))
 
 
 def congruent(config_a: PointConfig, config_b: PointConfig, tol: float = DECIDER_TOL) -> Decision:
@@ -322,31 +340,27 @@ def congruent(config_a: PointConfig, config_b: PointConfig, tol: float = DECIDER
                         reason="semi-normalized Gram orbits differ")
 
     lifts_a = sng_a.lifts
-    lifts_b = [v.times(mu) for v in sng_b.lifts]
+    lifts_b = right_times(sng_b.lifts, *mu.complex_pair())
 
     subset = _independent_subset(space, lifts_a)
-    subset_b = _independent_subset(space, lifts_b)
-    if subset != subset_b:
+    if subset != _independent_subset(space, lifts_b):
         raise NumericalError("configurations disagree on their independent subsets")
-    span_a = [lifts_a[k] for k in subset]
-    span_b = [lifts_b[k] for k in subset]
+    span_a, span_b = lifts_a[:, subset], lifts_b[:, subset]
     if len(subset) < space.dim:
         fill_a, signs_a = orthonormal_form_basis(space, _form_perp_basis(space, span_a))
         fill_b, signs_b = orthonormal_form_basis(space, _form_perp_basis(space, span_b))
         if signs_a != signs_b:
             raise NumericalError("perp signatures disagree for equal Gram matrices")
-        span_a = span_a + fill_a
-        span_b = span_b + fill_b
+        span_a = np.concatenate([span_a, fill_a], axis=1)
+        span_b = np.concatenate([span_b, fill_b], axis=1)
 
-    basis_a = HMatrix.from_columns(span_a)
-    basis_b = HMatrix.from_columns(span_b)
-    witness = space.project_to_group(basis_b @ basis_a.inverse())
+    witness = space.project_to_group(
+        HMatrix.from_columns(span_b) @ HMatrix.from_columns(span_a).inverse())
 
     if not space.is_member(witness, WITNESS_MEMBER_TOL):
         raise NumericalError("witness drifted off the isometry group")
-    worst = max(_projective_residual(witness.apply(pa), pb)
-                for pa, pb in zip(lifts_a, lifts_b))
-    if worst > tol:
+    worst = float(np.max(line_residuals(witness.emb @ lifts_a, lifts_b)))
+    if not worst <= tol:  # a residual that is not a number fails too
         return Decision(Verdict.NOT_CONGRUENT,
                         reason=f"witness verification failed (residual {worst:.3e})")
     return Decision(Verdict.CONGRUENT, witness=witness, residual=worst)

@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 import numpy as np
 
 from .errors import DegenerateConfigurationError, InvalidSpecError
-from .linalg import HermitianSpace, HVector, PointType
+from .linalg import HermitianSpace, HVector, PointType, stacked
 from .quaternion import Quaternion, qconj_array, qmul_array
 from .tolerances import (ANGLE_RANGE_TOL, ANGLE_ZERO_TOL, DEFAULT_TOL, DISTANCE_FLOOR_TOL,
                          DIVISION_FLOOR, QUADRUPLE_RELATION_TOL, ROTATION_ZERO_RTOL,
@@ -45,9 +45,10 @@ class ProjPoint:
 # Cross ratios
 # ---------------------------------------------------------------------------
 
-def _cross_ratios(space: HermitianSpace, lifts: Sequence[HVector], quads: Sequence[Sequence[int]],
+def _cross_ratios(space: HermitianSpace, lifts: np.ndarray, quads: Sequence[Sequence[int]],
                   tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Four-point ratios of rows (z1, z2, z3, z4) of indices into ``lifts``.
+    """Four-point ratios of rows (z1, z2, z3, z4) of column indices into the
+    stacked (2N, m) ``lifts``.
 
     One array pass over one :meth:`HermitianSpace.pairings` product.  Returns
     the (k, 4) ratios and the mask of rows with a factor |<z,w>| <= tol *
@@ -56,7 +57,7 @@ def _cross_ratios(space: HermitianSpace, lifts: Sequence[HVector], quads: Sequen
     z1, z2, z3, z4 = np.asarray(quads, dtype=int).reshape(-1, 4).T
     z, w = np.stack([z3, z3, z4, z4]), np.stack([z1, z2, z2, z1])
     f = space.pairings(lifts)[w, z]  # <z, w> sits at [w, z]
-    norms = np.array([v.norm() for v in lifts])
+    norms = np.linalg.norm(lifts, axis=0)
     vanish = np.linalg.norm(f, axis=-1) <= tol * np.maximum(norms[z] * norms[w], DIVISION_FLOOR)
     a, b, c, d = f
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -76,7 +77,8 @@ def cross_ratio(space: HermitianSpace, z1: ProjPoint, z2: ProjPoint,
     The value depends on the chosen lifts, but its similarity class
     (real part and modulus) does not.
     """
-    x, vanish = _cross_ratios(space, [z.lift for z in (z1, z2, z3, z4)], [(0, 1, 2, 3)], tol)
+    x, vanish = _cross_ratios(space, stacked([z.lift for z in (z1, z2, z3, z4)]),
+                              [(0, 1, 2, 3)], tol)
     _require_factors(vanish)
     return Quaternion.from_seq(x[0])
 
@@ -89,7 +91,7 @@ def cross_ratio_triple(space: HermitianSpace, z1: ProjPoint, z2: ProjPoint,
     For quadruples of null points the moduli satisfy |X2| = |X1| |X3|; this
     is asserted unless ``check_relations`` disables it.
     """
-    x, vanish = _cross_ratios(space, [z.lift for z in (z1, z2, z3, z4)],
+    x, vanish = _cross_ratios(space, stacked([z.lift for z in (z1, z2, z3, z4)]),
                               [(0, 1, 2, 3), (0, 3, 2, 1), (1, 3, 2, 0)], DEFAULT_TOL)
     _require_factors(vanish)
     x1, x2, x3 = (Quaternion.from_seq(v) for v in x)

@@ -26,12 +26,13 @@ from .linalg import (
     EigenData,
     HermitianSpace,
     HMatrix,
-    HVector,
     PointType,
     matrix_rank,
     orthonormal_form_basis,
     right_eigen,
     spectrum_char_coeffs,
+    stacked,
+    stacked_from_components,
     two_columns,
 )
 from .tolerances import (CHAR_COEFF_TOL, CLASS_MATCH_TOL, DEFAULT_TOL, FRAME_COND_MAX,
@@ -183,9 +184,9 @@ def _eigensets_equal(ca: EigenClass, cb: EigenClass) -> bool:
     quaternionic span for a real class, the complex span of the stacked
     vectors otherwise."""
     if ca.is_real():
-        B1, B2 = two_columns(ca.vectors), two_columns(cb.vectors)
+        B1, B2 = two_columns(stacked(ca.vectors)), two_columns(stacked(cb.vectors))
     else:
-        B1, B2 = (np.stack([v.s for v in c.vectors], axis=1) for c in (ca, cb))
+        B1, B2 = stacked(ca.vectors), stacked(cb.vectors)
     return (matrix_rank(B1, SPAN_RTOL) == matrix_rank(B2, SPAN_RTOL)
             == matrix_rank(np.concatenate([B1, B2], axis=1), SPAN_RTOL))
 
@@ -243,10 +244,6 @@ class EllipticSpec:
                 raise InvalidSpecError("angles must lie in [0, pi]")
 
 
-def _random_hvector(space: HermitianSpace, rng: np.random.Generator) -> HVector:
-    return HVector.from_components(rng.uniform(-1.0, 1.0, (space.dim, 4)))
-
-
 def random_frame(space: HermitianSpace, rng: np.random.Generator,
                  elliptic: bool = False, cond_max: float = FRAME_COND_MAX) -> HMatrix:
     """Seeded pseudo-random frame: column Gram is the corner form (hyperbolic
@@ -258,23 +255,20 @@ def random_frame(space: HermitianSpace, rng: np.random.Generator,
 
     N = space.dim
     for _ in range(200):
-        vecs = [_random_hvector(space, rng) for _ in range(N)]
+        vecs = stacked_from_components(rng.uniform(-1.0, 1.0, (N, N, 4)))
         try:
             basis, signs = orthonormal_form_basis(space, vecs)
         except (GramSchmidtError, NumericalError):
             continue
         if signs[0] != -1:
             continue
-        neg = basis[0]
-        pos = basis[1:]
-        if elliptic:
-            cols = [neg] + pos
-        else:
+        if not elliptic:
+            # the negative column and the last positive one become the null pair
             inv_sqrt2 = 1.0 / math.sqrt(2.0)
-            a = (pos[-1] + neg).times(inv_sqrt2)
-            r = (pos[-1] - neg).times(inv_sqrt2)
-            cols = [a] + pos[:-1] + [r]
-        C = HMatrix.from_columns(cols)
+            neg, last = basis[:, 0], basis[:, -1]
+            basis = np.column_stack([(last + neg) * inv_sqrt2, basis[:, 1:-1],
+                                     (last - neg) * inv_sqrt2])
+        C = HMatrix.from_columns(basis)
         if C.cond() <= cond_max:
             return C
     raise NumericalError("could not draw a well-conditioned frame")

@@ -29,8 +29,9 @@ from .errors import (
 )
 from .quaternion import Quaternion, complex_pairs, from_complex_pairs
 from .tolerances import (BASIS_RANK_RTOL, CENTRALIZER_RTOL, CHAR_COEFF_TOL, CLUSTER_RTOL,
-                         DEFAULT_TOL, FORM_DEGENERACY_RTOL, J_STRUCTURE_RTOL, NEWTON_MAX_STEPS,
-                         NEWTON_STEP_RTOL, RANK_RTOL, REAL_CLASS_RTOL, UNIT_MODULUS_TOL)
+                         DEFAULT_TOL, DIVISION_FLOOR, FORM_DEGENERACY_RTOL, J_STRUCTURE_RTOL,
+                         NEWTON_MAX_STEPS, NEWTON_STEP_RTOL, RANK_RTOL, REAL_CLASS_RTOL,
+                         UNIT_MODULUS_TOL)
 
 
 class PointType(Enum):
@@ -47,7 +48,8 @@ def _j_mat(N: int) -> np.ndarray:
 
 
 def _times_j(s: np.ndarray) -> np.ndarray:
-    """Stacked form of x*j: (x1; x2) -> (-conj(x2); conj(x1))."""
+    """Stacked form of x*j: (x1; x2) -> (-conj(x2); conj(x1)), for a stacked
+    vector or for every column of a stacked array."""
     N = s.shape[0] // 2
     return np.concatenate([-np.conj(s[N:]), np.conj(s[:N])])
 
@@ -70,7 +72,7 @@ class HVector:
     @staticmethod
     def from_components(a: np.ndarray) -> "HVector":
         """The vector with (N, 4) quaternion components ``a``."""
-        return HVector(np.concatenate(complex_pairs(a)))
+        return HVector(stacked_from_components(a))
 
     @staticmethod
     def from_quaternions(entries: Sequence[Quaternion]) -> "HVector":
@@ -78,7 +80,7 @@ class HVector:
 
     def components(self) -> np.ndarray:
         """The (N, 4) quaternion components of the entries."""
-        return from_complex_pairs(self.s[:self.dim], self.s[self.dim:])
+        return components_from_stacked(self.s)
 
     def entries(self) -> list[Quaternion]:
         return [Quaternion.from_seq(c) for c in self.components()]
@@ -89,8 +91,7 @@ class HVector:
     def times(self, q: "Quaternion | complex | float") -> "HVector":
         """Right scalar action v -> v*q."""
         if isinstance(q, Quaternion):
-            z1, z2 = q.complex_pair()
-            return HVector(self.s * z1 + _times_j(self.s) * z2)
+            return HVector(right_times(self.s, *q.complex_pair()))
         return HVector(self.s * q)
 
     def times_j(self) -> "HVector":
@@ -107,10 +108,6 @@ class HVector:
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.s))
-
-    def two_column(self) -> np.ndarray:
-        """Full 2N x 2 embedding [s, J conj(s)] of the column vector."""
-        return np.stack([self.s, _times_j(self.s)], axis=1)
 
     def __repr__(self) -> str:
         return f"HVector({self.entries()!r})"
@@ -164,12 +161,12 @@ class HMatrix:
         return HMatrix(np.diag(np.concatenate([v, np.conj(v)])), check=False)
 
     @staticmethod
-    def from_columns(cols: Sequence[HVector]) -> "HMatrix":
-        N = cols[0].dim
-        if len(cols) != N:
+    def from_columns(S: np.ndarray) -> "HMatrix":
+        """The matrix whose columns are the stacked (2N, N) columns of ``S``."""
+        S = np.asarray(S, dtype=complex)
+        if S.ndim != 2 or S.shape[0] != 2 * S.shape[1]:
             raise DimensionMismatchError("need exactly dim columns")
-        T = two_columns(cols)
-        return HMatrix(np.concatenate([T[:, 0::2], T[:, 1::2]], axis=1), check=False)
+        return HMatrix(np.concatenate([S, _times_j(S)], axis=1), check=False)
 
     # -- access ------------------------------------------------------------
 
@@ -231,9 +228,51 @@ def complex_embed(A: HMatrix) -> np.ndarray:
     return A.emb.copy()
 
 
-def two_columns(vectors: Sequence[HVector]) -> np.ndarray:
-    """The complex columns [v_1, v_1 j, v_2, v_2 j, ...] of the vectors' embeddings."""
-    return np.concatenate([v.two_column() for v in vectors], axis=1)
+def stacked_from_components(a: np.ndarray) -> np.ndarray:
+    """Stacked form of quaternion components: (N, 4) gives one (2N,) vector,
+    (m, N, 4) the (2N, m) array of m columns."""
+    return np.ascontiguousarray(np.concatenate(complex_pairs(a), axis=-1).T)
+
+
+def components_from_stacked(S: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`stacked_from_components`."""
+    N = S.shape[0] // 2
+    return from_complex_pairs(S[:N].T, S[N:].T)
+
+
+def stacked(vectors: Sequence[HVector]) -> np.ndarray:
+    """The (2N, m) array whose column k is the stacked form of vectors[k]."""
+    return np.transpose([v.s for v in vectors])
+
+
+def right_times(S: np.ndarray, z1, z2) -> np.ndarray:
+    """Stacked vectors times q = z1 + j*z2 on the right: S z1 + J conj(S) z2.
+
+    ``z1`` and ``z2`` broadcast over the columns of ``S``: one quaternion for
+    all of them, or one per column (the halves of :func:`complex_pairs`).
+    """
+    return S * z1 + _times_j(S) * z2
+
+
+def two_columns(S: np.ndarray) -> np.ndarray:
+    """The complex columns [s_1, s_1 j, s_2, s_2 j, ...] of the stacked columns of S."""
+    T = np.empty((S.shape[0], 2 * S.shape[1]), dtype=complex)
+    T[:, 0::2] = S
+    T[:, 1::2] = _times_j(S)
+    return T
+
+
+def line_residuals(U: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """Relative distance of each column q of Q from the line through the
+    matching column u of U, |q - P q| / |q|.
+
+    u and u j = J conj(u) are orthogonal with equal norms, so the projection
+    onto their span is P q = (u u* q + uj uj* q) / |u|^2.
+    """
+    Uj = _times_j(U)
+    uu = np.sum(np.abs(U) ** 2, axis=0)
+    R = Q - U * (np.sum(U.conj() * Q, axis=0) / uu) - Uj * (np.sum(Uj.conj() * Q, axis=0) / uu)
+    return np.linalg.norm(R, axis=0) / np.maximum(np.linalg.norm(Q, axis=0), DIVISION_FLOOR)
 
 
 # ---------------------------------------------------------------------------
@@ -261,35 +300,34 @@ class HermitianSpace:
         self.H = corner_form(self.dim)
         self.H_emb = np.zeros((2 * self.dim, 2 * self.dim), dtype=complex)
         self.H_emb[:self.dim, :self.dim] = self.H_emb[self.dim:, self.dim:] = self.H
+        # H_emb is a permutation matrix: H_emb X H_emb = X[perm][:, perm]
+        N = self.dim
+        self.perm = np.arange(2 * N)
+        self.perm[[0, N - 1, N, 2 * N - 1]] = [N - 1, 0, 2 * N - 1, N]
 
     def herm(self, z: HVector, w: HVector) -> Quaternion:
         """The form <z, w> = w* H z (conjugate-linear in w)."""
         if z.dim != self.dim or w.dim != self.dim:
             raise DimensionMismatchError("vector dimension does not match the space")
-        M = w.two_column().conj().T @ self.H_emb @ z.two_column()
+        M = two_columns(w.s[:, None]).conj().T @ self.H_emb @ two_columns(z.s[:, None])
         return Quaternion.from_complex_pair(M[0, 0], M[1, 0])
 
-    def pairings(self, vectors: Sequence[HVector]) -> np.ndarray:
-        """(m, m, 4) components of <v_j, v_k> at [k, j]: one product T* H S, as in :meth:`herm`."""
-        if any(v.dim != self.dim for v in vectors):
+    def pairings(self, S: np.ndarray) -> np.ndarray:
+        """(m, m, 4) components of <s_j, s_k> at [k, j] for the stacked (2N, m)
+        columns of S: one product T* H S, as in :meth:`herm`."""
+        if S.ndim != 2 or S.shape[0] != 2 * self.dim:
             raise DimensionMismatchError("vector dimension does not match the space")
-        T = two_columns(vectors)
+        T = two_columns(S)
         A = T.conj().T @ self.H_emb @ T[:, 0::2]
         return from_complex_pairs(A[0::2], A[1::2])
 
-    def classify_vectors(self, vectors: Sequence[HVector],
-                         tol: float = DEFAULT_TOL) -> list[PointType]:
-        """Null when |<z,z>| <= tol |z|^2, else the sign of <z,z>, for every
-        vector from the real diagonal of one :meth:`pairings` product."""
-        sq_norms = np.array([v.norm() for v in vectors]) ** 2
-        if not sq_norms.all():
-            raise ValueError("cannot classify the zero vector")
-        return [PointType.NULL if abs(val) <= tol * sq
-                else PointType.NEGATIVE if val < 0 else PointType.POSITIVE
-                for val, sq in zip(np.diagonal(self.pairings(vectors)[..., 0]), sq_norms)]
+    def classify_vectors(self, S: np.ndarray, tol: float = DEFAULT_TOL) -> list[PointType]:
+        """:func:`point_types` of the stacked columns of S, from the real
+        diagonal of one :meth:`pairings` product."""
+        return point_types(np.diagonal(self.pairings(S)[..., 0]), S, tol)
 
     def classify_vector(self, z: HVector, tol: float = DEFAULT_TOL) -> PointType:
-        return self.classify_vectors([z], tol)[0]
+        return self.classify_vectors(z.s[:, None], tol)[0]
 
     def member_residual(self, A: HMatrix) -> float:
         """Frobenius norm of A* H A - H in the embedding."""
@@ -301,17 +339,18 @@ class HermitianSpace:
 
     def project_to_group(self, A: HMatrix) -> HMatrix:
         """Generalized polar factor: Newton steps M -> (mu M + (mu M)^-⋆) / 2 with
-        M^-⋆ = H M^-* H (H is its own inverse), mu = |det M|^(-1/2N) on the embedding.
-        A real span closed under M -> M^-⋆ holds every step, and t U goes to sign(t) U
-        for a member U.  Stops at a step below NEWTON_STEP_RTOL (relative) or no shorter
+        M^-⋆ = H M^-* H (H is its own inverse), mu = |det M|^(-1/2N) on the embedding;
+        H is a permutation matrix, so H X H permutes the rows and columns of X.  A real
+        span closed under M -> M^-⋆ holds every step, and t U goes to sign(t) U for a
+        member U.  Stops at a step below NEWTON_STEP_RTOL (relative) or no shorter
         than the last; a caller that needs a member checks.  Singular A: NumericalError."""
-        H, M, last = self.H_emb, A.emb, math.inf
+        P, M, last = self.perm, A.emb, math.inf
         for _ in range(NEWTON_MAX_STEPS):
             sign, logdet = np.linalg.slogdet(M)
             if sign == 0:
                 raise NumericalError("cannot take the polar factor of a singular matrix")
             mu = math.exp(-logdet / len(M))
-            M_next = 0.5 * (mu * M + H @ np.linalg.inv(M).conj().T @ H / mu)
+            M_next = 0.5 * (mu * M + np.linalg.inv(M).conj().T[np.ix_(P, P)] / mu)
             step, M = np.linalg.norm(M_next - M), M_next
             if step < NEWTON_STEP_RTOL * max(1.0, np.linalg.norm(M)) or not step < last:
                 break  # converged, at rounding level, or not converging (or not finite)
@@ -320,6 +359,18 @@ class HermitianSpace:
 
     def __repr__(self) -> str:
         return f"HermitianSpace(n={self.n})"
+
+
+def point_types(self_pairings: np.ndarray, S: np.ndarray,
+                tol: float = DEFAULT_TOL) -> list[PointType]:
+    """Null when |<z,z>| <= tol |z|^2, else the sign of <z,z>, for every
+    stacked column z of S, given the real self-pairings <z,z>."""
+    sq_norms = np.linalg.norm(S, axis=0) ** 2
+    if not sq_norms.all():
+        raise ValueError("cannot classify the zero vector")
+    return [PointType.NULL if abs(val) <= tol * sq
+            else PointType.NEGATIVE if val < 0 else PointType.POSITIVE
+            for val, sq in zip(self_pairings, sq_norms)]
 
 
 # ---------------------------------------------------------------------------
@@ -407,28 +458,26 @@ def matrix_rank(M: np.ndarray, rtol: float = RANK_RTOL) -> int:
     return int(np.sum(s > rtol * max(s[0], 1.0)))
 
 
-def quaternionic_basis(columns: np.ndarray, expected: int) -> list[HVector]:
+def quaternionic_basis(columns: np.ndarray, expected: int) -> np.ndarray:
     """Extract a quaternionic basis from a J-closed complex subspace.
 
     ``columns`` spans a complex subspace of C^{2N} closed under s -> J conj(s)
-    of dimension 2*expected; the result is ``expected`` vectors whose
-    quaternionic span is the subspace.
+    of dimension 2*expected; the result is the (2N, expected) stacked columns
+    of vectors whose quaternionic span is the subspace.
     """
     Q, _ = np.linalg.qr(columns)
-    out: list[HVector] = []
+    out: list[np.ndarray] = []
     remaining = Q
     for _ in range(expected):
         if remaining.shape[1] == 0:
             raise NumericalError("subspace was not J-closed of the expected dimension")
-        s = remaining[:, 0]
-        sj = _times_j(s)
-        out.append(HVector(s))
+        out.append(remaining[:, 0])
         # remove the quaternionic line span{s, s*j} and re-orthonormalize
-        basis = np.stack([s, sj], axis=1)
+        basis = two_columns(remaining[:, :1])
         proj = remaining - basis @ (basis.conj().T @ remaining)
         U, sv, _ = np.linalg.svd(proj, full_matrices=False)
         remaining = U[:, sv > BASIS_RANK_RTOL * max(1.0, sv[0] if sv.size else 1.0)]
-    return out
+    return np.stack(out, axis=1)
 
 
 def _cluster_eigenvalues(eigs: np.ndarray) -> list[np.ndarray]:
@@ -499,7 +548,7 @@ def _eigenspace_basis(M: np.ndarray, rep: complex, mult: int) -> np.ndarray:
     if ns.shape[1] > expected:
         raise NumericalError("eigenvalue clusters overlap; cannot separate classes")
     if rep.imag == 0.0:
-        return np.stack([v.s for v in quaternionic_basis(ns, mult)], axis=1)
+        return quaternionic_basis(ns, mult)
     return ns
 
 
@@ -544,7 +593,8 @@ def _type_and_normalize(space: HermitianSpace, S: np.ndarray, rep: complex,
         if int(np.sum(np.abs(eigs) > tol * scale)) == 0:
             return PointType.NULL, tuple(HVector(s) for s in S.T)
         basis, signs = _form_orthonormal(space, S, eigs, U)
-        return (PointType.NEGATIVE if -1 in signs else PointType.POSITIVE), tuple(basis)
+        kind = PointType.NEGATIVE if -1 in signs else PointType.POSITIVE
+        return kind, tuple(HVector(b) for b in basis.T)
 
     G1, G2 = _form_blocks(space, S)
     if np.any(np.abs(G2) > CENTRALIZER_RTOL * np.maximum(1.0, np.hypot(np.abs(G1), np.abs(G2)))):
@@ -588,19 +638,19 @@ def _normalize_null_pair(space: HermitianSpace,
 # ---------------------------------------------------------------------------
 
 def orthonormal_form_basis(space: HermitianSpace,
-                           vectors: Sequence[HVector]) -> tuple[list[HVector], list[int]]:
-    """Diagonalize the restricted form on span(vectors): basis with <v,v> = +-1.
+                           S: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """Diagonalize the restricted form on the span of the stacked columns of S:
+    basis with <v,v> = +-1.
 
-    Returns the basis (negative directions first) and the matching sign list.
-    The restriction must be nondegenerate.
+    Returns the basis as stacked columns (negative directions first) and the
+    matching sign list.  The restriction must be nondegenerate.
     """
-    S = np.stack([v.s for v in vectors], axis=1)
     eigs, U = np.linalg.eigh(_form_gram(space, S))
     return _form_orthonormal(space, S, eigs, U)
 
 
 def _form_orthonormal(space: HermitianSpace, S: np.ndarray, eigs: np.ndarray,
-                      U: np.ndarray) -> tuple[list[HVector], list[int]]:
+                      U: np.ndarray) -> tuple[np.ndarray, list[int]]:
     """Form-orthonormal basis of span(S) from the eigh of its restricted-form embedding."""
     scale = max(1.0, float(np.max(np.abs(eigs))))
     if np.min(np.abs(eigs)) < FORM_DEGENERACY_RTOL * scale:
@@ -614,8 +664,8 @@ def _form_orthonormal(space: HermitianSpace, S: np.ndarray, eigs: np.ndarray,
     for group, sign in ((order[eigs[order] < 0], -1), (order[eigs[order] > 0], 1)):
         if not group.size:
             continue
-        for cv in quaternionic_basis(U[:, group], len(group) // 2):
-            v = T @ cv.s
+        for cv in quaternionic_basis(U[:, group], len(group) // 2).T:
+            v = T @ cv
             val = _self_pairings(space, v)
             if (val < 0) != (sign < 0):
                 raise GramSchmidtError("sign bookkeeping failed in diagonalization")
@@ -626,12 +676,12 @@ def _form_orthonormal(space: HermitianSpace, S: np.ndarray, eigs: np.ndarray,
 
 
 def _polish_orthogonality(space: HermitianSpace, basis: list[np.ndarray],
-                          signs: list[int]) -> list[HVector]:
+                          signs: list[int]) -> np.ndarray:
     out: list[np.ndarray] = []
     for v in basis:
         w = v
         for u, su in zip(out, signs):
-            u2 = np.stack([u, _times_j(u)], axis=1)
+            u2 = two_columns(u[:, None])
             w = w - su * (u2 @ (u2.conj().T @ space.H_emb @ w))  # w - u * <w, u> su
         out.append(w / math.sqrt(abs(_self_pairings(space, w))))
-    return [HVector(w) for w in out]
+    return np.stack(out, axis=1)

@@ -24,7 +24,7 @@ import numpy as np
 from .decision import Decision, Verdict
 from .errors import NumericalError, UnsupportedElementError
 from .isometry import Classification, Isometry, conjugate_single
-from .linalg import EigenClass, HMatrix, PointType, nullspace, two_columns
+from .linalg import EigenClass, HMatrix, PointType, nullspace, stacked, two_columns
 from .quaternion import left_matrix, right_matrix
 from .tolerances import (DECIDER_TOL, FIXED_SET_RANK_ATOL, GROUP_MULTIPLE_RTOL, INTERTWINER_RTOL,
                          NORMAL_FORM_RTOL, REAL_CLASS_RTOL, REASSEMBLY_RTOL, TRACE_RTOL,
@@ -78,7 +78,7 @@ def eigenframe(A: Isometry) -> EigenFrame:
         raise UnsupportedElementError("parabolic elements have no eigenframe")
     ordered = _ordered_classes(A)
     reps = [c.rep for c in ordered for _ in c.vectors]
-    C = HMatrix.from_columns([v for c in ordered for v in c.vectors])
+    C = HMatrix.from_columns(stacked([v for c in ordered for v in c.vectors]))
     E = HMatrix.diag_complex(reps)
     resid = (C @ E @ C.inverse() - A.matrix).norm()
     if resid > REASSEMBLY_RTOL * max(1.0, A.matrix.norm()):
@@ -92,7 +92,7 @@ def eigenframe(A: Isometry) -> EigenFrame:
 
 def _fixed_sets(A: Isometry) -> list[tuple[np.ndarray, int]]:
     """Complex bases of the null and negative eigenspaces, with their ranks."""
-    bases = [two_columns(c.vectors) for c in A.classes()
+    bases = [two_columns(stacked(c.vectors)) for c in A.classes()
              if c.kind in (PointType.NULL, PointType.NEGATIVE)]
     return [(b, np.linalg.matrix_rank(b, FIXED_SET_RANK_ATOL)) for b in bases]
 

@@ -80,8 +80,7 @@ def sample_config(space: HermitianSpace, m: int, i: int,
 
 def apply_isometry(config: PointConfig, C: HMatrix) -> PointConfig:
     """Image configuration under an isometry (same kinds, mapped lifts)."""
-    pts = [ProjPoint(C.apply(p.lift), p.kind) for p in config.points]
-    return gram_of(config.space, pts)
+    return gram_of(config.space, C.emb @ config.lifts, kinds=config.kinds)
 
 
 def _repeated(values: np.ndarray) -> np.ndarray:

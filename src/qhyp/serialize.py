@@ -19,9 +19,9 @@ import numpy as np
 from .decision import Decision
 from .errors import InvalidSpecError
 from .gram import PointConfig, gram_of
-from .invariants import InvariantProfile, PairSlot, ProjPoint, XSlot
+from .invariants import InvariantProfile, PairSlot, XSlot
 from .isometry import Isometry
-from .linalg import HermitianSpace, HMatrix, HVector
+from .linalg import HermitianSpace, HMatrix, components_from_stacked, stacked_from_components
 from .quaternion import Quaternion
 from .tolerances import WIRE_TOL
 
@@ -106,7 +106,7 @@ def isometry_from_json(data: dict, tol: float = WIRE_TOL) -> Isometry:
 
 def config_to_json(cfg: PointConfig) -> dict:
     return {"n": cfg.space.n, "i": cfg.i,
-            "points": [p.lift.components().tolist() for p in cfg.points]}
+            "points": components_from_stacked(cfg.lifts).tolist()}
 
 
 def config_from_json(data: dict) -> PointConfig:
@@ -115,9 +115,7 @@ def config_from_json(data: dict) -> PointConfig:
     lifts = _components(points, "points")
     if lifts.shape[1:] != (n + 1, 4):
         raise InvalidSpecError(f"each point needs {n + 1} quaternion coordinates")
-    vectors = [HVector.from_components(a) for a in lifts]
-    kinds = space.classify_vectors(vectors, WIRE_TOL)
-    cfg = gram_of(space, [ProjPoint(v, k) for v, k in zip(vectors, kinds)], WIRE_TOL)
+    cfg = gram_of(space, stacked_from_components(lifts), WIRE_TOL)
     declared = data.get("i")
     if declared is not None and _integer(declared, "i") != cfg.i:
         raise InvalidSpecError(f"declared i={declared} but found {cfg.i} null points")

@@ -12,7 +12,8 @@ from qhyp import cli
 from qhyp.cli import main
 from qhyp.errors import InvalidSpecError
 from qhyp.isometry import Classification, HyperbolicSpec, random_semisimple
-from qhyp.linalg import HermitianSpace
+from qhyp.gram import gram_of
+from qhyp.linalg import HermitianSpace, HVector
 from qhyp.sampling import apply_isometry, sample_config
 from qhyp.isometry import random_member
 from qhyp.serialize import (
@@ -25,8 +26,9 @@ from qhyp.serialize import (
     profile_to_json,
     quaternion_from_json,
 )
-from qhyp.invariants import profile
+from qhyp.invariants import ProjPoint, profile
 from qhyp.quaternion import Quaternion
+from qhyp.tolerances import WIRE_TOL
 
 
 def write(tmp_path, name, obj):
@@ -67,6 +69,25 @@ def test_config_decoder_classifies_without_scalar_pairings(monkeypatch):
     cfg2 = config_from_json(config_to_json(cfg))
     assert calls == []
     assert [p.kind for p in cfg2.points] == [p.kind for p in cfg.points]
+
+
+def test_config_decoder_forms_one_pairings_product(monkeypatch):
+    # one pairings product gives both the point kinds and the Gram matrix,
+    # and the decoded arrays are bit for bit those of a per-point decode
+    sp = HermitianSpace(4)
+    data = config_to_json(sample_config(sp, 8, 4, np.random.default_rng(10),
+                                        scramble_lifts=True))
+    shapes = []
+    pairings = HermitianSpace.pairings
+    monkeypatch.setattr(HermitianSpace, "pairings",
+                        lambda self, S: shapes.append(S.shape) or pairings(self, S))
+    cfg = config_from_json(data)
+    assert shapes == [(10, 8)]
+    monkeypatch.undo()
+    vectors = [HVector.from_components(np.array(a)) for a in data["points"]]
+    ref = gram_of(sp, [ProjPoint(v, sp.classify_vector(v, WIRE_TOL)) for v in vectors], WIRE_TOL)
+    assert cfg.kinds == ref.kinds
+    assert np.array_equal(cfg.lifts, ref.lifts) and np.array_equal(cfg.gram, ref.gram)
 
 
 def test_profile_json_roundtrip():

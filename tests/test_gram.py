@@ -7,6 +7,7 @@ import pytest
 
 from qhyp.decision import Verdict
 from qhyp.errors import DegenerateConfigurationError, InvalidSpecError
+from qhyp import gram
 from qhyp.gram import (
     PointConfig,
     SemiNormalizedGram,
@@ -19,8 +20,9 @@ from qhyp.gram import (
 )
 from qhyp.invariants import ProjPoint, profile, profile_from_gram
 from qhyp.isometry import random_member
-from qhyp.linalg import HermitianSpace, HVector, PointType
-from qhyp.quaternion import Quaternion, qconj_array, qmul_array
+from qhyp.linalg import HermitianSpace, HVector, PointType, right_times
+from qhyp.quaternion import Quaternion, complex_pairs, qconj_array, qmul_array
+from qhyp.tolerances import DECIDER_TOL
 from qhyp.sampling import (
     apply_isometry,
     random_quaternion,
@@ -108,8 +110,8 @@ def test_gram_objects_are_immutable():
     sng = semi_normalize(cfg)
     prof = profile_from_gram(sng)
     dec = congruent(cfg, cfg)
-    for obj, field in ((cfg, "gram"), (cfg, "points"), (sng, "gram"), (prof, "a23"),
-                       (dec, "verdict"), (dec, "witness")):
+    for obj, field in ((cfg, "gram"), (cfg, "lifts"), (cfg, "points"), (sng, "gram"),
+                       (sng, "lifts"), (prof, "a23"), (dec, "verdict"), (dec, "witness")):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(obj, field, None)
     for seq in (prof.x_slots, prof.pair_slots, prof.first_row):
@@ -121,6 +123,13 @@ def test_gram_objects_are_immutable():
     for g in (cfg.gram, sng.gram, reconstruct_gram(prof).gram):
         with pytest.raises(ValueError):
             g[0, 0, 0] = 1.0
+    # the lift arrays too, and the points are copies of their columns
+    for lifts in (cfg.lifts, sng.lifts, sng.conjugated(Quaternion.i()).lifts):
+        assert lifts.shape == (2 * sp.dim, cfg.m)
+        with pytest.raises(ValueError):
+            lifts[0, 0] = 1.0
+    for k, p in enumerate(cfg.points):
+        assert np.array_equal(p.lift.s, cfg.lifts[:, k]) and p.kind is cfg.kinds[k]
 
 
 # -- semi-normalization -----------------------------------------------------------
@@ -146,7 +155,7 @@ def test_semi_normalize_pattern(m, i, n):
     # lifts realize the entries
     for k in range(m):
         for j in range(m):
-            direct = sp.herm(sng.lifts[j], sng.lifts[k])
+            direct = sp.herm(HVector(sng.lifts[:, j]), HVector(sng.lifts[:, k]))
             assert direct.approx_eq(g[k][j], 1e-8)
 
 
@@ -191,7 +200,7 @@ def test_semi_normalize_idempotent_gauge():
     rng = np.random.default_rng(52)
     cfg = sample_config(sp, 5, 3, rng)
     s1 = semi_normalize(cfg)
-    pts = [ProjPoint.from_lift(sp, v) for v in s1.lifts]
+    pts = [ProjPoint.from_lift(sp, HVector(v)) for v in s1.lifts.T]
     s2 = semi_normalize(gram_of(sp, pts))
     assert max_entry_gap(s2.gram, s1.gram) <= 1e-8
 
@@ -330,6 +339,43 @@ def test_congruent_shape_mismatch():
     dec = congruent(a, b)
     assert dec.verdict is Verdict.NOT_CONGRUENT
     assert "shape" in dec.reason
+
+
+def _rescaled(cfg, rng, lo=-6.0, hi=6.0):
+    """The configuration with each lift times a random quaternion of modulus 10^[lo, hi)."""
+    q = rng.normal(size=(cfg.m, 4))
+    q *= 10.0 ** rng.uniform(lo, hi, (cfg.m, 1)) / np.linalg.norm(q, axis=1, keepdims=True)
+    return gram_of(cfg.space, right_times(cfg.lifts, *complex_pairs(q)), kinds=cfg.kinds)
+
+
+@pytest.mark.parametrize("m,i,n", [(5, 3, 2), (6, 0, 4), (8, 4, 4), (3, 3, 3)])
+def test_congruent_verdicts_hold_at_extreme_lift_scales(m, i, n):
+    # lifts rescaled by quaternions of modulus 1e-6 .. 1e6: the batched
+    # witness check keeps every image congruent and every independent draw not
+    sp = HermitianSpace(n)
+    rng = np.random.default_rng(80 + m + 10 * n)
+    for _ in range(4):
+        cfg = sample_config(sp, m, i, rng)
+        moved = _rescaled(apply_isometry(cfg, random_member(sp, rng)), rng)
+        dec = congruent(_rescaled(cfg, rng), moved, DECIDER_TOL)
+        assert dec.verdict is Verdict.CONGRUENT
+        assert dec.residual <= DECIDER_TOL
+        other = _rescaled(sample_config(sp, m, i, rng), rng)
+        assert congruent(cfg, other, DECIDER_TOL).verdict is Verdict.NOT_CONGRUENT
+
+
+def test_witness_check_rejects_points_off_their_images(monkeypatch):
+    # with the gauge alignment forced wrong, the witness still maps the
+    # spanning lifts' lines onto the partner's, but not the remaining points
+    # (m > n + 1): the batched residual check must refuse it
+    sp = HermitianSpace(2)
+    rng = np.random.default_rng(63)
+    cfg = sample_config(sp, 5, 3, rng)
+    moved = apply_isometry(cfg, random_member(sp, rng))
+    monkeypatch.setattr(gram, "orbit_equal", lambda *args: Quaternion(0.6, 0.0, 0.8, 0.0))
+    dec = congruent(cfg, moved, DECIDER_TOL)
+    assert dec.verdict is Verdict.NOT_CONGRUENT
+    assert dec.reason.startswith("witness verification failed")
 
 
 def _complex_lift(sp, rng, null):

@@ -20,7 +20,7 @@ from qhyp.invariants import (
     x_slot_indices,
 )
 from qhyp.isometry import random_member
-from qhyp.linalg import HermitianSpace, HVector, PointType
+from qhyp.linalg import HermitianSpace, HVector, PointType, stacked
 from qhyp.quaternion import Quaternion, sp1_align
 from qhyp.sampling import (
     apply_isometry,
@@ -91,7 +91,7 @@ def test_cross_ratio_degenerate_pairing(sp1):
 
 def test_batched_cross_ratios_flag_each_vanishing_row(sp1):
     o, inf, u, v = pp(sp1, 0, 1), pp(sp1, 1, 0), pp(sp1, I, 1), pp(sp1, J, 1)
-    lifts = [p.lift for p in (o, inf, u, v)]
+    lifts = stacked([p.lift for p in (o, inf, u, v)])
     # the second row's factor <z3, z1> is <o, o> = 0
     x, vanish = _cross_ratios(sp1, lifts, [(0, 1, 2, 3), (0, 1, 0, 1)], 1e-9)
     assert vanish.tolist() == [False, True]

@@ -19,7 +19,7 @@ from qhyp.isometry import (
     random_semisimple,
     real_trace,
 )
-from qhyp.linalg import HermitianSpace, HMatrix, HVector
+from qhyp.linalg import HermitianSpace, HMatrix, HVector, stacked
 from qhyp.quaternion import Quaternion
 
 ONE = Quaternion.one()
@@ -33,7 +33,7 @@ def qv(*entries):
 
 def ball_frame_n1():
     s = 1 / math.sqrt(2)
-    return HMatrix.from_columns([qv(-s, s), qv(s, s)])
+    return HMatrix.from_columns(stacked([qv(-s, s), qv(s, s)]))
 
 
 def elliptic_n1(alpha, beta):

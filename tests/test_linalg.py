@@ -23,12 +23,19 @@ from qhyp.linalg import (
     char_poly_real_coeffs,
     complex_embed,
     corner_form,
+    line_residuals,
     _cluster_eigenvalues,
+    components_from_stacked,
     orthonormal_form_basis,
     right_eigen,
+    right_times,
+    stacked,
+    stacked_from_components,
+    two_columns,
 )
 from qhyp.pairs import eigenframe
-from qhyp.quaternion import Quaternion
+from qhyp.quaternion import Quaternion, complex_pairs, from_complex_pairs
+from qhyp.tolerances import DIVISION_FLOOR, NEWTON_MAX_STEPS, NEWTON_STEP_RTOL
 from qhyp.sampling import random_elliptic_spec, random_hyperbolic_spec
 
 I, J, K = Quaternion.i(), Quaternion.j(), Quaternion.k()
@@ -123,6 +130,35 @@ def test_right_scalar_action():
     assert v.times_j().entry(0).approx_eq(v.entry(0) * J, 1e-12)
 
 
+@pytest.mark.parametrize("N,m", [(2, 3), (3, 5), (5, 8), (9, 12)])
+def test_stacked_arrays_match_the_per_vector_results_bitwise(N, m):
+    # the (2N, m) array forms of the right action, the component codec, the
+    # two-column embedding and the pairings give bit for bit what one
+    # HVector at a time gives
+    rng = np.random.default_rng(40 + N)
+    vectors = [random_hvector(rng, N, 10.0 ** rng.uniform(-6, 6)) for _ in range(m)]
+    S = stacked(vectors)
+    lam = rng.uniform(-1, 1, (m, 4)) * 10.0 ** rng.uniform(-6, 6, (m, 1))
+    one = Quaternion.from_seq(rng.uniform(-1, 1, 4))
+    each, common = right_times(S, *complex_pairs(lam)), right_times(S, *one.complex_pair())
+    comps = components_from_stacked(S)
+    for k, v in enumerate(vectors):
+        assert np.array_equal(each[:, k], v.times(Quaternion.from_seq(lam[k])).s)
+        assert np.array_equal(common[:, k], v.times(one).s)
+        assert np.array_equal(comps[k], v.components())
+    assert np.array_equal(stacked_from_components(comps), S)
+    per_vector = np.concatenate([np.stack([v.s, v.times_j().s], axis=1) for v in vectors],
+                                axis=1)
+    assert np.array_equal(two_columns(S), per_vector)
+    sp = HermitianSpace(N - 1)
+    A = per_vector.conj().T @ sp.H_emb @ per_vector[:, 0::2]
+    g = sp.pairings(S)
+    assert np.array_equal(g, from_complex_pairs(A[0::2], A[1::2]))
+    for k, j in [(0, 1), (m - 1, 0), (2, 2)]:
+        gap = (Quaternion.from_seq(g[k, j]) - sp.herm(vectors[j], vectors[k])).norm()
+        assert gap <= 1e-14 * vectors[j].norm() * vectors[k].norm()
+
+
 # -- Hermitian form ---------------------------------------------------------
 
 def test_corner_form_n1_values():
@@ -172,11 +208,11 @@ def test_classify_vector():
 def test_classify_vectors_is_the_one_vector_rule_per_vector():
     sp = HermitianSpace(2)
     vectors = [qv(0, 1, 0), qv(-1, 0, 1), qv(1, 0, 0), qv(1e-12, 0, 1), qv(J, 2, 1)]
-    assert sp.classify_vectors(vectors) == [sp.classify_vector(v) for v in vectors]
-    assert sp.classify_vectors(vectors)[:3] == [PointType.POSITIVE, PointType.NEGATIVE,
-                                                PointType.NULL]
+    assert sp.classify_vectors(stacked(vectors)) == [sp.classify_vector(v) for v in vectors]
+    assert sp.classify_vectors(stacked(vectors))[:3] == [PointType.POSITIVE, PointType.NEGATIVE,
+                                                         PointType.NULL]
     with pytest.raises(ValueError):
-        sp.classify_vectors([qv(0, 1, 0), qv(0, 0, 0)])
+        sp.classify_vectors(stacked([qv(0, 1, 0), qv(0, 0, 0)]))
 
 
 # -- membership -------------------------------------------------------------
@@ -212,6 +248,72 @@ def test_project_to_group_is_the_polar_factor(n):
     for t in (-1e3, -2.0, 1e-3, 0.5, 1e3):
         P = sp.project_to_group(HMatrix(t * U.emb, check=False))
         assert np.linalg.norm(P.emb - np.sign(t) * U.emb) <= 1e-12 * np.linalg.norm(U.emb)
+
+
+def _lstsq_residual(u, q):
+    """The per-point reference: least-squares distance of q from the line through u."""
+    P = two_columns(u[:, None])
+    alpha = np.linalg.lstsq(P, q, rcond=None)[0]
+    return np.linalg.norm(P @ alpha - q) / max(np.linalg.norm(q), DIVISION_FLOOR)
+
+
+@pytest.mark.parametrize("N", [2, 3, 5, 9])
+def test_line_residuals_match_the_lstsq_reference(N):
+    rng = np.random.default_rng(70 + N)
+    m = 60
+
+    def rand():
+        return rng.normal(size=(2 * N, m)) + 1j * rng.normal(size=(2 * N, m))
+
+    def quats(lo, hi):
+        q = rng.normal(size=(m, 4))
+        q *= 10.0 ** rng.uniform(lo, hi, (m, 1)) / np.linalg.norm(q, axis=1, keepdims=True)
+        return complex_pairs(q)
+
+    U = rand()
+    on_line = right_times(U, *quats(-1, 1))
+    nudge = 10.0 ** rng.uniform(-16, -4, m) * np.linalg.norm(on_line, axis=0)
+    cases = {
+        "random lines": (U, rand()),
+        "nearly coincident lines": (U, on_line + nudge * rand() / np.sqrt(4 * N)),
+        "extreme lift scales": (right_times(U, *quats(-6, 6)),
+                                right_times(on_line + 1e-9 * rand(), *quats(-6, 6))),
+    }
+    for name, (A, B) in cases.items():
+        got = line_residuals(A, B)
+        want = np.array([_lstsq_residual(A[:, k], B[:, k]) for k in range(m)])
+        assert np.max(np.abs(got - want)) <= 1e-13, name
+    # the nudged points really sit at the whole range of distances
+    near = line_residuals(*cases["nearly coincident lines"])
+    assert near.min() < 1e-14 and near.max() > 1e-6
+
+
+def _dense_polar_factor(space, A):
+    """project_to_group with H inv(M)^* H formed as two dense products."""
+    H, M, last = space.H_emb, A.emb, math.inf
+    for _ in range(NEWTON_MAX_STEPS):
+        mu = math.exp(-np.linalg.slogdet(M)[1] / len(M))
+        M_next = 0.5 * (mu * M + H @ np.linalg.inv(M).conj().T @ H / mu)
+        step, M = np.linalg.norm(M_next - M), M_next
+        if step < NEWTON_STEP_RTOL * max(1.0, np.linalg.norm(M)) or not step < last:
+            break
+        last = step
+    return M
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_project_to_group_permutation_is_the_dense_product(n):
+    # the embedded corner form is a permutation matrix, so permuting the rows
+    # and columns of inv(M)^* is H inv(M)^* H exactly, and the iteration is
+    # bit for bit the one with dense products
+    sp = HermitianSpace(n)
+    rng = np.random.default_rng(170 + n)
+    X = np.linalg.inv(random_hmatrix(rng, n + 1).emb).conj().T
+    assert np.array_equal(X[np.ix_(sp.perm, sp.perm)], sp.H_emb @ X @ sp.H_emb)
+    U = random_member(sp, rng)
+    for scale in (1e-3, 0.1, 1.0):
+        A = HMatrix(U.emb + scale * random_hmatrix(rng, n + 1).emb, check=False)
+        assert np.array_equal(sp.project_to_group(A).emb, _dense_polar_factor(sp, A))
 
 
 # -- characteristic polynomial ----------------------------------------------
@@ -322,7 +424,7 @@ def test_right_eigen_multiplicity_two():
     # elliptic with a doubled positive class, via a frame whose column Gram
     # is diag(-1, 1, 1)
     s = 1 / math.sqrt(2)
-    C = HMatrix.from_columns([qv(-s, 0, s), qv(0, 1, 0), qv(s, 0, s)])
+    C = HMatrix.from_columns(stacked([qv(-s, 0, s), qv(0, 1, 0), qv(s, 0, s)]))
     E = diag_member([np.exp(1j * 0.4), np.exp(1j * 1.1), np.exp(1j * 1.1)])
     A = C @ E @ C.inverse()
     assert sp.is_member(A, 1e-10)
@@ -493,7 +595,8 @@ def test_orthonormal_form_basis_signature():
     rng = np.random.default_rng(21)
     sp = HermitianSpace(2)
     vecs = [random_hvector(rng, 3) for _ in range(3)]
-    basis, signs = orthonormal_form_basis(sp, vecs)
+    basis, signs = orthonormal_form_basis(sp, stacked(vecs))
+    basis = [HVector(b) for b in basis.T]
     assert sorted(signs) == [-1, 1, 1]
     for i, (u, su) in enumerate(zip(basis, signs)):
         assert sp.herm(u, u).approx_eq(Quaternion.real(su), 1e-9)

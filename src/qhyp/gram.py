@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -171,11 +172,7 @@ class SemiNormalizedGram:
         First-row scales of the negative columns, then the entries above the
         diagonal from the second row on.
         """
-        m, i = self.m, self.i
-        first = np.arange(max(i, 1), m)
-        r, c = np.triu_indices(m - 1, 1)
-        return self.gram[np.concatenate([np.zeros_like(first), r + 1]),
-                         np.concatenate([first, c + 1])]
+        return self.gram[_v_index(self.m, self.i)]
 
     def conjugated(self, mu: Quaternion) -> "SemiNormalizedGram":
         """Every entry g -> conj(mu) g mu, for a unit quaternion mu."""
@@ -184,6 +181,17 @@ class SemiNormalizedGram:
         lifts = (right_times(self.lifts, *mu.complex_pair())
                  if self.lifts is not None else None)
         return SemiNormalizedGram(self.m, self.i, g, lifts)
+
+
+@lru_cache(maxsize=None)
+def _v_index(m: int, i: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only row and column indices of :meth:`SemiNormalizedGram.v_entries`."""
+    first = np.arange(max(i, 1), m)
+    r, c = np.triu_indices(m - 1, 1)
+    index = np.concatenate([np.zeros_like(first), r + 1]), np.concatenate([first, c + 1])
+    for a in index:
+        a.setflags(write=False)
+    return index
 
 
 def _check_pattern(sng: SemiNormalizedGram) -> None:

@@ -142,7 +142,11 @@ class HMatrix:
         A1, A2 = complex_pairs(a)
         if A1.ndim != 2 or A1.shape[0] != A1.shape[1]:
             raise DimensionMismatchError("grid must be square")
-        return HMatrix(np.block([[A1, -np.conj(A2)], [A2, np.conj(A1)]]), check=False)
+        N = len(A1)
+        emb = np.empty((2 * N, 2 * N), dtype=complex)
+        emb[:N, :N], emb[N:, :N] = A1, A2
+        emb[:N, N:], emb[N:, N:] = -np.conj(A2), np.conj(A1)
+        return HMatrix(emb, check=False)
 
     @staticmethod
     def from_quaternions(grid: Sequence[Sequence[Quaternion]]) -> "HMatrix":
@@ -389,7 +393,10 @@ def char_poly_real_coeffs(A: HMatrix, tol: float = CHAR_COEFF_TOL) -> np.ndarray
 
 def spectrum_char_coeffs(eigs: np.ndarray, tol: float = CHAR_COEFF_TOL) -> np.ndarray:
     """:func:`char_poly_real_coeffs` from the embedding's eigenvalues, with the same checks."""
-    coeffs = np.poly(eigs)  # length 2N+1, coeffs[0] == 1
+    coeffs = np.zeros(len(eigs) + 1, dtype=complex)  # coeffs[0] == 1
+    coeffs[0] = 1.0
+    for k, lam in enumerate(eigs.tolist()):  # times (x - lam)
+        coeffs[1:k + 2] -= lam * coeffs[:k + 1]
     scale = max(1.0, float(np.max(np.abs(coeffs))))
     if np.max(np.abs(coeffs.imag)) > tol * scale:
         raise NumericalError("characteristic coefficients have imaginary residue")
@@ -480,61 +487,93 @@ def quaternionic_basis(columns: np.ndarray, expected: int) -> np.ndarray:
     return np.stack(out, axis=1)
 
 
-def _cluster_eigenvalues(eigs: np.ndarray) -> list[np.ndarray]:
+def _cluster_eigenvalues(eigs: np.ndarray) -> list[list[int]]:
     """Index groups of the embedding eigenvalues forming conjugation-closed clusters.
 
     Eigenvalues a < b are linked when their folded points (imaginary part
     made nonnegative) lie closer than CLUSTER_RTOL * max(1, |eig_a|).  The clusters
     are the connected components of the links, ordered by first index.
     """
-    folded = np.stack([eigs.real, np.abs(eigs.imag)], axis=1)
-    dist = np.linalg.norm(folded[:, None] - folded[None], axis=-1)
-    link = np.triu(dist < CLUSTER_RTOL * np.maximum(1.0, np.abs(eigs))[:, None], 1)
-    reach = link | link.T | np.eye(len(eigs), dtype=bool)
-    for _ in range(len(eigs).bit_length()):  # paths of any length up to len(eigs)
-        reach = reach @ reach
-    first = np.argmax(reach, axis=1)  # smallest index of each component
-    return [np.flatnonzero(first == k) for k in np.flatnonzero(first == np.arange(len(eigs)))]
+    re, im = eigs.real, np.abs(eigs.imag)
+    dx, dy = re[:, None] - re, im[:, None] - im
+    near = np.sqrt(dx * dx + dy * dy) < CLUSTER_RTOL * np.maximum(1.0, np.abs(eigs))[:, None]
+    label = list(range(len(eigs)))  # the first index of each eigenvalue's component
+    for a, b in np.argwhere(near).tolist():
+        if a < b and label[a] != label[b]:
+            lo, hi = sorted((label[a], label[b]))
+            label = [lo if x == hi else x for x in label]
+    groups: dict[int, list[int]] = {}
+    for k, first in enumerate(label):
+        groups.setdefault(first, []).append(k)
+    return list(groups.values())
 
 
 def right_eigen(A: HMatrix, space: HermitianSpace, tol: float = DEFAULT_TOL) -> EigenData:
     """Similarity classes of right eigenvalues with pinned eigenvectors and types.
 
     One ``eig`` of the embedding gives the spectrum and the eigenvector of
-    every simple class (a cluster of two embedding eigenvalues).  A simple
-    class cannot be defective: a nonreal rep is a simple eigenvalue of the
-    embedding, and a real rep has a J-closed eigenspace, which holds both v
-    and J conj(v).  A repeated class is recovered from the null space of
-    (embedding - rep*I), whose dimension rejects non-semisimple input; eig's
-    vectors for a Jordan block are only about sqrt(eps) apart, too close to
-    the rank threshold to test.  Within a class the basis is orthonormalized
-    against the restricted form: positive classes to unit vectors, the
-    negative class to one negative and the rest unit.
+    every simple class (a cluster of two embedding eigenvalues), all of which
+    are typed and normalized in one array pass.  A simple class cannot be
+    defective: a nonreal rep is a simple eigenvalue of the embedding, and a
+    real rep has a J-closed eigenspace, which holds both v and J conj(v).  A
+    repeated class is recovered from the null space of (embedding - rep*I),
+    whose dimension rejects non-semisimple input; eig's vectors for a Jordan
+    block are only about sqrt(eps) apart, too close to the rank threshold to
+    test.  Within a class the basis is orthonormalized against the restricted
+    form: positive classes to unit vectors, the negative class to one negative
+    and the rest unit.
     """
     M = A.emb
     spectrum, V = np.linalg.eig(M)
+    clusters = _cluster_eigenvalues(spectrum)
+    simple = iter(_simple_classes(space, spectrum, V, [c for c in clusters if len(c) == 2], tol))
     classes: list[EigenClass] = []
-    for idx in _cluster_eigenvalues(spectrum):
-        cluster = spectrum[idx]
+    for idx in clusters:
+        if len(idx) == 2:
+            classes.append(next(simple))
+            continue
         if len(idx) % 2 != 0:
             raise NumericalError("eigenvalue cluster of odd size; clustering failed")
+        cluster = spectrum[idx]
+        rep = _class_rep(cluster.real.mean(), np.abs(cluster.imag).mean())
         mult = len(idx) // 2
-        re = float(np.mean(cluster.real))
-        im = float(np.mean(np.abs(cluster.imag)))
-        rep = complex(re, im)
-        if im <= CLUSTER_RTOL * max(1.0, abs(rep)):
-            rep = complex(re, 0.0)
-        if mult == 1:
-            S = V[:, idx[np.argmax(cluster.imag)], None]
-        else:
-            S = _eigenspace_basis(M, rep, mult)
-        kind, vectors = _type_and_normalize(space, S, rep, tol)
+        kind, vectors = _type_and_normalize(space, _eigenspace_basis(M, rep, mult), rep, tol)
         classes.append(EigenClass(rep, mult, kind, vectors))
 
     classes.sort(key=lambda c: (-c.modulus, c.angle))
     if sum(c.multiplicity for c in classes) != A.dim:
         raise NumericalError("class multiplicities do not sum to the dimension")
     return EigenData(tuple(_normalize_null_pair(space, classes)), spectrum)
+
+
+def _class_rep(re: float, im: float) -> complex:
+    """The class representative re + i im, made real when im is within CLUSTER_RTOL."""
+    rep = complex(re, im)
+    return complex(re, 0.0) if im <= CLUSTER_RTOL * max(1.0, abs(rep)) else rep
+
+
+def _simple_classes(space: HermitianSpace, spectrum: np.ndarray, V: np.ndarray,
+                    pairs: list[list[int]], tol: float) -> list[EigenClass]:
+    """The classes of the two-eigenvalue clusters ``pairs``, in their order.
+
+    The rep is the mean of the folded pair; the vector is eig's column of
+    the member with the larger imaginary part, null when |<v,v>| <= tol
+    max(1, |v|^2) and otherwise scaled to <v,v> = +-1.
+    """
+    if not pairs:
+        return []
+    P = np.array(pairs)
+    lam = spectrum[P]
+    re = (lam.real[:, 0] + lam.real[:, 1]) / 2
+    im = (np.abs(lam.imag[:, 0]) + np.abs(lam.imag[:, 1])) / 2
+    S = V[:, P[np.arange(len(P)), np.argmax(lam.imag, axis=1)]]
+    vals = _self_pairings(space, S)
+    null = np.abs(vals) <= tol * np.maximum(1.0, np.linalg.norm(S, axis=0) ** 2)
+    np.divide(S, np.sqrt(np.abs(vals)), out=S, where=~null)
+    kinds = [PointType.NULL if z else PointType.NEGATIVE if v < 0 else PointType.POSITIVE
+             for z, v in zip(null.tolist(), vals.tolist())]
+    return [EigenClass(_class_rep(r, i), 1, kind, (HVector(s),))
+            for r, i, kind, s in zip(re.tolist(), im.tolist(), kinds, S.T.copy())]
 
 
 def _eigenspace_basis(M: np.ndarray, rep: complex, mult: int) -> np.ndarray:
@@ -572,21 +611,14 @@ def _self_pairings(space: HermitianSpace, B: np.ndarray) -> np.ndarray:
 
 def _type_and_normalize(space: HermitianSpace, S: np.ndarray, rep: complex,
                         tol: float) -> tuple[PointType, tuple[HVector, ...]]:
-    """Classify an eigenspace (stacked basis S) by its restricted form and orthonormalize it.
+    """Classify a repeated class's eigenspace (stacked basis S, two columns
+    or more) by its restricted form and orthonormalize it.
 
     Recombination must not unpin the vectors from ``rep``: for a nonreal
     representative the restricted form takes values in its centralizer, i.e.
     is complex Hermitian, and complex-unitary combinations are the allowed
     ones.  For a real representative any quaternionic combination is safe.
     """
-    m = S.shape[1]
-    if m == 1:
-        val = _self_pairings(space, S)[0]
-        if abs(val) <= tol * max(1.0, float(np.linalg.norm(S)) ** 2):
-            return PointType.NULL, (HVector(S[:, 0]),)
-        kind = PointType.NEGATIVE if val < 0 else PointType.POSITIVE
-        return kind, (HVector(S[:, 0] / math.sqrt(abs(val))),)
-
     if rep.imag == 0.0:
         eigs, U = np.linalg.eigh(_form_gram(space, S))
         scale = max(1.0, float(np.max(np.abs(eigs))))
@@ -623,13 +655,15 @@ def _normalize_null_pair(space: HermitianSpace,
     small = min(nulls, key=lambda c: c.modulus)
     if abs(big.modulus - 1.0) < UNIT_MODULUS_TOL:
         return classes
-    a, r = big.vectors[0], small.vectors[0]
-    h = space.herm(a, r)  # pairing lies in the centralizer of the eigenvalue
-    if h.norm() == 0.0:
+    a, r = big.vectors[0].s, small.vectors[0].s
+    h = two_columns(r[:, None]).conj().T @ a[space.perm]  # <a, r> = h[0] + j h[1]
+    hn = float(np.linalg.norm(h))
+    if hn == 0.0:
         raise NumericalError("null eigenvectors pair to zero")
-    hn = h.norm()
-    nu = h * (1.0 / (hn * hn))  # conj(nu) = h^{-1}
-    scaled = {id(big): a.times(1.0 / math.sqrt(hn)), id(small): r.times(nu * math.sqrt(hn))}
+    # a / sqrt(hn) and r nu sqrt(hn) with conj(nu) = h^-1 pair to one
+    z1, z2 = h * (math.sqrt(hn) / (hn * hn))
+    scaled = {id(big): HVector(a * (1.0 / math.sqrt(hn))),
+              id(small): HVector(right_times(r, z1, z2))}
     return [replace(c, vectors=(scaled[id(c)],)) if id(c) in scaled else c for c in classes]
 
 

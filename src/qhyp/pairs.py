@@ -49,13 +49,17 @@ class EigenFrame:
     <x,x> = 1 and the column Gram equal to the corner form.  Elliptic: the
     columns are (x_1 .. x_{n+1}) with <x_1,x_1> = -1, the rest +1, column
     Gram diag(-1, 1, ..., 1).  Column k satisfies A x = x * reps[k], and
-    A = C E C^{-1} reassembles.
+    A = C E C^{-1} reassembles; ``Cinv`` is that inverse (read-only).
     """
 
     kind: Classification
     reps: tuple[complex, ...]
     C: HMatrix
     E: HMatrix
+    Cinv: HMatrix
+
+    def __post_init__(self) -> None:
+        self.Cinv.emb.setflags(write=False)
 
 
 def _ordered_classes(A: Isometry) -> list[EigenClass]:
@@ -80,28 +84,43 @@ def eigenframe(A: Isometry) -> EigenFrame:
     reps = [c.rep for c in ordered for _ in c.vectors]
     C = HMatrix.from_columns(stacked([v for c in ordered for v in c.vectors]))
     E = HMatrix.diag_complex(reps)
-    resid = (C @ E @ C.inverse() - A.matrix).norm()
+    Cinv = C.inverse()
+    resid = (C @ E @ Cinv - A.matrix).norm()
     if resid > REASSEMBLY_RTOL * max(1.0, A.matrix.norm()):
         raise NumericalError(f"eigenframe reassembly residual {resid:.3e}")
-    return EigenFrame(A.classification, tuple(reps), C, E)
+    return EigenFrame(A.classification, tuple(reps), C, E, Cinv)
 
 
 # ---------------------------------------------------------------------------
 # Common fixed points
 # ---------------------------------------------------------------------------
 
-def _fixed_sets(A: Isometry) -> list[tuple[np.ndarray, int]]:
-    """Complex bases of the null and negative eigenspaces, with their ranks."""
-    bases = [two_columns(stacked(c.vectors)) for c in A.classes()
-             if c.kind in (PointType.NULL, PointType.NEGATIVE)]
-    return [(b, np.linalg.matrix_rank(b, FIXED_SET_RANK_ATOL)) for b in bases]
+def _fixed_sets(A: Isometry) -> list[np.ndarray]:
+    """Complex bases of the null and negative eigenspaces."""
+    return [two_columns(stacked(c.vectors)) for c in A.classes()
+            if c.kind in (PointType.NULL, PointType.NEGATIVE)]
+
+
+def _ranks(bases: list[np.ndarray]) -> np.ndarray:
+    """Numerical ranks (singular values above FIXED_SET_RANK_ATOL, the count of
+    ``np.linalg.matrix_rank`` at that tolerance) of (2N, w) arrays, from one
+    stacked SVD.  Narrower arrays are padded with zero columns, which add
+    only zero singular values."""
+    stack = np.zeros((len(bases), len(bases[0]), max(b.shape[1] for b in bases)), dtype=complex)
+    for k, b in enumerate(bases):
+        stack[k, :, :b.shape[1]] = b
+    return np.count_nonzero(np.linalg.svd(stack, compute_uv=False) > FIXED_SET_RANK_ATOL, axis=1)
 
 
 def have_common_fixed_point(A: Isometry, B: Isometry) -> bool:
-    """Shared fixed point on the closed ball: intersecting fixed eigenspaces."""
-    sets_b = _fixed_sets(B)
-    return any(np.linalg.matrix_rank(np.concatenate([Ba, Bb], axis=1), FIXED_SET_RANK_ATOL)
-               < ra + rb for Ba, ra in _fixed_sets(A) for Bb, rb in sets_b)
+    """Shared fixed point on the closed ball: intersecting fixed eigenspaces,
+    i.e. rank [Ba, Bb] < rank Ba + rank Bb for a fixed set of each."""
+    sets_a, sets_b = _fixed_sets(A), _fixed_sets(B)
+    if not sets_a or not sets_b:
+        return False
+    ranks = _ranks(sets_a + sets_b)
+    joint = _ranks([np.concatenate([Ba, Bb], axis=1) for Ba in sets_a for Bb in sets_b])
+    return bool(np.any(joint < np.add.outer(ranks[:len(sets_a)], ranks[len(sets_a):]).ravel()))
 
 
 # ---------------------------------------------------------------------------
@@ -139,9 +158,8 @@ def pair_conjugate(A: Isometry, B: Isometry, A2: Isometry, B2: Isometry,
         return Decision(Verdict.NOT_CONJUGATE, reason=REASON_CLASSES)
 
     # a conjugator W gives X = fa2.C^-1 W fa.C with M2 X = X M
-    Cinv = fa.C.inverse()
-    m = (Cinv @ B.matrix @ fa.C).components()
-    m2 = (fa2.C.inverse() @ B2.matrix @ fa2.C).components()
+    m = (fa.Cinv @ B.matrix @ fa.C).components()
+    m2 = (fa2.Cinv @ B2.matrix @ fa2.C).components()
 
     # X commutes with E: zero between classes, and complex in a nonreal class
     reps = np.array(fa.reps)
@@ -158,7 +176,7 @@ def pair_conjugate(A: Isometry, B: Isometry, A2: Isometry, B2: Isometry,
     # the conjugators are closed under W -> W^-⋆: the polar iteration stays in them
     x = np.zeros(free.shape)
     x[free] = null.sum(axis=1)
-    W = fa2.C @ HMatrix.from_components(x) @ Cinv
+    W = fa2.C @ HMatrix.from_components(x) @ fa.Cinv
     space, H = A.space, A.space.H_emb
     if null.shape[1] == 1:
         # every conjugator is a real multiple of W, so W* H W = c H with c > 0
@@ -171,8 +189,8 @@ def pair_conjugate(A: Isometry, B: Isometry, A2: Isometry, B2: Isometry,
     except NumericalError:  # a singular sum
         return Decision(Verdict.INCONCLUSIVE, reason=REASON_UNVERIFIED)
     if space.is_member(C, WITNESS_MEMBER_TOL):  # and so invertible
-        resid = ((C @ A.matrix @ C.inverse() - A2.matrix).norm()
-                 + (C @ B.matrix @ C.inverse() - B2.matrix).norm())
+        Ci = C.inverse()
+        resid = (C @ A.matrix @ Ci - A2.matrix).norm() + (C @ B.matrix @ Ci - B2.matrix).norm()
         if resid < tol * max(1.0, A.matrix.norm() + B.matrix.norm()):
             return Decision(Verdict.CONJUGATE, witness=C, residual=resid)
     return Decision(Verdict.INCONCLUSIVE, reason=REASON_UNVERIFIED)

@@ -90,6 +90,24 @@ def test_config_decoder_forms_one_pairings_product(monkeypatch):
     assert np.array_equal(cfg.lifts, ref.lifts) and np.array_equal(cfg.gram, ref.gram)
 
 
+def test_isometry_decoder_makes_one_eig_and_no_svd(monkeypatch):
+    # every simple class of a regular member comes from the one eig, in one
+    # array pass: no null-space SVD, no scalar pairing
+    sp = HermitianSpace(4)
+    data = hmatrix_to_json(random_semisimple(
+        Classification.HYPERBOLIC, 4, HyperbolicSpec(1.8, 0.7, (0.4, 1.3, 2.2)), 12, sp).matrix)
+    calls = []
+    for name in ("eig", "svd", "matrix_rank"):
+        real = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name,
+                            lambda *a, _n=name, _f=real, **k: calls.append(_n) or _f(*a, **k))
+    monkeypatch.setattr(HermitianSpace, "herm", lambda *args: calls.append("herm"))
+    A = isometry_from_json(data)
+    assert calls == ["eig"]
+    assert A.classification is Classification.HYPERBOLIC
+    assert [c.multiplicity for c in A.classes()] == [1] * 5
+
+
 def test_profile_json_roundtrip():
     sp = HermitianSpace(2)
     cfg = sample_config(sp, 4, 4, np.random.default_rng(8))

@@ -134,6 +134,23 @@ def test_gram_objects_are_immutable():
 
 # -- semi-normalization -----------------------------------------------------------
 
+def test_v_entries_index_arrays_match_the_per_call_construction():
+    # every valid (m, i) with m <= 8: the cached read-only index arrays pick
+    # the same entries as the arange/triu_indices/concatenate construction
+    rng = np.random.default_rng(5)
+    for m in range(3, 9):
+        for i in [0, *range(3, m + 1)]:
+            sng = SemiNormalizedGram(m, i, rng.normal(size=(m, m, 4)))
+            first = np.arange(max(i, 1), m)
+            r, c = np.triu_indices(m - 1, 1)
+            ref = sng.gram[np.concatenate([np.zeros_like(first), r + 1]),
+                           np.concatenate([first, c + 1])]
+            for _ in range(2):  # the second call reads the cache
+                assert sng.v_entries().tobytes() == ref.tobytes()
+            rows, cols = gram._v_index(m, i)
+            assert not rows.flags.writeable and not cols.flags.writeable
+
+
 @pytest.mark.parametrize("m,i,n", [(4, 4, 2), (4, 3, 2), (5, 5, 3), (5, 0, 2), (6, 3, 3), (3, 3, 1)])
 def test_semi_normalize_pattern(m, i, n):
     sp = HermitianSpace(n)

@@ -14,8 +14,10 @@ from qhyp.isometry import (
     random_member,
     random_semisimple,
 )
+from qhyp.errors import NumericalError
 from qhyp.linalg import (
     CLUSTER_RTOL,
+    EigenClass,
     HermitianSpace,
     HMatrix,
     HVector,
@@ -25,19 +27,25 @@ from qhyp.linalg import (
     corner_form,
     line_residuals,
     _cluster_eigenvalues,
+    _eigenspace_basis,
+    _self_pairings,
+    _type_and_normalize,
     components_from_stacked,
     orthonormal_form_basis,
     right_eigen,
     right_times,
+    spectrum_char_coeffs,
     stacked,
     stacked_from_components,
     two_columns,
 )
 from qhyp.pairs import eigenframe
 from qhyp.quaternion import Quaternion, complex_pairs, from_complex_pairs
-from qhyp.tolerances import DIVISION_FLOOR, NEWTON_MAX_STEPS, NEWTON_STEP_RTOL
-from qhyp.sampling import random_elliptic_spec, random_hyperbolic_spec
+from qhyp.tolerances import DIVISION_FLOOR, NEWTON_MAX_STEPS, NEWTON_STEP_RTOL, UNIT_MODULUS_TOL
+from qhyp.sampling import (random_elliptic_spec, random_hyperbolic_spec, sample_pair,
+                           sample_semisimple)
 
+HYP, ELL = Classification.HYPERBOLIC, Classification.ELLIPTIC
 I, J, K = Quaternion.i(), Quaternion.j(), Quaternion.k()
 ONE = Quaternion.one()
 Q0 = Quaternion()
@@ -104,6 +112,18 @@ def test_embed_star_and_grid_roundtrip():
     for r in range(3):
         for c in range(3):
             assert S[r][c].approx_eq(grid[c][r].conj(), 1e-14)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_from_components_is_the_block_embedding_bitwise(n):
+    # signed zeros included: the filled array is np.block's byte for byte
+    rng = np.random.default_rng(30 + n)
+    a = rng.normal(size=(n + 1, n + 1, 4))
+    a[rng.uniform(size=a.shape) < 0.2] = 0.0
+    a[rng.uniform(size=a.shape) < 0.2] = -0.0
+    A1, A2 = complex_pairs(a)
+    ref = np.block([[A1, -np.conj(A2)], [A2, np.conj(A1)]])
+    assert HMatrix.from_components(a).emb.tobytes() == ref.tobytes()
 
 
 def test_matrix_vector_action_matches_entries():
@@ -346,6 +366,27 @@ def test_char_poly_palindromic_on_random_members():
     np.testing.assert_allclose(coeffs, coeffs[::-1], atol=1e-8)
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_spectrum_product_matches_np_poly(n):
+    # relative to the coefficients of prod (x + |lam|), the scale of the
+    # rounding error of any expansion of the product
+    for M in _eigen_members(n):
+        eigs = np.linalg.eigvals(M.emb)
+        diff = np.abs(spectrum_char_coeffs(eigs) - np.poly(eigs).real[1:-1])
+        assert np.all(diff <= 1e-14 * np.poly(-np.abs(eigs))[1:-1])
+
+
+def test_spectrum_product_keeps_both_checks():
+    # (x - i)^2 has imaginary coefficients; (x - 2)(x - 1/2)(x - 3)^2 real
+    # ones that are not palindromic
+    with pytest.raises(NumericalError, match="imaginary residue"):
+        spectrum_char_coeffs(np.array([2.0, 0.5, 1j, 1j]))
+    with pytest.raises(NumericalError, match="not palindromic"):
+        spectrum_char_coeffs(np.array([2.0, 0.5, 3.0, 3.0], dtype=complex))
+    assert np.array_equal(spectrum_char_coeffs(np.array([2.0, 0.5, 1j, -1j])),
+                          [-2.5, 2.0, -2.5])
+
+
 def _random_member(space, rng, cond_max=200.0):
     return random_member(space, rng, cond_max)
 
@@ -546,6 +587,96 @@ def test_right_eigen_repeated_real_class(angles):
     assert sorted(c.multiplicity for c in data.classes) == \
         _expected_multiplicities(Classification.ELLIPTIC, EllipticSpec(angles))
     _assert_pinned_orthonormal(A, sp, data)
+
+
+def _eigen_members(n):
+    """Members at n: regular hyperbolic and elliptic ones from hh, ee and he
+    pairs, repeated nonreal classes (elliptic ones, one with a repeated
+    negative class, from n = 2, hyperbolic from n = 3), repeated real classes,
+    and a line-preserving pair (a diagonal hyperbolic member and a boost moved
+    by Sp(1,1) x 1 on span(e_0, e_n))."""
+    sp = HermitianSpace(n)
+    rng = np.random.default_rng(700 + n)
+    members = []
+    for kinds in ((HYP, HYP), (ELL, ELL), (HYP, ELL)):
+        members += [X.matrix for X in sample_pair(sp, rng, kinds)]
+    if n >= 2:
+        members.append(sample_semisimple(sp, rng, ELL, regular=False).matrix)
+        negative = (1.1, 1.1) + tuple(np.linspace(1.5, 2.9, n - 1))  # a repeated negative class
+        members.append(random_semisimple(ELL, n, EllipticSpec(negative), seed=n, space=sp).matrix)
+    if n >= 3:
+        members.append(sample_semisimple(sp, rng, HYP, regular=False).matrix)
+    angles = (0.7,) + tuple(0.0 if k % 2 else math.pi for k in range(n))
+    members.append(random_semisimple(ELL, n, EllipticSpec(angles), seed=n, space=sp).matrix)
+    r, s = rng.uniform(1.3, 2.5, 2)
+    mids = np.exp(1j * np.sort(rng.uniform(0.2, 2.9, n - 1)))
+    members.append(HMatrix.diag_complex([r * np.exp(0.4j), *mids, np.exp(0.4j) / r]))
+    g = np.zeros((sp.dim, sp.dim, 4))
+    g[np.arange(sp.dim), np.arange(sp.dim), 0] = 1.0
+    g[np.ix_([0, n], [0, n])] = random_member(HermitianSpace(1), rng).components()
+    G = HMatrix.from_components(g)
+    boost = HMatrix.diag_complex([s] + [1.0] * (n - 1) + [1.0 / s])
+    members.append(sp.project_to_group(G @ boost @ G.inverse()))
+    return members
+
+
+def _per_class_right_eigen(A, sp, tol=1e-9):
+    """The per-class loop that right_eigen's array pass replaced: a mean, an
+    eig column and a normalization for each simple class, and the null pair
+    rescaled through herm and quaternion arithmetic."""
+    M = A.emb
+    spectrum, V = np.linalg.eig(M)
+    classes = []
+    for idx in map(np.array, _pairwise_clusters(spectrum)):
+        cluster = spectrum[idx]
+        mult = len(idx) // 2
+        re, im = float(np.mean(cluster.real)), float(np.mean(np.abs(cluster.imag)))
+        rep = complex(re, im)
+        if im <= CLUSTER_RTOL * max(1.0, abs(rep)):
+            rep = complex(re, 0.0)
+        if mult > 1:
+            kind, vectors = _type_and_normalize(sp, _eigenspace_basis(M, rep, mult), rep, tol)
+        else:
+            S = V[:, idx[np.argmax(cluster.imag)], None]
+            val = _self_pairings(sp, S)[0]
+            if abs(val) <= tol * max(1.0, float(np.linalg.norm(S)) ** 2):
+                kind, vectors = PointType.NULL, (HVector(S[:, 0]),)
+            else:
+                kind = PointType.NEGATIVE if val < 0 else PointType.POSITIVE
+                vectors = (HVector(S[:, 0] / math.sqrt(abs(val))),)
+        classes.append(EigenClass(rep, mult, kind, vectors))
+    classes.sort(key=lambda c: (-c.modulus, c.angle))
+    nulls = sorted((c for c in classes if c.kind is PointType.NULL), key=lambda c: -c.modulus)
+    if len(nulls) == 2 and abs(nulls[0].modulus - 1.0) >= UNIT_MODULUS_TOL:
+        (big, small), (a, r) = nulls, (c.vectors[0] for c in nulls)
+        h = sp.herm(a, r)
+        hn = h.norm()
+        nu = h * (1.0 / (hn * hn))
+        scaled = {id(big): a.times(1.0 / math.sqrt(hn)), id(small): r.times(nu * math.sqrt(hn))}
+        classes = [dataclasses.replace(c, vectors=(scaled[id(c)],)) if id(c) in scaled else c
+                   for c in classes]
+    return classes
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_right_eigen_array_pass_matches_the_per_class_loop(n):
+    # reps, kinds, multiplicities and every vector bit for bit, except the
+    # rescaled null pair, whose <a, r> is read from one complex product
+    sp = HermitianSpace(n)
+    for M in _eigen_members(n):
+        got, ref = right_eigen(M, sp).classes, _per_class_right_eigen(M, sp)
+        assert [(c.rep, c.kind, c.multiplicity) for c in got] == \
+            [(c.rep, c.kind, c.multiplicity) for c in ref]
+        null_pair = sum(c.kind is PointType.NULL for c in got) == 2
+        for c, c_ref in zip(got, ref):
+            for x, y in zip(c.vectors, c_ref.vectors, strict=True):
+                if null_pair and c.kind is PointType.NULL:
+                    assert np.linalg.norm(x.s - y.s) <= 1e-13 * np.linalg.norm(y.s)
+                else:
+                    assert np.array_equal(x.s, y.s)
+        if null_pair:
+            a, r = (c.vectors[0] for c in got if c.kind is PointType.NULL)
+            assert sp.herm(a, r).approx_eq(ONE, 1e-12)
 
 
 def _heisenberg(n, scale, rng, horizontal):

@@ -11,7 +11,7 @@ from qhyp.isometry import (
     random_member,
     random_semisimple,
 )
-from qhyp.linalg import HermitianSpace, HMatrix
+from qhyp.linalg import HermitianSpace, HMatrix, PointType, stacked, two_columns
 from qhyp import pairs
 from qhyp.pairs import (
     eigenframe,
@@ -24,6 +24,7 @@ from qhyp.pairs import (
 )
 from qhyp.quaternion import Quaternion
 from qhyp.sampling import sample_pair, sample_semisimple
+from qhyp.tolerances import FIXED_SET_RANK_ATOL
 
 HYP = Classification.HYPERBOLIC
 ELL = Classification.ELLIPTIC
@@ -73,6 +74,74 @@ def test_eigenframe_elliptic_normalization():
         assert sp.herm(x, x).approx_eq(Quaternion.one(), 1e-8)
     resid = (f.C @ f.E @ f.C.inverse() - A.matrix).norm()
     assert resid < 1e-8
+
+
+def test_eigenframe_carries_its_read_only_inverse():
+    A = random_semisimple(HYP, 3, HyperbolicSpec(1.7, 0.8, (0.5, 1.2)), seed=4)
+    f = eigenframe(A)
+    assert np.array_equal(f.Cinv.emb, np.linalg.inv(f.C.emb))
+    with pytest.raises(ValueError):
+        f.Cinv.emb[0, 0] = 0.0
+
+
+# -- common fixed points ---------------------------------------------------------------
+
+def _per_pair_common_fixed_point(A, B):
+    """The per-pair reference: one matrix_rank per fixed set and per joined pair of sets."""
+    def sets(X):
+        bases = [two_columns(stacked(c.vectors)) for c in X.classes()
+                 if c.kind in (PointType.NULL, PointType.NEGATIVE)]
+        return [(b, np.linalg.matrix_rank(b, FIXED_SET_RANK_ATOL)) for b in bases]
+    sets_b = sets(B)
+    return any(np.linalg.matrix_rank(np.concatenate([Ba, Bb], axis=1), FIXED_SET_RANK_ATOL)
+               < ra + rb for Ba, ra in sets(A) for Bb, rb in sets_b)
+
+
+def _near_identity(sp, rng, eps):
+    """A member within about eps of the identity: the polar factor of I + eps X."""
+    X = rng.normal(size=(sp.dim, sp.dim, 4))
+    return sp.project_to_group(HMatrix.identity(sp.dim) + HMatrix.from_components(eps * X))
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_batched_fixed_point_ranks_match_the_per_pair_reference(n):
+    # pairs without a shared fixed point, pairs sharing one (same frame,
+    # other normal form), and B moved off A's fixed points by eps on both
+    # sides of FIXED_SET_RANK_ATOL; the elliptic kind includes a repeated
+    # negative class, whose wider fixed set is padded in the stacked SVD
+    sp = HermitianSpace(n)
+    rng = np.random.default_rng(870 + n)
+    elliptic = [sample_semisimple(sp, rng, ELL)]
+    if n >= 2:
+        angles = (1.1, 1.1) + tuple(np.linspace(1.5, 2.9, n - 1))
+        elliptic.append(random_semisimple(ELL, n, EllipticSpec(angles), seed=n, space=sp))
+    members = [sample_semisimple(sp, rng, HYP)] + elliptic
+    seen = set()
+    for A in members:
+        f = eigenframe(A)
+        shared = Isometry(sp.project_to_group(f.C @ f.E @ f.E @ f.C.inverse()), sp)
+        cases = [(A, shared), sample_pair(sp, rng, (A.classification, HYP))]
+        for B in members:
+            for eps in (1e-4, 1e-7, 1e-8, 3e-9, 1e-9, 1e-11):
+                C = _near_identity(sp, rng, eps)
+                cases.append((A, Isometry(sp.project_to_group(C @ B.matrix @ C.inverse()), sp)))
+        for X, Y in cases:
+            got = have_common_fixed_point(X, Y)
+            assert got is _per_pair_common_fixed_point(X, Y)
+            seen.add(got)
+    assert seen == {True, False}
+
+
+def test_common_fixed_point_test_makes_at_most_two_svds(monkeypatch):
+    sp = HermitianSpace(4)
+    A, B = sample_pair(sp, np.random.default_rng(880), (HYP, HYP))
+    calls = []
+    svd, matrix_rank = np.linalg.svd, np.linalg.matrix_rank
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append("svd") or svd(*a, **k))
+    monkeypatch.setattr(np.linalg, "matrix_rank",
+                        lambda *a, **k: calls.append("rank") or matrix_rank(*a, **k))
+    assert have_common_fixed_point(A, B) is False
+    assert calls in (["svd"], ["svd", "svd"])
 
 
 # -- the decider -----------------------------------------------------------------------
@@ -229,6 +298,19 @@ def test_singular_combination_is_inconclusive(monkeypatch):
     dec = pair_conjugate(A, B, A2, B2)
     assert dec.verdict is Verdict.INCONCLUSIVE
     assert dec.reason == REASON_UNVERIFIED
+
+
+def test_pair_decider_inverts_each_frame_once(monkeypatch):
+    # one inverse per eigenframe and one for the witness check
+    sp = HermitianSpace(2)
+    rng = np.random.default_rng(862)
+    A, B = sample_pair(sp, rng, kinds=(HYP, ELL))
+    A2, B2 = conjugated_pair(sp, A, B, rng)
+    calls = []
+    inverse = HMatrix.inverse
+    monkeypatch.setattr(HMatrix, "inverse", lambda self: calls.append(1) or inverse(self))
+    assert pair_conjugate(A, B, A2, B2).verdict is Verdict.CONJUGATE
+    assert len(calls) == 3
 
 
 def test_pair_conjugate_rejects_common_fixed_point():

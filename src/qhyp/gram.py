@@ -26,13 +26,7 @@ from .errors import (
     InvalidSpecError,
     NumericalError,
 )
-from .invariants import (
-    InvariantProfile,
-    ProjPoint,
-    profile_from_gram,
-    x_slot_families,
-    x_slot_indices,
-)
+from .invariants import InvariantProfile, ProjPoint, _gram_profile, _slot_table
 from .linalg import (
     HermitianSpace,
     HMatrix,
@@ -49,7 +43,7 @@ from .linalg import (
     two_columns,
 )
 from .quaternion import (Quaternion, canonical_sign, complex_pairs, qconj_array, qmul_array,
-                         rotation_matrix, sp1_align)
+                         quaternion_array, rotation_matrix, sp1_align)
 from .tolerances import (BASE_MODULUS_TOL, DECIDER_TOL, DEFAULT_TOL, DEGENERACY_FACTOR,
                          GAUGE_FLOOR_FACTOR, PATTERN_TOL, ROUND_TRIP_TOL, SLOT_REDUNDANCY_RTOL,
                          WITNESS_MEMBER_TOL)
@@ -164,7 +158,7 @@ class SemiNormalizedGram:
     @property
     def entries(self) -> list[list[Quaternion]]:
         """The matrix as a grid of quaternions, for callers outside the array layer."""
-        return [[Quaternion.from_seq(e) for e in row] for row in self.gram]
+        return [[Quaternion(*e) for e in row] for row in self.gram.tolist()]
 
     def v_entries(self) -> np.ndarray:
         """The gauge-covariant vector as a (k, 4) array.
@@ -378,9 +372,12 @@ def congruent(config_a: PointConfig, config_b: PointConfig, tol: float = DECIDER
 # Reconstruction from a profile
 # ---------------------------------------------------------------------------
 
-def _polar(a: float, u: Quaternion) -> np.ndarray:
-    """Components of -cos(a) + u sin(a)."""
-    return math.sin(a) * u.to_array() - [math.cos(a), 0.0, 0.0, 0.0]
+def _polar(a: Sequence[float], u: np.ndarray) -> np.ndarray:
+    """Components of -cos(a_k) + u_k sin(a_k), one row per angle a_k and (k, 4) row u_k."""
+    # math's sin and cos, so every entry is the scalar formula's bit for bit
+    out = np.array([math.sin(x) for x in a])[:, None] * u
+    out[:, 0] -= [math.cos(x) for x in a]
+    return out
 
 
 def reconstruct_gram(prof: InvariantProfile) -> SemiNormalizedGram:
@@ -394,8 +391,8 @@ def reconstruct_gram(prof: InvariantProfile) -> SemiNormalizedGram:
     """
     m, i = prof.m, prof.i
     prof.check_structure()
-    slots = x_slot_indices(m, i)
-    if [(s.family, s.row, s.col) for s in prof.x_slots] != slots:
+    table = _slot_table(m, i)
+    if tuple((s.family, s.row, s.col) for s in prof.x_slots) != table.slots:
         raise InvalidSpecError("cross-ratio slots do not match the index scheme")
     if i >= 3 and min(prof.first_row, default=1.0) <= 0:
         raise InvalidSpecError("first-row scales must be positive")
@@ -405,39 +402,41 @@ def reconstruct_gram(prof: InvariantProfile) -> SemiNormalizedGram:
     g[0, 1:i, 0] = 1.0
     g[0, max(i, 1):, 0] = prof.first_row
     # negative block from distance / angular / rotation data
-    for slot in prof.pair_slots:
-        g[slot.i1 - 1, slot.j1 - 1] = math.sqrt(slot.d) * _polar(slot.a, slot.u)
+    pairs = prof.pair_slots
+    g[[s.i1 - 1 for s in pairs], [s.j1 - 1 for s in pairs]] = (
+        np.array([math.sqrt(s.d) for s in pairs])[:, None]
+        * _polar([s.a for s in pairs], quaternion_array(s.u for s in pairs)))
 
+    x = quaternion_array(s.value for s in prof.x_slots)
     if i >= 3:
         r1 = g[0, :, 0].copy()
-        x = np.array([s.value.to_array() for s in prof.x_slots]).reshape(-1, 4)
-        fam = x_slot_families(m, i)
-        g23 = _polar(prof.a23, prof.u0)
+        g23 = _polar([prof.a23], quaternion_array([prof.u0]))[0]
         if abs(np.linalg.norm(g23) - 1.0) > BASE_MODULUS_TOL:
             raise InvalidSpecError("base entry must have unit modulus")
         g[1, 2] = g23
-        pos, _, cols = fam["X2"]
+        pos, _, cols = table.families["X2"]
         g[1, cols] = qmul_array(g23, x[pos]) * r1[cols, None]
         # X3 and Xk: g_kj = conj(g_2k) X_kj r_j, rows from the third on, whose
         # g_2k the X2 family and g_23 have set
-        pos, rows, cols = fam["Xk"]
+        pos, rows, cols = table.families["Xk"]
         g[rows, cols] = qmul_array(qconj_array(g[1, rows]), x[pos]) * r1[cols, None]
     g += qconj_array(g).transpose(1, 0, 2)
     g[np.arange(i, m), np.arange(i, m), 0] = -1.0
 
-    sng = SemiNormalizedGram(m, i, g, lifts=None)
     try:
-        rebuilt = profile_from_gram(sng)
+        implied, _, _, a, _ = _gram_profile(g, m, i)
     except DegenerateConfigurationError as exc:
         raise InvalidSpecError(f"degenerate profile: {exc}") from exc
     # redundant family: the X1 slots the rebuilt matrix implies must match
-    for given, implied in zip(prof.x_slots, rebuilt.x_slots):
-        if given.family == "X1" and not implied.value.approx_eq(
-                given.value, SLOT_REDUNDANCY_RTOL * max(1.0, implied.value.norm())):
-            raise InvalidSpecError(
-                f"inconsistent profile: X1 slot at column {given.col} "
-                "disagrees with the other slot families")
+    pos, _, cols = table.families["X1"]
+    gap = np.linalg.norm(implied[pos] - x[pos], axis=1)
+    bound = SLOT_REDUNDANCY_RTOL * np.maximum(1.0, np.linalg.norm(implied[pos], axis=1))
+    bad = np.flatnonzero(~(gap <= bound))  # a gap that is not a number fails too
+    if bad.size:
+        raise InvalidSpecError(
+            f"inconsistent profile: X1 slot at column {cols[bad[0]] + 1} "
+            "disagrees with the other slot families")
     # round-trip guard: the rebuilt matrix reproduces the profile
-    if abs(rebuilt.a23 - prof.a23) > ROUND_TRIP_TOL:
+    if abs(float(a[0]) - prof.a23) > ROUND_TRIP_TOL:
         raise NumericalError("reconstruction failed its profile round trip")
-    return sng
+    return SemiNormalizedGram(m, i, g, lifts=None)

@@ -10,13 +10,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Sequence
+from functools import lru_cache
+from types import MappingProxyType
+from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
 import numpy as np
 
 from .errors import DegenerateConfigurationError, InvalidSpecError
 from .linalg import HermitianSpace, HVector, PointType, stacked
-from .quaternion import Quaternion, qconj_array, qmul_array
+from .quaternion import Quaternion, qconj_array, qmul_array, quaternion_array
 from .tolerances import (ANGLE_RANGE_TOL, ANGLE_ZERO_TOL, DEFAULT_TOL, DISTANCE_FLOOR_TOL,
                          DIVISION_FLOOR, QUADRUPLE_RELATION_TOL, ROTATION_ZERO_RTOL,
                          SLOT_IDENTITY_RTOL)
@@ -336,6 +338,39 @@ def x_slot_families(m: int, i: int) -> dict[str, tuple[np.ndarray, ...]]:
     return out
 
 
+@dataclass(frozen=True, eq=False)  # arrays have no single truth value: equality is identity
+class _SlotTable:
+    """Read-only index arrays of one configuration shape, shared by every call.
+
+    ``slots`` is ``x_slot_indices(m, i)`` and ``families`` is
+    ``x_slot_families(m, i)``.  ``pair_rows`` and ``pair_cols`` are the
+    0-based Gram positions of the base entry g_23, then of every pair of
+    negative points in row order.  ``quads`` holds the 0-based (z1, z2, z3,
+    z4) lift columns of each slot's defining four-point product.
+    """
+
+    slots: tuple[tuple[str, int, int], ...]
+    families: Mapping[str, tuple[np.ndarray, ...]]
+    pair_rows: np.ndarray
+    pair_cols: np.ndarray
+    quads: np.ndarray
+
+
+@lru_cache(maxsize=None)
+def _slot_table(m: int, i: int) -> _SlotTable:
+    slots = tuple(x_slot_indices(m, i))
+    families = x_slot_families(m, i)
+    rows, cols = np.triu_indices(m, 1)
+    keep = rows >= max(i, 1)
+    rows, cols = np.append(1, rows[keep]), np.append(2, cols[keep])
+    # X(p2, p1, p3, pc) at row 1, X(p1, pr, p3, pc) at row 2 and X(p1, pr, p2, pc) after it
+    r, c = np.array([(r, c) for _, r, c in slots], dtype=int).reshape(-1, 2).T
+    quads = np.stack([r == 1, r - 1, 1 + (r <= 2), c - 1], axis=1)
+    for a in (*(a for fam in families.values() for a in fam), rows, cols, quads):
+        a.setflags(write=False)
+    return _SlotTable(slots, MappingProxyType(families), rows, cols, quads)
+
+
 def profile(config: "PointConfig", tol: float = DEFAULT_TOL) -> InvariantProfile:
     """Compute the classifying profile of a configuration.
 
@@ -352,11 +387,9 @@ def profile(config: "PointConfig", tol: float = DEFAULT_TOL) -> InvariantProfile
     sng = semi_normalize(config, tol)
     prof = profile_from_gram(sng)
 
-    # X(p2, p1, p3, pc) at row 1, X(p1, pr, p3, pc) at row 2 and X(p1, pr, p2, pc) after it
-    r, c = np.array([(s.row, s.col) for s in prof.x_slots], dtype=int).reshape(-1, 2).T
-    quads = np.stack([r == 1, r - 1, 1 + (r <= 2), c - 1], axis=1)
+    quads = _slot_table(config.m, config.i).quads
     direct, vanish = _cross_ratios(config.space, sng.lifts, quads, tol)
-    values = np.array([s.value.to_array() for s in prof.x_slots]).reshape(-1, 4)
+    values = quaternion_array(s.value for s in prof.x_slots)
     agree = (np.linalg.norm(direct - values, axis=1)
              <= SLOT_IDENTITY_RTOL * np.maximum(1.0, np.linalg.norm(direct, axis=1)))
     bad = np.flatnonzero(vanish | ~agree)
@@ -369,18 +402,23 @@ def profile(config: "PointConfig", tol: float = DEFAULT_TOL) -> InvariantProfile
     return prof
 
 
-def profile_from_gram(sng: "SemiNormalizedGram") -> InvariantProfile:
-    """Profile evaluated through the semi-normalized Gram entry identities."""
-    m, i, g = sng.m, sng.i, sng.gram
-    lo = max(i, 1)  # the first negative column of the first row
-    r1 = g[0, :, 0].copy()  # first-row scales, exactly 1 on the null block
+def _gram_profile(g: np.ndarray, m: int, i: int
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The profile's entry identities on a semi-normalized (m, m, 4) Gram array.
+
+    Returns the (k, 4) cross-ratio slot values in ``x_slot_indices`` order;
+    the base entry g_23 and then every negative-pair entry, as (p, 4)
+    components ``e`` with squared moduli ``d`` and angles ``a``; and the
+    first-row scales ``r1``, exactly 1 on the null block.
+    """
+    table = _slot_table(m, i)
+    r1 = g[0, :, 0].copy()
     r1[:i] = 1.0
 
-    slots = x_slot_indices(m, i)
-    values = np.empty((len(slots), 4))
+    values = np.empty((len(table.slots), 4))
     with np.errstate(divide="ignore", invalid="ignore"):
         if i >= 3:
-            fam = x_slot_families(m, i)
+            fam = table.families
             g23 = g[1, 2]
             pos, _, cols = fam["X1"]
             g2 = g[1, cols]
@@ -395,22 +433,29 @@ def profile_from_gram(sng: "SemiNormalizedGram") -> InvariantProfile:
                                                             * r1[cols])[:, None]
 
         # the base entry g_23, then every pair of negative points
-        rows, cols = np.triu_indices(m, 1)
-        keep = rows >= lo
-        rows, cols = np.append(1, rows[keep]), np.append(2, cols[keep])
-        e = g[rows, cols]
+        e = g[table.pair_rows, table.pair_cols]
         d = np.sum(e ** 2, axis=1)
         a = np.arccos(np.clip(-e[:, 0] / np.sqrt(d), -1.0, 1.0))
     if not (np.isfinite(values).all() and np.isfinite(d).all() and np.isfinite(a).all()):
         raise DegenerateConfigurationError(
             "a Gram entry the profile divides by is zero or not finite")
+    return values, e, d, a, r1
 
-    x_slots = [XSlot(f, r, c, Quaternion.from_seq(v)) for (f, r, c), v in zip(slots, values)]
+
+def profile_from_gram(sng: "SemiNormalizedGram") -> InvariantProfile:
+    """Profile evaluated through the semi-normalized Gram entry identities."""
+    m, i = sng.m, sng.i
+    values, e, d, a, r1 = _gram_profile(sng.gram, m, i)
+    table = _slot_table(m, i)
+
+    x_slots = [XSlot(f, r, c, Quaternion(*v))
+               for (f, r, c), v in zip(table.slots, values.tolist())]
     a = a.tolist()
-    u = [Quaternion.from_seq(x) for x in _rotation_invariants(e)]
+    u = [Quaternion(*x) for x in _rotation_invariants(e).tolist()]
     pair_slots = [PairSlot(r + 1, c + 1, dk, 0.0 if ak <= ANGLE_ZERO_TOL else ak, uk)
-                  for r, c, dk, ak, uk in zip(rows.tolist(), cols.tolist(), d.tolist(), a, u)]
+                  for r, c, dk, ak, uk in zip(table.pair_rows.tolist(), table.pair_cols.tolist(),
+                                              d.tolist(), a, u)]
 
-    prof = InvariantProfile(m, i, a[0], u[0], x_slots, pair_slots[1:], r1[lo:].tolist())
+    prof = InvariantProfile(m, i, a[0], u[0], x_slots, pair_slots[1:], r1[max(i, 1):].tolist())
     prof.check_structure()
     return prof

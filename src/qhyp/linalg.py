@@ -83,7 +83,7 @@ class HVector:
         return components_from_stacked(self.s)
 
     def entries(self) -> list[Quaternion]:
-        return [Quaternion.from_seq(c) for c in self.components()]
+        return [Quaternion(*c) for c in self.components().tolist()]
 
     def entry(self, k: int) -> Quaternion:
         return Quaternion.from_seq(from_complex_pairs(self.s[k], self.s[self.dim + k]))
@@ -184,7 +184,7 @@ class HMatrix:
         return Quaternion.from_seq(from_complex_pairs(self.emb[r, c], self.emb[N + r, c]))
 
     def to_grid(self) -> list[list[Quaternion]]:
-        return [[Quaternion.from_seq(c) for c in row] for row in self.components()]
+        return [[Quaternion(*c) for c in row] for row in self.components().tolist()]
 
     def column(self, k: int) -> HVector:
         N = self.dim

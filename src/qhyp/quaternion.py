@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -188,6 +188,11 @@ def qconj_array(a: np.ndarray) -> np.ndarray:
     out = a.copy()
     out[..., 1:] *= -1.0
     return out
+
+
+def quaternion_array(qs: Iterable[Quaternion]) -> np.ndarray:
+    """The (k, 4) component array of a sequence of quaternions."""
+    return np.array([(q.a0, q.a1, q.a2, q.a3) for q in qs], dtype=float).reshape(-1, 4)
 
 
 def complex_pairs(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -1,5 +1,7 @@
 import dataclasses
+import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -7,7 +9,7 @@ import pytest
 
 from qhyp.decision import Verdict
 from qhyp.errors import DegenerateConfigurationError, InvalidSpecError
-from qhyp import gram
+from qhyp import gram, serialize
 from qhyp.gram import (
     PointConfig,
     SemiNormalizedGram,
@@ -18,11 +20,21 @@ from qhyp.gram import (
     reconstruct_gram,
     semi_normalize,
 )
-from qhyp.invariants import ProjPoint, profile, profile_from_gram
+from qhyp.invariants import (
+    InvariantProfile,
+    PairSlot,
+    ProjPoint,
+    XSlot,
+    _rotation_invariants,
+    profile,
+    profile_from_gram,
+    x_slot_families,
+    x_slot_indices,
+)
 from qhyp.isometry import random_member
 from qhyp.linalg import HermitianSpace, HVector, PointType, right_times
 from qhyp.quaternion import Quaternion, complex_pairs, qconj_array, qmul_array
-from qhyp.tolerances import DECIDER_TOL
+from qhyp.tolerances import ANGLE_ZERO_TOL, DECIDER_TOL
 from qhyp.sampling import (
     apply_isometry,
     random_quaternion,
@@ -149,6 +161,25 @@ def test_v_entries_index_arrays_match_the_per_call_construction():
                 assert sng.v_entries().tobytes() == ref.tobytes()
             rows, cols = gram._v_index(m, i)
             assert not rows.flags.writeable and not cols.flags.writeable
+
+
+def test_entries_grid_is_the_from_seq_grid_bitwise():
+    # the grid reads the array off one tolist(); every entry is the per-entry
+    # from_seq quaternion byte for byte, signed zeros included
+    rng = np.random.default_rng(6)
+    g = rng.normal(size=(6, 6, 4))
+    g[rng.uniform(size=g.shape) < 0.2] = 0.0
+    g[rng.uniform(size=g.shape) < 0.2] = -0.0
+    grid = SemiNormalizedGram(6, 3, g).entries
+    ref = [[Quaternion.from_seq(e) for e in row] for row in g]
+    assert [len(row) for row in grid] == [6] * 6
+
+    def bits(rows):
+        qs = [q for row in rows for q in row]
+        assert all(type(x) is float for q in qs for x in (q.a0, q.a1, q.a2, q.a3))
+        return np.array([(q.a0, q.a1, q.a2, q.a3) for q in qs]).tobytes()
+
+    assert bits(grid) == bits(ref) == g.tobytes()
 
 
 @pytest.mark.parametrize("m,i,n", [(4, 4, 2), (4, 3, 2), (5, 5, 3), (5, 0, 2), (6, 3, 3), (3, 3, 1)])
@@ -454,6 +485,80 @@ def test_reconstruct_round_trip(m, i, n):
         assert mu is not None
 
 
+def _reference_profile_from_gram(sng):
+    """The per-slot profile construction the array pass replaced."""
+    m, i, g = sng.m, sng.i, sng.gram
+    lo = max(i, 1)
+    r1 = g[0, :, 0].copy()
+    r1[:i] = 1.0
+    slots = x_slot_indices(m, i)
+    values = np.empty((len(slots), 4))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if i >= 3:
+            fam = x_slot_families(m, i)
+            g23 = g[1, 2]
+            pos, _, cols = fam["X1"]
+            g2 = g[1, cols]
+            values[pos] = qmul_array(g23, qconj_array(g2)) * (r1[cols]
+                                                              / np.sum(g2 ** 2, axis=1))[:, None]
+            pos, _, cols = fam["X2"]
+            values[pos] = qmul_array(qconj_array(g23), g[1, cols]) / r1[cols, None]
+            pos, rows, cols = fam["Xk"]
+            gk = g[1, rows]
+            values[pos] = qmul_array(gk, g[rows, cols]) / (np.sum(gk ** 2, axis=1)
+                                                            * r1[cols])[:, None]
+        rows, cols = np.triu_indices(m, 1)
+        keep = rows >= lo
+        rows, cols = np.append(1, rows[keep]), np.append(2, cols[keep])
+        e = g[rows, cols]
+        d = np.sum(e ** 2, axis=1)
+        a = np.arccos(np.clip(-e[:, 0] / np.sqrt(d), -1.0, 1.0))
+    x_slots = [XSlot(f, r, c, Quaternion.from_seq(v)) for (f, r, c), v in zip(slots, values)]
+    a = a.tolist()
+    u = [Quaternion.from_seq(x) for x in _rotation_invariants(e)]
+    pair_slots = [PairSlot(r + 1, c + 1, dk, 0.0 if ak <= ANGLE_ZERO_TOL else ak, uk)
+                  for r, c, dk, ak, uk in zip(rows.tolist(), cols.tolist(), d.tolist(), a, u)]
+    return InvariantProfile(m, i, a[0], u[0], x_slots, pair_slots[1:], r1[lo:].tolist())
+
+
+def _reference_reconstruct_gram(prof):
+    """The per-slot reconstruction the array pass replaced, without its checks."""
+    def polar(a, u):
+        return math.sin(a) * u.to_array() - [math.cos(a), 0.0, 0.0, 0.0]
+
+    m, i = prof.m, prof.i
+    g = np.zeros((m, m, 4))
+    g[0, 1:i, 0] = 1.0
+    g[0, max(i, 1):, 0] = prof.first_row
+    for slot in prof.pair_slots:
+        g[slot.i1 - 1, slot.j1 - 1] = math.sqrt(slot.d) * polar(slot.a, slot.u)
+    if i >= 3:
+        r1 = g[0, :, 0].copy()
+        x = np.array([s.value.to_array() for s in prof.x_slots]).reshape(-1, 4)
+        fam = x_slot_families(m, i)
+        g[1, 2] = g23 = polar(prof.a23, prof.u0)
+        pos, _, cols = fam["X2"]
+        g[1, cols] = qmul_array(g23, x[pos]) * r1[cols, None]
+        pos, rows, cols = fam["Xk"]
+        g[rows, cols] = qmul_array(qconj_array(g[1, rows]), x[pos]) * r1[cols, None]
+    g += qconj_array(g).transpose(1, 0, 2)
+    g[np.arange(i, m), np.arange(i, m), 0] = -1.0
+    return g
+
+
+@pytest.mark.parametrize("m,i,n", [(4, 4, 2), (4, 3, 2), (5, 5, 3), (5, 0, 2), (6, 3, 3),
+                                   (7, 0, 3), (8, 4, 4), (8, 8, 4)])
+def test_array_pass_matches_the_per_slot_construction_bitwise(m, i, n):
+    # the wire profile and the rebuilt matrix are the per-slot code's byte for byte
+    sp = HermitianSpace(n)
+    for seed in range(4):
+        sng = semi_normalize(sample_config(sp, m, i, np.random.default_rng(700 + 10 * m + seed)))
+        prof, ref = profile_from_gram(sng), _reference_profile_from_gram(sng)
+        assert (json.dumps(serialize.profile_to_json(prof))
+                == json.dumps(serialize.profile_to_json(ref)))
+        assert reconstruct_gram(prof).gram.tobytes() == _reference_reconstruct_gram(ref).tobytes()
+
+
 def test_reconstruct_all_real_profile():
     sp = HermitianSpace(2)
     pts = [pp(sp, Quaternion.real(-1.0), 1, 1),
@@ -484,6 +589,51 @@ def test_reconstruct_rejects_inconsistent_x1_slot():
     slots[k] = dataclasses.replace(slots[k], value=slots[k].value * Quaternion(1.0, 0.05, 0, 0))
     with pytest.raises(InvalidSpecError, match="inconsistent profile"):
         reconstruct_gram(dataclasses.replace(prof, x_slots=slots))
+
+
+def _with_x1(prof, values):
+    """The profile with the X1 slot at each column of ``values`` set to its value."""
+    return dataclasses.replace(prof, x_slots=[
+        dataclasses.replace(s, value=values[s.col]) if s.family == "X1" and s.col in values
+        else s for s in prof.x_slots])
+
+
+def test_reconstruct_names_the_first_inconsistent_x1_column():
+    prof = profile(sample_config(HermitianSpace(3), 6, 3, np.random.default_rng(66)))
+    assert [s.col for s in prof.x_slots if s.family == "X1"] == [4, 5, 6]
+    bad = {s.col: s.value * Quaternion(1.0, 0.05, 0, 0) for s in prof.x_slots[1:3]}
+    message = "inconsistent profile: X1 slot at column 5 disagrees with the other slot families"
+    with pytest.raises(InvalidSpecError, match=re.escape(message)):
+        reconstruct_gram(_with_x1(prof, bad))
+
+
+def test_reconstruct_rejects_a_nan_x1_slot():
+    # a gap that is not a number is not within the bound
+    prof = profile(sample_config(HermitianSpace(3), 6, 3, np.random.default_rng(67)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidSpecError, match="X1 slot at column 6"):
+            reconstruct_gram(_with_x1(prof, {6: Quaternion(math.nan, 0.0, 0.0, 0.0)}))
+
+
+def test_reconstruct_builds_no_slot_objects(monkeypatch):
+    # the round trip reads the rebuilt matrix's identities as arrays
+    sng = semi_normalize(sample_config(HermitianSpace(4), 8, 4, np.random.default_rng(68)))
+    built = []
+
+    def counting(init):
+        def counted_init(self, *args, **kwargs):
+            built.append(type(self).__name__)
+            init(self, *args, **kwargs)
+        return counted_init
+
+    for cls in (XSlot, PairSlot):
+        monkeypatch.setattr(cls, "__init__", counting(cls.__init__))
+    prof = profile_from_gram(sng)
+    assert sorted(set(built)) == ["PairSlot", "XSlot"]  # the counter counts
+    built.clear()
+    reconstruct_gram(prof)
+    assert built == []
 
 
 @pytest.mark.parametrize("m,i", [(6, 3), (6, 5)])

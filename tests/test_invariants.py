@@ -17,6 +17,7 @@ from qhyp.invariants import (
     distance_invariant,
     profile,
     rotation_invariant,
+    x_slot_families,
     x_slot_indices,
 )
 from qhyp.isometry import random_member
@@ -222,6 +223,36 @@ def test_x_slot_counts():
     for i in (1, 2):
         with pytest.raises(InvalidSpecError):
             InvariantProfile.closed_form_family_d(5, i)
+
+
+def test_slot_table_matches_the_per_call_construction():
+    # every valid (m, i) with m <= 8: the cached read-only table holds the slot
+    # scheme, its families, the base-then-negative-pair positions and the
+    # definition-route quadruples of the per-call construction
+    for m in range(3, 9):
+        for i in [0, *range(3, m + 1)]:
+            table = invariants._slot_table(m, i)
+            assert invariants._slot_table(m, i) is table  # the second call reads the cache
+            slots = x_slot_indices(m, i)
+            assert table.slots == tuple(slots)
+            families = x_slot_families(m, i)
+            assert table.families.keys() == families.keys()
+            arrays = [table.pair_rows, table.pair_cols, table.quads]
+            for key, ref in families.items():
+                for got, want in zip(table.families[key], ref, strict=True):
+                    assert got.dtype == want.dtype and np.array_equal(got, want)
+                    arrays.append(got)
+            rows, cols = np.triu_indices(m, 1)
+            keep = rows >= max(i, 1)
+            assert table.pair_rows.tolist() == [1, *rows[keep].tolist()]
+            assert table.pair_cols.tolist() == [2, *cols[keep].tolist()]
+            quads = [(int(r == 1), r - 1, 1 + (r <= 2), c - 1) for _, r, c in slots]
+            assert table.quads.shape == (len(slots), 4)
+            assert table.quads.tolist() == [list(q) for q in quads]
+            for a in arrays:
+                assert not a.flags.writeable
+            with pytest.raises(TypeError):
+                table.families["X1"] = families["X1"]
 
 
 @pytest.mark.parametrize("m,i,n", [(4, 4, 2), (4, 3, 2), (5, 5, 3), (5, 0, 2), (6, 3, 3)])

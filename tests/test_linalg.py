@@ -114,6 +114,29 @@ def test_embed_star_and_grid_roundtrip():
             assert S[r][c].approx_eq(grid[c][r].conj(), 1e-14)
 
 
+def _component_bits(quaternions) -> bytes:
+    qs = list(quaternions)
+    assert all(type(x) is float for q in qs for x in (q.a0, q.a1, q.a2, q.a3))
+    return np.array([(q.a0, q.a1, q.a2, q.a3) for q in qs]).tobytes()
+
+
+def test_quaternion_grids_are_the_from_seq_grids_bitwise():
+    # the grids read their components off one tolist(); every entry is the
+    # per-entry from_seq quaternion byte for byte, signed zeros included
+    rng = np.random.default_rng(14)
+    comps = rng.normal(size=(4, 4, 4))
+    comps[rng.uniform(size=comps.shape) < 0.2] = 0.0
+    comps[rng.uniform(size=comps.shape) < 0.2] = -0.0
+    A, v = HMatrix.from_components(comps), HVector.from_components(comps[1])
+    grid = A.to_grid()
+    assert [len(row) for row in grid] == [4] * 4
+    assert _component_bits(q for row in grid for q in row) == _component_bits(
+        Quaternion.from_seq(c) for row in A.components() for c in row)
+    assert _component_bits(v.entries()) == _component_bits(
+        Quaternion.from_seq(c) for c in v.components())
+    assert np.any((A.components() == 0.0) & np.signbit(A.components()))
+
+
 @pytest.mark.parametrize("n", range(1, 9))
 def test_from_components_is_the_block_embedding_bitwise(n):
     # signed zeros included: the filled array is np.block's byte for byte

@@ -1,6 +1,8 @@
 """The package's public export list and its modules' imports."""
 
 import ast
+import functools
+import inspect
 import re
 import tokenize
 from pathlib import Path
@@ -54,6 +56,27 @@ def test_every_parameter_is_read():
                        if a.arg not in read and a.arg not in ("self", "cls")
                        and not a.arg.startswith("_")]
     assert unread == []
+
+
+def test_bench_layer_spans_name_qhyp_functions():
+    # the benchmark's tracer reads each per-layer metric off the span of one
+    # qhyp function; a renamed function would read 0 without an error
+    path = Path(__file__).resolve().parents[1] / "bench" / "run.py"
+    tree = ast.parse(path.read_text())
+    spans = next(ast.literal_eval(node.value) for node in tree.body
+                 if isinstance(node, ast.Assign)
+                 and [getattr(t, "id", None) for t in node.targets] == ["LAYER_SPANS"])
+    assert spans
+    unresolved = []
+    for _, target in spans.values():
+        try:
+            obj = functools.reduce(getattr, target.split("."), qhyp)
+        except AttributeError:
+            unresolved.append(target)
+            continue
+        if not (inspect.isfunction(obj) and obj.__module__ == f"qhyp.{target.split('.')[0]}"):
+            unresolved.append(target)
+    assert unresolved == []
 
 
 def test_thresholds_live_in_the_table():

@@ -218,6 +218,14 @@ def semi_normalize(config: PointConfig, tol: float = DEFAULT_TOL) -> SemiNormali
     independent one into the i-j plane; configurations without two
     independent imaginary directions keep the correspondingly smaller gauge.
     """
+    sng = _rescaled(config)
+    sng = sng.conjugated(_gauge_rotation(sng.v_entries(), tol))
+    _check_pattern(sng)
+    return sng
+
+
+def _rescaled(config: PointConfig) -> SemiNormalizedGram:
+    """Lifts rescaled into the semi-normalized pattern, gauge left free; unchecked."""
     m, i = config.m, config.i
     if m < 3:
         raise InvalidSpecError("semi-normalization needs at least three points")
@@ -243,10 +251,7 @@ def semi_normalize(config: PointConfig, tol: float = DEFAULT_TOL) -> SemiNormali
     lam[neg] = qconj_array(w[neg]) / (wn[neg] * np.sqrt(-np.diagonal(g[..., 0])[neg]))[:, None]
 
     ents = qmul_array(qmul_array(qconj_array(lam)[:, None], g), lam[None, :])
-    sng = SemiNormalizedGram(m, i, ents, right_times(config.lifts, *complex_pairs(lam)))
-    sng = sng.conjugated(_gauge_rotation(sng.v_entries(), tol))
-    _check_pattern(sng)
-    return sng
+    return SemiNormalizedGram(m, i, ents, right_times(config.lifts, *complex_pairs(lam)))
 
 
 def _gauge_rotation(entries: np.ndarray, tol: float) -> Quaternion:
@@ -302,12 +307,15 @@ def orbit_equal(g1: SemiNormalizedGram, g2: SemiNormalizedGram,
 
 
 def _independent_subset(space: HermitianSpace, lifts: np.ndarray) -> list[int]:
+    # each lift chosen adds a quaternionic line: complex rank 2.  A prefix's singular
+    # values lie within the block's extremes, so a full-rank leading block is the greedy pick
+    k = min(lifts.shape[1], space.dim)
+    if matrix_rank(two_columns(lifts[:, :k])) == 2 * k:
+        return list(range(k))
     chosen: list[int] = []
     for k in range(lifts.shape[1]):
-        # each lift chosen so far adds a quaternionic line: complex rank 2
-        trial = chosen + [k]
-        if matrix_rank(two_columns(lifts[:, trial])) == 2 * len(trial):
-            chosen = trial
+        if matrix_rank(two_columns(lifts[:, chosen + [k]])) == 2 * len(chosen) + 2:
+            chosen.append(k)
         if len(chosen) == space.dim:
             break
     return chosen
@@ -326,7 +334,8 @@ def congruent(config_a: PointConfig, config_b: PointConfig, tol: float = DECIDER
 
     Positive decisions ship a witness isometry verified to map each point of
     the first configuration onto the corresponding point of the second,
-    projectively and within tolerance.
+    projectively and within tolerance, up to the central sign; one that fails
+    its check after the Gram matrices align leaves the decision Inconclusive.
     """
     if (config_a.m, config_a.i) != (config_b.m, config_b.i):
         return Decision(Verdict.NOT_CONGRUENT, reason="shape (m, i) differs")
@@ -334,8 +343,10 @@ def congruent(config_a: PointConfig, config_b: PointConfig, tol: float = DECIDER
         raise DimensionMismatchError("configurations live in different spaces")
     space = config_a.space
 
-    sng_a = semi_normalize(config_a)
-    sng_b = semi_normalize(config_b)
+    # sp1_align solves for the residual unit quaternion: no canonical gauge
+    sng_a, sng_b = _rescaled(config_a), _rescaled(config_b)
+    for sng in (sng_a, sng_b):
+        _check_pattern(sng)
     mu = orbit_equal(sng_a, sng_b, tol)
     if mu is None:
         return Decision(Verdict.NOT_CONGRUENT,
@@ -363,7 +374,7 @@ def congruent(config_a: PointConfig, config_b: PointConfig, tol: float = DECIDER
         raise NumericalError("witness drifted off the isometry group")
     worst = float(np.max(line_residuals(witness.emb @ lifts_a, lifts_b)))
     if not worst <= tol:  # a residual that is not a number fails too
-        return Decision(Verdict.NOT_CONGRUENT,
+        return Decision(Verdict.INCONCLUSIVE,
                         reason=f"witness verification failed (residual {worst:.3e})")
     return Decision(Verdict.CONGRUENT, witness=witness, residual=worst)
 
@@ -403,7 +414,10 @@ def reconstruct_gram(prof: InvariantProfile) -> SemiNormalizedGram:
     g[0, max(i, 1):, 0] = prof.first_row
     # negative block from distance / angular / rotation data
     pairs = prof.pair_slots
-    g[[s.i1 - 1 for s in pairs], [s.j1 - 1 for s in pairs]] = (
+    rows, cols = table.pair_rows[1:], table.pair_cols[1:]
+    if [(s.i1 - 1, s.j1 - 1) for s in pairs] != list(zip(rows.tolist(), cols.tolist())):
+        raise InvalidSpecError("pair slots do not match the index scheme")
+    g[rows, cols] = (
         np.array([math.sqrt(s.d) for s in pairs])[:, None]
         * _polar([s.a for s in pairs], quaternion_array(s.u for s in pairs)))
 

@@ -239,14 +239,15 @@ def right_matrix(q: np.ndarray) -> np.ndarray:
 # Rotation of the imaginary part
 # ---------------------------------------------------------------------------
 
-def rotation_matrix(q: Quaternion) -> np.ndarray:
-    """3x3 matrix R with R @ v = Im(q * (0, v) * conj(q)) for unit q."""
-    w, x, y, z = q.a0, q.a1, q.a2, q.a3
-    return np.array([
+def rotation_matrix(q: "Quaternion | np.ndarray") -> np.ndarray:
+    """3x3 matrix R with R @ v = Im(q * (0, v) * conj(q)) for unit q; (..., 3, 3) for (..., 4)."""
+    w, x, y, z = (q.a0, q.a1, q.a2, q.a3) if isinstance(q, Quaternion) else np.moveaxis(q, -1, 0)
+    R = np.array([
         [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
         [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
         [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
     ], dtype=float)
+    return R if R.ndim == 2 else np.moveaxis(R, (0, 1), (-2, -1))
 
 
 def canonical_sign(q: Quaternion) -> Quaternion:

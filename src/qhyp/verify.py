@@ -46,7 +46,7 @@ from .pairs import (
     have_common_fixed_point,
     pair_conjugate,
 )
-from .quaternion import Quaternion, qconj_array, qmul_array, sp1_align
+from .quaternion import Quaternion, qconj_array, rotation_matrix, sp1_align
 from .sampling import (
     apply_isometry,
     random_hyperbolic_spec,
@@ -648,10 +648,10 @@ def criterion_11(quick: bool = False) -> CriterionResult:
         mu = sp1_align(varr, warr, 1e-7)
         mus = rng.normal(size=(samples, 4))
         mus /= np.linalg.norm(mus, axis=1, keepdims=True)
-        conj = qmul_array(qmul_array(qconj_array(mus)[:, None, :], warr[None, :, :]),
-                          mus[:, None, :])
-        best = float(np.min(np.max(np.linalg.norm(conj - varr[None, :, :], axis=2),
-                                   axis=1)))
+        # conj(mu) w mu keeps w's real part and turns Im(w) by R(conj(mu))
+        turned = np.einsum("sij,kj->ski", rotation_matrix(qconj_array(mus)), warr[:, 1:])
+        gaps = np.hypot(warr[:, 0] - varr[:, 0], np.linalg.norm(turned - varr[:, 1:], axis=2))
+        best = float(np.min(np.max(gaps, axis=1)))
         oracle_found = best < 0.25
         if mu is not None:
             exact = all((mu.conj() * wk * mu).approx_eq(vk, 1e-7)

@@ -14,6 +14,7 @@ from qhyp.gram import (
     PointConfig,
     SemiNormalizedGram,
     _gauge_rotation,
+    _independent_subset,
     congruent,
     gram_of,
     orbit_equal,
@@ -32,7 +33,8 @@ from qhyp.invariants import (
     x_slot_indices,
 )
 from qhyp.isometry import random_member
-from qhyp.linalg import HermitianSpace, HVector, PointType, right_times
+from qhyp.linalg import (HermitianSpace, HVector, PointType, matrix_rank, right_times,
+                         two_columns)
 from qhyp.quaternion import Quaternion, complex_pairs, qconj_array, qmul_array
 from qhyp.tolerances import ANGLE_ZERO_TOL, DECIDER_TOL
 from qhyp.sampling import (
@@ -415,28 +417,31 @@ def test_congruent_verdicts_hold_at_extreme_lift_scales(m, i, n):
 def test_witness_check_rejects_points_off_their_images(monkeypatch):
     # with the gauge alignment forced wrong, the witness still maps the
     # spanning lifts' lines onto the partner's, but not the remaining points
-    # (m > n + 1): the batched residual check must refuse it
+    # (m > n + 1): the batched residual check must refuse it.  The Gram
+    # matrices did align, so a failed certificate is Inconclusive, not a
+    # separation
     sp = HermitianSpace(2)
     rng = np.random.default_rng(63)
     cfg = sample_config(sp, 5, 3, rng)
     moved = apply_isometry(cfg, random_member(sp, rng))
     monkeypatch.setattr(gram, "orbit_equal", lambda *args: Quaternion(0.6, 0.0, 0.8, 0.0))
     dec = congruent(cfg, moved, DECIDER_TOL)
-    assert dec.verdict is Verdict.NOT_CONGRUENT
+    assert dec.verdict is Verdict.INCONCLUSIVE
     assert dec.reason.startswith("witness verification failed")
 
 
-def _complex_lift(sp, rng, null):
-    """Random lift with complex coordinates, null or negative.
+def _complex_lift(sp, rng, null, real=False):
+    """Random lift with complex coordinates, null or negative; real ones if ``real``.
 
     In the chart with last coordinate 1 and middle block zeta, the first
     coordinate -|zeta|^2/2 - s + i t gives <z, z> = -2s; the lift is then
     rescaled by a random complex number.
     """
-    zeta = rng.normal(size=sp.dim - 2) + 1j * rng.normal(size=sp.dim - 2)
+    unit = 0.0 if real else 1j
+    zeta = rng.normal(size=sp.dim - 2) + unit * rng.normal(size=sp.dim - 2)
     s = 0.0 if null else rng.uniform(0.5, 2.0)
-    z1 = -0.5 * np.vdot(zeta, zeta).real - s + 1j * rng.normal()
-    z = np.concatenate([[z1], zeta, [1.0]]) * (rng.normal() + 1j * rng.normal())
+    z1 = -0.5 * np.vdot(zeta, zeta).real - s + unit * rng.normal()
+    z = np.concatenate([[z1], zeta, [1.0]]) * (rng.normal() + unit * rng.normal())
     return HVector(np.concatenate([z, np.zeros(sp.dim)]))
 
 
@@ -468,6 +473,101 @@ def test_complex_subfield_stays_complex(m, i, n, cayley_member):
     assert dec.verdict is Verdict.CONGRUENT
     assert dec.residual < 1e-7
     assert sp.is_member(dec.witness, 1e-8)
+
+
+def _greedy_subset(space, lifts):
+    """Reference search: one rank test per trial column, keeping each that adds a line."""
+    chosen = []
+    for k in range(lifts.shape[1]):
+        trial = chosen + [k]
+        if matrix_rank(two_columns(lifts[:, trial])) == 2 * len(trial):
+            chosen = trial
+        if len(chosen) == space.dim:
+            break
+    return chosen
+
+
+def test_independent_subset_matches_the_greedy_reference():
+    rng = np.random.default_rng(90)
+    for n in range(1, 9):
+        sp = HermitianSpace(n)
+        for m in range(3, 11):
+            for i in (0, *range(3, m + 1)):
+                lifts = sample_config(sp, m, i, rng).lifts
+                chosen = _independent_subset(sp, lifts)
+                assert chosen == _greedy_subset(sp, lifts) == list(range(min(m, n + 1)))
+
+
+@pytest.mark.parametrize("n,m,dependent,expected", [
+    (3, 6, "repeat", [0, 2, 3, 4]),  # lift 2 is lift 1 times a quaternion
+    (3, 6, "combination", [0, 1, 3, 4]),  # lift 3 is lift 1 q0 + lift 2 q1
+    (4, 3, None, [0, 1, 2]),  # fewer points than the dimension
+    (4, 4, "combination", [0, 1, 3]),
+])
+def test_independent_subset_matches_the_greedy_reference_when_rank_deficient(
+        n, m, dependent, expected):
+    sp = HermitianSpace(n)
+    rng = np.random.default_rng(91)
+    lifts = sample_config(sp, m, 3, rng).lifts.copy()
+    q0, q1 = random_quaternion(rng) + ONE, random_quaternion(rng) + ONE
+    if dependent == "repeat":
+        lifts[:, 1] = right_times(lifts[:, 0], *q0.complex_pair())
+    elif dependent == "combination":
+        lifts[:, 2] = (right_times(lifts[:, 0], *q0.complex_pair())
+                       + right_times(lifts[:, 1], *q1.complex_pair()))
+    assert _independent_subset(sp, lifts) == _greedy_subset(sp, lifts) == expected
+
+
+def _field_config(sp, m, i, rng, field):
+    """A random configuration with quaternionic, complex or real lifts."""
+    if field == "quaternion":
+        return sample_config(sp, m, i, rng)
+    return gram_of(sp, [ProjPoint.from_lift(sp, _complex_lift(sp, rng, k < i, field == "real"))
+                        for k in range(m)])
+
+
+@pytest.mark.parametrize("field", ["quaternion", "complex", "real"])
+@pytest.mark.parametrize("m,i,n", [(5, 3, 2), (3, 3, 2), (6, 0, 4), (8, 4, 4), (5, 5, 3)])
+def test_congruent_witnesses_invert_each_other_up_to_sign(m, i, n, field):
+    # m >= n + 1 points span, so a witness is fixed up to the points'
+    # stabilizer; complex and real configurations leave sp1_align a circle or
+    # more of solutions, and its choice closest to 1 must still pair up
+    sp = HermitianSpace(n)
+    rng = np.random.default_rng(92 + 10 * m + i)
+    eye = np.eye(2 * sp.dim)
+    for _ in range(3):
+        a = _field_config(sp, m, i, rng, field)
+        b = _rescaled(apply_isometry(a, random_member(sp, rng)), rng, -1.0, 1.0)
+        ab, ba = congruent(a, b), congruent(b, a)
+        assert ab.verdict is Verdict.CONGRUENT and ba.verdict is Verdict.CONGRUENT
+        both = (ab.witness @ ba.witness).emb
+        assert min(np.max(np.abs(both - eye)), np.max(np.abs(both + eye))) <= 1e-10
+        # the verdict is the canonical-gauge comparison's
+        for x in (b, _field_config(sp, m, i, rng, field)):
+            separated = orbit_equal(semi_normalize(a), semi_normalize(x), DECIDER_TOL) is None
+            assert (congruent(a, x).verdict is Verdict.NOT_CONGRUENT) == separated
+
+
+@pytest.mark.parametrize("n,m,i", [(4, 8, 4), (4, 6, 0), (2, 5, 3)])
+def test_congruent_makes_one_rank_test_per_configuration_and_no_gauge(monkeypatch, n, m, i):
+    sp = HermitianSpace(n)
+    rng = np.random.default_rng(93 + m)
+    cfg = sample_config(sp, m, i, rng)
+    moved = apply_isometry(cfg, random_member(sp, rng))
+    calls = {"rank": 0, "gauge": 0}
+
+    def counted(name, f):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return f(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(gram, "matrix_rank", counted("rank", gram.matrix_rank))
+    monkeypatch.setattr(gram, "_gauge_rotation", counted("gauge", gram._gauge_rotation))
+    assert congruent(cfg, moved).verdict is Verdict.CONGRUENT
+    assert calls == {"rank": 2, "gauge": 0}
+    semi_normalize(cfg)
+    assert calls["gauge"] == 1  # the counter counts
 
 
 # -- reconstruction -----------------------------------------------------------------
@@ -578,6 +678,20 @@ def test_reconstruct_rejects_wrong_slots():
     prof = profile(cfg)
     with pytest.raises(InvalidSpecError):
         reconstruct_gram(dataclasses.replace(prof, x_slots=prof.x_slots[:-1]))
+
+
+@pytest.mark.parametrize("edit", ["swap", "duplicate"])
+def test_reconstruct_rejects_pair_labels_off_the_index_scheme(edit):
+    # a pair slot is written where the scheme puts it, so its label must be that place
+    prof = profile(sample_config(HermitianSpace(4), 8, 4, np.random.default_rng(3)))
+    pairs = list(prof.pair_slots)
+    first, second = pairs[:2]
+    assert [(s.i1, s.j1) for s in pairs[:2]] == [(5, 6), (5, 7)]
+    pairs[1] = dataclasses.replace(second, i1=first.i1, j1=first.j1)
+    if edit == "swap":
+        pairs[0] = dataclasses.replace(first, i1=second.i1, j1=second.j1)
+    with pytest.raises(InvalidSpecError, match="pair slots do not match the index scheme"):
+        reconstruct_gram(dataclasses.replace(prof, pair_slots=pairs))
 
 
 def test_reconstruct_rejects_inconsistent_x1_slot():

@@ -138,6 +138,17 @@ def test_rotation_matrix_identity():
         assert np.linalg.det(R) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_rotation_matrix_stacks_component_arrays_bitwise():
+    # a (..., 4) array gives the per-quaternion matrices, stacked, bit for bit
+    rng = np.random.default_rng(6)
+    qs = rng.normal(size=(2, 5, 4))
+    qs /= np.linalg.norm(qs, axis=-1, keepdims=True)
+    stacked = rotation_matrix(qs)
+    assert stacked.shape == (2, 5, 3, 3)
+    for index in np.ndindex(2, 5):
+        assert np.array_equal(stacked[index], rotation_matrix(Quaternion(*qs[index])))
+
+
 # -- sp1_align --------------------------------------------------------------
 
 def align(v, w, *tol):

@@ -43,20 +43,16 @@ from .invariants import (
     cross_ratio_triple,
     distance_invariant,
     profile,
-    rotation_invariant,
 )
 from .isometry import (
     Classification,
     EllipticSpec,
     HyperbolicSpec,
     Isometry,
-    classify,
     conjugate_single,
     equal_by_invariants,
-    is_member,
     random_member,
     random_semisimple,
-    real_trace,
 )
 from .linalg import (
     EigenClass,
@@ -65,28 +61,23 @@ from .linalg import (
     HMatrix,
     HVector,
     PointType,
-    char_poly_real_coeffs,
-    complex_embed,
     right_eigen,
 )
 from .pairs import EigenFrame, eigenframe, have_common_fixed_point, pair_conjugate
 from .quaternion import DEFAULT_TOL, Quaternion, sp1_align
 
 __all__ = [
-    "Classification", "Decision", "DEFAULT_TOL",
-    "DegenerateConfigurationError", "DimensionMismatchError", "EigenClass",
-    "EigenData", "EigenFrame", "EllipticSpec", "GramSchmidtError",
-    "HermitianSpace", "HMatrix", "HVector",
-    "HyperbolicSpec", "InvalidSpecError", "InvariantProfile", "Isometry",
-    "NotSemisimpleError", "NumericalError", "PointConfig", "PointType",
-    "ProjPoint", "QhypError", "Quaternion", "SemiNormalizedGram",
-    "UnsupportedElementError", "Verdict", "angular_invariant",
-    "char_poly_real_coeffs", "classify", "complex_embed", "congruent", "conjugate_single",
-    "cross_ratio", "cross_ratio_triple", "distance_invariant", "eigenframe",
-    "equal_by_invariants", "gram_of", "have_common_fixed_point", "is_member",
-    "orbit_equal", "pair_conjugate", "profile",
-    "random_member", "random_semisimple", "real_trace", "reconstruct_gram",
-    "right_eigen", "rotation_invariant", "semi_normalize", "sp1_align",
+    "Classification", "Decision", "DEFAULT_TOL", "DegenerateConfigurationError",
+    "DimensionMismatchError", "EigenClass", "EigenData", "EigenFrame", "EllipticSpec",
+    "GramSchmidtError", "HermitianSpace", "HMatrix", "HVector", "HyperbolicSpec",
+    "InvalidSpecError", "InvariantProfile", "Isometry", "NotSemisimpleError",
+    "NumericalError", "PointConfig", "PointType", "ProjPoint", "QhypError",
+    "Quaternion", "SemiNormalizedGram", "UnsupportedElementError", "Verdict",
+    "angular_invariant", "congruent", "conjugate_single", "cross_ratio",
+    "cross_ratio_triple", "distance_invariant", "eigenframe", "equal_by_invariants",
+    "gram_of", "have_common_fixed_point", "orbit_equal", "pair_conjugate", "profile",
+    "random_member", "random_semisimple", "reconstruct_gram", "right_eigen",
+    "semi_normalize", "sp1_align",
 ]
 
 __version__ = "0.1.0"

@@ -204,7 +204,7 @@ def _check_pattern(sng: SemiNormalizedGram) -> None:
         raise NumericalError("|g_23| != 1 after normalization")
 
 
-def semi_normalize(config: PointConfig, tol: float = DEFAULT_TOL) -> SemiNormalizedGram:
+def semi_normalize(config: PointConfig) -> SemiNormalizedGram:
     """Rescale lifts into the semi-normalized gauge, deterministically.
 
     Null counts i >= 3 (including i = m) use the boundary normalization:
@@ -219,7 +219,7 @@ def semi_normalize(config: PointConfig, tol: float = DEFAULT_TOL) -> SemiNormali
     independent imaginary directions keep the correspondingly smaller gauge.
     """
     sng = _rescaled(config)
-    sng = sng.conjugated(_gauge_rotation(sng.v_entries(), tol))
+    sng = sng.conjugated(_gauge_rotation(sng.v_entries()))
     _check_pattern(sng)
     return sng
 
@@ -254,14 +254,14 @@ def _rescaled(config: PointConfig) -> SemiNormalizedGram:
     return SemiNormalizedGram(m, i, ents, right_times(config.lifts, *complex_pairs(lam)))
 
 
-def _gauge_rotation(entries: np.ndarray, tol: float) -> Quaternion:
+def _gauge_rotation(entries: np.ndarray) -> Quaternion:
     """Unit quaternion fixing the residual gauge on the free-entry vector.
 
     Rotates the first nonzero imaginary direction onto i, then spins about i
     so a second independent direction lands in the i-j plane with positive
     j part.  Both rotations are closed-form half-angle quaternions.
     """
-    floor = GAUGE_FLOOR_FACTOR * tol * np.maximum(1.0, np.linalg.norm(entries, axis=1))
+    floor = GAUGE_FLOOR_FACTOR * DEFAULT_TOL * np.maximum(1.0, np.linalg.norm(entries, axis=1))
     im = entries[:, 1:]
     imn = np.linalg.norm(im, axis=1)
     found = np.flatnonzero(imn > floor)

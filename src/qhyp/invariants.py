@@ -169,13 +169,9 @@ def distance_invariant(space: HermitianSpace, p: ProjPoint, q: ProjPoint) -> flo
     return max(val, 1.0)
 
 
-def rotation_invariant(g: Quaternion) -> Quaternion:
-    """Im(g)/|Im(g)|, or the zero quaternion when g is (relatively) real."""
-    return Quaternion.from_seq(_rotation_invariants(g.to_array()))
-
-
 def _rotation_invariants(e: np.ndarray) -> np.ndarray:
-    """:func:`rotation_invariant` on the trailing axis of a component array."""
+    """Im(e)/|Im(e)| on the trailing axis of a component array, or zero where
+    e is (relatively) real."""
     im = e[..., 1:]
     imn = np.linalg.norm(im, axis=-1, keepdims=True)
     real = imn <= ROTATION_ZERO_RTOL * np.maximum(1.0, np.linalg.norm(e, axis=-1, keepdims=True))
@@ -246,13 +242,6 @@ class InvariantProfile:
         # contribute zero rotation invariants as well
         base = sum(1 for s in self.pair_slots if s.u.is_zero())
         return base + (len(self.first_row) if self.i == 0 else 0)
-
-    def quaternion_slots(self) -> list[Quaternion]:
-        """All conjugation-covariant entries, in a fixed order."""
-        out = [self.u0]
-        out.extend(s.u for s in self.pair_slots)
-        out.extend(s.value for s in self.x_slots)
-        return out
 
     @staticmethod
     def closed_form_d(m: int, i: int) -> int:
@@ -377,14 +366,15 @@ def profile(config: "PointConfig", tol: float = DEFAULT_TOL) -> InvariantProfile
     The configuration is semi-normalized and the profile read off the Gram
     entry identities.  Then every cross-ratio slot is evaluated from its
     defining four-point product on the semi-normalized lifts, in one array
-    pass, and the first slot with a vanishing factor or off its identity by
-    more than SLOT_IDENTITY_RTOL * max(1, |direct|) raises.
+    pass, and the first slot with a vanishing factor (at ``tol``, its only
+    use) or off its identity by more than SLOT_IDENTITY_RTOL * max(1,
+    |direct|) raises.
     """
     from .gram import semi_normalize
 
     if config.m < 4:
         raise InvalidSpecError("profiles need at least four points")
-    sng = semi_normalize(config, tol)
+    sng = semi_normalize(config)
     prof = profile_from_gram(sng)
 
     quads = _slot_table(config.m, config.i).quads

@@ -45,11 +45,6 @@ class Classification(Enum):
     PARABOLIC = "parabolic"
 
 
-def is_member(A: HMatrix, space: HermitianSpace, tol: float = DEFAULT_TOL) -> bool:
-    """Test A* H A = H up to tol * ||A||^2."""
-    return space.is_member(A, tol)
-
-
 class Isometry:
     """A member of the isometry group with cached spectral data.
 
@@ -111,14 +106,6 @@ def _classify_from_eigen(eigen: EigenData) -> Classification:
     if not any(c.kind == PointType.NEGATIVE for c in eigen.classes):
         raise NumericalError("unit spectrum without a negative eigenvector")
     return Classification.ELLIPTIC
-
-
-def classify(A: Isometry) -> Classification:
-    return A.classification
-
-
-def real_trace(A: Isometry) -> np.ndarray:
-    return A.real_trace()
 
 
 # ---------------------------------------------------------------------------

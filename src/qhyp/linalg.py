@@ -85,17 +85,11 @@ class HVector:
     def entries(self) -> list[Quaternion]:
         return [Quaternion(*c) for c in self.components().tolist()]
 
-    def entry(self, k: int) -> Quaternion:
-        return Quaternion.from_seq(from_complex_pairs(self.s[k], self.s[self.dim + k]))
-
     def times(self, q: "Quaternion | complex | float") -> "HVector":
         """Right scalar action v -> v*q."""
         if isinstance(q, Quaternion):
             return HVector(right_times(self.s, *q.complex_pair()))
         return HVector(self.s * q)
-
-    def times_j(self) -> "HVector":
-        return HVector(_times_j(self.s))
 
     def __add__(self, other: "HVector") -> "HVector":
         return HVector(self.s + other.s)
@@ -156,10 +150,6 @@ class HMatrix:
         return HMatrix.from_components([[q.to_array() for q in row] for row in grid])
 
     @staticmethod
-    def identity(N: int) -> "HMatrix":
-        return HMatrix(np.eye(2 * N, dtype=complex), check=False)
-
-    @staticmethod
     def diag_complex(values: Sequence[complex]) -> "HMatrix":
         v = np.asarray(values, dtype=complex)
         return HMatrix(np.diag(np.concatenate([v, np.conj(v)])), check=False)
@@ -179,17 +169,6 @@ class HMatrix:
         N = self.dim
         return from_complex_pairs(self.emb[:N, :N], self.emb[N:, :N])
 
-    def entry(self, r: int, c: int) -> Quaternion:
-        N = self.dim
-        return Quaternion.from_seq(from_complex_pairs(self.emb[r, c], self.emb[N + r, c]))
-
-    def to_grid(self) -> list[list[Quaternion]]:
-        return [[Quaternion(*c) for c in row] for row in self.components().tolist()]
-
-    def column(self, k: int) -> HVector:
-        N = self.dim
-        return HVector(np.concatenate([self.emb[:N, k], self.emb[N:, k]]))
-
     # -- algebra -----------------------------------------------------------
 
     def __matmul__(self, other: "HMatrix | HVector") -> "HMatrix | HVector":
@@ -199,10 +178,6 @@ class HMatrix:
 
     def apply(self, v: HVector) -> HVector:
         return HVector(self.emb @ v.s)
-
-    def star(self) -> "HMatrix":
-        """Quaternionic conjugate transpose."""
-        return HMatrix(self.emb.conj().T, check=False)
 
     def inverse(self) -> "HMatrix":
         return HMatrix(np.linalg.inv(self.emb), check=False)
@@ -225,11 +200,6 @@ class HMatrix:
 
     def __repr__(self) -> str:
         return f"HMatrix(dim={self.dim})"
-
-
-def complex_embed(A: HMatrix) -> np.ndarray:
-    """The 2(n+1) complex representation of a quaternionic matrix."""
-    return A.emb.copy()
 
 
 def stacked_from_components(a: np.ndarray) -> np.ndarray:
@@ -381,18 +351,14 @@ def point_types(self_pairings: np.ndarray, S: np.ndarray,
 # Characteristic polynomial
 # ---------------------------------------------------------------------------
 
-def char_poly_real_coeffs(A: HMatrix, tol: float = CHAR_COEFF_TOL) -> np.ndarray:
-    """Middle coefficients (a_1 .. a_{2n+1}) of the embedding's characteristic polynomial.
+def spectrum_char_coeffs(eigs: np.ndarray, tol: float = CHAR_COEFF_TOL) -> np.ndarray:
+    """Middle coefficients (a_1 .. a_{2n+1}) of the characteristic polynomial
+    of an embedding with eigenvalues ``eigs``.
 
     The leading and trailing coefficients are 1 and are dropped.  Imaginary
     parts must vanish and the sequence must be palindromic; a violation
     signals a non-member or a numerical failure.
     """
-    return spectrum_char_coeffs(np.linalg.eigvals(A.emb), tol)
-
-
-def spectrum_char_coeffs(eigs: np.ndarray, tol: float = CHAR_COEFF_TOL) -> np.ndarray:
-    """:func:`char_poly_real_coeffs` from the embedding's eigenvalues, with the same checks."""
     coeffs = np.zeros(len(eigs) + 1, dtype=complex)  # coeffs[0] == 1
     coeffs[0] = 1.0
     for k, lam in enumerate(eigs.tolist()):  # times (x - lam)
@@ -401,7 +367,7 @@ def spectrum_char_coeffs(eigs: np.ndarray, tol: float = CHAR_COEFF_TOL) -> np.nd
     if np.max(np.abs(coeffs.imag)) > tol * scale:
         raise NumericalError("characteristic coefficients have imaginary residue")
     full = coeffs.real[1:-1]
-    if np.max(np.abs(full - full[::-1])) > max(tol, CHAR_COEFF_TOL) * scale:
+    if np.max(np.abs(full - full[::-1])) > tol * scale:
         raise NumericalError("characteristic coefficients are not palindromic")
     return full
 

@@ -11,8 +11,9 @@ space of that system holds every conjugator, and with W it holds W^-⋆ =
 H W^-* H, so the polar factor of the W made from the sum of its basis is a
 conjugator in the group, certified by direct conjugation before any
 positive verdict.  An empty null space, or a one-dimensional one that holds
-no multiple of a group element, separates the pairs; a polar factor that
-does not converge or verify leaves them Inconclusive.
+no multiple of a group element, separates the pairs: no intertwiner is a
+multiple of a group element.  A polar factor that does not converge or
+verify leaves them Inconclusive.
 """
 
 from __future__ import annotations
@@ -32,8 +33,7 @@ from .tolerances import (DECIDER_TOL, FIXED_SET_RANK_ATOL, GROUP_MULTIPLE_RTOL, 
 
 REASON_TRACE = "real trace mismatch"
 REASON_CLASSES = "eigenvalue class mismatch"
-REASON_ORBIT = "canonical orbit mismatch"
-REASON_GRASSMANNIAN = "eigenvalue Grassmannian mismatch"
+REASON_NO_CONJUGATOR = "no intertwiner is a multiple of a group element"
 REASON_UNVERIFIED = "polar factor did not converge or failed verification"
 
 
@@ -134,9 +134,10 @@ def pair_conjugate(A: Isometry, B: Isometry, A2: Isometry, B2: Isometry,
     Every conjugator lies in the null space of one real-linear system in A's
     eigenframe (see the module docstring).  An empty null space separates the
     pairs, and so does a one-dimensional one whose vector is not a positive
-    multiple of a group element.  Otherwise the witness is the polar factor
-    of the sum of the null-space basis, whatever the dimension, once it is a
-    member that conjugates both pairs directly; if not, Inconclusive.
+    multiple of a group element; both report REASON_NO_CONJUGATOR, after one
+    null space.  Otherwise the witness is the polar factor of the sum of the
+    null-space basis, whatever the dimension, once it is a member that
+    conjugates both pairs directly; if not, Inconclusive.
     """
     for x in (A, B, A2, B2):
         if not x.is_semisimple():
@@ -169,9 +170,7 @@ def pair_conjugate(A: Isometry, B: Isometry, A2: Isometry, B2: Isometry,
     free = block & ~(nonreal[:, None, None] & (np.arange(4) >= 2))
     null = nullspace(_intertwiner_rows(m, m2, free), INTERTWINER_RTOL)
     if null.shape[1] == 0:
-        if nullspace(_intertwiner_rows(m, m2, block), INTERTWINER_RTOL).shape[1] == 0:
-            return Decision(Verdict.NOT_CONJUGATE, reason=REASON_ORBIT)
-        return Decision(Verdict.NOT_CONJUGATE, reason=REASON_GRASSMANNIAN)
+        return Decision(Verdict.NOT_CONJUGATE, reason=REASON_NO_CONJUGATOR)
 
     # the conjugators are closed under W -> W^-⋆: the polar iteration stays in them
     x = np.zeros(free.shape)
@@ -183,7 +182,7 @@ def pair_conjugate(A: Isometry, B: Isometry, A2: Isometry, B2: Isometry,
         G = W.emb.conj().T @ H @ W.emb
         c = np.vdot(H, G).real / np.vdot(H, H).real
         if not c > 0 or np.linalg.norm(G - c * H) > GROUP_MULTIPLE_RTOL * c * np.linalg.norm(H):
-            return Decision(Verdict.NOT_CONJUGATE, reason=REASON_ORBIT)
+            return Decision(Verdict.NOT_CONJUGATE, reason=REASON_NO_CONJUGATOR)
     try:
         C = space.project_to_group(W)
     except NumericalError:  # a singular sum

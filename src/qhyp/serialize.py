@@ -3,23 +3,23 @@
 Quaternions travel as 4-arrays [a0, a1, a2, a3]; matrices as
 {"n": ..., "rows": [[quaternion, ...], ...]}; configurations as
 {"n": ..., "i": ..., "points": [[quaternion, ...], ...]} where each point is
-a lift (a row of n+1 quaternions).  Components and real fields are finite
-JSON numbers and counts and indices are JSON integers (n >= 1); decoders
-reject strings, booleans, null, NaN and Infinity in their place.  CSV
-flattens quaternions into four adjacent columns suffixed .w/.x/.y/.z.
+a lift (a row of n+1 quaternions).  Components are finite JSON numbers and
+the counts n and i are JSON integers (n >= 1); decoders reject strings,
+booleans, null, NaN and Infinity in their place.  Profiles are encoded
+only.  CSV flattens quaternions into four adjacent columns suffixed
+.w/.x/.y/.z.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Any, Optional
+from typing import Any
 
 import numpy as np
 
 from .decision import Decision
 from .errors import InvalidSpecError
 from .gram import PointConfig, gram_of
-from .invariants import InvariantProfile, PairSlot, XSlot
+from .invariants import InvariantProfile
 from .isometry import Isometry
 from .linalg import HermitianSpace, HMatrix, components_from_stacked, stacked_from_components
 from .quaternion import Quaternion
@@ -36,22 +36,10 @@ def quaternion_to_json(q: Quaternion) -> list[float]:
 _NUMBER_TYPES = {int, float}
 
 
-def _number(x: Any, what: str) -> float:
-    if type(x) not in _NUMBER_TYPES or not math.isfinite(x):
-        raise InvalidSpecError(f"{what} must be a finite number, got {x!r}")
-    return float(x)
-
-
 def _integer(x: Any, what: str) -> int:
     if type(x) is not int:
         raise InvalidSpecError(f"{what} must be an integer, got {x!r}")
     return x
-
-
-def quaternion_from_json(data: Any) -> Quaternion:
-    if not isinstance(data, (list, tuple)) or len(data) != 4:
-        raise InvalidSpecError(f"quaternion must be a 4-array, got {data!r}")
-    return Quaternion.from_seq([_number(x, "a quaternion component") for x in data])
 
 
 def _components(rows: Any, what: str) -> np.ndarray:
@@ -81,8 +69,8 @@ def _dimension(data: dict, key: str) -> tuple[int, Any]:
     return n, payload
 
 
-def hmatrix_to_json(M: HMatrix, n: Optional[int] = None) -> dict:
-    return {"n": n if n is not None else M.dim - 1, "rows": M.components().tolist()}
+def hmatrix_to_json(M: HMatrix) -> dict:
+    return {"n": M.dim - 1, "rows": M.components().tolist()}
 
 
 def hmatrix_from_json(data: dict) -> tuple[HMatrix, int]:
@@ -144,28 +132,6 @@ def profile_to_json(prof: InvariantProfile) -> dict:
         "first_row": list(prof.first_row),
         "counts": {"d": prof.d_count, "t": prof.t_count, "l": prof.l_count},
     }
-
-
-def profile_from_json(data: dict) -> InvariantProfile:
-    try:
-        prof = InvariantProfile(
-            m=_integer(data["m"], "m"),
-            i=_integer(data["i"], "i"),
-            a23=_number(data["a23"], "a23"),
-            u0=quaternion_from_json(data["u0"]),
-            x_slots=[XSlot(s["family"], _integer(s["row"], "row"), _integer(s["col"], "col"),
-                           quaternion_from_json(s["value"]))
-                     for s in data["x_slots"]],
-            pair_slots=[PairSlot(_integer(s["i1"], "i1"), _integer(s["j1"], "j1"),
-                                 _number(s["d"], "d"), _number(s["a"], "a"),
-                                 quaternion_from_json(s["u"]))
-                        for s in data["pair_slots"]],
-            first_row=[_number(x, "a first-row entry") for x in data["first_row"]],
-        )
-    except (KeyError, TypeError) as exc:
-        raise InvalidSpecError("malformed profile JSON") from exc
-    prof.check_structure()
-    return prof
 
 
 # ---------------------------------------------------------------------------

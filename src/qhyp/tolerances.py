@@ -82,7 +82,8 @@ GROUP_MULTIPLE_RTOL = 1e-5
 #: ``gram_of`` calls an entry zero, or two negative points coincident, within
 #: this many times its tolerance
 DEGENERACY_FACTOR = 1e3
-#: the residual gauge ignores imaginary parts within this many times its tolerance
+#: the residual gauge ignores imaginary parts within this many times DEFAULT_TOL,
+#: whatever tolerance the caller decides with, so the canonical gauge is fixed
 GAUGE_FLOOR_FACTOR = 1e3
 #: largest deviation of a semi-normalized Gram matrix from its entry pattern
 PATTERN_TOL = 1e-8

@@ -39,8 +39,7 @@ from .isometry import (
 )
 from .linalg import HermitianSpace, HMatrix, HVector, PointType
 from .pairs import (
-    REASON_GRASSMANNIAN,
-    REASON_ORBIT,
+    REASON_NO_CONJUGATOR,
     REASON_TRACE,
     eigenframe,
     have_common_fixed_point,
@@ -528,8 +527,7 @@ def criterion_9(quick: bool = False) -> CriterionResult:
                 n_orbit -= 1
                 continue
             dec = pair_conjugate(A, B, A, B2, 1e-7)
-            if dec.verdict is Verdict.NOT_CONJUGATE and dec.reason in (
-                    REASON_ORBIT, REASON_GRASSMANNIAN):
+            if dec.verdict is Verdict.NOT_CONJUGATE and dec.reason == REASON_NO_CONJUGATOR:
                 orbit_ok += 1
             elif dec.verdict is Verdict.CONJUGATE and dec.residual < 1e-7:
                 # repositioning landed in the same orbit; verified, so valid
@@ -548,7 +546,7 @@ def criterion_9(quick: bool = False) -> CriterionResult:
             A_moved = Isometry(
                 sp.project_to_group(f.C @ D @ f.E @ D.inverse() @ f.C.inverse()), sp)
             dec = pair_conjugate(A, B, A_moved, B, 1e-7)
-            if dec.verdict is Verdict.NOT_CONJUGATE and dec.reason == REASON_GRASSMANNIAN:
+            if dec.verdict is Verdict.NOT_CONJUGATE and dec.reason == REASON_NO_CONJUGATOR:
                 grass_ok += 1
 
     # repeated eigenvalue classes, drawn from their own stream so that the

@@ -220,7 +220,7 @@ def test_gauge_rotation_closed_form(first, second):
     # conj(mu) e mu puts the first imaginary direction on +i and the next
     # independent one in the i-j plane with positive j part
     entries = np.array([[0.7, 0.0, 0.0, 0.0], [0.2, *first], [-1.1, *second]])
-    mu = _gauge_rotation(entries, 1e-9)
+    mu = _gauge_rotation(entries)
     assert abs(mu.norm() - 1.0) < 1e-14
     m = mu.to_array()
     rotated = qmul_array(qmul_array(qconj_array(m), entries), m)
@@ -468,7 +468,8 @@ def test_complex_subfield_stays_complex(m, i, n, cayley_member):
         assert _jk_free(semi_normalize(c).gram) <= 1e-12
         if m >= 4:
             prof = profile(c)
-            assert _jk_free([q.to_array() for q in prof.quaternion_slots()]) <= 1e-12
+            slots = [prof.u0, *(s.u for s in prof.pair_slots), *(s.value for s in prof.x_slots)]
+            assert _jk_free([q.to_array() for q in slots]) <= 1e-12
     dec = congruent(cfg, moved)
     assert dec.verdict is Verdict.CONGRUENT
     assert dec.residual < 1e-7

@@ -15,8 +15,8 @@ from qhyp.invariants import (
     cross_ratio,
     cross_ratio_triple,
     distance_invariant,
+    _rotation_invariants,
     profile,
-    rotation_invariant,
     x_slot_families,
     x_slot_indices,
 )
@@ -192,10 +192,11 @@ def test_distance_invariant_wrong_type(sp1):
 # -- rotation invariant -------------------------------------------------------------
 
 def test_rotation_invariant_values():
-    assert rotation_invariant(Quaternion(1, 2, 0, 0)).approx_eq(I, 1e-12)
-    assert rotation_invariant(Quaternion.real(5)).is_zero()
-    u = rotation_invariant(Quaternion(1, 1, 1, 1))
-    assert u.approx_eq(Quaternion(0, 1, 1, 1) / math.sqrt(3), 1e-12)
+    u = _rotation_invariants(np.array([[1.0, 2.0, 0.0, 0.0], [5.0, 0.0, 0.0, 0.0],
+                                       [1.0, 1.0, 1.0, 1.0]]))
+    assert Quaternion.from_seq(u[0]).approx_eq(I, 1e-12)
+    assert Quaternion.from_seq(u[1]).is_zero()
+    assert Quaternion.from_seq(u[2]).approx_eq(Quaternion(0, 1, 1, 1) / math.sqrt(3), 1e-12)
 
 
 # -- profile ----------------------------------------------------------------------
@@ -301,9 +302,14 @@ def test_profile_invariance_up_to_sp1():
         for s1, s2 in zip(prof.pair_slots, prof2.pair_slots):
             assert s2.d == pytest.approx(s1.d, rel=1e-7)
             assert s2.a == pytest.approx(s1.a, abs=1e-7)
-        mu = sp1_align(np.array([q.to_array() for q in prof.quaternion_slots()]),
-                       np.array([q.to_array() for q in prof2.quaternion_slots()]), 1e-6)
+        mu = sp1_align(quaternion_slots(prof), quaternion_slots(prof2), 1e-6)
         assert mu is not None
+
+
+def quaternion_slots(prof):
+    """Every conjugation-covariant entry of a profile, as a (k, 4) array."""
+    slots = [prof.u0, *(s.u for s in prof.pair_slots), *(s.value for s in prof.x_slots)]
+    return np.array([q.to_array() for q in slots])
 
 
 def _config_484():
@@ -335,6 +341,13 @@ def test_profile_rejects_a_vanishing_factor():
     with pytest.raises(DegenerateConfigurationError,
                        match="vanishing pairing in a cross-ratio factor"):
         profile(_config_484(), tol=1.0)
+
+
+def test_profile_gauge_does_not_move_with_tol():
+    # tol sets only the vanishing-factor test; the canonical gauge that
+    # semi-normalization fixes (u0, a23 and every quaternion slot) is the same
+    cfg = sample_config(HermitianSpace(4), 8, 4, np.random.default_rng((1, 0)))
+    assert profile(cfg, 1e-3) == profile(cfg)
 
 
 def test_profile_makes_no_scalar_pairings(monkeypatch):

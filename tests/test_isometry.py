@@ -11,13 +11,10 @@ from qhyp.isometry import (
     EllipticSpec,
     HyperbolicSpec,
     Isometry,
-    classify,
     conjugate_single,
     equal_by_invariants,
-    is_member,
     random_member,
     random_semisimple,
-    real_trace,
 )
 from qhyp.linalg import HermitianSpace, HMatrix, HVector, stacked
 from qhyp.quaternion import Quaternion
@@ -48,9 +45,9 @@ def elliptic_n1(alpha, beta):
 
 def test_membership_examples():
     sp = HermitianSpace(1)
-    assert is_member(HMatrix.identity(2), sp)
-    assert is_member(HMatrix.diag_complex([2.0, 0.5]), sp)
-    assert not is_member(HMatrix.diag_complex([2.0, 1.0]), sp)
+    assert sp.is_member(HMatrix.diag_complex([1.0, 1.0]))
+    assert sp.is_member(HMatrix.diag_complex([2.0, 0.5]))
+    assert not sp.is_member(HMatrix.diag_complex([2.0, 1.0]))
 
 
 def test_membership_closed_under_product_and_inverse():
@@ -66,14 +63,14 @@ def test_membership_closed_under_product_and_inverse():
 def test_classify_hyperbolic_diag():
     sp = HermitianSpace(1)
     A = Isometry(HMatrix.diag_complex([2.0, 0.5]), sp)
-    assert classify(A) is Classification.HYPERBOLIC
+    assert A.classification is Classification.HYPERBOLIC
 
 
 def test_classify_elliptic_example():
     # diag(i, i): the vector (-1, 1)/sqrt(2) is a negative i-eigenvector
     sp = HermitianSpace(1)
     A = Isometry(HMatrix.diag_complex([1j, 1j]), sp)
-    assert classify(A) is Classification.ELLIPTIC
+    assert A.classification is Classification.ELLIPTIC
     v = qv(-1 / math.sqrt(2), 1 / math.sqrt(2))
     image = A.matrix.apply(v)
     assert (image - v.times(Quaternion.i())).norm() < 1e-12
@@ -84,7 +81,7 @@ def test_classify_parabolic_heisenberg():
     sp = HermitianSpace(1)
     t = Quaternion(0, 0.7, -0.3, 0.2)
     A = Isometry(HMatrix.from_quaternions([[ONE, t], [Q0, ONE]]), sp)
-    assert classify(A) is Classification.PARABOLIC
+    assert A.classification is Classification.PARABOLIC
     with pytest.raises(UnsupportedElementError):
         A.real_trace()
     with pytest.raises(UnsupportedElementError):
@@ -106,12 +103,12 @@ def test_classification_invariant_under_conjugation():
 
 def test_real_trace_examples():
     sp = HermitianSpace(1)
-    np.testing.assert_allclose(real_trace(Isometry(HMatrix.identity(2), sp)), [-4],
-                               atol=1e-12)
+    np.testing.assert_allclose(Isometry(HMatrix.diag_complex([1.0, 1.0]), sp).real_trace(),
+                               [-4], atol=1e-12)
     np.testing.assert_allclose(
-        real_trace(Isometry(HMatrix.diag_complex([2.0, 0.5]), sp)), [-5], atol=1e-12)
+        Isometry(HMatrix.diag_complex([2.0, 0.5]), sp).real_trace(), [-5], atol=1e-12)
     np.testing.assert_allclose(
-        real_trace(Isometry(HMatrix.diag_complex([2j, 0.5j]), sp)), [0], atol=1e-12)
+        Isometry(HMatrix.diag_complex([2j, 0.5j]), sp).real_trace(), [0], atol=1e-12)
 
 
 def test_real_trace_conjugation_invariant():
@@ -222,7 +219,7 @@ def test_random_semisimple_trace_matches_normal_form():
 
 def test_random_semisimple_identity_spec():
     A = random_semisimple(Classification.ELLIPTIC, 2, EllipticSpec((0.0, 0.0, 0.0)), seed=14)
-    assert (A.matrix - HMatrix.identity(3)).norm() < 1e-8
+    assert (A.matrix - HMatrix.diag_complex(np.ones(3))).norm() < 1e-8
 
 
 def test_random_semisimple_two_seeds_conjugate():

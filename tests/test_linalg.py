@@ -22,13 +22,12 @@ from qhyp.linalg import (
     HMatrix,
     HVector,
     PointType,
-    char_poly_real_coeffs,
-    complex_embed,
     corner_form,
     line_residuals,
     _cluster_eigenvalues,
     _eigenspace_basis,
     _self_pairings,
+    _times_j,
     _type_and_normalize,
     components_from_stacked,
     orthonormal_form_basis,
@@ -41,7 +40,9 @@ from qhyp.linalg import (
 )
 from qhyp.pairs import eigenframe
 from qhyp.quaternion import Quaternion, complex_pairs, from_complex_pairs
-from qhyp.tolerances import DIVISION_FLOOR, NEWTON_MAX_STEPS, NEWTON_STEP_RTOL, UNIT_MODULUS_TOL
+from qhyp.gram import SemiNormalizedGram
+from qhyp.tolerances import (CHAR_COEFF_TOL, DIVISION_FLOOR, NEWTON_MAX_STEPS, NEWTON_STEP_RTOL,
+                             UNIT_MODULUS_TOL)
 from qhyp.sampling import (random_elliptic_spec, random_hyperbolic_spec, sample_pair,
                            sample_semisimple)
 
@@ -67,6 +68,15 @@ def random_hvector(rng, N, scale=1.0):
         [Quaternion.from_seq(rng.uniform(-scale, scale, 4)) for _ in range(N)])
 
 
+def grid_of(A):
+    """The entries of an HMatrix as a grid of quaternions."""
+    return [[Quaternion(*c) for c in row] for row in A.components().tolist()]
+
+
+def identity(N):
+    return HMatrix.diag_complex(np.ones(N))
+
+
 # -- embedding -------------------------------------------------------------
 
 def test_embed_scalars():
@@ -79,8 +89,8 @@ def test_embed_scalars():
 
 def test_embed_identity():
     n = 2
-    M = HMatrix.identity(n + 1)
-    np.testing.assert_allclose(complex_embed(M), np.eye(2 * (n + 1)))
+    M = identity(n + 1)
+    np.testing.assert_allclose(M.emb, np.eye(2 * (n + 1)))
 
 
 def test_embed_multiplicative():
@@ -88,15 +98,15 @@ def test_embed_multiplicative():
     for _ in range(20):
         A = random_hmatrix(rng, 3)
         B = random_hmatrix(rng, 3)
-        lhs = complex_embed(A @ B)
-        rhs = complex_embed(A) @ complex_embed(B)
+        lhs = (A @ B).emb
+        rhs = A.emb @ B.emb
         assert np.max(np.abs(lhs - rhs)) < 1e-10
 
 
 def test_embed_star_and_grid_roundtrip():
     rng = np.random.default_rng(11)
     A = random_hmatrix(rng, 3)
-    grid = A.to_grid()
+    grid = grid_of(A)
     again = HMatrix.from_quaternions(grid)
     assert np.max(np.abs(A.emb - again.emb)) < 1e-14
     # the component array round-trips bit for bit, signed zeros included
@@ -107,8 +117,8 @@ def test_embed_star_and_grid_roundtrip():
     assert back.tobytes() == comps.tobytes()
     assert HVector.from_components(comps[0]).components().tobytes() == comps[0].tobytes()
     assert np.array_equal([[q.to_array() for q in row] for row in grid], A.components())
-    # star is entrywise conjugate transpose
-    S = A.star().to_grid()
+    # the embedding's conjugate transpose is the entrywise conjugate transpose
+    S = grid_of(HMatrix(A.emb.conj().T))
     for r in range(3):
         for c in range(3):
             assert S[r][c].approx_eq(grid[c][r].conj(), 1e-14)
@@ -128,7 +138,7 @@ def test_quaternion_grids_are_the_from_seq_grids_bitwise():
     comps[rng.uniform(size=comps.shape) < 0.2] = 0.0
     comps[rng.uniform(size=comps.shape) < 0.2] = -0.0
     A, v = HMatrix.from_components(comps), HVector.from_components(comps[1])
-    grid = A.to_grid()
+    grid = SemiNormalizedGram(4, 4, A.components()).entries
     assert [len(row) for row in grid] == [4] * 4
     assert _component_bits(q for row in grid for q in row) == _component_bits(
         Quaternion.from_seq(c) for row in A.components() for c in row)
@@ -154,7 +164,7 @@ def test_matrix_vector_action_matches_entries():
     A = random_hmatrix(rng, 3)
     v = random_hvector(rng, 3)
     image = A.apply(v).entries()
-    grid = A.to_grid()
+    grid = grid_of(A)
     ve = v.entries()
     for r in range(3):
         direct = Quaternion()
@@ -170,7 +180,7 @@ def test_right_scalar_action():
     scaled = v.times(q).entries()
     for ve, se in zip(v.entries(), scaled):
         assert se.approx_eq(ve * q, 1e-12)
-    assert v.times_j().entry(0).approx_eq(v.entry(0) * J, 1e-12)
+    assert HVector(_times_j(v.s)).entries()[0].approx_eq(v.entries()[0] * J, 1e-12)
 
 
 @pytest.mark.parametrize("N,m", [(2, 3), (3, 5), (5, 8), (9, 12)])
@@ -190,7 +200,7 @@ def test_stacked_arrays_match_the_per_vector_results_bitwise(N, m):
         assert np.array_equal(common[:, k], v.times(one).s)
         assert np.array_equal(comps[k], v.components())
     assert np.array_equal(stacked_from_components(comps), S)
-    per_vector = np.concatenate([np.stack([v.s, v.times_j().s], axis=1) for v in vectors],
+    per_vector = np.concatenate([np.stack([v.s, _times_j(v.s)], axis=1) for v in vectors],
                                 axis=1)
     assert np.array_equal(two_columns(S), per_vector)
     sp = HermitianSpace(N - 1)
@@ -266,7 +276,7 @@ def diag_member(entries):
 
 def test_membership_examples():
     sp = HermitianSpace(1)
-    assert sp.is_member(HMatrix.identity(2))
+    assert sp.is_member(identity(2))
     assert sp.is_member(diag_member([2.0, 0.5]))
     assert not sp.is_member(diag_member([2.0, 1.0]))
 
@@ -361,8 +371,13 @@ def test_project_to_group_permutation_is_the_dense_product(n):
 
 # -- characteristic polynomial ----------------------------------------------
 
+def char_poly_real_coeffs(A, tol=CHAR_COEFF_TOL):
+    """Middle coefficients of the characteristic polynomial of A's embedding."""
+    return spectrum_char_coeffs(np.linalg.eigvals(A.emb), tol)
+
+
 def test_char_poly_identity():
-    coeffs = char_poly_real_coeffs(HMatrix.identity(2))
+    coeffs = char_poly_real_coeffs(identity(2))
     np.testing.assert_allclose(coeffs, [-4, 6, -4], atol=1e-12)
 
 

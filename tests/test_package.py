@@ -38,6 +38,30 @@ def test_no_unused_imports():
     assert unused == []
 
 
+def test_every_definition_is_reached_from_the_library():
+    # every function, class and method defined in the package (dunders
+    # aside) is referenced by name in some module other than __init__.py,
+    # so no spelling is kept alive by its export or by tests alone
+    referenced, defined = set(), []
+    for path in sorted(Path(qhyp.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        if path.name != "__init__.py":
+            referenced |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            referenced |= {node.attr for node in ast.walk(tree)
+                           if isinstance(node, ast.Attribute)}
+        scopes = [(tree.body, "")]
+        while scopes:
+            body, prefix = scopes.pop()
+            for node in body:
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    defined.append((f"{path.name}: {prefix}{node.name}", node.name))
+                    if isinstance(node, ast.ClassDef):
+                        scopes.append((node.body, f"{node.name}."))
+    unreached = [where for where, name in defined
+                 if name not in referenced and not re.fullmatch("__.*__", name)]
+    assert unreached == []
+
+
 def test_every_parameter_is_read():
     # every parameter of every function is read in that function's body;
     # self, cls and _-prefixed names are exempt

@@ -11,23 +11,28 @@ from qhyp.isometry import (
     random_member,
     random_semisimple,
 )
-from qhyp.linalg import HermitianSpace, HMatrix, PointType, stacked, two_columns
+from qhyp.linalg import HermitianSpace, HMatrix, HVector, PointType, nullspace, stacked, two_columns
 from qhyp import pairs
 from qhyp.pairs import (
     eigenframe,
     have_common_fixed_point,
     pair_conjugate,
-    REASON_GRASSMANNIAN,
-    REASON_ORBIT,
+    REASON_NO_CONJUGATOR,
     REASON_TRACE,
     REASON_UNVERIFIED,
+    _intertwiner_rows,
 )
 from qhyp.quaternion import Quaternion
 from qhyp.sampling import sample_pair, sample_semisimple
-from qhyp.tolerances import FIXED_SET_RANK_ATOL
+from qhyp.tolerances import FIXED_SET_RANK_ATOL, INTERTWINER_RTOL
 
 HYP = Classification.HYPERBOLIC
 ELL = Classification.ELLIPTIC
+
+
+def column(M, k):
+    """Column k of a quaternionic matrix: the same column of its embedding."""
+    return HVector(M.emb[:, k])
 
 
 def conjugated_pair(space, A, B, rng):
@@ -46,7 +51,7 @@ def test_eigenframe_diagonal_hyperbolic():
     assert f.kind is HYP
     assert abs(f.reps[0]) == pytest.approx(2.0)
     assert abs(f.reps[-1]) == pytest.approx(0.5)
-    assert sp.herm(f.C.column(0), f.C.column(sp.dim - 1)).approx_eq(Quaternion.one(), 1e-10)
+    assert sp.herm(column(f.C, 0), column(f.C, sp.dim - 1)).approx_eq(Quaternion.one(), 1e-10)
 
 
 def test_eigenframe_reassembly_random():
@@ -57,10 +62,10 @@ def test_eigenframe_reassembly_random():
         resid = (f.C @ f.E @ f.C.inverse() - A.matrix).norm()
         assert resid < 1e-8 * max(1, A.matrix.norm())
         # frame columns satisfy the normalization equations
-        assert sp.herm(f.C.column(0), f.C.column(sp.dim - 1)).approx_eq(Quaternion.one(), 1e-8)
-        x = f.C.column(1)
+        assert sp.herm(column(f.C, 0), column(f.C, sp.dim - 1)).approx_eq(Quaternion.one(), 1e-8)
+        x = column(f.C, 1)
         assert sp.herm(x, x).approx_eq(Quaternion.one(), 1e-8)
-        assert sp.herm(x, f.C.column(0)).norm() < 1e-8
+        assert sp.herm(x, column(f.C, 0)).norm() < 1e-8
 
 
 def test_eigenframe_elliptic_normalization():
@@ -68,9 +73,9 @@ def test_eigenframe_elliptic_normalization():
     A = random_semisimple(ELL, 2, EllipticSpec((0.4, 1.0, 2.2)), seed=3)
     f = eigenframe(A)
     assert f.kind is ELL
-    assert sp.herm(f.C.column(0), f.C.column(0)).approx_eq(Quaternion.real(-1), 1e-8)
+    assert sp.herm(column(f.C, 0), column(f.C, 0)).approx_eq(Quaternion.real(-1), 1e-8)
     for k in range(1, sp.dim):
-        x = f.C.column(k)
+        x = column(f.C, k)
         assert sp.herm(x, x).approx_eq(Quaternion.one(), 1e-8)
     resid = (f.C @ f.E @ f.C.inverse() - A.matrix).norm()
     assert resid < 1e-8
@@ -100,7 +105,8 @@ def _per_pair_common_fixed_point(A, B):
 def _near_identity(sp, rng, eps):
     """A member within about eps of the identity: the polar factor of I + eps X."""
     X = rng.normal(size=(sp.dim, sp.dim, 4))
-    return sp.project_to_group(HMatrix.identity(sp.dim) + HMatrix.from_components(eps * X))
+    I = HMatrix.diag_complex(np.ones(sp.dim))
+    return sp.project_to_group(I + HMatrix.from_components(eps * X))
 
 
 @pytest.mark.parametrize("n", [1, 2, 4])
@@ -185,12 +191,12 @@ def test_pair_conjugate_orbit_separated():
     dec = pair_conjugate(A, B, A, B_moved)
     assert dec.verdict in (Verdict.NOT_CONJUGATE, Verdict.CONJUGATE)
     if dec.verdict is Verdict.NOT_CONJUGATE:
-        assert dec.reason in (REASON_ORBIT, REASON_GRASSMANNIAN)
+        assert dec.reason == REASON_NO_CONJUGATOR
 
 
-def test_pair_conjugate_grassmannian_separated():
-    # move one eigenset by j: same traces, same fixed points, different point
-    # on the class Grassmannian
+def _grassmannian_moved_pair():
+    """A hyperbolic pair (A, B) and A with one eigenset moved by j: same traces,
+    same fixed points, different point on the class Grassmannian."""
     sp = HermitianSpace(1)
     rng = np.random.default_rng(83)
     A, B = sample_pair(sp, rng, kinds=(HYP, HYP))
@@ -198,10 +204,50 @@ def test_pair_conjugate_grassmannian_separated():
     D = HMatrix.from_quaternions([[Quaternion.j(), Quaternion()],
                                   [Quaternion(), Quaternion.j()]])
     A_moved = Isometry(sp.project_to_group(f.C @ D @ f.E @ D.inverse() @ f.C.inverse()), sp)
+    return A, B, A_moved
+
+
+def test_pair_conjugate_grassmannian_separated():
+    A, B, A_moved = _grassmannian_moved_pair()
     assert np.max(np.abs(A_moved.real_trace() - A.real_trace())) < 1e-8
     dec = pair_conjugate(A, B, A_moved, B)
     assert dec.verdict is Verdict.NOT_CONJUGATE
-    assert dec.reason == REASON_GRASSMANNIAN
+    assert dec.reason == REASON_NO_CONJUGATOR
+    # what separates the pair: an intertwiner exists once the nonreal blocks
+    # may take quaternionic entries, so only the complex blocks rule it out
+    fa, fa2 = eigenframe(A), eigenframe(A_moved)
+    m = (fa.Cinv @ B.matrix @ fa.C).components()
+    m2 = (fa2.Cinv @ B.matrix @ fa2.C).components()
+    reps = np.array(fa.reps)
+    N = len(reps)
+    block = np.repeat(reps[:, None] == reps[None, :], 4).reshape(N, N, 4)
+    assert nullspace(_intertwiner_rows(m, m2, block), INTERTWINER_RTOL).shape[1] > 0
+
+
+@pytest.mark.parametrize("moved", ["grassmannian", "orbit"])
+def test_separated_pair_takes_one_null_space(moved, monkeypatch):
+    if moved == "grassmannian":
+        A, B, A2 = _grassmannian_moved_pair()
+        B2 = B
+    else:  # B moved by a second member: no intertwiner at all
+        sp = HermitianSpace(2)
+        rng = np.random.default_rng(85)
+        A, B = sample_pair(sp, rng, kinds=(HYP, ELL))
+        C = random_member(sp, rng)
+        A2 = Isometry(sp.project_to_group(C @ A.matrix @ C.inverse()), sp)
+        CD = C @ random_member(sp, rng)
+        B2 = Isometry(sp.project_to_group(CD @ B.matrix @ CD.inverse()), sp)
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return nullspace(*args)
+
+    monkeypatch.setattr(pairs, "nullspace", counting)
+    dec = pair_conjugate(A, B, A2, B2)
+    assert dec.verdict is Verdict.NOT_CONJUGATE
+    assert dec.reason == REASON_NO_CONJUGATOR
+    assert len(calls) == 1
 
 
 KIND_PAIRS = [(HYP, HYP), (ELL, ELL), (HYP, ELL), (ELL, HYP)]

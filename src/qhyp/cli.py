@@ -2,7 +2,8 @@
 conjugacy decisions, seeded sampling, and the verification suite.
 
 Exit codes: 0 success / positive verdict, 1 negative verdict or failed
-verification, 2 malformed input, 3 inconclusive, 141 stdout closed early.
+verification, 2 malformed input, 3 inconclusive (also a numerical failure on
+well-formed input), 141 stdout closed early.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import QhypError
+from .errors import NumericalError, QhypError
 from .tolerances import CLASSIFY_TOL_FLOOR, DECIDER_TOL_FLOOR, DEFAULT_TOL
 
 
@@ -194,6 +195,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except BrokenPipeError:  # exit as a SIGPIPE kill would; the exit-time flush goes nowhere
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
+    except NumericalError as exc:  # the input was read; the computation could not decide
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     except QhypError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

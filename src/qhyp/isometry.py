@@ -1,9 +1,10 @@
 """Group membership, classification, real trace, and single-element conjugacy.
 
-An isometry here is a validated matrix A with A* H A = H, carrying its
-eigen-decomposition, classification, and real trace as eagerly computed
-caches.  Parabolic elements (defective over the quaternions) are detected
-and refused by everything downstream of detection.
+An isometry here is a validated matrix A with A* H A = H.  Membership is
+checked when it is built; its eigen-decomposition, classification and real
+trace are computed once, on first use, or together with other members by
+:func:`decompose`.  Parabolic elements (defective over the quaternions) are
+detected and refused by everything downstream of detection.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from .errors import (
     InvalidSpecError,
     NotSemisimpleError,
     NumericalError,
+    QhypError,
     UnsupportedElementError,
 )
 from .linalg import (
@@ -48,9 +50,11 @@ class Classification(Enum):
 class Isometry:
     """A member of the isometry group with cached spectral data.
 
-    Immutable after construction; the eigen-decomposition, classification
-    and real trace are computed eagerly.  ``eigen`` is ``None`` exactly for
-    parabolic elements, which downstream operations refuse.
+    Membership is checked at construction.  ``eigen``, ``classification``
+    and the real trace are set by :func:`decompose`, which the first read of
+    one of them runs; an error of that decomposition is raised on every
+    read.  ``eigen`` is ``None`` exactly for parabolic elements, which
+    downstream operations refuse.
     """
 
     def __init__(self, matrix: HMatrix, space: HermitianSpace,
@@ -63,17 +67,15 @@ class Isometry:
                 f"(residual {space.member_residual(matrix):.3e})")
         self.matrix = matrix
         self.space = space
-        self.eigen: Optional[EigenData] = None
-        try:
-            self.eigen = right_eigen(matrix, space, tol)
-            self.classification = _classify_from_eigen(self.eigen)
-        except NotSemisimpleError:
-            self.classification = Classification.PARABOLIC
-        if self.classification is Classification.PARABOLIC:
-            self._real_trace = None
-        else:
-            coeffs = spectrum_char_coeffs(self.eigen.spectrum, max(tol, CHAR_COEFF_TOL))
-            self._real_trace = coeffs[:space.n].copy()
+        self.tol = tol
+
+    def __getattr__(self, name: str):  # only reached while ``name`` is unset
+        if name not in ("eigen", "classification", "_real_trace"):
+            raise AttributeError(name)
+        decompose([self])
+        if "_error" in vars(self):
+            raise self._error
+        return vars(self)[name]
 
     @property
     def n(self) -> int:
@@ -96,14 +98,51 @@ class Isometry:
         return f"Isometry(n={self.n}, {self.classification.value})"
 
 
+def decompose(members: Sequence[Isometry]) -> None:
+    """Decompose the members not decomposed yet that share the first one's
+    space and tolerance together, with one stacked :func:`right_eigen` and
+    one stacked characteristic-coefficient pass (any others decompose on
+    first use).  Each member gets its own result, or keeps the error that its
+    decomposition alone raises."""
+    todo = [x for x in dict.fromkeys(members)
+            if "classification" not in vars(x) and "_error" not in vars(x)]
+    if not todo:
+        return
+    space, tol = todo[0].space, todo[0].tol
+    group = [x for x in todo if x.space.dim == space.dim and x.tol == tol]
+    found = []  # (member, eigen, classification) of the semisimple members
+    for x, eigen in zip(group, right_eigen([x.matrix for x in group], space, tol)):
+        if isinstance(eigen, NotSemisimpleError):
+            x.eigen, x.classification, x._real_trace = None, Classification.PARABOLIC, None
+        elif isinstance(eigen, QhypError):
+            x._error = eigen
+        else:
+            try:
+                found.append((x, eigen, _classify_from_eigen(eigen)))
+            except NumericalError as exc:
+                x._error = exc
+    if not found:
+        return
+    try:
+        traces = spectrum_char_coeffs(np.array([eigen.spectrum for _, eigen, _ in found]),
+                                      max(tol, CHAR_COEFF_TOL))
+    except NumericalError as exc:  # pin the error on its members: each alone
+        if len(found) == 1:
+            found[0][0]._error = exc
+        else:
+            for x, _, _ in found:
+                decompose([x])
+        return
+    for (x, eigen, kind), coeffs in zip(found, traces):
+        x.eigen, x.classification, x._real_trace = eigen, kind, coeffs[:space.n].copy()
+
+
 def _classify_from_eigen(eigen: EigenData) -> Classification:
-    moduli = [c.modulus for c in eigen.classes]
-    if max(moduli) > 1.0 + HYPERBOLIC_MODULUS_TOL:
-        nulls = [c for c in eigen.classes if c.kind == PointType.NULL]
-        if len(nulls) != 2:
+    if max(eigen.moduli) > 1.0 + HYPERBOLIC_MODULUS_TOL:
+        if eigen.kinds.count(PointType.NULL) != 2:
             raise NumericalError("expanding spectrum without a null fixed pair")
         return Classification.HYPERBOLIC
-    if not any(c.kind == PointType.NEGATIVE for c in eigen.classes):
+    if PointType.NEGATIVE not in eigen.kinds:
         raise NumericalError("unit spectrum without a negative eigenvector")
     return Classification.ELLIPTIC
 
@@ -112,22 +151,21 @@ def _classify_from_eigen(eigen: EigenData) -> Classification:
 # Single-element conjugacy (eigenvalue-class comparison)
 # ---------------------------------------------------------------------------
 
-def _class_multisets_match(a: Sequence[EigenClass],
-                           b: Sequence[EigenClass]) -> Optional[list[tuple[int, int]]]:
+def _class_multisets_match(a: EigenData, b: EigenData) -> Optional[list[tuple[int, int]]]:
     """Greedy tolerance matching of two class multisets: the matched index
     pairs, or None.  A sorted zip would misalign near-ties."""
-    if len(a) != len(b):
+    if len(a.reps) != len(b.reps):
         return None
-    used = [False] * len(b)
+    mults_a, mults_b = a.multiplicities.tolist(), b.multiplicities.tolist()
+    used = [False] * len(mults_b)
     pairs = []
-    for ia, ca in enumerate(a):
+    for ia, (ma, ta) in enumerate(zip(a.moduli, a.angles)):
         hit = None
-        for idx, cb in enumerate(b):
-            if used[idx] or cb.multiplicity != ca.multiplicity:
+        for idx, (mb, tb) in enumerate(zip(b.moduli, b.angles)):
+            if used[idx] or mults_b[idx] != mults_a[ia]:
                 continue
-            scale = max(1.0, ca.modulus, cb.modulus)
-            if (abs(ca.modulus - cb.modulus) <= CLASS_MATCH_TOL * scale
-                    and abs(ca.angle - cb.angle) <= CLASS_MATCH_TOL):
+            scale = max(1.0, ma, mb)
+            if abs(ma - mb) <= CLASS_MATCH_TOL * scale and abs(ta - tb) <= CLASS_MATCH_TOL:
                 hit = idx
                 break
         if hit is None:
@@ -148,16 +186,17 @@ def conjugate_single(A: Isometry, B: Isometry) -> bool:
         raise UnsupportedElementError("conjugacy test supports semisimple elements only")
     if A.classification is not B.classification:
         return False
-    if _class_multisets_match(A.classes(), B.classes()) is None:
+    ea, eb = A.eigen, B.eigen
+    if _class_multisets_match(ea, eb) is None:
         return False
     if A.classification is Classification.ELLIPTIC:
-        neg_a = [c for c in A.classes() if c.kind == PointType.NEGATIVE]
-        neg_b = [c for c in B.classes() if c.kind == PointType.NEGATIVE]
+        neg_a = [k for k, kind in enumerate(ea.kinds) if kind == PointType.NEGATIVE]
+        neg_b = [k for k, kind in enumerate(eb.kinds) if kind == PointType.NEGATIVE]
         if len(neg_a) != 1 or len(neg_b) != 1:
             raise NumericalError("elliptic element without a unique negative class")
         a, b = neg_a[0], neg_b[0]
-        if (abs(a.modulus - b.modulus) > CLASS_MATCH_TOL
-                or abs(a.angle - b.angle) > CLASS_MATCH_TOL):
+        if (abs(ea.moduli[a] - eb.moduli[b]) > CLASS_MATCH_TOL
+                or abs(ea.angles[a] - eb.angles[b]) > CLASS_MATCH_TOL):
             return False
     return True
 
@@ -190,7 +229,7 @@ def equal_by_invariants(A: Isometry, B: Isometry) -> bool:
     ta, tb = A.real_trace(), B.real_trace()
     if not np.allclose(ta, tb, atol=TRACE_RTOL * max(1.0, float(np.max(np.abs(ta))))):
         return False
-    pairs = _class_multisets_match(A.classes(), B.classes())
+    pairs = _class_multisets_match(A.eigen, B.eigen)
     return pairs is not None and all(_eigensets_equal(A.classes()[ia], B.classes()[ib])
                                      for ia, ib in pairs)
 

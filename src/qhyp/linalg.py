@@ -14,8 +14,10 @@ J-symmetry s -> J conj(s) realizes right multiplication by j.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property, lru_cache
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -26,6 +28,7 @@ from .errors import (
     InvalidSpecError,
     NotSemisimpleError,
     NumericalError,
+    QhypError,
 )
 from .quaternion import Quaternion, complex_pairs, from_complex_pairs
 from .tolerances import (BASIS_RANK_RTOL, CENTRALIZER_RTOL, CHAR_COEFF_TOL, CLUSTER_RTOL,
@@ -263,6 +266,19 @@ def corner_form(N: int) -> np.ndarray:
     return H
 
 
+@lru_cache(maxsize=None)
+def _form_arrays(N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The corner form, and the permutation perm and permutation matrix
+    H_emb = diag(H, H) of its embedding (H_emb X H_emb = X[perm][:, perm]),
+    read-only: one set per dimension, shared by every space."""
+    perm = np.arange(2 * N)
+    perm[[0, N - 1, N, 2 * N - 1]] = [N - 1, 0, 2 * N - 1, N]
+    arrays = corner_form(N), perm, np.eye(2 * N, dtype=complex)[perm]
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
 class HermitianSpace:
     """H^{n,1}: right quaternionic (n+1)-space with a signature-(n,1) form."""
 
@@ -271,13 +287,7 @@ class HermitianSpace:
             raise InvalidSpecError("need n >= 1")
         self.n = n
         self.dim = n + 1
-        self.H = corner_form(self.dim)
-        self.H_emb = np.zeros((2 * self.dim, 2 * self.dim), dtype=complex)
-        self.H_emb[:self.dim, :self.dim] = self.H_emb[self.dim:, self.dim:] = self.H
-        # H_emb is a permutation matrix: H_emb X H_emb = X[perm][:, perm]
-        N = self.dim
-        self.perm = np.arange(2 * N)
-        self.perm[[0, N - 1, N, 2 * N - 1]] = [N - 1, 0, 2 * N - 1, N]
+        self.H, self.perm, self.H_emb = _form_arrays(self.dim)
 
     def herm(self, z: HVector, w: HVector) -> Quaternion:
         """The form <z, w> = w* H z (conjugate-linear in w)."""
@@ -306,7 +316,7 @@ class HermitianSpace:
     def member_residual(self, A: HMatrix) -> float:
         """Frobenius norm of A* H A - H in the embedding."""
         M = A.emb
-        return float(np.linalg.norm(M.conj().T @ self.H_emb @ M - self.H_emb)) / math.sqrt(2.0)
+        return float(np.linalg.norm(M.conj().T[:, self.perm] @ M - self.H_emb)) / math.sqrt(2.0)
 
     def is_member(self, A: HMatrix, tol: float = DEFAULT_TOL) -> bool:
         return self.member_residual(A) <= tol * max(1.0, A.norm() ** 2)
@@ -353,21 +363,24 @@ def point_types(self_pairings: np.ndarray, S: np.ndarray,
 
 def spectrum_char_coeffs(eigs: np.ndarray, tol: float = CHAR_COEFF_TOL) -> np.ndarray:
     """Middle coefficients (a_1 .. a_{2n+1}) of the characteristic polynomial
-    of an embedding with eigenvalues ``eigs``.
+    of an embedding with eigenvalues ``eigs``, or of every embedding of a
+    stack whose eigenvalues are the rows of ``eigs``.
 
     The leading and trailing coefficients are 1 and are dropped.  Imaginary
     parts must vanish and the sequence must be palindromic; a violation
     signals a non-member or a numerical failure.
     """
-    coeffs = np.zeros(len(eigs) + 1, dtype=complex)  # coeffs[0] == 1
+    lams = np.ascontiguousarray(eigs.T)  # lams[k]: eigenvalue k of each row
+    coeffs = np.zeros((len(lams) + 1,) + lams.shape[1:], dtype=complex)
     coeffs[0] = 1.0
-    for k, lam in enumerate(eigs.tolist()):  # times (x - lam)
+    for k, lam in enumerate(lams):  # times (x - lam)
         coeffs[1:k + 2] -= lam * coeffs[:k + 1]
-    scale = max(1.0, float(np.max(np.abs(coeffs))))
-    if np.max(np.abs(coeffs.imag)) > tol * scale:
+    coeffs = coeffs.T
+    scale = np.maximum(1.0, np.abs(coeffs).max(axis=-1))
+    if (np.abs(coeffs.imag).max(axis=-1) > tol * scale).any():
         raise NumericalError("characteristic coefficients have imaginary residue")
-    full = coeffs.real[1:-1]
-    if np.max(np.abs(full - full[::-1])) > tol * scale:
+    full = coeffs.real[..., 1:-1]
+    if (np.abs(full - full[..., ::-1]).max(axis=-1) > tol * scale).any():
         raise NumericalError("characteristic coefficients are not palindromic")
     return full
 
@@ -403,14 +416,37 @@ class EigenClass:
 
 @dataclass(frozen=True, eq=False)  # arrays have no single truth value: equality is identity
 class EigenData:
-    """The classes, by decreasing modulus then angle, and the embedding's
-    spectrum they were read from (read-only)."""
+    """The classes, by decreasing modulus then angle, as arrays: their
+    representatives ``reps``, ``multiplicities`` and ``kinds``, and the
+    stacked (2N, N) ``vectors`` of their pinned eigensets, class after class;
+    and the embedding's spectrum they were read from.  The arrays are
+    read-only; the classes' moduli, angles and first columns are lists made
+    at construction, and ``classes`` builds the EigenClass objects on first
+    read."""
 
-    classes: tuple[EigenClass, ...]
+    reps: np.ndarray
+    multiplicities: np.ndarray
+    kinds: tuple[PointType, ...]
+    vectors: np.ndarray
     spectrum: np.ndarray
+    moduli: list[float] = field(init=False)
+    angles: list[float] = field(init=False)
+    starts: list[int] = field(init=False)  # class k: columns starts[k]:starts[k + 1]
 
     def __post_init__(self) -> None:
-        self.spectrum.setflags(write=False)
+        for a in (self.reps, self.multiplicities, self.vectors, self.spectrum):
+            a.setflags(write=False)
+        reps = self.reps.tolist()
+        object.__setattr__(self, "moduli", [abs(r) for r in reps])
+        object.__setattr__(self, "angles", [math.atan2(r.imag, r.real) for r in reps])
+        object.__setattr__(self, "starts", [0, *accumulate(self.multiplicities.tolist())])
+
+    @cached_property
+    def classes(self) -> tuple[EigenClass, ...]:
+        s = self.starts
+        return tuple(EigenClass(rep, s[k + 1] - s[k], kind,
+                                tuple(map(HVector, self.vectors[:, s[k]:s[k + 1]].T.copy())))
+                     for k, (rep, kind) in enumerate(zip(self.reps.tolist(), self.kinds)))
 
 
 def nullspace(M: np.ndarray, rtol: float = RANK_RTOL) -> np.ndarray:
@@ -453,63 +489,91 @@ def quaternionic_basis(columns: np.ndarray, expected: int) -> np.ndarray:
     return np.stack(out, axis=1)
 
 
-def _cluster_eigenvalues(eigs: np.ndarray) -> list[list[int]]:
-    """Index groups of the embedding eigenvalues forming conjugation-closed clusters.
-
-    Eigenvalues a < b are linked when their folded points (imaginary part
-    made nonnegative) lie closer than CLUSTER_RTOL * max(1, |eig_a|).  The clusters
-    are the connected components of the links, ordered by first index.
-    """
+def _links(eigs: np.ndarray) -> np.ndarray:
+    """links[..., a, b] for a < b: the folded points (imaginary part made
+    nonnegative) of eigenvalues a and b lie closer than CLUSTER_RTOL *
+    max(1, |eig_a|), for the eigenvalues on the last axis of ``eigs``."""
     re, im = eigs.real, np.abs(eigs.imag)
-    dx, dy = re[:, None] - re, im[:, None] - im
-    near = np.sqrt(dx * dx + dy * dy) < CLUSTER_RTOL * np.maximum(1.0, np.abs(eigs))[:, None]
-    label = list(range(len(eigs)))  # the first index of each eigenvalue's component
-    for a, b in np.argwhere(near).tolist():
-        if a < b and label[a] != label[b]:
-            lo, hi = sorted((label[a], label[b]))
-            label = [lo if x == hi else x for x in label]
-    groups: dict[int, list[int]] = {}
-    for k, first in enumerate(label):
-        groups.setdefault(first, []).append(k)
-    return list(groups.values())
+    dx, dy = re[..., :, None] - re[..., None, :], im[..., :, None] - im[..., None, :]
+    near = np.sqrt(dx * dx + dy * dy) < CLUSTER_RTOL * np.maximum(1.0, np.abs(eigs))[..., None]
+    return near & ~np.tri(eigs.shape[-1], dtype=bool)
 
 
-def right_eigen(A: HMatrix, space: HermitianSpace, tol: float = DEFAULT_TOL) -> EigenData:
+def _clusters(links: np.ndarray) -> list[list[int]]:
+    """The connected components of one spectrum's links, as index lists
+    ordered by first index: the conjugation-closed eigenvalue clusters."""
+    reach = links | links.T | np.eye(len(links), dtype=bool)
+    for _ in range(len(links).bit_length()):  # paths of up to 2**steps links
+        reach = reach @ reach
+    first = reach.argmax(axis=1).tolist()  # the first index of each component
+    return [[k for k, f in enumerate(first) if f == i] for i in sorted(set(first))]
+
+
+def right_eigen(A: "HMatrix | Sequence[HMatrix]", space: HermitianSpace,
+                tol: float = DEFAULT_TOL) -> "EigenData | list[EigenData | QhypError]":
     """Similarity classes of right eigenvalues with pinned eigenvectors and types.
 
     One ``eig`` of the embedding gives the spectrum and the eigenvector of
     every simple class (a cluster of two embedding eigenvalues), all of which
-    are typed and normalized in one array pass.  A simple class cannot be
-    defective: a nonreal rep is a simple eigenvalue of the embedding, and a
-    real rep has a J-closed eigenspace, which holds both v and J conj(v).  A
-    repeated class is recovered from the null space of (embedding - rep*I),
-    whose dimension rejects non-semisimple input; eig's vectors for a Jordan
-    block are only about sqrt(eps) apart, too close to the rank threshold to
-    test.  Within a class the basis is orthonormalized against the restricted
-    form: positive classes to unit vectors, the negative class to one negative
-    and the rest unit.
-    """
-    M = A.emb
-    spectrum, V = np.linalg.eig(M)
-    clusters = _cluster_eigenvalues(spectrum)
-    simple = iter(_simple_classes(space, spectrum, V, [c for c in clusters if len(c) == 2], tol))
-    classes: list[EigenClass] = []
-    for idx in clusters:
-        if len(idx) == 2:
-            classes.append(next(simple))
-            continue
-        if len(idx) % 2 != 0:
-            raise NumericalError("eigenvalue cluster of odd size; clustering failed")
-        cluster = spectrum[idx]
-        rep = _class_rep(cluster.real.mean(), np.abs(cluster.imag).mean())
-        mult = len(idx) // 2
-        kind, vectors = _type_and_normalize(space, _eigenspace_basis(M, rep, mult), rep, tol)
-        classes.append(EigenClass(rep, mult, kind, vectors))
+    are typed and normalized in one array pass: the rep is the mean of the
+    folded pair, the vector eig's column of the member with the larger
+    imaginary part, null when |<v,v>| <= tol max(1, |v|^2) and otherwise
+    scaled to <v,v> = +-1.  A simple class cannot be defective: a nonreal rep
+    is a simple eigenvalue of the embedding, and a real rep has a J-closed
+    eigenspace, which holds both v and J conj(v).  A repeated class is
+    recovered from the null space of (embedding - rep*I), whose dimension
+    rejects non-semisimple input; eig's vectors for a Jordan block are only
+    about sqrt(eps) apart, too close to the rank threshold to test.  Within a
+    class the basis is orthonormalized against the restricted form: positive
+    classes to unit vectors, the negative class to one negative and the rest
+    unit.
 
-    classes.sort(key=lambda c: (-c.modulus, c.angle))
-    if sum(c.multiplicity for c in classes) != A.dim:
-        raise NumericalError("class multiplicities do not sum to the dimension")
-    return EigenData(tuple(_normalize_null_pair(space, classes)), spectrum)
+    A sequence of matrices on ``space`` takes one stacked ``eig`` and the same
+    array pass over all their simple classes, and gives each member's
+    EigenData or the error its decomposition raised.  A single matrix is a
+    stack of one, whose error is raised.
+    """
+    if isinstance(A, HMatrix):
+        data, = right_eigen([A], space, tol)
+        if isinstance(data, QhypError):
+            raise data
+        return data
+    mats = np.array([M.emb for M in A])
+    spectra, V = np.linalg.eig(mats)
+    links = _links(spectra)
+    regular = np.all(links.sum(axis=1) + links.sum(axis=2) == 1, axis=1)  # every cluster a pair
+    clusters = [(k, idx) for k in np.flatnonzero(~regular).tolist() for idx in _clusters(links[k])]
+    pairs = np.concatenate([np.argwhere(links & regular[:, None, None]),  # rows (k, a, b)
+                            np.array([[k, *idx] for k, idx in clusters if len(idx) == 2],
+                                     dtype=int).reshape(-1, 3)])
+    owner, P = pairs[:, 0], pairs[:, 1:]
+    lam = spectra[owner[:, None], P]
+    re, im = lam.real.sum(axis=1) / 2, np.abs(lam.imag).sum(axis=1) / 2
+    S = V[owner, :, P[np.arange(len(P)), np.argmax(lam.imag, axis=1)]].T.copy()
+    vals = _self_pairings(space, S)
+    null = np.abs(vals) <= tol * np.maximum(1.0, np.linalg.norm(S, axis=0) ** 2)
+    np.divide(S, np.sqrt(np.abs(vals)), out=S, where=~null)
+    kinds = [PointType.NULL if z else PointType.NEGATIVE if v < 0 else PointType.POSITIVE
+             for z, v in zip(null.tolist(), vals.tolist())]
+    reps = [_class_rep(r, i) for r, i in zip(re.tolist(), im.tolist())]
+    # the classes, one entry each: member, rep, multiplicity, kind, stacked vectors
+    classes = (owner.tolist(), reps, [1] * len(P), kinds, [S])
+    errors: dict[int, QhypError] = {}
+    for k, idx in clusters:
+        if len(idx) == 2 or k in errors:
+            continue
+        try:
+            if len(idx) % 2 != 0:
+                raise NumericalError("eigenvalue cluster of odd size; clustering failed")
+            rep = _class_rep(spectra[k, idx].real.mean(), np.abs(spectra[k, idx].imag).mean())
+            kind, B = _type_and_normalize(
+                space, _eigenspace_basis(mats[k], rep, len(idx) // 2), rep, tol)
+            for column, x in zip(classes, (k, rep, len(idx) // 2, kind, B)):
+                column.append(x)
+        except QhypError as exc:
+            errors[k] = exc
+    data = _eigen_data(space, *classes, spectra)
+    return [errors[k] if k in errors else data[k] for k in range(len(mats))]
 
 
 def _class_rep(re: float, im: float) -> complex:
@@ -518,28 +582,61 @@ def _class_rep(re: float, im: float) -> complex:
     return complex(re, 0.0) if im <= CLUSTER_RTOL * max(1.0, abs(rep)) else rep
 
 
-def _simple_classes(space: HermitianSpace, spectrum: np.ndarray, V: np.ndarray,
-                    pairs: list[list[int]], tol: float) -> list[EigenClass]:
-    """The classes of the two-eigenvalue clusters ``pairs``, in their order.
+def _eigen_data(space: HermitianSpace, member: list, reps: list, mults: list, kinds: list,
+                blocks: list, spectra: np.ndarray) -> dict:
+    """member -> EigenData, or its error, from the classes of the stack
+    members: each member's classes sorted by decreasing modulus then angle,
+    and every hyperbolic null pair rescaled, in one array pass."""
+    reps = np.array(reps, dtype=complex)
+    moduli = np.hypot(reps.real, reps.imag)  # abs(rep), bit for bit
+    order = np.lexsort((np.arctan2(reps.imag, reps.real), -moduli, member)).tolist()
+    first = [0, *accumulate(mults)]
+    cols = [j for c in order for j in range(first[c], first[c + 1])]
+    V = np.concatenate(blocks, axis=1)[:, cols]
+    member, mults, kinds, moduli = ([x[c] for c in order] for x in (member, mults, kinds, moduli))
+    reps, first = reps[order], [0, *accumulate(mults)]
+    spans: dict[int, tuple[int, int]] = {}  # member -> its classes lo:hi
+    for c, k in enumerate(member):
+        spans[k] = (spans.get(k, (c,))[0], c + 1)
+    out, pairs = {}, []
+    for k, (lo, hi) in spans.items():
+        nulls = [c for c in range(lo, hi) if kinds[c] == PointType.NULL]
+        if first[hi] - first[lo] != len(V) // 2:
+            out[k] = NumericalError("class multiplicities do not sum to the dimension")
+        elif len(nulls) == 2 and abs(moduli[nulls[0]] - 1.0) >= UNIT_MODULUS_TOL:
+            pairs.append((k, first[nulls[0]], first[nulls[1]]))  # big, then small
+    if pairs:
+        for (k, _, _), zero in zip(pairs, _rescale_null_pairs(space, V, pairs).tolist()):
+            if zero:
+                out[k] = NumericalError("null eigenvectors pair to zero")
+    mults = np.array(mults)
+    for k, (lo, hi) in spans.items():
+        if k not in out:
+            out[k] = EigenData(reps[lo:hi], mults[lo:hi], tuple(kinds[lo:hi]),
+                               V[:, first[lo]:first[hi]], spectra[k])
+    return out
 
-    The rep is the mean of the folded pair; the vector is eig's column of
-    the member with the larger imaginary part, null when |<v,v>| <= tol
-    max(1, |v|^2) and otherwise scaled to <v,v> = +-1.
-    """
-    if not pairs:
-        return []
-    P = np.array(pairs)
-    lam = spectrum[P]
-    re = (lam.real[:, 0] + lam.real[:, 1]) / 2
-    im = (np.abs(lam.imag[:, 0]) + np.abs(lam.imag[:, 1])) / 2
-    S = V[:, P[np.arange(len(P)), np.argmax(lam.imag, axis=1)]]
-    vals = _self_pairings(space, S)
-    null = np.abs(vals) <= tol * np.maximum(1.0, np.linalg.norm(S, axis=0) ** 2)
-    np.divide(S, np.sqrt(np.abs(vals)), out=S, where=~null)
-    kinds = [PointType.NULL if z else PointType.NEGATIVE if v < 0 else PointType.POSITIVE
-             for z, v in zip(null.tolist(), vals.tolist())]
-    return [EigenClass(_class_rep(r, i), 1, kind, (HVector(s),))
-            for r, i, kind, s in zip(re.tolist(), im.tolist(), kinds, S.T.copy())]
+
+def _rescale_null_pairs(space: HermitianSpace, V: np.ndarray, pairs: list) -> np.ndarray:
+    """Rescale in place each attracting/repelling null pair (k, ia, ir) of a
+    hyperbolic element, a = V[:, ia] and r = V[:, ir], so that <a, r> = 1.
+    Returns where <a, r> = 0: there the columns are not finite."""
+    ia, ir = [p[1] for p in pairs], [p[2] for p in pairs]
+    a, r = V.T[ia], V.T[ir]
+    T = np.empty(r.shape + (2,), dtype=complex)  # the columns [r, r j] of each pair
+    T[..., 0] = r
+    T[..., 1] = rj = _times_j(r.T).T
+    h = (T.conj().swapaxes(1, 2) @ a[:, space.perm, None])[..., 0]
+    # |<a, r>| as np.linalg.norm forms it: one dot product per part
+    hr, hi = h.real, h.imag
+    hn = np.sqrt((hr[:, None] @ hr[:, :, None] + hi[:, None] @ hi[:, :, None])[:, 0, 0])
+    # a / sqrt(hn) and r nu sqrt(hn) with conj(nu) = h^-1 pair to one
+    with np.errstate(divide="ignore", invalid="ignore"):
+        root = np.sqrt(hn)
+        V[:, ia] = (a * (1.0 / root)[:, None]).T
+        z = h * (root / (hn * hn))[:, None]
+        V[:, ir] = (r * z[:, :1] + rj * z[:, 1:]).T
+    return hn == 0.0
 
 
 def _eigenspace_basis(M: np.ndarray, rep: complex, mult: int) -> np.ndarray:
@@ -576,9 +673,10 @@ def _self_pairings(space: HermitianSpace, B: np.ndarray) -> np.ndarray:
 
 
 def _type_and_normalize(space: HermitianSpace, S: np.ndarray, rep: complex,
-                        tol: float) -> tuple[PointType, tuple[HVector, ...]]:
+                        tol: float) -> tuple[PointType, np.ndarray]:
     """Classify a repeated class's eigenspace (stacked basis S, two columns
-    or more) by its restricted form and orthonormalize it.
+    or more) by its restricted form and orthonormalize it: the kind and the
+    stacked basis.
 
     Recombination must not unpin the vectors from ``rep``: for a nonreal
     representative the restricted form takes values in its centralizer, i.e.
@@ -589,10 +687,9 @@ def _type_and_normalize(space: HermitianSpace, S: np.ndarray, rep: complex,
         eigs, U = np.linalg.eigh(_form_gram(space, S))
         scale = max(1.0, float(np.max(np.abs(eigs))))
         if int(np.sum(np.abs(eigs) > tol * scale)) == 0:
-            return PointType.NULL, tuple(HVector(s) for s in S.T)
+            return PointType.NULL, S
         basis, signs = _form_orthonormal(space, S, eigs, U)
-        kind = PointType.NEGATIVE if -1 in signs else PointType.POSITIVE
-        return kind, tuple(HVector(b) for b in basis.T)
+        return (PointType.NEGATIVE if -1 in signs else PointType.POSITIVE), basis
 
     G1, G2 = _form_blocks(space, S)
     if np.any(np.abs(G2) > CENTRALIZER_RTOL * np.maximum(1.0, np.hypot(np.abs(G1), np.abs(G2)))):
@@ -602,35 +699,12 @@ def _type_and_normalize(space: HermitianSpace, S: np.ndarray, rep: complex,
     n_neg = int(np.sum(eigs < -tol * scale))
     n_pos = int(np.sum(eigs > tol * scale))
     if n_neg == 0 and n_pos == 0:
-        return PointType.NULL, tuple(HVector(s) for s in S.T)
+        return PointType.NULL, S
     if n_neg > 1:
         raise NumericalError("eigenspace with two negative directions is impossible")
     B = S @ U[:, np.argsort(eigs)]  # negative direction first
     B = B / np.sqrt(np.abs(_self_pairings(space, B)))
-    kind = PointType.NEGATIVE if n_neg else PointType.POSITIVE
-    return kind, tuple(HVector(b) for b in B.T)
-
-
-def _normalize_null_pair(space: HermitianSpace,
-                         classes: list[EigenClass]) -> list[EigenClass]:
-    """Rescale the attracting/repelling null pair of a hyperbolic element so <a, r> = 1."""
-    nulls = [c for c in classes if c.kind == PointType.NULL]
-    if len(nulls) != 2:
-        return classes
-    big = max(nulls, key=lambda c: c.modulus)
-    small = min(nulls, key=lambda c: c.modulus)
-    if abs(big.modulus - 1.0) < UNIT_MODULUS_TOL:
-        return classes
-    a, r = big.vectors[0].s, small.vectors[0].s
-    h = two_columns(r[:, None]).conj().T @ a[space.perm]  # <a, r> = h[0] + j h[1]
-    hn = float(np.linalg.norm(h))
-    if hn == 0.0:
-        raise NumericalError("null eigenvectors pair to zero")
-    # a / sqrt(hn) and r nu sqrt(hn) with conj(nu) = h^-1 pair to one
-    z1, z2 = h * (math.sqrt(hn) / (hn * hn))
-    scaled = {id(big): HVector(a * (1.0 / math.sqrt(hn))),
-              id(small): HVector(right_times(r, z1, z2))}
-    return [replace(c, vectors=(scaled[id(c)],)) if id(c) in scaled else c for c in classes]
+    return (PointType.NEGATIVE if n_neg else PointType.POSITIVE), B
 
 
 # ---------------------------------------------------------------------------

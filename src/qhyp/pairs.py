@@ -24,8 +24,8 @@ import numpy as np
 
 from .decision import Decision, Verdict
 from .errors import NumericalError, UnsupportedElementError
-from .isometry import Classification, Isometry, conjugate_single
-from .linalg import EigenClass, HMatrix, PointType, nullspace, stacked, two_columns
+from .isometry import Classification, Isometry, conjugate_single, decompose
+from .linalg import EigenData, HMatrix, PointType, nullspace, two_columns
 from .quaternion import left_matrix, right_matrix
 from .tolerances import (DECIDER_TOL, FIXED_SET_RANK_ATOL, GROUP_MULTIPLE_RTOL, INTERTWINER_RTOL,
                          NORMAL_FORM_RTOL, REAL_CLASS_RTOL, REASSEMBLY_RTOL, TRACE_RTOL,
@@ -62,27 +62,26 @@ class EigenFrame:
         self.Cinv.emb.setflags(write=False)
 
 
-def _ordered_classes(A: Isometry) -> list[EigenClass]:
-    classes = A.classes()
+def _ordered_classes(A: Isometry) -> list[int]:
+    e = A.eigen
+    classes = range(len(e.kinds))
     if A.classification is Classification.HYPERBOLIC:
-        nulls = sorted((c for c in classes if c.kind == PointType.NULL),
-                       key=lambda c: -c.modulus)
-        mids = sorted((c for c in classes if c.kind != PointType.NULL),
-                      key=lambda c: c.angle)
-        return [nulls[0]] + mids + [nulls[1]]
-    neg = [c for c in classes if c.kind == PointType.NEGATIVE]
-    pos = sorted((c for c in classes if c.kind != PointType.NEGATIVE),
-                 key=lambda c: c.angle)
-    return neg + pos
+        a, r = sorted((c for c in classes if e.kinds[c] == PointType.NULL),
+                      key=lambda c: -e.moduli[c])
+        mids = sorted((c for c in classes if c not in (a, r)), key=lambda c: e.angles[c])
+        return [a] + mids + [r]
+    neg = [c for c in classes if e.kinds[c] == PointType.NEGATIVE]
+    return neg + sorted((c for c in classes if c not in neg), key=lambda c: e.angles[c])
 
 
 def eigenframe(A: Isometry) -> EigenFrame:
     """Assemble the normalized eigenframe; verifies the reassembly residual."""
     if not A.is_semisimple():
         raise UnsupportedElementError("parabolic elements have no eigenframe")
-    ordered = _ordered_classes(A)
-    reps = [c.rep for c in ordered for _ in c.vectors]
-    C = HMatrix.from_columns(stacked([v for c in ordered for v in c.vectors]))
+    ordered, e = _ordered_classes(A), A.eigen
+    cols = [j for c in ordered for j in range(e.starts[c], e.starts[c + 1])]
+    reps = np.repeat(e.reps, e.multiplicities)[cols].tolist()  # each column's rep
+    C = HMatrix.from_columns(e.vectors[:, cols])
     E = HMatrix.diag_complex(reps)
     Cinv = C.inverse()
     resid = (C @ E @ Cinv - A.matrix).norm()
@@ -95,32 +94,33 @@ def eigenframe(A: Isometry) -> EigenFrame:
 # Common fixed points
 # ---------------------------------------------------------------------------
 
-def _fixed_sets(A: Isometry) -> list[np.ndarray]:
-    """Complex bases of the null and negative eigenspaces."""
-    return [two_columns(stacked(c.vectors)) for c in A.classes()
-            if c.kind in (PointType.NULL, PointType.NEGATIVE)]
-
-
-def _ranks(bases: list[np.ndarray]) -> np.ndarray:
-    """Numerical ranks (singular values above FIXED_SET_RANK_ATOL, the count of
-    ``np.linalg.matrix_rank`` at that tolerance) of (2N, w) arrays, from one
-    stacked SVD.  Narrower arrays are padded with zero columns, which add
-    only zero singular values."""
-    stack = np.zeros((len(bases), len(bases[0]), max(b.shape[1] for b in bases)), dtype=complex)
-    for k, b in enumerate(bases):
-        stack[k, :, :b.shape[1]] = b
-    return np.count_nonzero(np.linalg.svd(stack, compute_uv=False) > FIXED_SET_RANK_ATOL, axis=1)
+def _fixed_sets(e: EigenData, offset: int) -> list[list[int]]:
+    """For each null or negative class, the columns of two_columns(e.vectors)
+    (from ``offset`` on) that span its eigenspace."""
+    return [list(range(offset + 2 * e.starts[c], offset + 2 * e.starts[c + 1]))
+            for c, kind in enumerate(e.kinds) if kind in (PointType.NULL, PointType.NEGATIVE)]
 
 
 def have_common_fixed_point(A: Isometry, B: Isometry) -> bool:
     """Shared fixed point on the closed ball: intersecting fixed eigenspaces,
-    i.e. rank [Ba, Bb] < rank Ba + rank Bb for a fixed set of each."""
-    sets_a, sets_b = _fixed_sets(A), _fixed_sets(B)
+    i.e. rank [Ba, Bb] < rank Ba + rank Bb for a fixed set of each.
+
+    Every rank (singular values above FIXED_SET_RANK_ATOL, the count of
+    ``np.linalg.matrix_rank`` at that tolerance) comes from one stacked SVD,
+    the narrower bases padded with zero columns, which add only zero
+    singular values."""
+    width = len(A.eigen.vectors)  # 2N complex columns [s, s j] for each member
+    sets_a, sets_b = _fixed_sets(A.eigen, 0), _fixed_sets(B.eigen, width)
     if not sets_a or not sets_b:
         return False
-    ranks = _ranks(sets_a + sets_b)
-    joint = _ranks([np.concatenate([Ba, Bb], axis=1) for Ba in sets_a for Bb in sets_b])
-    return bool(np.any(joint < np.add.outer(ranks[:len(sets_a)], ranks[len(sets_a):]).ravel()))
+    bases = sets_a + sets_b + [a + b for a in sets_a for b in sets_b]
+    T = two_columns(np.concatenate(  # then a zero column, 2 * width, to pad with
+        [A.eigen.vectors, B.eigen.vectors, np.zeros((len(A.eigen.vectors), 1))], axis=1))
+    wide = max(map(len, bases))
+    stack = T[:, [b + [2 * width] * (wide - len(b)) for b in bases]].transpose(1, 0, 2)
+    ranks = np.count_nonzero(np.linalg.svd(stack, compute_uv=False) > FIXED_SET_RANK_ATOL, axis=1)
+    na, nb = len(sets_a), len(sets_b)
+    return bool(np.any(ranks[na + nb:] < np.add.outer(ranks[:na], ranks[na:na + nb]).ravel()))
 
 
 # ---------------------------------------------------------------------------
@@ -139,17 +139,17 @@ def pair_conjugate(A: Isometry, B: Isometry, A2: Isometry, B2: Isometry,
     null-space basis, whatever the dimension, once it is a member that
     conjugates both pairs directly; if not, Inconclusive.
     """
-    for x in (A, B, A2, B2):
-        if not x.is_semisimple():
-            raise UnsupportedElementError("decider supports semisimple pairs only")
+    decompose((A, B, A2, B2))
+    if Classification.PARABOLIC in [x.classification for x in (A, B, A2, B2)]:
+        raise UnsupportedElementError("decider supports semisimple pairs only")
     if have_common_fixed_point(A, B) or have_common_fixed_point(A2, B2):
         raise UnsupportedElementError("pairs must not have a common fixed point")
 
     ta, ta2 = A.real_trace(), A2.real_trace()
     tb, tb2 = B.real_trace(), B2.real_trace()
-    scale = max(1.0, float(np.max(np.abs(ta))), float(np.max(np.abs(tb))))
-    if (np.max(np.abs(ta - ta2)) > TRACE_RTOL * scale
-            or np.max(np.abs(tb - tb2)) > TRACE_RTOL * scale):
+    scale = max(1.0, float(np.abs(ta).max()), float(np.abs(tb).max()))
+    if (np.abs(ta - ta2).max() > TRACE_RTOL * scale
+            or np.abs(tb - tb2).max() > TRACE_RTOL * scale):
         return Decision(Verdict.NOT_CONJUGATE, reason=REASON_TRACE)
     if not conjugate_single(A, A2) or not conjugate_single(B, B2):
         return Decision(Verdict.NOT_CONJUGATE, reason=REASON_CLASSES)
@@ -164,8 +164,7 @@ def pair_conjugate(A: Isometry, B: Isometry, A2: Isometry, B2: Isometry,
 
     # X commutes with E: zero between classes, and complex in a nonreal class
     reps = np.array(fa.reps)
-    N = len(reps)
-    block = np.repeat(reps[:, None] == reps[None, :], 4).reshape(N, N, 4)
+    block = (reps[:, None] == reps[None, :])[..., None]
     nonreal = np.abs(reps.imag) > REAL_CLASS_RTOL * np.maximum(1.0, np.abs(reps))
     free = block & ~(nonreal[:, None, None] & (np.arange(4) >= 2))
     null = nullspace(_intertwiner_rows(m, m2, free), INTERTWINER_RTOL)

@@ -100,9 +100,10 @@ def test_isometry_decoder_makes_one_eig_and_no_svd(monkeypatch):
                             lambda *a, _n=name, _f=real, **k: calls.append(_n) or _f(*a, **k))
     monkeypatch.setattr(HermitianSpace, "herm", lambda *args: calls.append("herm"))
     A = isometry_from_json(data)
+    kind, classes = A.classification, A.classes()
     assert calls == ["eig"]
-    assert A.classification is Classification.HYPERBOLIC
-    assert [c.multiplicity for c in A.classes()] == [1] * 5
+    assert kind is Classification.HYPERBOLIC
+    assert [c.multiplicity for c in classes] == [1] * 5
 
 
 def _spoiled(rows, how):
@@ -318,6 +319,42 @@ def test_conjugate_pair_command(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["verdict"] == "conjugate"
     assert report["residual"] < 1e-7
+
+
+def _pair_files(tmp_path, n, seed):
+    """Two wire pair documents: a sampled hyperbolic pair and its image."""
+    from qhyp.sampling import sample_pair
+
+    sp, rng = HermitianSpace(n), np.random.default_rng(seed)
+    A, B = sample_pair(sp, rng, kinds=(Classification.HYPERBOLIC, Classification.HYPERBOLIC))
+    C = random_member(sp, rng)
+    image = [sp.project_to_group(C @ X.matrix @ C.inverse()) for X in (A, B)]
+    return [write(tmp_path, f"p{k}.json", {"A": hmatrix_to_json(X), "B": hmatrix_to_json(Y)})
+            for k, (X, Y) in enumerate([(A.matrix, B.matrix), image])]
+
+
+def test_numerical_error_exits_inconclusive(tmp_path, capsys, monkeypatch):
+    # a decoded member's decomposition fails inside the decider: the input
+    # was well formed, so the exit code is 3 (inconclusive), not 2
+    from qhyp import isometry
+    from qhyp.errors import NumericalError
+
+    def failing(*args):
+        raise NumericalError("characteristic coefficients have imaginary residue")
+
+    paths = _pair_files(tmp_path, 2, 14)
+    monkeypatch.setattr(isometry, "spectrum_char_coeffs", failing)
+    assert main(["conjugate-pair", *paths]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and "imaginary residue" in err
+
+
+def test_malformed_pair_exits_2(tmp_path, capsys):
+    p1, p2 = _pair_files(tmp_path, 2, 14)
+    missing = write(tmp_path, "missing.json", {"A": json.loads(Path(p1).read_text())["A"]})
+    assert main(["conjugate-pair", missing, p2]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "'A' and 'B'" in err
 
 
 def test_sample_command_deterministic(capsys):

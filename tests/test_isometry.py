@@ -246,7 +246,8 @@ def test_random_member_determinism():
 
 def test_regular_isometry_decomposes_once(monkeypatch):
     # one eig of the embedding yields the classes, their vectors and the real
-    # trace; no second eigenvalue solve and no SVD for simple classes
+    # trace, on first use; no second eigenvalue solve and no SVD for simple
+    # classes
     sp = HermitianSpace(4)
     specs = [(Classification.HYPERBOLIC, HyperbolicSpec(1.8, 0.6, (0.4, 1.1, 2.0))),
              (Classification.ELLIPTIC, EllipticSpec((0.3, 0.9, 1.5, 2.2, 2.8)))]
@@ -260,7 +261,9 @@ def test_regular_isometry_decomposes_once(monkeypatch):
                     return _real(*args, **kwargs)
                 mp.setattr(linalg.np.linalg, name, counted)
             A = Isometry(M, sp)
-        assert A.classification is kind
-        assert all(c.multiplicity == 1 for c in A.classes())
+            got, classes, trace = A.classification, A.classes(), A.real_trace()
+        assert got is kind
+        assert all(c.multiplicity == 1 for c in classes)
+        assert trace.shape == (4,)
         assert calls["eig"] == 1
         assert sum(calls.values()) == 1, dict(calls)

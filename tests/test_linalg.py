@@ -11,6 +11,7 @@ from qhyp.isometry import (
     EllipticSpec,
     HyperbolicSpec,
     Isometry,
+    decompose,
     random_member,
     random_semisimple,
 )
@@ -24,7 +25,8 @@ from qhyp.linalg import (
     PointType,
     corner_form,
     line_residuals,
-    _cluster_eigenvalues,
+    _clusters,
+    _links,
     _eigenspace_basis,
     _self_pairings,
     _times_j,
@@ -541,7 +543,7 @@ def test_cluster_eigenvalues_matches_pairwise_reference():
         noise = (rng.normal(size=K) + 1j * rng.normal(size=K)) * 10 ** rng.uniform(-10, -6, K)
         eigs = base[rng.integers(0, max(1, K // 3), K)] + noise
         eigs = np.where(rng.uniform(size=K) < 0.3, np.conj(eigs), eigs)
-        got = [list(c) for c in _cluster_eigenvalues(eigs)]
+        got = _clusters(_links(eigs))
         assert got == _pairwise_clusters(eigs)
 
 
@@ -627,6 +629,49 @@ def test_right_eigen_repeated_real_class(angles):
     _assert_pinned_orthonormal(A, sp, data)
 
 
+def _same_eigen_data(x, y):
+    return (np.array_equal(x.reps, y.reps) and np.array_equal(x.multiplicities, y.multiplicities)
+            and x.kinds == y.kinds and np.array_equal(x.vectors, y.vectors)
+            and np.array_equal(x.spectrum, y.spectrum))
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_right_eigen_stack_matches_one_at_a_time(n):
+    # a mixed stack, in both orders: regular hyperbolic and elliptic members,
+    # repeated nonreal classes as in test_right_eigen_non_regular, repeated
+    # real classes, and a line-preserving pair, all bit for bit
+    sp = HermitianSpace(n)
+    members = _eigen_members(n)
+    for k, (_, kind) in enumerate(x for x in NON_REGULAR if x[0] == n):
+        draw = random_hyperbolic_spec if kind is HYP else random_elliptic_spec
+        spec = draw(n, np.random.default_rng(40 + k), regular=False)
+        members.append(random_semisimple(kind, n, spec, seed=100 + k, space=sp).matrix)
+    alone = [right_eigen(M, sp) for M in members]
+    assert (max(int(d.multiplicities.max()) for d in alone) > 1) is (n >= 2)
+    for stack in (members, members[::-1]):
+        together = right_eigen(stack, sp)
+        assert len(together) == len(stack)
+        assert all(_same_eigen_data(x, y) for x, y in
+                   zip(together, alone if stack is members else alone[::-1]))
+
+
+def test_parabolic_member_fails_alone_in_a_stack():
+    sp = HermitianSpace(1)
+    P = HMatrix.from_quaternions([[ONE, Quaternion(0, 1.0, 0.5, 0)], [Q0, ONE]])  # Heisenberg
+    H = diag_member([2.0, 0.5])
+    E = random_semisimple(ELL, 1, EllipticSpec((0.9, 0.3)), seed=3, space=sp).matrix
+    got = right_eigen([H, P, E], sp)
+    assert isinstance(got[1], NotSemisimpleError)
+    assert _same_eigen_data(got[0], right_eigen(H, sp))
+    assert _same_eigen_data(got[2], right_eigen(E, sp))
+    with pytest.raises(NotSemisimpleError):
+        right_eigen(P, sp)
+    members = [Isometry(M, sp) for M in (H, P, E)]
+    decompose(members)
+    assert [x.classification for x in members] == [HYP, Classification.PARABOLIC, ELL]
+    assert members[1].eigen is None and members[0].real_trace().shape == (1,)
+
+
 def _eigen_members(n):
     """Members at n: regular hyperbolic and elliptic ones from hh, ee and he
     pairs, repeated nonreal classes (elliptic ones, one with a repeated
@@ -673,7 +718,8 @@ def _per_class_right_eigen(A, sp, tol=1e-9):
         if im <= CLUSTER_RTOL * max(1.0, abs(rep)):
             rep = complex(re, 0.0)
         if mult > 1:
-            kind, vectors = _type_and_normalize(sp, _eigenspace_basis(M, rep, mult), rep, tol)
+            kind, B = _type_and_normalize(sp, _eigenspace_basis(M, rep, mult), rep, tol)
+            vectors = tuple(HVector(b) for b in B.T)
         else:
             S = V[:, idx[np.argmax(cluster.imag)], None]
             val = _self_pairings(sp, S)[0]

@@ -1,6 +1,14 @@
+import ast
+import collections
+import functools
+import importlib
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from qhyp import serialize
 from qhyp.decision import Verdict
 from qhyp.errors import NumericalError, UnsupportedElementError
 from qhyp.isometry import (
@@ -24,6 +32,7 @@ from qhyp.pairs import (
 )
 from qhyp.quaternion import Quaternion
 from qhyp.sampling import sample_pair, sample_semisimple
+from qhyp.serialize import hmatrix_to_json
 from qhyp.tolerances import FIXED_SET_RANK_ATOL, INTERTWINER_RTOL
 
 HYP = Classification.HYPERBOLIC
@@ -147,7 +156,7 @@ def test_common_fixed_point_test_makes_at_most_two_svds(monkeypatch):
     monkeypatch.setattr(np.linalg, "matrix_rank",
                         lambda *a, **k: calls.append("rank") or matrix_rank(*a, **k))
     assert have_common_fixed_point(A, B) is False
-    assert calls in (["svd"], ["svd", "svd"])
+    assert calls == ["svd"]  # the single and the joint ranks together
 
 
 # -- the decider -----------------------------------------------------------------------
@@ -357,6 +366,63 @@ def test_pair_decider_inverts_each_frame_once(monkeypatch):
     monkeypatch.setattr(HMatrix, "inverse", lambda self: calls.append(1) or inverse(self))
     assert pair_conjugate(A, B, A2, B2).verdict is Verdict.CONJUGATE
     assert len(calls) == 3
+
+
+def test_pair_decision_decomposes_its_regular_members_with_one_eig(monkeypatch):
+    sp = HermitianSpace(4)
+    rng = np.random.default_rng(890)
+    A, B = sample_pair(sp, rng, kinds=(HYP, ELL))
+    members = [Isometry(X.matrix, sp) for X in (A, B, *conjugated_pair(sp, A, B, rng))]
+    calls = []
+    eig = np.linalg.eig
+    monkeypatch.setattr(np.linalg, "eig", lambda *a, **k: calls.append(1) or eig(*a, **k))
+    assert pair_conjugate(*members).verdict is Verdict.CONJUGATE
+    assert len(calls) == 1
+
+
+def _bench_literal(name, variable):
+    """The literal assigned to ``variable`` at the top level of bench/<name>."""
+    tree = ast.parse((Path(__file__).resolve().parents[1] / "bench" / name).read_text())
+    return next(ast.literal_eval(node.value) for node in tree.body if isinstance(node, ast.Assign)
+                and [getattr(t, "id", None) for t in node.targets] == [variable])
+
+
+def test_decoded_pair_decision_reaches_every_pair_layer_span(monkeypatch):
+    # the benchmark reads each per-layer metric off the span of one function,
+    # wrapped where its tracer finds it: on its module and wherever qhyp binds
+    # it.  A function that a decision no longer calls there reads 0 without an
+    # error; bench/selftest.py requires PAIR_ONLY to be nonzero on pair_conjugacy
+    spans = _bench_literal("run.py", "LAYER_SPANS")
+    names = {spans[metric][1] for metric in _bench_literal("selftest.py", "PAIR_ONLY")}
+    assert names == {"linalg.right_eigen", "isometry.Isometry.__init__",
+                     "isometry.conjugate_single", "pairs.have_common_fixed_point",
+                     "pairs.eigenframe", "pairs.pair_conjugate"}
+    calls = collections.Counter()
+    modules = [m for key, m in sys.modules.items() if key == "qhyp" or key.startswith("qhyp.")]
+    for name in names:
+        layer, *path = name.split(".")
+        owner = functools.reduce(getattr, path[:-1], importlib.import_module(f"qhyp.{layer}"))
+        original = getattr(owner, path[-1])
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module in modules:
+            for attr, obj in list(vars(module).items()):
+                if obj is original:
+                    monkeypatch.setattr(module, attr, counted)
+        monkeypatch.setattr(owner, path[-1], counted)
+
+    sp = HermitianSpace(2)
+    rng = np.random.default_rng(891)
+    A, B = sample_pair(sp, rng, kinds=(HYP, HYP))
+    docs = [(hmatrix_to_json(X.matrix), hmatrix_to_json(Y.matrix))
+            for X, Y in ((A, B), conjugated_pair(sp, A, B, rng))]
+    calls.clear()
+    decoded = [serialize.isometry_from_json(doc) for pair in docs for doc in pair]
+    assert pairs.pair_conjugate(*decoded).verdict is Verdict.CONJUGATE
+    assert set(calls) == names
 
 
 def test_pair_conjugate_rejects_common_fixed_point():

@@ -193,7 +193,7 @@ class HMatrix:
 
     def norm(self) -> float:
         """Quaternionic Frobenius norm (the embedding doubles the square)."""
-        return float(np.linalg.norm(self.emb)) / math.sqrt(2.0)
+        return _norm(self.emb) / math.sqrt(2.0)
 
     def cond(self) -> float:
         return float(np.linalg.cond(self.emb))
@@ -203,6 +203,13 @@ class HMatrix:
 
     def __repr__(self) -> str:
         return f"HMatrix(dim={self.dim})"
+
+
+def _norm(M: np.ndarray) -> float:
+    """``np.linalg.norm(M)`` of a complex array, the same sum bit for bit,
+    without the argument handling that costs a small array as much again."""
+    x = M.ravel(order="K")
+    return math.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
 
 
 def stacked_from_components(a: np.ndarray) -> np.ndarray:
@@ -316,7 +323,7 @@ class HermitianSpace:
     def member_residual(self, A: HMatrix) -> float:
         """Frobenius norm of A* H A - H in the embedding."""
         M = A.emb
-        return float(np.linalg.norm(M.conj().T[:, self.perm] @ M - self.H_emb)) / math.sqrt(2.0)
+        return _norm(M.conj().T[:, self.perm] @ M - self.H_emb) / math.sqrt(2.0)
 
     def is_member(self, A: HMatrix, tol: float = DEFAULT_TOL) -> bool:
         return self.member_residual(A) <= tol * max(1.0, A.norm() ** 2)
@@ -335,8 +342,8 @@ class HermitianSpace:
                 raise NumericalError("cannot take the polar factor of a singular matrix")
             mu = math.exp(-logdet / len(M))
             M_next = 0.5 * (mu * M + np.linalg.inv(M).conj().T[np.ix_(P, P)] / mu)
-            step, M = np.linalg.norm(M_next - M), M_next
-            if step < NEWTON_STEP_RTOL * max(1.0, np.linalg.norm(M)) or not step < last:
+            step, M = _norm(M_next - M), M_next
+            if step < NEWTON_STEP_RTOL * max(1.0, _norm(M)) or not step < last:
                 break  # converged, at rounding level, or not converging (or not finite)
             last = step
         return HMatrix(M, check=False)
@@ -543,9 +550,10 @@ def right_eigen(A: "HMatrix | Sequence[HMatrix]", space: HermitianSpace,
     links = _links(spectra)
     regular = np.all(links.sum(axis=1) + links.sum(axis=2) == 1, axis=1)  # every cluster a pair
     clusters = [(k, idx) for k in np.flatnonzero(~regular).tolist() for idx in _clusters(links[k])]
-    pairs = np.concatenate([np.argwhere(links & regular[:, None, None]),  # rows (k, a, b)
-                            np.array([[k, *idx] for k, idx in clusters if len(idx) == 2],
-                                     dtype=int).reshape(-1, 3)])
+    pairs = np.argwhere(links & regular[:, None, None])  # rows (k, a, b)
+    if clusters:
+        pairs = np.concatenate([pairs, np.array([[k, *idx] for k, idx in clusters
+                                                 if len(idx) == 2], dtype=int).reshape(-1, 3)])
     owner, P = pairs[:, 0], pairs[:, 1:]
     lam = spectra[owner[:, None], P]
     re, im = lam.real.sum(axis=1) / 2, np.abs(lam.imag).sum(axis=1) / 2
@@ -627,9 +635,7 @@ def _rescale_null_pairs(space: HermitianSpace, V: np.ndarray, pairs: list) -> np
     T[..., 0] = r
     T[..., 1] = rj = _times_j(r.T).T
     h = (T.conj().swapaxes(1, 2) @ a[:, space.perm, None])[..., 0]
-    # |<a, r>| as np.linalg.norm forms it: one dot product per part
-    hr, hi = h.real, h.imag
-    hn = np.sqrt((hr[:, None] @ hr[:, :, None] + hi[:, None] @ hi[:, :, None])[:, 0, 0])
+    hn = np.array([_norm(x) for x in h])  # |<a, r>|
     # a / sqrt(hn) and r nu sqrt(hn) with conj(nu) = h^-1 pair to one
     with np.errstate(divide="ignore", invalid="ignore"):
         root = np.sqrt(hn)

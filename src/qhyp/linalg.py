@@ -593,8 +593,8 @@ def _class_rep(re: float, im: float) -> complex:
 def _eigen_data(space: HermitianSpace, member: list, reps: list, mults: list, kinds: list,
                 blocks: list, spectra: np.ndarray) -> dict:
     """member -> EigenData, or its error, from the classes of the stack
-    members: each member's classes sorted by decreasing modulus then angle,
-    and every hyperbolic null pair rescaled, in one array pass."""
+    members: every member's classes sorted by decreasing modulus then angle
+    in one pass, and the null pair of a hyperbolic member rescaled."""
     reps = np.array(reps, dtype=complex)
     moduli = np.hypot(reps.real, reps.imag)  # abs(rep), bit for bit
     order = np.lexsort((np.arctan2(reps.imag, reps.real), -moduli, member)).tolist()
@@ -606,17 +606,16 @@ def _eigen_data(space: HermitianSpace, member: list, reps: list, mults: list, ki
     spans: dict[int, tuple[int, int]] = {}  # member -> its classes lo:hi
     for c, k in enumerate(member):
         spans[k] = (spans.get(k, (c,))[0], c + 1)
-    out, pairs = {}, []
+    out = {}
     for k, (lo, hi) in spans.items():
         nulls = [c for c in range(lo, hi) if kinds[c] == PointType.NULL]
-        if first[hi] - first[lo] != len(V) // 2:
-            out[k] = NumericalError("class multiplicities do not sum to the dimension")
-        elif len(nulls) == 2 and abs(moduli[nulls[0]] - 1.0) >= UNIT_MODULUS_TOL:
-            pairs.append((k, first[nulls[0]], first[nulls[1]]))  # big, then small
-    if pairs:
-        for (k, _, _), zero in zip(pairs, _rescale_null_pairs(space, V, pairs).tolist()):
-            if zero:
-                out[k] = NumericalError("null eigenvectors pair to zero")
+        try:
+            if first[hi] - first[lo] != len(V) // 2:
+                raise NumericalError("class multiplicities do not sum to the dimension")
+            if len(nulls) == 2 and abs(moduli[nulls[0]] - 1.0) >= UNIT_MODULUS_TOL:
+                _rescale_null_pair(space, V, first[nulls[0]], first[nulls[1]])  # big, small
+        except NumericalError as exc:
+            out[k] = exc
     mults = np.array(mults)
     for k, (lo, hi) in spans.items():
         if k not in out:
@@ -625,24 +624,17 @@ def _eigen_data(space: HermitianSpace, member: list, reps: list, mults: list, ki
     return out
 
 
-def _rescale_null_pairs(space: HermitianSpace, V: np.ndarray, pairs: list) -> np.ndarray:
-    """Rescale in place each attracting/repelling null pair (k, ia, ir) of a
-    hyperbolic element, a = V[:, ia] and r = V[:, ir], so that <a, r> = 1.
-    Returns where <a, r> = 0: there the columns are not finite."""
-    ia, ir = [p[1] for p in pairs], [p[2] for p in pairs]
-    a, r = V.T[ia], V.T[ir]
-    T = np.empty(r.shape + (2,), dtype=complex)  # the columns [r, r j] of each pair
-    T[..., 0] = r
-    T[..., 1] = rj = _times_j(r.T).T
-    h = (T.conj().swapaxes(1, 2) @ a[:, space.perm, None])[..., 0]
-    hn = np.array([_norm(x) for x in h])  # |<a, r>|
+def _rescale_null_pair(space: HermitianSpace, V: np.ndarray, ia: int, ir: int) -> None:
+    """Rescale in place the attracting/repelling null pair a = V[:, ia],
+    r = V[:, ir] of a hyperbolic element so that <a, r> = 1."""
+    a, r = V[:, ia].copy(), V[:, ir].copy()
+    h = two_columns(r[:, None]).conj().T @ a[space.perm]  # <a, r> = h[0] + j h[1]
+    hn = _norm(h)
+    if hn == 0.0:
+        raise NumericalError("null eigenvectors pair to zero")
     # a / sqrt(hn) and r nu sqrt(hn) with conj(nu) = h^-1 pair to one
-    with np.errstate(divide="ignore", invalid="ignore"):
-        root = np.sqrt(hn)
-        V[:, ia] = (a * (1.0 / root)[:, None]).T
-        z = h * (root / (hn * hn))[:, None]
-        V[:, ir] = (r * z[:, :1] + rj * z[:, 1:]).T
-    return hn == 0.0
+    z1, z2 = h * (math.sqrt(hn) / (hn * hn))
+    V[:, ia], V[:, ir] = a * (1.0 / math.sqrt(hn)), right_times(r, z1, z2)
 
 
 def _eigenspace_basis(M: np.ndarray, rep: complex, mult: int) -> np.ndarray:

@@ -109,6 +109,8 @@ def have_common_fixed_point(A: Isometry, B: Isometry) -> bool:
     ``np.linalg.matrix_rank`` at that tolerance) comes from one stacked SVD,
     the narrower bases padded with zero columns, which add only zero
     singular values."""
+    if not A.is_semisimple() or not B.is_semisimple():
+        raise UnsupportedElementError("parabolic element has no class data")
     width = len(A.eigen.vectors)  # 2N complex columns [s, s j] for each member
     sets_a, sets_b = _fixed_sets(A.eigen, 0), _fixed_sets(B.eigen, width)
     if not sets_a or not sets_b:

@@ -425,6 +425,16 @@ def test_decoded_pair_decision_reaches_every_pair_layer_span(monkeypatch):
     assert set(calls) == names
 
 
+def test_common_fixed_point_test_refuses_a_parabolic_member():
+    sp = HermitianSpace(1)
+    one, t = Quaternion.one(), Quaternion(0, 0.7, -0.3, 0.2)
+    P = Isometry(HMatrix.from_quaternions([[one, t], [Quaternion(), one]]), sp)  # Heisenberg
+    A = random_semisimple(HYP, 1, HyperbolicSpec(2.0, 0.6, ()), seed=40)
+    for X, Y in ((P, A), (A, P)):
+        with pytest.raises(UnsupportedElementError):
+            have_common_fixed_point(X, Y)
+
+
 def test_pair_conjugate_rejects_common_fixed_point():
     A = random_semisimple(HYP, 1, HyperbolicSpec(2.0, 0.6, ()), seed=40)
     with pytest.raises(UnsupportedElementError):

@@ -427,7 +427,7 @@ class EigenData:
     representatives ``reps``, ``multiplicities`` and ``kinds``, and the
     stacked (2N, N) ``vectors`` of their pinned eigensets, class after class;
     and the embedding's spectrum they were read from.  The arrays are
-    read-only; the classes' moduli, angles and first columns are lists made
+    read-only; the classes' moduli, angles and first columns are tuples made
     at construction, and ``classes`` builds the EigenClass objects on first
     read."""
 
@@ -436,17 +436,17 @@ class EigenData:
     kinds: tuple[PointType, ...]
     vectors: np.ndarray
     spectrum: np.ndarray
-    moduli: list[float] = field(init=False)
-    angles: list[float] = field(init=False)
-    starts: list[int] = field(init=False)  # class k: columns starts[k]:starts[k + 1]
+    moduli: tuple[float, ...] = field(init=False)
+    angles: tuple[float, ...] = field(init=False)
+    starts: tuple[int, ...] = field(init=False)  # class k: columns starts[k]:starts[k + 1]
 
     def __post_init__(self) -> None:
         for a in (self.reps, self.multiplicities, self.vectors, self.spectrum):
             a.setflags(write=False)
         reps = self.reps.tolist()
-        object.__setattr__(self, "moduli", [abs(r) for r in reps])
-        object.__setattr__(self, "angles", [math.atan2(r.imag, r.real) for r in reps])
-        object.__setattr__(self, "starts", [0, *accumulate(self.multiplicities.tolist())])
+        object.__setattr__(self, "moduli", tuple([abs(r) for r in reps]))
+        object.__setattr__(self, "angles", tuple([math.atan2(r.imag, r.real) for r in reps]))
+        object.__setattr__(self, "starts", (0, *accumulate(self.multiplicities.tolist())))
 
     @cached_property
     def classes(self) -> tuple[EigenClass, ...]:

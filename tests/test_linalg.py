@@ -558,8 +558,10 @@ def test_eigen_data_is_immutable():
         data.classes = ()
     with pytest.raises(dataclasses.FrozenInstanceError):
         data.classes[0].vectors = ()
-    with pytest.raises(ValueError):
-        data.spectrum[0] = 0.0
+    for array in (data.spectrum, data.reps, data.multiplicities, data.vectors):
+        with pytest.raises(ValueError):
+            array[0] = 0
+    assert all(isinstance(x, tuple) for x in (data.kinds, data.moduli, data.angles, data.starts))
     # the null pair comes back rescaled to <a, r> = 1 in new classes
     a, r = (c.vectors[0] for c in data.classes if c.kind == PointType.NULL)
     assert sp.herm(a, r).approx_eq(ONE, 1e-9)

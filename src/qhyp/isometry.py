@@ -113,7 +113,7 @@ def decompose(members: Sequence[Isometry]) -> None:
     found = []  # (member, eigen, classification) of the semisimple members
     for x, eigen in zip(group, right_eigen([x.matrix for x in group], space, tol)):
         if isinstance(eigen, NotSemisimpleError):
-            x.eigen, x.classification, x._real_trace = None, Classification.PARABOLIC, None
+            x.eigen, x._real_trace, x.classification = None, None, Classification.PARABOLIC
         elif isinstance(eigen, QhypError):
             x._error = eigen
         else:
@@ -134,7 +134,8 @@ def decompose(members: Sequence[Isometry]) -> None:
                 decompose([x])
         return
     for (x, eigen, kind), coeffs in zip(found, traces):
-        x.eigen, x.classification, x._real_trace = eigen, kind, coeffs[:space.n].copy()
+        # classification last: it marks a decomposed member
+        x.eigen, x._real_trace, x.classification = eigen, coeffs[:space.n].copy(), kind
 
 
 def _classify_from_eigen(eigen: EigenData) -> Classification:

@@ -1,5 +1,7 @@
 import collections
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -242,6 +244,41 @@ def test_random_member_determinism():
     A = random_member(sp, np.random.default_rng(99))
     B = random_member(sp, np.random.default_rng(99))
     assert (A - B).norm() == 0.0
+
+
+def test_lazy_decomposition_can_be_shared_between_threads():
+    # threads race to the first read of fresh members, each through another
+    # attribute; every read must see a whole decomposition
+    sp = HermitianSpace(2)
+    matrices = [random_semisimple(Classification.HYPERBOLIC, 2, HyperbolicSpec(1.6, 0.7, (1.9,)),
+                                  seed=5, space=sp).matrix,
+                random_semisimple(Classification.ELLIPTIC, 2, EllipticSpec((0.4, 1.2, 2.5)),
+                                  seed=6, space=sp).matrix]
+    readers = [lambda x: x.real_trace(), lambda x: x.classes(), lambda x: x.classification,
+               lambda x: x.eigen.spectrum]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(30):
+            members = [Isometry(M, sp) for M in matrices]
+            errors = []
+
+            def read(k):
+                try:
+                    for x in members:
+                        readers[k % len(readers)](x)
+                except Exception as exc:  # recorded for the assertion below
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=read, args=(k,)) for k in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+            assert not any(t.is_alive() for t in threads)
+            assert errors == []
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_regular_isometry_decomposes_once(monkeypatch):

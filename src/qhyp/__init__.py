@@ -55,7 +55,6 @@ from .isometry import (
     random_semisimple,
 )
 from .linalg import (
-    EigenClass,
     EigenData,
     HermitianSpace,
     HMatrix,
@@ -68,7 +67,7 @@ from .quaternion import DEFAULT_TOL, Quaternion, sp1_align
 
 __all__ = [
     "Classification", "Decision", "DEFAULT_TOL", "DegenerateConfigurationError",
-    "DimensionMismatchError", "EigenClass", "EigenData", "EigenFrame", "EllipticSpec",
+    "DimensionMismatchError", "EigenData", "EigenFrame", "EllipticSpec",
     "GramSchmidtError", "HermitianSpace", "HMatrix", "HVector", "HyperbolicSpec",
     "InvalidSpecError", "InvariantProfile", "Isometry", "NotSemisimpleError",
     "NumericalError", "PointConfig", "PointType", "ProjPoint", "QhypError",

@@ -88,10 +88,11 @@ def cmd_classify(args) -> int:
     report = {"type": A.classification.value}
     if A.is_semisimple():
         report["real_trace"] = [float(x) for x in A.real_trace()]
+        e = A.eigen
         report["classes"] = [
-            {"modulus": c.modulus, "angle": c.angle,
-             "multiplicity": c.multiplicity, "type": c.kind.value}
-            for c in A.classes()]
+            {"modulus": modulus, "angle": angle, "multiplicity": mult, "type": kind.value}
+            for modulus, angle, mult, kind
+            in zip(e.moduli, e.angles, e.multiplicities.tolist(), e.kinds)]
     else:
         report["note"] = "parabolic elements are detected but not supported downstream"
     if args.format == "csv":

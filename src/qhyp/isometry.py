@@ -17,6 +17,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import (
+    GramSchmidtError,
     InvalidSpecError,
     NotSemisimpleError,
     NumericalError,
@@ -24,7 +25,6 @@ from .errors import (
     UnsupportedElementError,
 )
 from .linalg import (
-    EigenClass,
     EigenData,
     HermitianSpace,
     HMatrix,
@@ -33,12 +33,12 @@ from .linalg import (
     orthonormal_form_basis,
     right_eigen,
     spectrum_char_coeffs,
-    stacked,
     stacked_from_components,
     two_columns,
 )
 from .tolerances import (CHAR_COEFF_TOL, CLASS_MATCH_TOL, DEFAULT_TOL, FRAME_COND_MAX,
-                         GENERATED_MEMBER_TOL, HYPERBOLIC_MODULUS_TOL, SPAN_RTOL, TRACE_RTOL)
+                         GENERATED_MEMBER_TOL, HYPERBOLIC_MODULUS_TOL, REAL_CLASS_RTOL, SPAN_RTOL,
+                         TRACE_RTOL)
 
 
 class Classification(Enum):
@@ -88,11 +88,6 @@ class Isometry:
         if self._real_trace is None:
             raise UnsupportedElementError("real trace is not used for parabolic elements")
         return self._real_trace.copy()
-
-    def classes(self) -> tuple[EigenClass, ...]:
-        if self.eigen is None:
-            raise UnsupportedElementError("parabolic element has no class data")
-        return self.eigen.classes
 
     def __repr__(self) -> str:
         return f"Isometry(n={self.n}, {self.classification.value})"
@@ -206,14 +201,14 @@ def conjugate_single(A: Isometry, B: Isometry) -> bool:
 # Equality by invariants
 # ---------------------------------------------------------------------------
 
-def _eigensets_equal(ca: EigenClass, cb: EigenClass) -> bool:
-    """True when two classes' eigensets span one subspace: the right
-    quaternionic span for a real class, the complex span of the stacked
-    vectors otherwise."""
-    if ca.is_real():
-        B1, B2 = two_columns(stacked(ca.vectors)), two_columns(stacked(cb.vectors))
-    else:
-        B1, B2 = stacked(ca.vectors), stacked(cb.vectors)
+def _eigensets_equal(a: EigenData, ia: int, b: EigenData, ib: int) -> bool:
+    """True when class ia of ``a`` and class ib of ``b`` have eigensets that
+    span one subspace: the right quaternionic span when a's class is real,
+    the complex span of the stacked vectors otherwise."""
+    B1 = a.vectors[:, a.starts[ia]:a.starts[ia + 1]]
+    B2 = b.vectors[:, b.starts[ib]:b.starts[ib + 1]]
+    if abs(a.reps[ia].imag) <= REAL_CLASS_RTOL * max(1.0, a.moduli[ia]):
+        B1, B2 = two_columns(B1), two_columns(B2)
     return (matrix_rank(B1, SPAN_RTOL) == matrix_rank(B2, SPAN_RTOL)
             == matrix_rank(np.concatenate([B1, B2], axis=1), SPAN_RTOL))
 
@@ -231,7 +226,7 @@ def equal_by_invariants(A: Isometry, B: Isometry) -> bool:
     if not np.allclose(ta, tb, atol=TRACE_RTOL * max(1.0, float(np.max(np.abs(ta))))):
         return False
     pairs = _class_multisets_match(A.eigen, B.eigen)
-    return pairs is not None and all(_eigensets_equal(A.classes()[ia], B.classes()[ib])
+    return pairs is not None and all(_eigensets_equal(A.eigen, ia, B.eigen, ib)
                                      for ia, ib in pairs)
 
 
@@ -278,8 +273,6 @@ def random_frame(space: HermitianSpace, rng: np.random.Generator,
 
     Draws are rejected while the frame is near-degenerate, 200 times at most.
     """
-    from .errors import GramSchmidtError
-
     N = space.dim
     for _ in range(200):
         vecs = stacked_from_components(rng.uniform(-1.0, 1.0, (N, N, 4)))

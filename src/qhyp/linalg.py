@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import accumulate
 from typing import Sequence
 
@@ -33,8 +33,7 @@ from .errors import (
 from .quaternion import Quaternion, complex_pairs, from_complex_pairs
 from .tolerances import (BASIS_RANK_RTOL, CENTRALIZER_RTOL, CHAR_COEFF_TOL, CLUSTER_RTOL,
                          DEFAULT_TOL, DIVISION_FLOOR, FORM_DEGENERACY_RTOL, J_STRUCTURE_RTOL,
-                         NEWTON_MAX_STEPS, NEWTON_STEP_RTOL, RANK_RTOL, REAL_CLASS_RTOL,
-                         UNIT_MODULUS_TOL)
+                         NEWTON_MAX_STEPS, NEWTON_STEP_RTOL, RANK_RTOL, UNIT_MODULUS_TOL)
 
 
 class PointType(Enum):
@@ -72,22 +71,6 @@ class HVector:
     def dim(self) -> int:
         return self.s.shape[0] // 2
 
-    @staticmethod
-    def from_components(a: np.ndarray) -> "HVector":
-        """The vector with (N, 4) quaternion components ``a``."""
-        return HVector(stacked_from_components(a))
-
-    @staticmethod
-    def from_quaternions(entries: Sequence[Quaternion]) -> "HVector":
-        return HVector.from_components([q.to_array() for q in entries])
-
-    def components(self) -> np.ndarray:
-        """The (N, 4) quaternion components of the entries."""
-        return components_from_stacked(self.s)
-
-    def entries(self) -> list[Quaternion]:
-        return [Quaternion(*c) for c in self.components().tolist()]
-
     def times(self, q: "Quaternion | complex | float") -> "HVector":
         """Right scalar action v -> v*q."""
         if isinstance(q, Quaternion):
@@ -107,7 +90,7 @@ class HVector:
         return float(np.linalg.norm(self.s))
 
     def __repr__(self) -> str:
-        return f"HVector({self.entries()!r})"
+        return f"HVector(dim={self.dim})"
 
 
 class HMatrix:
@@ -144,13 +127,6 @@ class HMatrix:
         emb[:N, :N], emb[N:, :N] = A1, A2
         emb[:N, N:], emb[N:, N:] = -np.conj(A2), np.conj(A1)
         return HMatrix(emb, check=False)
-
-    @staticmethod
-    def from_quaternions(grid: Sequence[Sequence[Quaternion]]) -> "HMatrix":
-        N = len(grid)
-        if any(len(row) != N for row in grid):
-            raise DimensionMismatchError("grid must be square")
-        return HMatrix.from_components([[q.to_array() for q in row] for row in grid])
 
     @staticmethod
     def diag_complex(values: Sequence[complex]) -> "HMatrix":
@@ -312,13 +288,10 @@ class HermitianSpace:
         A = T.conj().T @ self.H_emb @ T[:, 0::2]
         return from_complex_pairs(A[0::2], A[1::2])
 
-    def classify_vectors(self, S: np.ndarray, tol: float = DEFAULT_TOL) -> list[PointType]:
-        """:func:`point_types` of the stacked columns of S, from the real
-        diagonal of one :meth:`pairings` product."""
-        return point_types(np.diagonal(self.pairings(S)[..., 0]), S, tol)
-
     def classify_vector(self, z: HVector, tol: float = DEFAULT_TOL) -> PointType:
-        return self.classify_vectors(z.s[:, None], tol)[0]
+        """:func:`point_types` of z, from the real diagonal of :meth:`pairings`."""
+        S = z.s[:, None]
+        return point_types(np.diagonal(self.pairings(S)[..., 0]), S, tol)[0]
 
     def member_residual(self, A: HMatrix) -> float:
         """Frobenius norm of A* H A - H in the embedding."""
@@ -396,40 +369,15 @@ def spectrum_char_coeffs(eigs: np.ndarray, tol: float = CHAR_COEFF_TOL) -> np.nd
 # Right-eigenvalue decomposition
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class EigenClass:
-    """One similarity class of right eigenvalues with its pinned eigenset basis.
-
-    Every vector satisfies A x = x * rep for the stored complex representative
-    (angle folded into [0, pi]).
-    """
-
-    rep: complex
-    multiplicity: int
-    kind: PointType
-    vectors: tuple[HVector, ...]
-
-    @property
-    def modulus(self) -> float:
-        return abs(self.rep)
-
-    @property
-    def angle(self) -> float:
-        return math.atan2(self.rep.imag, self.rep.real)
-
-    def is_real(self) -> bool:
-        return abs(self.rep.imag) <= REAL_CLASS_RTOL * max(1.0, abs(self.rep))
-
-
 @dataclass(frozen=True, eq=False)  # arrays have no single truth value: equality is identity
 class EigenData:
-    """The classes, by decreasing modulus then angle, as arrays: their
-    representatives ``reps``, ``multiplicities`` and ``kinds``, and the
-    stacked (2N, N) ``vectors`` of their pinned eigensets, class after class;
-    and the embedding's spectrum they were read from.  The arrays are
-    read-only; the classes' moduli, angles and first columns are tuples made
-    at construction, and ``classes`` builds the EigenClass objects on first
-    read."""
+    """The similarity classes of right eigenvalues, by decreasing modulus then
+    angle, as arrays: their representatives ``reps`` (angle folded into
+    [0, pi]), ``multiplicities`` and ``kinds``, and the stacked (2N, N)
+    ``vectors`` of their pinned eigensets, class after class, so that A x =
+    x * reps[k] for every column x of class k; and the embedding's spectrum
+    they were read from.  The arrays are read-only; the classes' moduli,
+    angles and first columns are tuples made at construction."""
 
     reps: np.ndarray
     multiplicities: np.ndarray
@@ -447,13 +395,6 @@ class EigenData:
         object.__setattr__(self, "moduli", tuple([abs(r) for r in reps]))
         object.__setattr__(self, "angles", tuple([math.atan2(r.imag, r.real) for r in reps]))
         object.__setattr__(self, "starts", (0, *accumulate(self.multiplicities.tolist())))
-
-    @cached_property
-    def classes(self) -> tuple[EigenClass, ...]:
-        s = self.starts
-        return tuple(EigenClass(rep, s[k + 1] - s[k], kind,
-                                tuple(map(HVector, self.vectors[:, s[k]:s[k + 1]].T.copy())))
-                     for k, (rep, kind) in enumerate(zip(self.reps.tolist(), self.kinds)))
 
 
 def nullspace(M: np.ndarray, rtol: float = RANK_RTOL) -> np.ndarray:

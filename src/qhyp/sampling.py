@@ -13,7 +13,6 @@ import numpy as np
 
 from .errors import DegenerateConfigurationError, NumericalError
 from .gram import PointConfig, gram_of
-from .invariants import ProjPoint
 from .isometry import (
     Classification,
     EllipticSpec,
@@ -21,8 +20,10 @@ from .isometry import (
     Isometry,
     random_semisimple,
 )
-from .linalg import HermitianSpace, HMatrix, HVector, PointType
-from .quaternion import Quaternion
+from .linalg import (HermitianSpace, HMatrix, HVector, PointType, right_times,
+                     stacked_from_components)
+from .pairs import have_common_fixed_point
+from .quaternion import Quaternion, complex_pairs
 
 
 def random_quaternion(rng: np.random.Generator, scale: float = 1.0) -> Quaternion:
@@ -33,28 +34,26 @@ def random_unit_quaternion(rng: np.random.Generator) -> Quaternion:
     return Quaternion.from_seq(rng.normal(size=4)).unit()
 
 
+def _lift_components(space: HermitianSpace, rng: np.random.Generator,
+                     negative: bool) -> np.ndarray:
+    """(N, 4) components of a random lift in the unbounded-domain chart (last
+    coordinate 1): n - 1 random middle entries, then the imaginary part of
+    the first, whose real part balances the middle norms so that the
+    self-pairing vanishes exactly, or is -depth for a negative point."""
+    n = space.n
+    draws = rng.uniform(-1.0, 1.0, (n, 4))  # the middle rows, then Im of the first
+    depth = rng.uniform(0.2, 2.0) if negative else 0.0
+    sq = draws[:-1] * draws[:-1]
+    norms_sq = sq[:, 0] + sq[:, 1] + sq[:, 2] + sq[:, 3]
+    z = np.zeros((n + 1, 4))
+    z[0, 1:], z[1:n], z[n, 0] = draws[-1, 1:], draws[:-1], 1.0
+    z[0, 0] += -0.5 * (sum(norms_sq.tolist()) + depth)  # onto +0.0: never a -0.0 at n = 1
+    return z
+
+
 def sample_null_lift(space: HermitianSpace, rng: np.random.Generator) -> HVector:
-    """Random boundary point in the unbounded-domain chart (last coordinate 1).
-
-    The first coordinate's real part balances the middle norms so that the
-    self-pairing vanishes exactly.
-    """
-    n = space.n
-    middle = [random_quaternion(rng) for _ in range(n - 1)]
-    im = random_quaternion(rng).im()
-    re = -0.5 * sum(q.norm_sq() for q in middle)
-    z1 = Quaternion.real(re) + im
-    return HVector.from_quaternions([z1] + middle + [Quaternion.one()])
-
-
-def sample_negative_lift(space: HermitianSpace, rng: np.random.Generator) -> HVector:
-    n = space.n
-    middle = [random_quaternion(rng) for _ in range(n - 1)]
-    im = random_quaternion(rng).im()
-    depth = rng.uniform(0.2, 2.0)
-    re = -0.5 * (sum(q.norm_sq() for q in middle) + depth)
-    z1 = Quaternion.real(re) + im
-    return HVector.from_quaternions([z1] + middle + [Quaternion.one()])
+    """Random boundary point in the unbounded-domain chart (last coordinate 1)."""
+    return HVector(stacked_from_components(_lift_components(space, rng, False)))
 
 
 def sample_config(space: HermitianSpace, m: int, i: int,
@@ -62,17 +61,16 @@ def sample_config(space: HermitianSpace, m: int, i: int,
     """Random configuration of i null points then m - i negative ones, in 50 draws at most."""
     if not (i == 0 or 3 <= i <= m):
         raise ValueError("null count must be 0 or at least 3")
+    kinds = [PointType.NULL] * i + [PointType.NEGATIVE] * (m - i)
     for _ in range(50):
-        pts = []
-        for _ in range(i):
-            pts.append(ProjPoint(sample_null_lift(space, rng), PointType.NULL))
-        for _ in range(m - i):
-            pts.append(ProjPoint(sample_negative_lift(space, rng), PointType.NEGATIVE))
+        S = stacked_from_components(np.array([_lift_components(space, rng, k >= i)
+                                              for k in range(m)]))
         if scramble_lifts:
-            pts = [p.rescaled(random_quaternion(rng, 1.0))
-                   if rng.uniform() < 0.8 else p for p in pts]
+            for k in range(m):
+                if rng.uniform() < 0.8:
+                    S[:, k] = right_times(S[:, k], *complex_pairs(rng.uniform(-1.0, 1.0, 4)))
         try:
-            return gram_of(space, pts)
+            return gram_of(space, S, kinds=kinds)
         except DegenerateConfigurationError:
             continue
     raise NumericalError("failed to sample a nondegenerate configuration")
@@ -134,8 +132,6 @@ def sample_pair(space: HermitianSpace, rng: np.random.Generator,
                 regular: bool = True) -> tuple[Isometry, Isometry]:
     """Semisimple pair without a common fixed point (20 draws at most);
     ``regular`` as in :func:`sample_semisimple`."""
-    from .pairs import have_common_fixed_point
-
     for _ in range(20):
         A = sample_semisimple(space, rng, kinds[0] if kinds else None, regular)
         B = sample_semisimple(space, rng, kinds[1] if kinds else None, regular)

@@ -13,9 +13,14 @@ slot, too few to determine the configuration (see the test body).
 
 import os
 
+import numpy as np
 import pytest
 
-from qhyp.verify import CRITERIA, CriterionResult
+from qhyp import verify
+from qhyp.gram import PointConfig
+from qhyp.linalg import HermitianSpace
+from qhyp.sampling import sample_config
+from qhyp.verify import CRITERIA, CriterionResult, _perturbed_config
 
 QUICK = bool(os.environ.get("QHYP_ACCEPTANCE_QUICK"))
 
@@ -58,3 +63,25 @@ def test_criterion_6_round_trip_and_counts():
 def test_criteria_7_to_11(index):
     result = _run(index)
     assert result.passed, result.detail
+
+
+def test_perturbed_config_is_none_only_without_a_separated_neighbour():
+    # at n = 1 any three distinct boundary points are congruent, so no
+    # neighbour of a (3, 3, 1) configuration has a separated invariant
+    rng = np.random.default_rng(7)
+    line = sample_config(HermitianSpace(1), 3, 3, rng)
+    assert _perturbed_config(line, rng) is None
+    cfg = sample_config(HermitianSpace(2), 4, 4, rng)
+    other = _perturbed_config(cfg, rng)
+    assert isinstance(other, PointConfig) and other.kinds == cfg.kinds
+
+
+def test_perturbed_config_lets_programming_errors_through(monkeypatch):
+    # only a qhyp error means "no usable neighbour"; anything else is a bug
+    def broken(*args, **kwargs):
+        raise TypeError("injected")
+
+    cfg = sample_config(HermitianSpace(2), 4, 4, np.random.default_rng(7))
+    monkeypatch.setattr(verify, "gram_of", broken)
+    with pytest.raises(TypeError, match="injected"):
+        _perturbed_config(cfg, np.random.default_rng(8))

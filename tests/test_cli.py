@@ -13,7 +13,7 @@ from qhyp.cli import main
 from qhyp.errors import InvalidSpecError
 from qhyp.isometry import Classification, HyperbolicSpec, random_semisimple
 from qhyp.gram import gram_of
-from qhyp.linalg import HermitianSpace, HVector
+from qhyp.linalg import HermitianSpace, HVector, stacked_from_components
 from qhyp.sampling import apply_isometry, sample_config
 from qhyp.isometry import random_member
 from qhyp.serialize import (
@@ -81,7 +81,7 @@ def test_config_decoder_forms_one_pairings_product(monkeypatch):
     cfg = config_from_json(data)
     assert shapes == [(10, 8)]
     monkeypatch.undo()
-    vectors = [HVector.from_components(np.array(a)) for a in data["points"]]
+    vectors = [HVector(stacked_from_components(np.array(a))) for a in data["points"]]
     ref = gram_of(sp, [ProjPoint(v, sp.classify_vector(v, WIRE_TOL)) for v in vectors], WIRE_TOL)
     assert cfg.kinds == ref.kinds
     assert np.array_equal(cfg.lifts, ref.lifts) and np.array_equal(cfg.gram, ref.gram)
@@ -100,10 +100,10 @@ def test_isometry_decoder_makes_one_eig_and_no_svd(monkeypatch):
                             lambda *a, _n=name, _f=real, **k: calls.append(_n) or _f(*a, **k))
     monkeypatch.setattr(HermitianSpace, "herm", lambda *args: calls.append("herm"))
     A = isometry_from_json(data)
-    kind, classes = A.classification, A.classes()
+    kind, mults = A.classification, A.eigen.multiplicities
     assert calls == ["eig"]
     assert kind is Classification.HYPERBOLIC
-    assert [c.multiplicity for c in classes] == [1] * 5
+    assert mults.tolist() == [1] * 5
 
 
 def _spoiled(rows, how):

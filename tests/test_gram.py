@@ -34,10 +34,11 @@ from qhyp.invariants import (
 )
 from qhyp.isometry import random_member
 from qhyp.linalg import (HermitianSpace, HVector, PointType, matrix_rank, right_times,
-                         two_columns)
-from qhyp.quaternion import Quaternion, complex_pairs, qconj_array, qmul_array
+                         stacked_from_components, two_columns)
+from qhyp.quaternion import Quaternion, complex_pairs, qconj_array, qmul_array, quaternion_array
 from qhyp.tolerances import ANGLE_ZERO_TOL, DECIDER_TOL
 from qhyp.sampling import (
+    _lift_components,
     apply_isometry,
     random_quaternion,
     random_unit_quaternion,
@@ -49,8 +50,8 @@ ONE = Quaternion.one()
 
 
 def qv(*entries):
-    return HVector.from_quaternions([q if isinstance(q, Quaternion) else Quaternion.real(q)
-                                     for q in entries])
+    return HVector(stacked_from_components(quaternion_array(
+        q if isinstance(q, Quaternion) else Quaternion.real(q) for q in entries)))
 
 
 def pp(space, *entries):
@@ -238,8 +239,8 @@ def test_semi_normalize_rejects_small_null_counts():
     sp = HermitianSpace(2)
     rng = np.random.default_rng(51)
     pts = [ProjPoint(sample_null_lift(sp, rng), PointType.NULL)]
-    from qhyp.sampling import sample_negative_lift
-    pts += [ProjPoint(sample_negative_lift(sp, rng), PointType.NEGATIVE) for _ in range(3)]
+    pts += [ProjPoint(HVector(stacked_from_components(_lift_components(sp, rng, True))),
+                      PointType.NEGATIVE) for _ in range(3)]
     cfg = gram_of(sp, pts)
     with pytest.raises(InvalidSpecError):
         semi_normalize(cfg)

@@ -21,8 +21,8 @@ from qhyp.invariants import (
     x_slot_indices,
 )
 from qhyp.isometry import random_member
-from qhyp.linalg import HermitianSpace, HVector, PointType, stacked
-from qhyp.quaternion import Quaternion, sp1_align
+from qhyp.linalg import HermitianSpace, HVector, PointType, stacked, stacked_from_components
+from qhyp.quaternion import Quaternion, quaternion_array, sp1_align
 from qhyp.sampling import (
     apply_isometry,
     random_quaternion,
@@ -35,8 +35,8 @@ ONE = Quaternion.one()
 
 
 def qv(*entries):
-    return HVector.from_quaternions([q if isinstance(q, Quaternion) else Quaternion.real(q)
-                                     for q in entries])
+    return HVector(stacked_from_components(quaternion_array(
+        q if isinstance(q, Quaternion) else Quaternion.real(q) for q in entries)))
 
 
 def pp(space, *entries):

@@ -18,7 +18,6 @@ from qhyp.isometry import (
 from qhyp.errors import NumericalError
 from qhyp.linalg import (
     CLUSTER_RTOL,
-    EigenClass,
     HermitianSpace,
     HMatrix,
     HVector,
@@ -33,6 +32,7 @@ from qhyp.linalg import (
     _type_and_normalize,
     components_from_stacked,
     orthonormal_form_basis,
+    point_types,
     right_eigen,
     right_times,
     spectrum_char_coeffs,
@@ -41,7 +41,7 @@ from qhyp.linalg import (
     two_columns,
 )
 from qhyp.pairs import eigenframe
-from qhyp.quaternion import Quaternion, complex_pairs, from_complex_pairs
+from qhyp.quaternion import Quaternion, complex_pairs, from_complex_pairs, quaternion_array
 from qhyp.gram import SemiNormalizedGram
 from qhyp.tolerances import (CHAR_COEFF_TOL, DIVISION_FLOOR, NEWTON_MAX_STEPS, NEWTON_STEP_RTOL,
                              UNIT_MODULUS_TOL)
@@ -55,19 +55,31 @@ Q0 = Quaternion()
 
 
 def qv(*entries):
-    return HVector.from_quaternions([q if isinstance(q, Quaternion) else Quaternion.real(q)
-                                     for q in entries])
+    return HVector(stacked_from_components(quaternion_array(
+        q if isinstance(q, Quaternion) else Quaternion.real(q) for q in entries)))
+
+
+def qm(grid):
+    """The HMatrix of a square grid of quaternions."""
+    return HMatrix.from_components(np.array([quaternion_array(row) for row in grid]))
+
+
+def entries_of(v):
+    """The entries of an HVector as quaternions."""
+    return [Quaternion(*c) for c in components_from_stacked(v.s).tolist()]
+
+
+def class_vectors(data, k):
+    """The pinned eigenset of class k of EigenData ``data``, as HVectors."""
+    return [HVector(x) for x in data.vectors[:, data.starts[k]:data.starts[k + 1]].T]
 
 
 def random_hmatrix(rng, N, scale=1.0):
-    grid = [[Quaternion.from_seq(rng.uniform(-scale, scale, 4)) for _ in range(N)]
-            for _ in range(N)]
-    return HMatrix.from_quaternions(grid)
+    return HMatrix.from_components(rng.uniform(-scale, scale, (N, N, 4)))
 
 
 def random_hvector(rng, N, scale=1.0):
-    return HVector.from_quaternions(
-        [Quaternion.from_seq(rng.uniform(-scale, scale, 4)) for _ in range(N)])
+    return HVector(stacked_from_components(rng.uniform(-scale, scale, (N, 4))))
 
 
 def grid_of(A):
@@ -83,9 +95,9 @@ def identity(N):
 
 def test_embed_scalars():
     # 1x1 matrix [j] embeds to [[0, -1], [1, 0]]
-    M = HMatrix.from_quaternions([[J]])
+    M = qm([[J]])
     np.testing.assert_allclose(M.emb, np.array([[0, -1], [1, 0]], dtype=complex))
-    Mi = HMatrix.from_quaternions([[I]])
+    Mi = qm([[I]])
     np.testing.assert_allclose(Mi.emb, np.diag([1j, -1j]))
 
 
@@ -109,7 +121,7 @@ def test_embed_star_and_grid_roundtrip():
     rng = np.random.default_rng(11)
     A = random_hmatrix(rng, 3)
     grid = grid_of(A)
-    again = HMatrix.from_quaternions(grid)
+    again = qm(grid)
     assert np.max(np.abs(A.emb - again.emb)) < 1e-14
     # the component array round-trips bit for bit, signed zeros included
     comps = rng.uniform(-1.0, 1.0, (3, 3, 4))
@@ -117,7 +129,8 @@ def test_embed_star_and_grid_roundtrip():
     comps[2, 0, 1:] = [-0.0, 0.0, -0.0]
     back = HMatrix.from_components(comps).components()
     assert back.tobytes() == comps.tobytes()
-    assert HVector.from_components(comps[0]).components().tobytes() == comps[0].tobytes()
+    assert components_from_stacked(stacked_from_components(comps[0])).tobytes() == \
+        comps[0].tobytes()
     assert np.array_equal([[q.to_array() for q in row] for row in grid], A.components())
     # the embedding's conjugate transpose is the entrywise conjugate transpose
     S = grid_of(HMatrix(A.emb.conj().T))
@@ -139,13 +152,11 @@ def test_quaternion_grids_are_the_from_seq_grids_bitwise():
     comps = rng.normal(size=(4, 4, 4))
     comps[rng.uniform(size=comps.shape) < 0.2] = 0.0
     comps[rng.uniform(size=comps.shape) < 0.2] = -0.0
-    A, v = HMatrix.from_components(comps), HVector.from_components(comps[1])
+    A = HMatrix.from_components(comps)
     grid = SemiNormalizedGram(4, 4, A.components()).entries
     assert [len(row) for row in grid] == [4] * 4
     assert _component_bits(q for row in grid for q in row) == _component_bits(
         Quaternion.from_seq(c) for row in A.components() for c in row)
-    assert _component_bits(v.entries()) == _component_bits(
-        Quaternion.from_seq(c) for c in v.components())
     assert np.any((A.components() == 0.0) & np.signbit(A.components()))
 
 
@@ -165,9 +176,9 @@ def test_matrix_vector_action_matches_entries():
     rng = np.random.default_rng(12)
     A = random_hmatrix(rng, 3)
     v = random_hvector(rng, 3)
-    image = A.apply(v).entries()
+    image = entries_of(A.apply(v))
     grid = grid_of(A)
-    ve = v.entries()
+    ve = entries_of(v)
     for r in range(3):
         direct = Quaternion()
         for c in range(3):
@@ -179,10 +190,10 @@ def test_right_scalar_action():
     rng = np.random.default_rng(13)
     v = random_hvector(rng, 3)
     q = Quaternion.from_seq(rng.uniform(-1, 1, 4))
-    scaled = v.times(q).entries()
-    for ve, se in zip(v.entries(), scaled):
+    scaled = entries_of(v.times(q))
+    for ve, se in zip(entries_of(v), scaled):
         assert se.approx_eq(ve * q, 1e-12)
-    assert HVector(_times_j(v.s)).entries()[0].approx_eq(v.entries()[0] * J, 1e-12)
+    assert entries_of(HVector(_times_j(v.s)))[0].approx_eq(entries_of(v)[0] * J, 1e-12)
 
 
 @pytest.mark.parametrize("N,m", [(2, 3), (3, 5), (5, 8), (9, 12)])
@@ -200,7 +211,7 @@ def test_stacked_arrays_match_the_per_vector_results_bitwise(N, m):
     for k, v in enumerate(vectors):
         assert np.array_equal(each[:, k], v.times(Quaternion.from_seq(lam[k])).s)
         assert np.array_equal(common[:, k], v.times(one).s)
-        assert np.array_equal(comps[k], v.components())
+        assert np.array_equal(comps[k], components_from_stacked(v.s))
     assert np.array_equal(stacked_from_components(comps), S)
     per_vector = np.concatenate([np.stack([v.s, _times_j(v.s)], axis=1) for v in vectors],
                                 axis=1)
@@ -260,14 +271,18 @@ def test_classify_vector():
         sp.classify_vector(qv(0, 0))
 
 
-def test_classify_vectors_is_the_one_vector_rule_per_vector():
+def test_point_types_is_the_one_vector_rule_per_vector():
     sp = HermitianSpace(2)
+
+    def types(vectors):
+        S = stacked(vectors)
+        return point_types(np.diagonal(sp.pairings(S)[..., 0]), S)
+
     vectors = [qv(0, 1, 0), qv(-1, 0, 1), qv(1, 0, 0), qv(1e-12, 0, 1), qv(J, 2, 1)]
-    assert sp.classify_vectors(stacked(vectors)) == [sp.classify_vector(v) for v in vectors]
-    assert sp.classify_vectors(stacked(vectors))[:3] == [PointType.POSITIVE, PointType.NEGATIVE,
-                                                         PointType.NULL]
+    assert types(vectors) == [sp.classify_vector(v) for v in vectors]
+    assert types(vectors)[:3] == [PointType.POSITIVE, PointType.NEGATIVE, PointType.NULL]
     with pytest.raises(ValueError):
-        sp.classify_vectors(stacked([qv(0, 1, 0), qv(0, 0, 0)]))
+        types([qv(0, 1, 0), qv(0, 0, 0)])
 
 
 # -- membership -------------------------------------------------------------
@@ -436,12 +451,11 @@ def _random_member(space, rng, cond_max=200.0):
 def test_right_eigen_diag_hyperbolic():
     sp = HermitianSpace(1)
     data = right_eigen(diag_member([2.0, 0.5]), sp)
-    assert len(data.classes) == 2
-    mods = sorted(c.modulus for c in data.classes)
+    assert len(data.reps) == 2
+    mods = sorted(data.moduli)
     assert mods == pytest.approx([0.5, 2.0])
-    for c in data.classes:
-        assert c.kind == PointType.NULL
-        assert c.multiplicity == 1
+    assert data.kinds == (PointType.NULL, PointType.NULL)
+    assert data.multiplicities.tolist() == [1, 1]
 
 
 def test_right_eigen_eigen_equation_residual():
@@ -451,12 +465,12 @@ def test_right_eigen_eigen_equation_residual():
     C = _random_member(sp, rng)
     A = C @ E @ C.inverse()
     data = right_eigen(A, sp)
-    mods = sorted(c.modulus for c in data.classes)
+    mods = sorted(data.moduli)
     assert mods == pytest.approx([0.5, 2.0], rel=1e-8)
-    for c in data.classes:
-        assert abs(c.angle - np.pi / 3) < 1e-8
-        for x in c.vectors:
-            resid = (A.apply(x) - x.times(complex(c.rep))).norm()
+    for k, angle in enumerate(data.angles):
+        assert abs(angle - np.pi / 3) < 1e-8
+        for x in class_vectors(data, k):
+            resid = (A.apply(x) - x.times(complex(data.reps[k]))).norm()
             assert resid < 1e-8 * A.norm() * x.norm()
 
 
@@ -466,8 +480,8 @@ def test_right_eigen_scalar_covariance():
     sp = HermitianSpace(1)
     A = diag_member([2 * np.exp(1j * 0.7), 0.5 * np.exp(1j * 0.7)])
     data = right_eigen(A, sp)
-    x = data.classes[0].vectors[0]
-    rep = data.classes[0].rep
+    x = class_vectors(data, 0)[0]
+    rep = complex(data.reps[0])
     mu = Quaternion.from_seq(rng.normal(size=4)).unit()
     lam = Quaternion.from_complex_pair(rep, 0)
     y = x.times(mu)
@@ -479,7 +493,7 @@ def test_right_eigen_rejects_defective():
     sp = HermitianSpace(1)
     # Heisenberg translation: [[1, t], [0, 1]] with t pure imaginary
     t = Quaternion(0, 1.0, 0.5, 0)
-    A = HMatrix.from_quaternions([[ONE, t], [Q0, ONE]])
+    A = qm([[ONE, t], [Q0, ONE]])
     assert sp.is_member(A, 1e-12)
     with pytest.raises(NotSemisimpleError):
         right_eigen(A, sp)
@@ -488,16 +502,16 @@ def test_right_eigen_rejects_defective():
 def test_right_eigen_elliptic_types():
     sp = HermitianSpace(1)
     # frame with column Gram diag(-1, 1) transports the ball form
-    C = HMatrix.from_quaternions([[Quaternion.real(-1 / math.sqrt(2)), Quaternion.real(1 / math.sqrt(2))],
-                                  [Quaternion.real(1 / math.sqrt(2)), Quaternion.real(1 / math.sqrt(2))]])
+    C = qm([[Quaternion.real(-1 / math.sqrt(2)), Quaternion.real(1 / math.sqrt(2))],
+            [Quaternion.real(1 / math.sqrt(2)), Quaternion.real(1 / math.sqrt(2))]])
     E = diag_member([np.exp(1j * 0.9), np.exp(1j * 0.3)])
     A = C @ E @ C.inverse()
     assert sp.is_member(A, 1e-10)
     data = right_eigen(A, sp)
-    kinds = sorted(c.kind.value for c in data.classes)
+    kinds = sorted(kind.value for kind in data.kinds)
     assert kinds == ["negative", "positive"]
-    neg = [c for c in data.classes if c.kind == PointType.NEGATIVE][0]
-    assert abs(neg.angle - 0.9) < 1e-9
+    neg = data.kinds.index(PointType.NEGATIVE)
+    assert abs(data.angles[neg] - 0.9) < 1e-9
 
 
 def test_right_eigen_multiplicity_two():
@@ -510,15 +524,16 @@ def test_right_eigen_multiplicity_two():
     A = C @ E @ C.inverse()
     assert sp.is_member(A, 1e-10)
     data = right_eigen(A, sp)
-    mults = sorted((c.multiplicity, c.kind.value) for c in data.classes)
+    mults = sorted(zip(data.multiplicities.tolist(), [kind.value for kind in data.kinds]))
     assert mults == [(1, "negative"), (2, "positive")]
-    pos = [c for c in data.classes if c.kind == PointType.POSITIVE][0]
-    assert len(pos.vectors) == 2
+    pos = data.kinds.index(PointType.POSITIVE)
+    vectors = class_vectors(data, pos)
+    assert len(vectors) == 2
     # basis is form-orthonormal within the eigenspace
-    assert sp.herm(pos.vectors[0], pos.vectors[1]).norm() < 1e-9
-    for x in pos.vectors:
+    assert sp.herm(vectors[0], vectors[1]).norm() < 1e-9
+    for x in vectors:
         assert sp.herm(x, x).approx_eq(ONE, 1e-9)
-        assert (A.apply(x) - x.times(complex(pos.rep))).norm() < 1e-8
+        assert (A.apply(x) - x.times(complex(data.reps[pos]))).norm() < 1e-8
 
 
 def _pairwise_clusters(eigs):
@@ -552,18 +567,15 @@ def test_eigen_data_is_immutable():
     A = random_semisimple(Classification.HYPERBOLIC, 2, HyperbolicSpec(1.6, 0.8, (1.9,)),
                           seed=3, space=sp).matrix
     data = right_eigen(A, sp)
-    assert isinstance(data.classes, tuple)
-    assert all(isinstance(c.vectors, tuple) for c in data.classes)
     with pytest.raises(dataclasses.FrozenInstanceError):
-        data.classes = ()
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        data.classes[0].vectors = ()
+        data.kinds = ()
     for array in (data.spectrum, data.reps, data.multiplicities, data.vectors):
         with pytest.raises(ValueError):
             array[0] = 0
     assert all(isinstance(x, tuple) for x in (data.kinds, data.moduli, data.angles, data.starts))
     # the null pair comes back rescaled to <a, r> = 1 in new classes
-    a, r = (c.vectors[0] for c in data.classes if c.kind == PointType.NULL)
+    a, r = (class_vectors(data, k)[0] for k, kind in enumerate(data.kinds)
+            if kind == PointType.NULL)
     assert sp.herm(a, r).approx_eq(ONE, 1e-9)
     # so does the eigenframe the pair decider assembles from them
     frame = eigenframe(Isometry(A, sp))
@@ -580,16 +592,18 @@ def _expected_multiplicities(kind, spec):
 
 
 def _assert_pinned_orthonormal(A, sp, data):
-    for c in data.classes:
-        assert len(c.vectors) == c.multiplicity
-        for x in c.vectors:
-            resid = (A.apply(x) - x.times(complex(c.rep))).norm()
+    for c, (rep, mult, kind) in enumerate(zip(data.reps.tolist(), data.multiplicities.tolist(),
+                                              data.kinds)):
+        vectors = class_vectors(data, c)
+        assert len(vectors) == mult
+        for x in vectors:
+            resid = (A.apply(x) - x.times(rep)).norm()
             assert resid < 1e-8 * A.norm() * x.norm()
-        if c.kind is PointType.NULL:
+        if kind is PointType.NULL:
             continue
-        signs = [-1.0 if c.kind is PointType.NEGATIVE else 1.0] + [1.0] * (c.multiplicity - 1)
-        for r, (u, su) in enumerate(zip(c.vectors, signs)):
-            for k, v in enumerate(c.vectors):
+        signs = [-1.0 if kind is PointType.NEGATIVE else 1.0] + [1.0] * (mult - 1)
+        for r, (u, su) in enumerate(zip(vectors, signs)):
+            for k, v in enumerate(vectors):
                 target = Quaternion.real(su) if k == r else Q0
                 assert sp.herm(v, u).approx_eq(target, 1e-9)
 
@@ -611,7 +625,7 @@ def test_right_eigen_non_regular(n, kind):
             spec = random_elliptic_spec(n, rng, regular=False)
         A = random_semisimple(kind, n, spec, seed=100 + trial, space=sp).matrix
         data = right_eigen(A, sp)
-        mults = sorted(c.multiplicity for c in data.classes)
+        mults = sorted(data.multiplicities.tolist())
         assert mults == _expected_multiplicities(kind, spec)
         assert max(mults) >= 2
         _assert_pinned_orthonormal(A, sp, data)
@@ -626,7 +640,7 @@ def test_right_eigen_repeated_real_class(angles):
     A = random_semisimple(Classification.ELLIPTIC, n, EllipticSpec(angles), seed=7,
                           space=sp).matrix
     data = right_eigen(A, sp)
-    assert sorted(c.multiplicity for c in data.classes) == \
+    assert sorted(data.multiplicities.tolist()) == \
         _expected_multiplicities(Classification.ELLIPTIC, EllipticSpec(angles))
     _assert_pinned_orthonormal(A, sp, data)
 
@@ -659,7 +673,7 @@ def test_right_eigen_stack_matches_one_at_a_time(n):
 
 def test_parabolic_member_fails_alone_in_a_stack():
     sp = HermitianSpace(1)
-    P = HMatrix.from_quaternions([[ONE, Quaternion(0, 1.0, 0.5, 0)], [Q0, ONE]])  # Heisenberg
+    P = qm([[ONE, Quaternion(0, 1.0, 0.5, 0)], [Q0, ONE]])  # Heisenberg
     H = diag_member([2.0, 0.5])
     E = random_semisimple(ELL, 1, EllipticSpec((0.9, 0.3)), seed=3, space=sp).matrix
     got = right_eigen([H, P, E], sp)
@@ -705,10 +719,14 @@ def _eigen_members(n):
     return members
 
 
+RefClass = collections.namedtuple("RefClass", "rep multiplicity kind vectors")
+
+
 def _per_class_right_eigen(A, sp, tol=1e-9):
     """The per-class loop that right_eigen's array pass replaced: a mean, an
     eig column and a normalization for each simple class, and the null pair
-    rescaled through herm and quaternion arithmetic."""
+    rescaled through herm and quaternion arithmetic.  RefClass records, by
+    decreasing modulus then angle."""
     M = A.emb
     spectrum, V = np.linalg.eig(M)
     classes = []
@@ -730,16 +748,16 @@ def _per_class_right_eigen(A, sp, tol=1e-9):
             else:
                 kind = PointType.NEGATIVE if val < 0 else PointType.POSITIVE
                 vectors = (HVector(S[:, 0] / math.sqrt(abs(val))),)
-        classes.append(EigenClass(rep, mult, kind, vectors))
-    classes.sort(key=lambda c: (-c.modulus, c.angle))
-    nulls = sorted((c for c in classes if c.kind is PointType.NULL), key=lambda c: -c.modulus)
-    if len(nulls) == 2 and abs(nulls[0].modulus - 1.0) >= UNIT_MODULUS_TOL:
+        classes.append(RefClass(rep, mult, kind, vectors))
+    classes.sort(key=lambda c: (-abs(c.rep), math.atan2(c.rep.imag, c.rep.real)))
+    nulls = sorted((c for c in classes if c.kind is PointType.NULL), key=lambda c: -abs(c.rep))
+    if len(nulls) == 2 and abs(abs(nulls[0].rep) - 1.0) >= UNIT_MODULUS_TOL:
         (big, small), (a, r) = nulls, (c.vectors[0] for c in nulls)
         h = sp.herm(a, r)
         hn = h.norm()
         nu = h * (1.0 / (hn * hn))
         scaled = {id(big): a.times(1.0 / math.sqrt(hn)), id(small): r.times(nu * math.sqrt(hn))}
-        classes = [dataclasses.replace(c, vectors=(scaled[id(c)],)) if id(c) in scaled else c
+        classes = [c._replace(vectors=(scaled[id(c)],)) if id(c) in scaled else c
                    for c in classes]
     return classes
 
@@ -750,18 +768,19 @@ def test_right_eigen_array_pass_matches_the_per_class_loop(n):
     # rescaled null pair, whose <a, r> is read from one complex product
     sp = HermitianSpace(n)
     for M in _eigen_members(n):
-        got, ref = right_eigen(M, sp).classes, _per_class_right_eigen(M, sp)
-        assert [(c.rep, c.kind, c.multiplicity) for c in got] == \
+        data, ref = right_eigen(M, sp), _per_class_right_eigen(M, sp)
+        assert list(zip(data.reps.tolist(), data.kinds, data.multiplicities.tolist())) == \
             [(c.rep, c.kind, c.multiplicity) for c in ref]
-        null_pair = sum(c.kind is PointType.NULL for c in got) == 2
-        for c, c_ref in zip(got, ref):
-            for x, y in zip(c.vectors, c_ref.vectors, strict=True):
-                if null_pair and c.kind is PointType.NULL:
+        null_pair = data.kinds.count(PointType.NULL) == 2
+        for k, c_ref in enumerate(ref):
+            for x, y in zip(class_vectors(data, k), c_ref.vectors, strict=True):
+                if null_pair and c_ref.kind is PointType.NULL:
                     assert np.linalg.norm(x.s - y.s) <= 1e-13 * np.linalg.norm(y.s)
                 else:
                     assert np.array_equal(x.s, y.s)
         if null_pair:
-            a, r = (c.vectors[0] for c in got if c.kind is PointType.NULL)
+            a, r = (class_vectors(data, k)[0] for k, kind in enumerate(data.kinds)
+                    if kind is PointType.NULL)
             assert sp.herm(a, r).approx_eq(ONE, 1e-12)
 
 
@@ -781,7 +800,7 @@ def _heisenberg(n, scale, rng, horizontal):
     for k, q in enumerate(a):
         grid[0][k + 1] = -q.conj()
         grid[k + 1][N - 1] = q
-    return HMatrix.from_quaternions(grid)
+    return qm(grid)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

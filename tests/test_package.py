@@ -168,3 +168,19 @@ PINNED = {
 def test_tolerance_table_is_pinned():
     table = {name: value for name, value in vars(tolerances).items() if name.isupper()}
     assert table == PINNED
+
+
+def test_imports_sit_at_module_level():
+    # an import inside a function hides a dependency; cli.py imports per
+    # command, so that a fresh process loads only what its command needs, and
+    # profile's import of semi_normalize breaks a real cycle (gram imports
+    # invariants)
+    found = []
+    for path in sorted(Path(qhyp.__file__).parent.glob("*.py")):
+        if path.name == "cli.py":
+            continue
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found += [f"{path.name}: {fn.name}: {ast.unparse(node)}" for node in ast.walk(fn)
+                          if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert found == ["invariants.py: profile: from .gram import semi_normalize"]

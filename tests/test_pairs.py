@@ -19,7 +19,7 @@ from qhyp.isometry import (
     random_member,
     random_semisimple,
 )
-from qhyp.linalg import HermitianSpace, HMatrix, HVector, PointType, nullspace, stacked, two_columns
+from qhyp.linalg import HermitianSpace, HMatrix, HVector, PointType, nullspace, two_columns
 from qhyp import pairs
 from qhyp.pairs import (
     eigenframe,
@@ -30,7 +30,7 @@ from qhyp.pairs import (
     REASON_UNVERIFIED,
     _intertwiner_rows,
 )
-from qhyp.quaternion import Quaternion
+from qhyp.quaternion import Quaternion, quaternion_array
 from qhyp.sampling import sample_pair, sample_semisimple
 from qhyp.serialize import hmatrix_to_json
 from qhyp.tolerances import FIXED_SET_RANK_ATOL, INTERTWINER_RTOL
@@ -103,8 +103,9 @@ def test_eigenframe_carries_its_read_only_inverse():
 def _per_pair_common_fixed_point(A, B):
     """The per-pair reference: one matrix_rank per fixed set and per joined pair of sets."""
     def sets(X):
-        bases = [two_columns(stacked(c.vectors)) for c in X.classes()
-                 if c.kind in (PointType.NULL, PointType.NEGATIVE)]
+        e = X.eigen
+        bases = [two_columns(e.vectors[:, e.starts[k]:e.starts[k + 1]])
+                 for k, kind in enumerate(e.kinds) if kind in (PointType.NULL, PointType.NEGATIVE)]
         return [(b, np.linalg.matrix_rank(b, FIXED_SET_RANK_ATOL)) for b in bases]
     sets_b = sets(B)
     return any(np.linalg.matrix_rank(np.concatenate([Ba, Bb], axis=1), FIXED_SET_RANK_ATOL)
@@ -210,8 +211,7 @@ def _grassmannian_moved_pair():
     rng = np.random.default_rng(83)
     A, B = sample_pair(sp, rng, kinds=(HYP, HYP))
     f = eigenframe(A)
-    D = HMatrix.from_quaternions([[Quaternion.j(), Quaternion()],
-                                  [Quaternion(), Quaternion.j()]])
+    D = HMatrix.from_components(np.eye(2)[..., None] * Quaternion.j().to_array())  # diag(j, j)
     A_moved = Isometry(sp.project_to_group(f.C @ D @ f.E @ D.inverse() @ f.C.inverse()), sp)
     return A, B, A_moved
 
@@ -271,7 +271,7 @@ def test_pair_conjugate_repeated_classes(n, kinds):
         # classes repeat in pairs from n = 2 (elliptic) and n = 3 (hyperbolic)
         A, B = sample_pair(sp, rng, kinds=kinds, regular=False)
         if n >= 3:
-            assert any(c.multiplicity > 1 for X in (A, B) for c in X.classes())
+            assert any(X.eigen.multiplicities.max() > 1 for X in (A, B))
         A2, B2 = conjugated_pair(sp, A, B, rng)
         dec = pair_conjugate(A, B, A2, B2)
         assert dec.verdict is Verdict.CONJUGATE
@@ -428,7 +428,8 @@ def test_decoded_pair_decision_reaches_every_pair_layer_span(monkeypatch):
 def test_common_fixed_point_test_refuses_a_parabolic_member():
     sp = HermitianSpace(1)
     one, t = Quaternion.one(), Quaternion(0, 0.7, -0.3, 0.2)
-    P = Isometry(HMatrix.from_quaternions([[one, t], [Quaternion(), one]]), sp)  # Heisenberg
+    P = Isometry(HMatrix.from_components(np.array([quaternion_array([one, t]),  # Heisenberg
+                                                   quaternion_array([Quaternion(), one])])), sp)
     A = random_semisimple(HYP, 1, HyperbolicSpec(2.0, 0.6, ()), seed=40)
     for X, Y in ((P, A), (A, P)):
         with pytest.raises(UnsupportedElementError):

@@ -180,8 +180,7 @@ def cmd_verify(args) -> int:
     results = run_suite(quick=(args.suite == "quick"), criteria=wanted)
     all_pass = True
     for r in results:
-        status = "PASS" if r.passed else "FAIL"
-        print(f"[criterion {r.index:>2}] {status}  {r.name}: {r.detail}")
+        print(r.line())
         all_pass &= r.passed
     print("verification:", "all criteria passed" if all_pass else "FAILURES present")
     return 0 if all_pass else 1

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
@@ -86,21 +86,17 @@ def cross_ratio(space: HermitianSpace, z1: ProjPoint, z2: ProjPoint,
 
 
 def cross_ratio_triple(space: HermitianSpace, z1: ProjPoint, z2: ProjPoint,
-                       z3: ProjPoint, z4: ProjPoint, check_relations: Optional[bool] = None
-                       ) -> tuple[Quaternion, Quaternion, Quaternion]:
+                       z3: ProjPoint, z4: ProjPoint) -> tuple[Quaternion, Quaternion, Quaternion]:
     """The three symmetric-group orbit representatives of the cross ratio.
 
-    For quadruples of null points the moduli satisfy |X2| = |X1| |X3|; this
-    is asserted unless ``check_relations`` disables it.
+    For quadruples of null points the moduli satisfy |X2| = |X1| |X3| and the
+    boundary slack is nonnegative; both are asserted for such quadruples.
     """
     x, vanish = _cross_ratios(space, stacked([z.lift for z in (z1, z2, z3, z4)]),
                               [(0, 1, 2, 3), (0, 3, 2, 1), (1, 3, 2, 0)], DEFAULT_TOL)
     _require_factors(vanish)
     x1, x2, x3 = (Quaternion.from_seq(v) for v in x)
-    all_null = all(p.kind == PointType.NULL for p in (z1, z2, z3, z4))
-    if check_relations is None:
-        check_relations = all_null
-    if check_relations:
+    if all(p.kind == PointType.NULL for p in (z1, z2, z3, z4)):
         lhs = x2.norm()
         rhs = x1.norm() * x3.norm()
         if abs(lhs - rhs) > QUADRUPLE_RELATION_TOL * max(1.0, lhs, rhs):

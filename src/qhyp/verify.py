@@ -1,19 +1,24 @@
 """The acceptance suite: eleven verification criteria run at desk scale.
 
-Each criterion is a standalone function returning a result record; the
-pytest acceptance module and the ``qhyp verify`` command both call
-``run_suite``.  All randomness is seeded, so reruns are byte-identical.
+Each criterion is a body of seeded draws and checks, listed in
+``CRITERIA`` and run on a small trial harness that tallies every check,
+keeps each bounded quantity's largest value and times the criterion.  The
+pytest acceptance module and the ``qhyp verify`` command both call the
+registered criteria.  All randomness is seeded, so every detail line is
+byte-identical on a rerun; only the printed wall time varies.
 """
 
 from __future__ import annotations
 
 import math
+import time
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .decision import Verdict
+from .decision import Decision, Verdict
 from .errors import DegenerateConfigurationError, QhypError
 from .gram import congruent, gram_of, orbit_equal, reconstruct_gram, semi_normalize
 from .invariants import (
@@ -62,6 +67,16 @@ from .sampling import (
 HYP = Classification.HYPERBOLIC
 ELL = Classification.ELLIPTIC
 
+# The acceptance bounds.  They judge the library's thresholds from outside,
+# so they live here and not in tolerances.py; tests/test_package.py pins each.
+DRIFT_BOUND = 1e-8  # relative drift of what a group element or a gauge change keeps
+IMAG_BOUND = 1e-10  # imaginary part of a characteristic coefficient of the embedding
+PALINDROME_BOUND = 1e-9  # palindromy defect of those coefficients
+RELATION_BOUND = 1e-8  # defect of the boundary-quadruple relations
+ANGLE_BOUND = 1e-9  # angular invariant away from its extreme value
+RESIDUAL_BOUND = 1e-7  # a witness's residual; also the tolerance every decider runs at
+ORACLE_GAP = 0.25  # the brute-force oracle's "found" threshold
+
 
 @dataclass
 class CriterionResult:
@@ -69,145 +84,167 @@ class CriterionResult:
     name: str
     passed: bool
     detail: str
+    seconds: float
+    #: the largest value / bound over the bounded checks; None for count-only criteria
+    bound_ratio: Optional[float]
+
+    def line(self) -> str:
+        ratio = "-" if self.bound_ratio is None else f"{self.bound_ratio:.1e}"
+        return (f"[criterion {self.index:>2}] {'PASS' if self.passed else 'FAIL'}  "
+                f"{self.name}: {self.detail} ({self.seconds:.2f} s, closest to bound {ratio})")
+
+
+class _Trials:
+    """One criterion's tallies.  ``check`` counts a trial of a bounded
+    quantity and keeps its largest value, ``require`` counts a verdict; the
+    criterion passes when every tally is full.  A skipped draw records no
+    trial."""
+
+    def __init__(self) -> None:
+        self.start = time.perf_counter()
+        self.tried: Counter[str] = Counter()
+        self.ok: Counter[str] = Counter()
+        self.worst: dict[str, float] = {}
+        self.bounds: dict[str, float] = {}
+
+    def require(self, name: str, ok: bool) -> None:
+        self.tried[name] += 1
+        self.ok[name] += bool(ok)
+
+    def check(self, name: str, value: float, bound: float) -> None:
+        # -inf, not 0: a check of a negated quantity (a minimum) may stay negative
+        self.worst[name] = max(self.worst.get(name, -math.inf), value)
+        self.bounds[name] = bound
+        self.require(name, value < bound)
+
+    def score(self, name: str) -> str:
+        return f"{self.ok[name]}/{self.tried[name]}"
+
+    def result(self, index: int, name: str, detail: str) -> CriterionResult:
+        ratios = [self.worst[k] / self.bounds[k] for k in self.worst]
+        return CriterionResult(index, name, self.ok == self.tried, detail,
+                               time.perf_counter() - self.start, max(ratios, default=None))
+
+
+def _criterion(index: int, name: str, seed: int):
+    """Make ``body(tally, rng, quick) -> detail`` criterion ``index``, run on a
+    fresh harness and a generator seeded with ``seed``."""
+    def wrap(body: Callable[[_Trials, np.random.Generator, bool], str]):
+        def run(quick: bool = False) -> CriterionResult:
+            tally = _Trials()
+            detail = body(tally, np.random.default_rng(seed), quick)
+            return tally.result(index, name, detail)
+        return run
+    return wrap
 
 
 def _scaled(full: int, quick: bool, floor: int = 10) -> int:
     return max(floor, full // 10) if quick else full
 
 
-# ---------------------------------------------------------------------------
-# 1. invariance of the basic invariants under conjugation / congruence
-# ---------------------------------------------------------------------------
+def _residual(dec: Decision) -> float:
+    """A positive decision's witness residual; any other verdict fails loudly."""
+    return dec.residual if dec.positive else math.inf
 
-def criterion_1(quick: bool = False) -> CriterionResult:
+
+def _moved(C: HMatrix, X: Isometry) -> Isometry:
+    """C X C^-1, projected back onto the group."""
+    return Isometry(X.space.project_to_group(C @ X.matrix @ C.inverse()), X.space)
+
+
+def _null_points(sp: HermitianSpace, rng, k: int) -> list[ProjPoint]:
+    return [ProjPoint(sample_null_lift(sp, rng), PointType.NULL) for _ in range(k)]
+
+
+def _bumped(spec, step: float = 1e-3):
+    """The same class with its first parameter moved by ``step``."""
+    if isinstance(spec, HyperbolicSpec):
+        return HyperbolicSpec(spec.r + step, spec.theta, spec.unit_angles)
+    angles = list(spec.angles)
+    angles[0] = min(math.pi - step, angles[0] + step)
+    return EllipticSpec(tuple(angles))
+
+
+def _similarity_class(x: Quaternion) -> tuple[float, float]:
+    # the similarity class of a quaternion is its (norm, real part)
+    return x.norm(), x.re
+
+
+@_criterion(1, "invariance under conjugation/congruence", seed=1001)
+def criterion_1(tally: _Trials, rng: np.random.Generator, quick: bool) -> str:
+    """Invariance of the basic invariants under conjugation / congruence."""
     per_kind = _scaled(200, quick)
-    rng = np.random.default_rng(1001)
-    worst = 0.0
-    fails = 0
 
-    for t in range(per_kind):
-        n = int(rng.integers(1, 5))
-        sp = HermitianSpace(n)
+    for _ in range(per_kind):
+        sp = HermitianSpace(int(rng.integers(1, 5)))
         A = sample_semisimple(sp, rng)
-        C = random_member(sp, rng)
-        B = Isometry(sp.project_to_group(C @ A.matrix @ C.inverse()), sp)
+        B = _moved(random_member(sp, rng), A)
         ta, tb = A.real_trace(), B.real_trace()
         drift = float(np.max(np.abs(ta - tb))) / max(1.0, float(np.max(np.abs(ta))))
-        worst = max(worst, drift)
-        if drift > 1e-8:
-            fails += 1
-        if B.classification is not A.classification:
-            fails += 1
+        tally.check("drift", drift, DRIFT_BOUND)
+        tally.require("class", B.classification is A.classification)
 
-    for t in range(per_kind):
-        n = int(rng.integers(1, 4))
-        sp = HermitianSpace(n)
-        pts = [ProjPoint(sample_null_lift(sp, rng), PointType.NULL) for _ in range(3)]
-        a0 = angular_invariant(sp, *pts)
-        C = random_member(sp, rng)
-        moved = [ProjPoint(C.apply(p.lift), p.kind) for p in pts]
-        drift = abs(angular_invariant(sp, *moved) - a0) / max(1.0, a0)
-        worst = max(worst, drift)
-        if drift > 1e-8:
-            fails += 1
+    # per invariant: its trial count, its point sampler, and the values a
+    # group element keeps, the first of them the scale the drift is taken at
+    invariants = [
+        (per_kind, lambda sp: _null_points(sp, rng, 3),
+         lambda sp, pts: (angular_invariant(sp, *pts),)),
+        (per_kind, lambda sp: sample_config(sp, 2, 0, rng).points,
+         lambda sp, pts: (distance_invariant(sp, *pts),)),
+        (2 * per_kind, lambda sp: _null_points(sp, rng, 4),
+         lambda sp, pts: _similarity_class(cross_ratio(sp, *pts))),
+    ]
+    for count, draw, values in invariants:
+        for _ in range(count):
+            sp = HermitianSpace(int(rng.integers(1, 4)))
+            pts = draw(sp)
+            v0 = values(sp, pts)
+            C = random_member(sp, rng)
+            v1 = values(sp, [ProjPoint(C.apply(p.lift), p.kind) for p in pts])
+            drift = max(abs(a - b) for a, b in zip(v0, v1)) / max(1.0, v0[0])
+            tally.check("drift", drift, DRIFT_BOUND)
 
-    for t in range(per_kind):
-        n = int(rng.integers(1, 4))
-        sp = HermitianSpace(n)
-        cfg = sample_config(sp, 2, 0, rng)
-        d0 = distance_invariant(sp, *cfg.points)
-        C = random_member(sp, rng)
-        moved = [ProjPoint(C.apply(p.lift), p.kind) for p in cfg.points]
-        drift = abs(distance_invariant(sp, *moved) - d0) / max(1.0, d0)
-        worst = max(worst, drift)
-        if drift > 1e-8:
-            fails += 1
-
-    for t in range(per_kind * 2):
-        n = int(rng.integers(1, 4))
-        sp = HermitianSpace(n)
-        pts = [ProjPoint(sample_null_lift(sp, rng), PointType.NULL) for _ in range(4)]
-        x0 = cross_ratio(sp, *pts)
-        C = random_member(sp, rng)
-        moved = [ProjPoint(C.apply(p.lift), p.kind) for p in pts]
-        x1 = cross_ratio(sp, *moved)
-        # the similarity class of a quaternion is its (norm, real part)
-        drift = max(abs(x0.norm() - x1.norm()), abs(x0.re - x1.re)) / max(1.0, x0.norm())
-        worst = max(worst, drift)
-        if drift > 1e-8:
-            fails += 1
-
-    passed = fails == 0
-    return CriterionResult(1, "invariance under conjugation/congruence", passed,
-                           f"{5 * per_kind} trials, max relative drift {worst:.2e}")
+    return f"{5 * per_kind} trials, max relative drift {tally.worst['drift']:.2e}"
 
 
-# ---------------------------------------------------------------------------
-# 2. embedding contract: real palindromic characteristic coefficients
-# ---------------------------------------------------------------------------
-
-def criterion_2(quick: bool = False) -> CriterionResult:
+@_criterion(2, "embedding characteristic coefficients", seed=1002)
+def criterion_2(tally: _Trials, rng: np.random.Generator, quick: bool) -> str:
+    """Embedding contract: real palindromic characteristic coefficients."""
     trials = _scaled(500, quick)
-    rng = np.random.default_rng(1002)
-    worst_im = worst_pal = 0.0
-    fails = 0
     for t in range(trials):
-        n = int(rng.integers(1, 5))
-        sp = HermitianSpace(n)
+        sp = HermitianSpace(int(rng.integers(1, 5)))
         if t % 3 == 0:
             M = random_member(sp, rng) @ random_member(sp, rng)
         elif t % 3 == 1:
             M = sample_semisimple(sp, rng).matrix
         else:
             M = random_member(sp, rng)
-        eigs = np.linalg.eigvals(M.emb)
-        coeffs = np.poly(eigs)
-        im = float(np.max(np.abs(coeffs.imag)))
+        coeffs = np.poly(np.linalg.eigvals(M.emb))
         full = coeffs.real[1:-1]
-        pal = float(np.max(np.abs(full - full[::-1])))
-        worst_im = max(worst_im, im)
-        worst_pal = max(worst_pal, pal)
-        if im > 1e-10 or pal > 1e-9:
-            fails += 1
-    return CriterionResult(2, "embedding characteristic coefficients", fails == 0,
-                           f"{trials} members, max |Im| {worst_im:.2e}, "
-                           f"max palindromy defect {worst_pal:.2e}")
+        tally.check("im", float(np.max(np.abs(coeffs.imag))), IMAG_BOUND)
+        tally.check("pal", float(np.max(np.abs(full - full[::-1]))), PALINDROME_BOUND)
+    return (f"{trials} members, max |Im| {tally.worst['im']:.2e}, "
+            f"max palindromy defect {tally.worst['pal']:.2e}")
 
 
-# ---------------------------------------------------------------------------
-# 3. cross-ratio relations on boundary quadruples
-# ---------------------------------------------------------------------------
-
-def criterion_3(quick: bool = False) -> CriterionResult:
+@_criterion(3, "cross-ratio relations on boundary quadruples", seed=1003)
+def criterion_3(tally: _Trials, rng: np.random.Generator, quick: bool) -> str:
+    """Cross-ratio relations on boundary quadruples."""
     trials = _scaled(500, quick)
-    rng = np.random.default_rng(1003)
-    worst_mod = 0.0
-    worst_slack = math.inf
-    fails = 0
-    for t in range(trials):
-        n = int(rng.integers(1, 5))
-        sp = HermitianSpace(n)
-        pts = [ProjPoint(sample_null_lift(sp, rng), PointType.NULL) for _ in range(4)]
+    for _ in range(trials):
+        sp = HermitianSpace(int(rng.integers(1, 5)))
         try:
-            x1, x2, x3 = cross_ratio_triple(sp, *pts, check_relations=False)
-        except DegenerateConfigurationError:
+            x1, x2, x3 = cross_ratio_triple(sp, *_null_points(sp, rng, 4))
+        except DegenerateConfigurationError:  # the library refused the quadruple: a failed trial
+            tally.check("mod", math.inf, RELATION_BOUND)
             continue
-        mod = abs(x2.norm() - x1.norm() * x3.norm()) / max(1.0, x2.norm())
-        slack = boundary_quadruple_slack(x1, x2, x3)
-        worst_mod = max(worst_mod, mod)
-        worst_slack = min(worst_slack, slack)
-        if mod > 1e-8 or slack < -1e-8:
-            fails += 1
-    return CriterionResult(
-        3, "cross-ratio relations on boundary quadruples", fails == 0,
-        f"{trials} quadruples, |X2|=|X1||X3| defect {worst_mod:.2e}, "
-        f"min slack of 2|X3|^2 Re(X1) >= |X2|^2+|X3|^2-2Re(X2)-2Re(X3)+1: "
-        f"{worst_slack:.2e}")
+        tally.check("mod", abs(x2.norm() - x1.norm() * x3.norm()) / max(1.0, x2.norm()),
+                    RELATION_BOUND)
+        tally.check("slack", -boundary_quadruple_slack(x1, x2, x3), RELATION_BOUND)
+    return (f"{trials} quadruples, |X2|=|X1||X3| defect {tally.worst['mod']:.2e}, "
+            f"min slack of 2|X3|^2 Re(X1) >= |X2|^2+|X3|^2-2Re(X2)-2Re(X3)+1: "
+            f"{-tally.worst['slack']:.2e}")
 
-
-# ---------------------------------------------------------------------------
-# 4. triple classification: extremes and congruence at equal invariant
-# ---------------------------------------------------------------------------
 
 def _boundary_triple(sp: HermitianSpace, aval: float, axis: Quaternion):
     """Gram of the null points infinity, origin and u, where u's first entry
@@ -221,64 +258,49 @@ def _boundary_triple(sp: HermitianSpace, aval: float, axis: Quaternion):
     return gram_of(sp, stacked_from_components(z))
 
 
-def criterion_4(quick: bool = False) -> CriterionResult:
+def _unit_axis(rng, fallback: Quaternion) -> Quaternion:
+    ax = random_unit_quaternion(rng).im()
+    return ax * (1.0 / ax.norm()) if ax.norm() > 1e-6 else fallback
+
+
+@_criterion(4, "triple classification by the angular invariant", seed=1004)
+def criterion_4(tally: _Trials, rng: np.random.Generator, quick: bool) -> str:
+    """Triple classification: extremes and congruence at equal invariant."""
     trials = _scaled(100, quick)
-    rng = np.random.default_rng(1004)
-    fails = 0
-    worst_line = 0.0
     # every boundary triple at n=1 lies on one quaternionic line: A = pi/2
     sp1 = HermitianSpace(1)
     for _ in range(trials):
-        pts = [ProjPoint(sample_null_lift(sp1, rng), PointType.NULL) for _ in range(3)]
-        a = angular_invariant(sp1, *pts)
-        worst_line = max(worst_line, abs(a - math.pi / 2))
-        if abs(a - math.pi / 2) > 1e-9:
-            fails += 1
+        a = angular_invariant(sp1, *_null_points(sp1, rng, 3))
+        tally.check("line", abs(a - math.pi / 2), ANGLE_BOUND)
     # totally real triples: invariant 0
     sp2 = HermitianSpace(2)
-    worst_real = 0.0
-    for t in range(trials):
+    for _ in range(trials):
         base = rng.uniform(0.2, 1.0, 3)
         vals = 0.3 + np.cumsum(base)  # separated parameters: distinct points
         z = np.zeros((3, 3, 4))
         z[:, :, 0] = np.stack([-vals, np.sqrt(2 * vals), np.ones(3)], axis=1)
         a = angular_invariant(sp2, *(ProjPoint.from_lift(sp2, HVector(stacked_from_components(q)))
                                      for q in z))
-        worst_real = max(worst_real, a)
-        if a > 1e-9:
-            fails += 1
+        tally.check("real", a, ANGLE_BOUND)
     # equal invariant implies congruent, with a verified witness; alternating
     # the dimension exercises witness construction both with and without
     # orthogonal basis completion
-    worst_resid = 0.0
-    for t in range(_scaled(100, quick)):
+    for t in range(trials):
         sp = HermitianSpace(2 + t % 2)
         aval = float(rng.uniform(0.05, math.pi / 2 - 0.05))
-        ax1 = random_unit_quaternion(rng).im()
-        ax1 = ax1 * (1.0 / ax1.norm()) if ax1.norm() > 1e-6 else Quaternion.i()
-        ax2 = random_unit_quaternion(rng).im()
-        ax2 = ax2 * (1.0 / ax2.norm()) if ax2.norm() > 1e-6 else Quaternion.j()
-        t1 = _boundary_triple(sp, aval, ax1)
-        t2 = _boundary_triple(sp, aval, ax2)
-        dec = congruent(t1, t2, 1e-7)
-        if dec.verdict is not Verdict.CONGRUENT:
-            fails += 1
-        else:
-            worst_resid = max(worst_resid, dec.residual)
-    return CriterionResult(
-        4, "triple classification by the angular invariant", fails == 0,
-        f"line-triple deviation {worst_line:.2e}, real-triple max {worst_real:.2e}, "
-        f"equal-invariant witnesses <= {worst_resid:.2e}")
+        ax1 = _unit_axis(rng, Quaternion.i())
+        ax2 = _unit_axis(rng, Quaternion.j())
+        dec = congruent(_boundary_triple(sp, aval, ax1), _boundary_triple(sp, aval, ax2),
+                        RESIDUAL_BOUND)
+        tally.check("witness", _residual(dec), RESIDUAL_BOUND)
+    return (f"line-triple deviation {tally.worst['line']:.2e}, real-triple max "
+            f"{tally.worst['real']:.2e}, equal-invariant witnesses <= {tally.worst['witness']:.2e}")
 
 
-# ---------------------------------------------------------------------------
-# 5. gauge theorem: unit rescalings stay in one conjugation orbit
-# ---------------------------------------------------------------------------
-
-def criterion_5(quick: bool = False) -> CriterionResult:
+@_criterion(5, "gauge freedom of semi-normalized Gram matrices", seed=1005)
+def criterion_5(tally: _Trials, rng: np.random.Generator, quick: bool) -> str:
+    """Gauge theorem: unit rescalings stay in one conjugation orbit."""
     trials = _scaled(1000, quick)
-    rng = np.random.default_rng(1005)
-    ok = 0
     for t in range(trials):
         n = int(rng.integers(1, 5))
         m = int(rng.integers(3, 9))
@@ -288,45 +310,33 @@ def criterion_5(quick: bool = False) -> CriterionResult:
         s1 = semi_normalize(cfg)
         pts = [p.rescaled(random_unit_quaternion(rng)) for p in cfg.points]
         s2 = semi_normalize(gram_of(sp, pts))
-        if orbit_equal(s1, s2, 1e-8) is not None:
-            ok += 1
-    return CriterionResult(5, "gauge freedom of semi-normalized Gram matrices",
-                           ok == trials, f"{ok}/{trials} rescaling trials aligned")
+        tally.require("aligned", orbit_equal(s1, s2, DRIFT_BOUND) is not None)
+    return f"{tally.score('aligned')} rescaling trials aligned"
 
-
-# ---------------------------------------------------------------------------
-# 6. profile -> reconstruction round trip and slot counts
-# ---------------------------------------------------------------------------
 
 ROUND_TRIP_SHAPES = [(4, 4, 2), (4, 3, 2), (5, 5, 3), (5, 0, 2), (6, 3, 3)]
 
 
-def criterion_6(quick: bool = False) -> CriterionResult:
+@_criterion(6, "profile reconstruction round trip and counts", seed=1006)
+def criterion_6(tally: _Trials, rng: np.random.Generator, quick: bool) -> str:
+    """Profile -> reconstruction round trip and slot counts."""
     per_shape = _scaled(100, quick)
-    rng = np.random.default_rng(1006)
-    fails = []
     detail_parts = []
     for (m, i, n) in ROUND_TRIP_SHAPES:
         sp = HermitianSpace(n)
-        bad = 0
-        worst = 0.0
+        trip = f"roundtrip {m},{i}"
         for _ in range(per_shape):
             cfg = sample_config(sp, m, i, rng)
             sng = semi_normalize(cfg)
             prof = profile_from_gram(sng)
             rebuilt = reconstruct_gram(prof)
-            mu = orbit_equal(sng, rebuilt, 1e-7)
-            if mu is None:
-                bad += 1
-                continue
-            resid = float(np.max(np.linalg.norm(
+            mu = orbit_equal(sng, rebuilt, RESIDUAL_BOUND)
+            resid = math.inf if mu is None else float(np.max(np.linalg.norm(
                 rebuilt.conjugated(mu).v_entries() - sng.v_entries(), axis=1)))
-            worst = max(worst, resid)
-            if resid > 1e-7:
-                bad += 1
-            pairs_expected = InvariantProfile.closed_form_pairs(m, i)
-            if prof.t_count != pairs_expected - prof.l_count:
-                bad += 1
+            # a profile with the wrong number of pair slots fails its round trip
+            if prof.t_count != InvariantProfile.closed_form_pairs(m, i) - prof.l_count:
+                resid = math.inf
+            tally.check(trip, resid, RESIDUAL_BOUND)
         # slot-count crosschecks: the enumerated slots must match the family
         # closed form everywhere.  The stated closed form applies to shapes
         # with a null block (i >= 3) and differs from the family form by
@@ -341,53 +351,39 @@ def criterion_6(quick: bool = False) -> CriterionResult:
             if (m - i) * (m - 2 * i) == 0:
                 count_ok = count_ok and d_stated == d_family
             stated = f" (stated form {d_stated})"
-        if bad or not count_ok:
-            fails.append((m, i, bad, d_actual, d_family))
+        tally.require(f"slots {m},{i}", count_ok)
         detail_parts.append(
-            f"(m={m},i={i}): roundtrip {per_shape - bad}/{per_shape}, "
-            f"max residual {worst:.1e}, slots {d_actual} vs family form {d_family}{stated}"
-            + ("" if count_ok else " MISMATCH"))
-    return CriterionResult(6, "profile reconstruction round trip and counts",
-                           not fails, "; ".join(detail_parts))
+            f"(m={m},i={i}): roundtrip {tally.score(trip)}, "
+            f"max residual {tally.worst[trip]:.1e}, slots {d_actual} vs family form {d_family}"
+            f"{stated}" + ("" if count_ok else " MISMATCH"))
+    return "; ".join(detail_parts)
 
 
-# ---------------------------------------------------------------------------
-# 7. congruence decider soundness and completeness
-# ---------------------------------------------------------------------------
-
-def criterion_7(quick: bool = False) -> CriterionResult:
+@_criterion(7, "congruence decider", seed=1007)
+def criterion_7(tally: _Trials, rng: np.random.Generator, quick: bool) -> str:
+    """Congruence decider soundness and completeness."""
     half = _scaled(500, quick)
-    rng = np.random.default_rng(1007)
-    pos_ok = neg_ok = undecided = 0
-    worst_resid = 0.0
     shapes = [(4, 4, 2), (4, 3, 2), (5, 0, 2), (5, 5, 3), (6, 3, 3), (3, 3, 1)]
     for t in range(half):
         m, i, n = shapes[t % len(shapes)]
         sp = HermitianSpace(n)
         cfg = sample_config(sp, m, i, rng, scramble_lifts=True)
         moved = apply_isometry(cfg, random_member(sp, rng))
-        dec = congruent(cfg, moved, 1e-7)
-        if dec.verdict is Verdict.CONGRUENT and dec.residual < 1e-7:
-            pos_ok += 1
-            worst_resid = max(worst_resid, dec.residual)
+        tally.check("accepted", _residual(congruent(cfg, moved, RESIDUAL_BOUND)),
+                    RESIDUAL_BOUND)
     for t in range(half):
         m, i, n = shapes[t % len(shapes)]
         sp = HermitianSpace(n)
         cfg = sample_config(sp, m, i, rng)
         other = _perturbed_config(cfg, rng)
         if other is None:  # no neighbour found with a separated invariant
-            undecided += 1
             continue
-        dec = congruent(cfg, other, 1e-7)
-        if dec.verdict is Verdict.NOT_CONGRUENT:
-            neg_ok += 1
-    passed = pos_ok == half and neg_ok == half - undecided
-    return CriterionResult(
-        7, "congruence decider", passed,
-        f"{pos_ok}/{half} congruent accepted (max witness residual "
-        f"{worst_resid:.2e}), {neg_ok}/{half - undecided} separated rejected, "
-        f"{undecided} undecided (no separated neighbour: at n = 1 any three "
-        f"boundary points are congruent)")
+        dec = congruent(cfg, other, RESIDUAL_BOUND)
+        tally.require("rejected", dec.verdict is Verdict.NOT_CONGRUENT)
+    return (f"{tally.score('accepted')} congruent accepted (max witness residual "
+            f"{tally.worst['accepted']:.2e}), {tally.score('rejected')} separated rejected, "
+            f"{half - tally.tried['rejected']} undecided (no separated neighbour: at n = 1 "
+            f"any three boundary points are congruent)")
 
 
 def _perturbed_config(cfg, rng, delta: float = 1e-3):
@@ -427,158 +423,101 @@ def _perturbed_config(cfg, rng, delta: float = 1e-3):
     return None
 
 
-# ---------------------------------------------------------------------------
-# 8. single-element conjugacy
-# ---------------------------------------------------------------------------
-
-def criterion_8(quick: bool = False) -> CriterionResult:
+@_criterion(8, "single-element conjugacy", seed=1008)
+def criterion_8(tally: _Trials, rng: np.random.Generator, quick: bool) -> str:
+    """Single-element conjugacy."""
     half = _scaled(500, quick)
-    rng = np.random.default_rng(1008)
-    acc = rej = 0
-    for t in range(half):
-        n = int(rng.integers(1, 4))
-        sp = HermitianSpace(n)
-        kind = HYP if t % 2 == 0 else ELL
-        if kind is HYP:
-            spec = random_hyperbolic_spec(n, rng)
-        else:
-            spec = random_elliptic_spec(n, rng)
-        s1, s2 = int(rng.integers(0, 2 ** 31)), int(rng.integers(0, 2 ** 31))
-        A = random_semisimple(kind, n, spec, s1, space=sp)
-        B = random_semisimple(kind, n, spec, s2, space=sp)
-        if conjugate_single(A, B):
-            acc += 1
-    for t in range(half):
-        n = int(rng.integers(1, 4))
-        sp = HermitianSpace(n)
-        kind = HYP if t % 2 == 0 else ELL
-        if kind is HYP:
-            spec = random_hyperbolic_spec(n, rng)
-            bumped = HyperbolicSpec(spec.r + 1e-3, spec.theta, spec.unit_angles)
-        else:
-            spec = random_elliptic_spec(n, rng)
-            angles = list(spec.angles)
-            angles[0] = min(math.pi - 1e-3, angles[0] + 1e-3)
-            bumped = EllipticSpec(tuple(angles))
-        A = random_semisimple(kind, n, spec, int(rng.integers(0, 2 ** 31)), space=sp)
-        B = random_semisimple(kind, n, bumped, int(rng.integers(0, 2 ** 31)), space=sp)
-        if not conjugate_single(A, B):
-            rej += 1
-    passed = acc == half and rej == half
-    return CriterionResult(8, "single-element conjugacy", passed,
-                           f"{acc}/{half} conjugates accepted, "
-                           f"{rej}/{half} class-perturbed rejected")
+    # conjugates must be accepted, elements of a bumped class rejected
+    for name, bump in (("accepted", False), ("rejected", True)):
+        for t in range(half):
+            n = int(rng.integers(1, 4))
+            sp = HermitianSpace(n)
+            kind = HYP if t % 2 == 0 else ELL
+            spec = (random_hyperbolic_spec if kind is HYP else random_elliptic_spec)(n, rng)
+            s1, s2 = int(rng.integers(0, 2 ** 31)), int(rng.integers(0, 2 ** 31))
+            A = random_semisimple(kind, n, spec, s1, space=sp)
+            B = random_semisimple(kind, n, _bumped(spec) if bump else spec, s2, space=sp)
+            tally.require(name, conjugate_single(A, B) is not bump)
+    return (f"{tally.score('accepted')} conjugates accepted, "
+            f"{tally.score('rejected')} class-perturbed rejected")
 
 
-# ---------------------------------------------------------------------------
-# 9. pair decider on regular pairs and on pairs with repeated classes
-# ---------------------------------------------------------------------------
-
-def criterion_9(quick: bool = False) -> CriterionResult:
+@_criterion(9, "pair decider", seed=1009)
+def criterion_9(tally: _Trials, rng: np.random.Generator, quick: bool) -> str:
+    """Pair decider on regular pairs and on pairs with repeated classes."""
     count = _scaled(500, quick)
-    rng = np.random.default_rng(1009)
-    pos_ok = 0
-    worst = 0.0
     kind_cycle = [(HYP, HYP), (ELL, ELL), (HYP, ELL)]
     for t in range(count):
-        n = int(rng.integers(1, 5))
-        sp = HermitianSpace(n)
+        sp = HermitianSpace(int(rng.integers(1, 5)))
         A, B = sample_pair(sp, rng, kinds=kind_cycle[t % 3])
         C0 = random_member(sp, rng)
-        A2 = Isometry(sp.project_to_group(C0 @ A.matrix @ C0.inverse()), sp)
-        B2 = Isometry(sp.project_to_group(C0 @ B.matrix @ C0.inverse()), sp)
-        dec = pair_conjugate(A, B, A2, B2, 1e-7)
-        if dec.verdict is Verdict.CONJUGATE and dec.residual < 1e-7:
-            pos_ok += 1
-            worst = max(worst, dec.residual)
+        dec = pair_conjugate(A, B, _moved(C0, A), _moved(C0, B), RESIDUAL_BOUND)
+        tally.check("conjugate", _residual(dec), RESIDUAL_BOUND)
 
-    sep = _scaled(300, quick)
-    trace_ok = orbit_ok = grass_ok = 0
-    n_trace = n_orbit = n_grass = 0
-    for t in range(sep):
+    for t in range(_scaled(300, quick)):
         n = int(rng.integers(1, 3))
         sp = HermitianSpace(n)
         mode = t % 3
         if mode == 0:
-            n_trace += 1
             spec = random_hyperbolic_spec(n, rng)
             A = random_semisimple(HYP, n, spec, int(rng.integers(0, 2 ** 31)), space=sp)
-            bump = HyperbolicSpec(spec.r + 1e-2, spec.theta, spec.unit_angles)
-            A2 = random_semisimple(HYP, n, bump, int(rng.integers(0, 2 ** 31)), space=sp)
+            A2 = random_semisimple(HYP, n, _bumped(spec, 1e-2), int(rng.integers(0, 2 ** 31)),
+                                   space=sp)
             B = sample_semisimple(sp, rng)
             if have_common_fixed_point(A, B) or have_common_fixed_point(A2, B):
-                n_trace -= 1
                 continue
-            dec = pair_conjugate(A, B, A2, B, 1e-7)
-            if dec.verdict is Verdict.NOT_CONJUGATE and dec.reason == REASON_TRACE:
-                trace_ok += 1
+            dec = pair_conjugate(A, B, A2, B, RESIDUAL_BOUND)
+            tally.require("trace", dec.verdict is Verdict.NOT_CONJUGATE
+                          and dec.reason == REASON_TRACE)
         elif mode == 1:
-            n_orbit += 1
             A, B = sample_pair(sp, rng)
-            C1 = random_member(sp, rng)
-            B2 = Isometry(sp.project_to_group(C1 @ B.matrix @ C1.inverse()), sp)
+            B2 = _moved(random_member(sp, rng), B)
             if have_common_fixed_point(A, B2):
-                n_orbit -= 1
                 continue
-            dec = pair_conjugate(A, B, A, B2, 1e-7)
-            if dec.verdict is Verdict.NOT_CONJUGATE and dec.reason == REASON_NO_CONJUGATOR:
-                orbit_ok += 1
-            elif dec.verdict is Verdict.CONJUGATE and dec.residual < 1e-7:
-                # repositioning landed in the same orbit; verified, so valid
-                orbit_ok += 1
+            dec = pair_conjugate(A, B, A, B2, RESIDUAL_BOUND)
+            # repositioning may land in the same orbit; verified, so valid
+            tally.require("orbit", dec.verdict is Verdict.NOT_CONJUGATE
+                          and dec.reason == REASON_NO_CONJUGATOR
+                          or _residual(dec) < RESIDUAL_BOUND)
         else:
-            n_grass += 1
             A, B = sample_pair(sp, rng, kinds=(HYP, HYP))
             if abs(max(A.eigen.angles)) < 1e-3:
-                n_grass -= 1
                 continue
             f = eigenframe(A)
             D = HMatrix.from_components(np.eye(sp.dim)[..., None] * [0.0, 0.0, 1.0, 0.0])  # diag(j)
             A_moved = Isometry(
                 sp.project_to_group(f.C @ D @ f.E @ D.inverse() @ f.C.inverse()), sp)
-            dec = pair_conjugate(A, B, A_moved, B, 1e-7)
-            if dec.verdict is Verdict.NOT_CONJUGATE and dec.reason == REASON_NO_CONJUGATOR:
-                grass_ok += 1
+            dec = pair_conjugate(A, B, A_moved, B, RESIDUAL_BOUND)
+            tally.require("grassmannian", dec.verdict is Verdict.NOT_CONJUGATE
+                          and dec.reason == REASON_NO_CONJUGATOR)
 
     # repeated eigenvalue classes, drawn from their own stream so that the
     # regular draws above stay as they were
     rng = np.random.default_rng(2009)
     half = _scaled(60, quick)
-    rep_pos = rep_sep = n_sep = 0
     for t in range(2 * half):
         sp = HermitianSpace(2 + t % 3)
         A, B = sample_pair(sp, rng, kinds=kind_cycle[t % 3], regular=False)
         C1 = random_member(sp, rng)
-        B2 = Isometry(sp.project_to_group(C1 @ B.matrix @ C1.inverse()), sp)
+        B2 = _moved(C1, B)
         if t < half:  # conjugate: both members moved by C1
-            A2 = Isometry(sp.project_to_group(C1 @ A.matrix @ C1.inverse()), sp)
-            dec = pair_conjugate(A, B, A2, B2, 1e-7)
-            if dec.verdict is Verdict.CONJUGATE and dec.residual < 1e-7:
-                rep_pos += 1
+            dec = pair_conjugate(A, B, _moved(C1, A), B2, RESIDUAL_BOUND)
+            tally.check("repeated", _residual(dec), RESIDUAL_BOUND)
         elif not have_common_fixed_point(A, B2):  # only B moved
-            n_sep += 1
-            dec = pair_conjugate(A, B, A, B2, 1e-7)
-            if dec.verdict is Verdict.NOT_CONJUGATE or (
-                    dec.verdict is Verdict.CONJUGATE and dec.residual < 1e-7):
-                rep_sep += 1
-    passed = (pos_ok == count and trace_ok == n_trace and orbit_ok == n_orbit
-              and grass_ok == n_grass and rep_pos == half and rep_sep == n_sep)
-    return CriterionResult(
-        9, "pair decider", passed,
-        f"{pos_ok}/{count} conjugate pairs accepted (max residual {worst:.2e}); "
-        f"separated: trace {trace_ok}/{n_trace}, orbit {orbit_ok}/{n_orbit}, "
-        f"Grassmannian {grass_ok}/{n_grass}; repeated classes: "
-        f"{rep_pos}/{half} conjugate accepted, {rep_sep}/{n_sep} moved decided")
+            dec = pair_conjugate(A, B, A, B2, RESIDUAL_BOUND)
+            tally.require("moved", dec.verdict is Verdict.NOT_CONJUGATE
+                          or _residual(dec) < RESIDUAL_BOUND)
+    return (f"{tally.score('conjugate')} conjugate pairs accepted (max residual "
+            f"{tally.worst['conjugate']:.2e}); separated: trace {tally.score('trace')}, "
+            f"orbit {tally.score('orbit')}, Grassmannian {tally.score('grassmannian')}; "
+            f"repeated classes: {tally.score('repeated')} conjugate accepted, "
+            f"{tally.score('moved')} moved decided")
 
 
-# ---------------------------------------------------------------------------
-# 10. equality by invariants agrees with matrix equality
-# ---------------------------------------------------------------------------
-
-def criterion_10(quick: bool = False) -> CriterionResult:
+@_criterion(10, "equality by invariants vs matrix equality", seed=1010)
+def criterion_10(tally: _Trials, rng: np.random.Generator, quick: bool) -> str:
+    """Equality by invariants agrees with matrix equality."""
     trials = _scaled(1000, quick)
-    rng = np.random.default_rng(1010)
-    disagreements = 0
     for t in range(trials):
         n = int(rng.integers(1, 4))
         sp = HermitianSpace(n)
@@ -589,28 +528,19 @@ def criterion_10(quick: bool = False) -> CriterionResult:
         if mode == 0:
             B = Isometry(A.matrix.copy(), sp)
         elif mode == 1:
-            C = random_member(sp, rng)
-            B = Isometry(sp.project_to_group(C @ A.matrix @ C.inverse()), sp)
+            B = _moved(random_member(sp, rng), A)
         else:
-            bumped = HyperbolicSpec(spec.r + 1e-3, spec.theta, spec.unit_angles)
-            B = random_semisimple(HYP, n, bumped, seed, space=sp)
-        same_matrix = (A.matrix - B.matrix).norm() <= 1e-7 * max(1.0, A.matrix.norm())
-        if equal_by_invariants(A, B) != same_matrix:
-            disagreements += 1
-    return CriterionResult(10, "equality by invariants vs matrix equality",
-                           disagreements == 0,
-                           f"{trials} sampled pairs, {disagreements} disagreements")
+            B = random_semisimple(HYP, n, _bumped(spec), seed, space=sp)
+        same_matrix = (A.matrix - B.matrix).norm() <= RESIDUAL_BOUND * max(1.0, A.matrix.norm())
+        tally.require("agree", equal_by_invariants(A, B) == same_matrix)
+    return f"{trials} sampled pairs, {tally.tried['agree'] - tally.ok['agree']} disagreements"
 
 
-# ---------------------------------------------------------------------------
-# 11. alignment solver vs brute-force oracle
-# ---------------------------------------------------------------------------
-
-def criterion_11(quick: bool = False) -> CriterionResult:
+@_criterion(11, "alignment solver vs brute-force oracle", seed=1011)
+def criterion_11(tally: _Trials, rng: np.random.Generator, quick: bool) -> str:
+    """Alignment solver vs brute-force oracle."""
     instances = _scaled(200, quick, floor=20)
     samples = 100_000
-    rng = np.random.default_rng(1011)
-    agree = 0
     for t in range(instances):
         k = int(rng.integers(1, 4))
         if t % 2 == 0:
@@ -630,31 +560,20 @@ def criterion_11(quick: bool = False) -> CriterionResult:
             solvable = False
         warr = np.array([q.to_array() for q in w])
         varr = np.array([q.to_array() for q in v])
-        mu = sp1_align(varr, warr, 1e-7)
+        mu = sp1_align(varr, warr, RESIDUAL_BOUND)
         mus = rng.normal(size=(samples, 4))
         mus /= np.linalg.norm(mus, axis=1, keepdims=True)
         # conj(mu) w mu keeps w's real part and turns Im(w) by R(conj(mu))
         turned = np.einsum("sij,kj->ski", rotation_matrix(qconj_array(mus)), warr[:, 1:])
         gaps = np.hypot(warr[:, 0] - varr[:, 0], np.linalg.norm(turned - varr[:, 1:], axis=2))
-        best = float(np.min(np.max(gaps, axis=1)))
-        oracle_found = best < 0.25
-        if mu is not None:
-            exact = all((mu.conj() * wk * mu).approx_eq(vk, 1e-7)
-                        for vk, wk in zip(v, w))
-            if exact and oracle_found and solvable:
-                agree += 1
+        oracle_found = float(np.min(np.max(gaps, axis=1))) < ORACLE_GAP
+        if mu is None:
+            tally.require("agree", not (oracle_found or solvable))
         else:
-            if not oracle_found and not solvable:
-                agree += 1
-    return CriterionResult(11, "alignment solver vs brute-force oracle",
-                           agree == instances,
-                           f"{agree}/{instances} instances agree "
-                           f"({samples} oracle samples each)")
+            tally.require("agree", oracle_found and solvable and all(
+                (mu.conj() * wk * mu).approx_eq(vk, RESIDUAL_BOUND) for vk, wk in zip(v, w)))
+    return f"{tally.score('agree')} instances agree ({samples} oracle samples each)"
 
-
-# ---------------------------------------------------------------------------
-# Runner
-# ---------------------------------------------------------------------------
 
 CRITERIA: dict[int, Callable[[bool], CriterionResult]] = {
     1: criterion_1, 2: criterion_2, 3: criterion_3, 4: criterion_4,

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from qhyp import verify
+from qhyp.decision import Decision, Verdict
 from qhyp.gram import PointConfig
 from qhyp.linalg import HermitianSpace
 from qhyp.sampling import sample_config
@@ -27,8 +28,7 @@ QUICK = bool(os.environ.get("QHYP_ACCEPTANCE_QUICK"))
 
 def _run(index: int) -> CriterionResult:
     result = CRITERIA[index](QUICK)
-    status = "PASS" if result.passed else "FAIL"
-    print(f"\n[criterion {index:>2}] {status}  {result.name}: {result.detail}")
+    print("\n" + result.line())
     return result
 
 
@@ -85,3 +85,19 @@ def test_perturbed_config_lets_programming_errors_through(monkeypatch):
     monkeypatch.setattr(verify, "gram_of", broken)
     with pytest.raises(TypeError, match="injected"):
         _perturbed_config(cfg, np.random.default_rng(8))
+
+
+def test_a_bounded_check_over_its_bound_fails(monkeypatch):
+    # a witness residual ten times the bound must fail the criterion and say so
+    monkeypatch.setattr(verify, "congruent",
+                        lambda *args: Decision(Verdict.CONGRUENT, residual=1e-6))
+    result = CRITERIA[4](True)
+    assert result.passed is False and "FAIL" in result.line()
+    assert result.bound_ratio > 1
+
+
+def test_a_failed_count_check_fails(monkeypatch):
+    monkeypatch.setattr(verify, "orbit_equal", lambda *args: None)
+    result = CRITERIA[5](True)
+    assert result.passed is False and "FAIL" in result.line()
+    assert "0/100 rescaling trials aligned" in result.detail and result.bound_ratio is None

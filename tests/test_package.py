@@ -8,7 +8,7 @@ import tokenize
 from pathlib import Path
 
 import qhyp
-from qhyp import tolerances
+from qhyp import tolerances, verify
 
 
 def test_all_names_resolve_once():
@@ -168,6 +168,30 @@ PINNED = {
 def test_tolerance_table_is_pinned():
     table = {name: value for name, value in vars(tolerances).items() if name.isupper()}
     assert table == PINNED
+
+
+#: verify.py's acceptance bounds at their values: no criterion's bound is
+#: loosened without an edit here
+VERIFY_PINNED = {
+    "DRIFT_BOUND": 1e-8,
+    "IMAG_BOUND": 1e-10,
+    "PALINDROME_BOUND": 1e-9,
+    "RELATION_BOUND": 1e-8,
+    "ANGLE_BOUND": 1e-9,
+    "RESIDUAL_BOUND": 1e-7,
+    "ORACLE_GAP": 0.25,
+}
+
+
+def test_verify_bounds_are_named_and_pinned():
+    # every bound handed to the trial harness is a pinned module-level name
+    tree = ast.parse(Path(verify.__file__).read_text())
+    bounds = [node.args[2] for node in ast.walk(tree) if isinstance(node, ast.Call)
+              and getattr(node.func, "attr", None) == "check"]
+    assert bounds and all(isinstance(b, ast.Name) and b.id in VERIFY_PINNED for b in bounds)
+    table = {name: value for name, value in vars(verify).items()
+             if name.isupper() and isinstance(value, float)}
+    assert table == VERIFY_PINNED
 
 
 def test_imports_sit_at_module_level():

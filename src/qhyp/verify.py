@@ -440,7 +440,7 @@ def criterion_8(tally: _Trials, rng: np.random.Generator, quick: bool) -> str:
             s1, s2 = int(rng.integers(0, 2 ** 31)), int(rng.integers(0, 2 ** 31))
             A = random_semisimple(kind, n, spec, s1, space=sp)
             B = random_semisimple(kind, n, _bumped(spec) if bump else spec, s2, space=sp)
-            tally.require(name, conjugate_single(A, B) is not bump)
+            tally.require(name, conjugate_single(A, B) != bump)
     return (f"{tally.score('accepted')} conjugates accepted, "
             f"{tally.score('rejected')} class-perturbed rejected")
 

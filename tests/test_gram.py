@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from qhyp.decision import Verdict
-from qhyp.errors import DegenerateConfigurationError, InvalidSpecError
+from qhyp.errors import (DegenerateConfigurationError, DimensionMismatchError,
+                         InvalidSpecError, NumericalError)
 from qhyp import gram, serialize
 from qhyp.gram import (
     PointConfig,
@@ -36,7 +37,8 @@ from qhyp.isometry import random_member
 from qhyp.linalg import (HermitianSpace, HVector, PointType, matrix_rank, right_times,
                          stacked_from_components, two_columns)
 from qhyp.quaternion import Quaternion, complex_pairs, qconj_array, qmul_array, quaternion_array
-from qhyp.tolerances import ANGLE_ZERO_TOL, DECIDER_TOL
+from qhyp.tolerances import (ANGLE_ZERO_TOL, DECIDER_TOL, DEFAULT_TOL, DEGENERACY_FACTOR,
+                              PATTERN_TOL)
 from qhyp.sampling import (
     _lift_components,
     apply_isometry,
@@ -570,6 +572,93 @@ def test_congruent_makes_one_rank_test_per_configuration_and_no_gauge(monkeypatc
     assert calls == {"rank": 2, "gauge": 0}
     semi_normalize(cfg)
     assert calls["gauge"] == 1  # the counter counts
+
+
+# -- checks at their thresholds -----------------------------------------------------
+
+PATTERN_CASES = {
+    # condition -> (edit of a valid (5, 3) semi-normalized Gram by d, message)
+    "diagonal real": (lambda g, d: g.__setitem__((3, 3, 0), g[3, 3, 0] + d), "diagonal entry"),
+    "diagonal imaginary": (lambda g, d: g.__setitem__((1, 1, 2), g[1, 1, 2] + d),
+                           "diagonal entry"),
+    "first-row null": (lambda g, d: g.__setitem__((0, 2, 3), g[0, 2, 3] + d),
+                       "first-row null entry not 1"),
+    "first-row imaginary": (lambda g, d: g.__setitem__((0, 4, 1), g[0, 4, 1] + d),
+                            "first-row entry not positive real"),
+    "|g_23|": (lambda g, d: g.__setitem__((1, 2), g[1, 2] * (1.0 + d)), r"\|g_23\| != 1"),
+}
+
+
+@pytest.mark.parametrize("condition", sorted(PATTERN_CASES))
+def test_check_pattern_at_its_threshold(condition):
+    # each check passes a deviation of half PATTERN_TOL and refuses twice it,
+    # with its own message
+    edit, message = PATTERN_CASES[condition]
+    sng = semi_normalize(sample_config(HermitianSpace(2), 5, 3, np.random.default_rng(70)))
+    for factor, passes in ((0.5, True), (2.0, False)):
+        g = sng.gram.copy()
+        edit(g, factor * PATTERN_TOL)
+        perturbed = SemiNormalizedGram(5, 3, g)
+        if passes:
+            gram._check_pattern(perturbed)
+        else:
+            with pytest.raises(NumericalError, match=message):
+                gram._check_pattern(perturbed)
+
+
+def test_check_pattern_refuses_a_first_row_entry_that_is_not_positive():
+    sng = semi_normalize(sample_config(HermitianSpace(2), 5, 0, np.random.default_rng(71)))
+    g = sng.gram.copy()
+    g[0, 3, 0] = 0.0
+    with pytest.raises(NumericalError, match="first-row entry not positive real"):
+        gram._check_pattern(SemiNormalizedGram(5, 0, g))
+
+
+def _null_pair_at(ratio):
+    """Two null lifts in H^{2,1} with |<p, q>| = ratio |p| |q|.
+
+    p = e_0 and q = (1, x, -x^2 / 2): |q| = 1 + x^2 / 2 and <p, q> = -x^2 / 2.
+    """
+    x = math.sqrt(2.0 * ratio / (1.0 - ratio))
+    return np.array([[1.0, 1.0], [0.0, x], [0.0, -x * x / 2.0], [0.0] * 2, [0.0] * 2, [0.0] * 2],
+                    dtype=complex)
+
+
+def _negative_pair_at(d):
+    """Two negative lifts in H^{2,1} with distance invariant |<p,q>|^2 / (<p,p><q,q>) = d."""
+    t = math.exp(math.acosh(math.sqrt(d)))
+    return np.array([[1.0, t], [0.0, 0.0], [-0.5, -0.5 / t], [0.0] * 2, [0.0] * 2, [0.0] * 2],
+                    dtype=complex)
+
+
+def test_gram_of_zero_pairing_at_its_threshold():
+    # |g_kj| <= DEGENERACY_FACTOR tol |p_k| |p_j| is a zero pairing
+    sp, bound = HermitianSpace(2), DEGENERACY_FACTOR * DEFAULT_TOL
+    with pytest.raises(DegenerateConfigurationError, match="pair to zero"):
+        gram_of(sp, _null_pair_at(0.5 * bound), kinds=[PointType.NULL] * 2)
+    gram_of(sp, _null_pair_at(2.0 * bound), kinds=[PointType.NULL] * 2)
+
+
+def test_gram_of_coincident_negative_points_at_their_threshold():
+    # two negative points coincide when d <= 1 + DEGENERACY_FACTOR tol
+    sp, bound = HermitianSpace(2), DEGENERACY_FACTOR * DEFAULT_TOL
+    with pytest.raises(DegenerateConfigurationError, match="coincide"):
+        gram_of(sp, _negative_pair_at(1.0 + 0.5 * bound))
+    cfg = gram_of(sp, _negative_pair_at(1.0 + 2.0 * bound))
+    assert cfg.kinds == (PointType.NEGATIVE,) * 2
+
+
+@pytest.mark.parametrize("factor,kind", [(0.5, PointType.NULL), (2.0, PointType.NEGATIVE)])
+def test_gram_of_null_point_at_its_threshold(factor, kind):
+    # a point is null when |<z, z>| <= tol |z|^2: z = (1, 0, b) has <z, z> = 2b
+    # and |z|^2 = 1 + b^2, so b solves 2b = -c (1 + b^2) with c = factor tol
+    c = factor * DEFAULT_TOL
+    b = -c / (1.0 + math.sqrt(1.0 - c * c))
+    lifts = np.zeros((6, 2), dtype=complex)
+    lifts[2, 0] = 1.0  # e_2 is null, and <z, e_2> = 1
+    lifts[0, 1], lifts[2, 1] = 1.0, b
+    cfg = gram_of(HermitianSpace(2), lifts, DEFAULT_TOL)
+    assert cfg.kinds == (PointType.NULL, kind)
 
 
 # -- reconstruction -----------------------------------------------------------------

@@ -221,6 +221,25 @@ def test_align_within_tolerance_of_real_data():
     assert mu is not None and mu.approx_eq(ONE, 1e-15)
 
 
+@pytest.mark.parametrize("factor,accepted", [(0.5, True), (2.0, False)])
+def test_align_certificate_at_its_threshold(factor, accepted):
+    # ten copies each of i and j pin mu, and k turned by an angle that moves
+    # it by factor * tol keeps its real part and norm: only the final check
+    # can refuse it, and it refuses twice the tolerance, not half
+    tol = 1e-7
+    mu0 = random_unit(np.random.default_rng(5)).to_array()
+    w = np.array([I.to_array()] * 10 + [J.to_array()] * 10 + [K.to_array()])
+    v = qmul_array(qmul_array(qconj_array(mu0), w), mu0)
+    half = math.asin(factor * tol / 2.0)
+    axis = np.cross(v[-1, 1:], v[0, 1:])
+    turn = np.concatenate([[math.cos(half)], math.sin(half) * axis / np.linalg.norm(axis)])
+    v[-1] = qmul_array(qmul_array(turn, v[-1]), qconj_array(turn))
+    mu = sp1_align(v, w, tol)
+    assert (mu is not None) == accepted
+    if accepted:
+        assert min((mu - Quaternion.from_seq(mu0)).norm(), (mu + Quaternion.from_seq(mu0)).norm()) < 1e-7
+
+
 def test_align_all_real():
     mu = align([Quaternion.real(2), Quaternion.real(-1)],
                    [Quaternion.real(2), Quaternion.real(-1)])

@@ -20,30 +20,14 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .decision import Decision, Verdict
-from .errors import (
-    DegenerateConfigurationError,
-    DimensionMismatchError,
-    InvalidSpecError,
-    NumericalError,
-)
+from .errors import (DegenerateConfigurationError, DimensionMismatchError, InvalidSpecError,
+                     NumericalError)
 from .invariants import InvariantProfile, ProjPoint, _gram_profile, _slot_table
-from .linalg import (
-    HermitianSpace,
-    HMatrix,
-    HVector,
-    PointType,
-    line_residuals,
-    matrix_rank,
-    nullspace,
-    orthonormal_form_basis,
-    point_types,
-    quaternionic_basis,
-    right_times,
-    stacked,
-    two_columns,
-)
-from .quaternion import (Quaternion, canonical_sign, complex_pairs, qconj_array, qmul_array,
-                         quaternion_array, rotation_matrix, sp1_align)
+from .linalg import (HermitianSpace, HMatrix, HVector, PointType, line_residuals, matrix_rank,
+                     nullspace, orthonormal_form_basis, point_types, quaternionic_basis,
+                     right_times, stacked, two_columns)
+from .quaternion import (Quaternion, canonical_sign, complex_pairs, conjugated_by, qconj_array,
+                         qmul_array, quaternion_array, rotation_matrix, sp1_align)
 from .tolerances import (BASE_MODULUS_TOL, DECIDER_TOL, DEFAULT_TOL, DEGENERACY_FACTOR,
                          GAUGE_FLOOR_FACTOR, PATTERN_TOL, ROUND_TRIP_TOL, SLOT_REDUNDANCY_RTOL,
                          WITNESS_MEMBER_TOL)
@@ -82,13 +66,14 @@ class PointConfig:
 
 
 def gram_of(space: HermitianSpace, points: "Sequence[ProjPoint] | np.ndarray",
-            tol: float = DEFAULT_TOL, kinds: Optional[Sequence[PointType]] = None) -> PointConfig:
+            tol: float = DEFAULT_TOL, kinds: Optional[Sequence[PointType]] = None,
+            copy: bool = True) -> PointConfig:
     """Assemble and validate the Gram matrix of an ordered point tuple.
 
     ``points`` holds ProjPoints, or is the stacked (2N, m) array of their
-    lifts, which is copied.  An array's point types are ``kinds`` or, left
-    out, are read at ``tol`` off the real diagonal of the pairings product
-    that gives the Gram matrix.
+    lifts, which is copied (with ``copy=False``, only if it is not C-ordered
+    complex).  An array's point types are ``kinds`` or, left out, are read at
+    ``tol`` off the real diagonal of the pairings product, the Gram matrix.
 
     Points must be distinct, ordered nulls-first, and of null or negative
     type only.  Distinctness is certified through the Gram entries: distinct
@@ -98,37 +83,40 @@ def gram_of(space: HermitianSpace, points: "Sequence[ProjPoint] | np.ndarray",
     if not isinstance(points, np.ndarray):
         pts = list(points)
         points, kinds = stacked([p.lift for p in pts]), [p.kind for p in pts]
-    lifts = np.array(points, dtype=complex, order="C")
+    lifts = np.array(points, dtype=complex, order="C", copy=copy or None)
     if lifts.ndim != 2 or lifts.shape[1] < 2:
         raise InvalidSpecError("a configuration needs at least two points")
-    g = space.pairings(lifts)
+    g = _hermitian(space.pairings(lifts))
+    norms2 = (lifts.conj() * lifts).real.sum(axis=0)
     if kinds is None:
-        kinds = point_types(np.diagonal(g[..., 0]), lifts, tol)
+        kinds = point_types(np.diagonal(g[..., 0]), norms2, tol)
     kinds = tuple(kinds)
     if PointType.POSITIVE in kinds:
         raise InvalidSpecError("configurations contain null and negative points only")
     neg = np.array([k == PointType.NEGATIVE for k in kinds])
-    if np.any(neg[:-1] & ~neg[1:]):
+    if (neg[:-1] & ~neg[1:]).any():
         raise InvalidSpecError("ordering violated: null point after a negative one")
 
-    # the form is Hermitian: store the matrix exactly so
-    g = 0.5 * (g + qconj_array(g).transpose(1, 0, 2))
-
-    absg = np.linalg.norm(g, axis=2)
-    norms = np.linalg.norm(lifts, axis=0)
+    absg2 = (g * g).sum(axis=2)
     re = np.diagonal(g[..., 0])
     zero_tol = DEGENERACY_FACTOR * tol
-    zero = absg <= zero_tol * np.outer(norms, norms)
+    # |g_kj| <= zero_tol |p_k| |p_j|, squared
+    zero = absg2 <= zero_tol ** 2 * (norms2[:, None] * norms2)
     # both negative, so d = |g_kj|^2 / (g_kk g_jj) <= 1 + zero_tol reads
-    coincide = np.outer(neg, neg) & (absg ** 2 <= (1.0 + zero_tol) * np.outer(re, re))
-    bad = np.argwhere(np.triu(zero | coincide, 1))
-    if len(bad):
-        k, j = bad[0]
+    bad = zero | (neg[:, None] & neg & (absg2 <= (1.0 + zero_tol) * (re[:, None] * re)))
+    bad.flat[::len(bad) + 1] = False  # each point against itself
+    if bad.any():
+        k, j = np.argwhere(bad)[0]  # bad is symmetric, so k < j
         if zero[k, j]:
             raise DegenerateConfigurationError(
                 f"points {k + 1} and {j + 1} pair to zero (coincident or degenerate)")
         raise DegenerateConfigurationError(f"negative points {k + 1} and {j + 1} coincide")
     return PointConfig(space, lifts, kinds, g)
+
+
+def _hermitian(g: np.ndarray) -> np.ndarray:
+    """A pairings product made exactly Hermitian, g[k, j] = conj(g[j, k]), as the form is."""
+    return 0.5 * (g + qconj_array(g).transpose(1, 0, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -170,11 +158,8 @@ class SemiNormalizedGram:
 
     def conjugated(self, mu: Quaternion) -> "SemiNormalizedGram":
         """Every entry g -> conj(mu) g mu, for a unit quaternion mu."""
-        g = self.gram.copy()
-        g[..., 1:] = g[..., 1:] @ rotation_matrix(mu.conj()).T
-        lifts = (right_times(self.lifts, *mu.complex_pair())
-                 if self.lifts is not None else None)
-        return SemiNormalizedGram(self.m, self.i, g, lifts)
+        lifts = None if self.lifts is None else right_times(self.lifts, *mu.complex_pair())
+        return SemiNormalizedGram(self.m, self.i, conjugated_by(mu, self.gram), lifts)
 
 
 @lru_cache(maxsize=None)
@@ -188,20 +173,29 @@ def _v_index(m: int, i: int) -> tuple[np.ndarray, np.ndarray]:
     return index
 
 
+_PATTERN_MESSAGES = ("diagonal entry off pattern after normalization", "first-row null entry not 1",
+                     "first-row entry not positive real", "|g_23| != 1 after normalization")
+
+
 def _check_pattern(sng: SemiNormalizedGram) -> None:
+    """Raise NumericalError off the semi-normalized pattern: one pass over its deviations."""
     m, i, g = sng.m, sng.i, sng.gram
-    diag = np.diagonal(g).T
-    target = np.where(np.arange(m) < i, 0.0, -1.0)
-    if (np.any(np.abs(diag[:, 0] - target) > PATTERN_TOL)
-            or np.any(np.linalg.norm(diag[:, 1:], axis=1) > PATTERN_TOL)):
-        raise NumericalError("diagonal entry off pattern after normalization")
-    if np.any(np.linalg.norm(g[0, 1:i] - [1.0, 0.0, 0.0, 0.0], axis=1) > PATTERN_TOL):
-        raise NumericalError("first-row null entry not 1")
-    rest = g[0, max(i, 1):]
-    if np.any(np.linalg.norm(rest[:, 1:], axis=1) > PATTERN_TOL) or np.any(rest[:, 0] <= 0):
-        raise NumericalError("first-row entry not positive real")
-    if i >= 3 and abs(np.linalg.norm(g[1, 2]) - 1.0) > PATTERN_TOL:
-        raise NumericalError("|g_23| != 1 after normalization")
+    first = max(i, 1)
+    # the entries the pattern fixes minus their values: diagonal, first row, g_23
+    d = np.concatenate([np.diagonal(g).T, g[0, 1:], g[1:2, 2]])
+    d[i:m, 0] += 1.0
+    d[m:m + i - 1, 0] -= 1.0
+    sq = d * d
+    re, im = sq[:, 0], sq[:, 1:].sum(axis=1)
+    # each comparison with PATTERN_TOL, in message order: diagonal real parts, imaginary
+    # moduli, null first-row entries, other first-row imaginary moduli, |g_23|
+    dev = np.sqrt(np.concatenate([re[:m], im[:m], (re + im)[m:m + i - 1], im[m + first - 1:-1],
+                                  (re + im)[-1:]]))
+    dev[-1] = abs(dev[-1] - 1.0) if i >= 3 else 0.0
+    bad = np.concatenate([dev > PATTERN_TOL, g[0, first:, 0] <= 0])
+    if bad.any():
+        message = np.repeat([0, 0, 1, 2, 3, 2], [m, m, max(i - 1, 0), m - first, 1, m - first])
+        raise NumericalError(_PATTERN_MESSAGES[message[bad].min()])
 
 
 def semi_normalize(config: PointConfig) -> SemiNormalizedGram:
@@ -230,28 +224,24 @@ def _rescaled(config: PointConfig) -> SemiNormalizedGram:
     if m < 3:
         raise InvalidSpecError("semi-normalization needs at least three points")
     if i in (1, 2):
-        raise InvalidSpecError(
-            "configurations with one or two null points are not supported")
+        raise InvalidSpecError("configurations with one or two null points are not supported")
     g = config.gram
 
     # p_k -> p_k * lam_k.  lam_1 is a positive real, so conj(lam_1) g_1j =
     # lam_1 g_1j = w_j; null points take w_j^-1, negative points
     # w_j^-1 |w_j| / sqrt(-g_jj)
     if i >= 3:
-        lam1 = math.sqrt(np.linalg.norm(g[1, 2])
-                         / (np.linalg.norm(g[0, 1]) * np.linalg.norm(g[0, 2])))
+        lam1 = math.sqrt(math.hypot(*g[1, 2]) / (math.hypot(*g[0, 1]) * math.hypot(*g[0, 2])))
     else:  # i == 0
         lam1 = 1.0 / math.sqrt(-g[0, 0, 0])
-    w = lam1 * g[0]
-    wn = np.linalg.norm(w, axis=1)
-    nul, neg = slice(1, max(i, 1)), slice(max(i, 1), m)
-    lam = np.zeros((m, 4))
-    lam[0, 0] = lam1
-    lam[nul] = qconj_array(w[nul]) / wn[nul, None] ** 2
-    lam[neg] = qconj_array(w[neg]) / (wn[neg] * np.sqrt(-np.diagonal(g[..., 0])[neg]))[:, None]
-
-    ents = qmul_array(qmul_array(qconj_array(lam)[:, None], g), lam[None, :])
-    return SemiNormalizedGram(m, i, ents, right_times(config.lifts, *complex_pairs(lam)))
+    first = max(i, 1)
+    w = lam1 * g[0, 1:]
+    div = np.einsum("kc,kc->k", w, w)
+    div[first - 1:] = np.sqrt(div[first - 1:] * -np.diagonal(g[..., 0])[first:])
+    lam = np.concatenate([[(lam1, 0.0, 0.0, 0.0)], qconj_array(w) / div[:, None]])
+    # the Gram matrix of the rescaled lifts, conj(lam_k) g_kj lam_j, is one product
+    lifts = right_times(config.lifts, *complex_pairs(lam))
+    return SemiNormalizedGram(m, i, _hermitian(config.space.pairings(lifts)), lifts)
 
 
 def _gauge_rotation(entries: np.ndarray) -> Quaternion:
@@ -261,34 +251,32 @@ def _gauge_rotation(entries: np.ndarray) -> Quaternion:
     so a second independent direction lands in the i-j plane with positive
     j part.  Both rotations are closed-form half-angle quaternions.
     """
-    floor = GAUGE_FLOOR_FACTOR * DEFAULT_TOL * np.maximum(1.0, np.linalg.norm(entries, axis=1))
     im = entries[:, 1:]
-    imn = np.linalg.norm(im, axis=1)
-    found = np.flatnonzero(imn > floor)
+    imn2 = np.einsum("kc,kc->k", im, im)
+    floor = GAUGE_FLOOR_FACTOR * DEFAULT_TOL * np.maximum(1.0, np.sqrt(imn2 + entries[:, 0] ** 2))
+    found = np.flatnonzero(np.sqrt(imn2) > floor)
     if not found.size:
         return Quaternion.one()
-    ux, uy, uz = im[found[0]] / imn[found[0]]
-    mu1 = _turn(ux, np.array([0.0, -uz, uy]), Quaternion.k())  # i onto u
-
-    v = im @ rotation_matrix(mu1.conj()).T  # Im(conj(mu1) e mu1)
-    found = np.flatnonzero(np.linalg.norm(v[:, 1:], axis=1) > floor)
+    ux, uy, uz = (im[found[0]] / math.sqrt(imn2[found[0]])).tolist()
+    w, x, y, z = _turn(ux, (0.0, -uz, uy), (0.0, 0.0, 0.0, 1.0))  # mu1: i onto u
+    v = im @ rotation_matrix(Quaternion(w, -x, -y, -z))[1:].T  # Im(conj(mu1) e mu1) on j, k
+    found = np.flatnonzero(np.sqrt(np.einsum("kc,kc->k", v, v)) > floor)
     if not found.size:
-        return canonical_sign(mu1)
-    _, y, z = v[found[0]]
-    r = math.hypot(y, z)
-    mu2 = _turn(y / r, np.array([z / r, 0.0, 0.0]), Quaternion.i())  # j onto (0, y, z) / r
-    return canonical_sign(mu1 * mu2)
+        return canonical_sign(Quaternion(w, x, y, z))
+    vy, vz = v[found[0]].tolist()
+    r = math.hypot(vy, vz)
+    c, s, _, _ = _turn(vy / r, (vz / r, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0))  # mu2: j onto (0, vy, vz)
+    return canonical_sign(Quaternion(w * c - x * s, w * s + x * c, y * c + z * s, z * c - y * s))
 
 
-def _turn(cos: float, axis: np.ndarray, half_turn: Quaternion) -> Quaternion:
-    """The unit quaternion rotating a onto b, for unit a, b with cos = a.b and axis = a x b.
-
-    It is (1 + cos, axis) normalized.  Near cos = -1, 1 + cos is taken as
-    |axis|^2 / (1 - cos) against cancellation; at b = -a it is ``half_turn``.
-    """
-    q = np.concatenate(([1.0 + cos if cos >= 0.0 else float(axis @ axis) / (1.0 - cos)], axis))
-    qn = np.linalg.norm(q)
-    return Quaternion.from_seq(q / qn) if qn > 0.0 else half_turn
+def _turn(cos: float, axis: tuple, half_turn: tuple) -> tuple:
+    """Components of the unit quaternion turning unit a onto b, given cos = a.b and axis = a x b:
+    (1 + cos, axis) normalized, 1 + cos taken as |axis|^2 / (1 - cos) near cos = -1 against
+    cancellation, and ``half_turn`` at b = -a."""
+    ax, ay, az = axis
+    q = (1.0 + cos if cos >= 0.0 else (ax * ax + ay * ay + az * az) / (1.0 - cos), ax, ay, az)
+    qn = math.hypot(*q)
+    return tuple(c / qn for c in q) if qn > 0.0 else half_turn
 
 
 # ---------------------------------------------------------------------------
@@ -306,12 +294,15 @@ def orbit_equal(g1: SemiNormalizedGram, g2: SemiNormalizedGram,
     return sp1_align(g1.v_entries(), g2.v_entries(), tol)
 
 
-def _independent_subset(space: HermitianSpace, lifts: np.ndarray) -> list[int]:
-    # each lift chosen adds a quaternionic line: complex rank 2.  A prefix's singular
-    # values lie within the block's extremes, so a full-rank leading block is the greedy pick
-    k = min(lifts.shape[1], space.dim)
-    if matrix_rank(two_columns(lifts[:, :k])) == 2 * k:
-        return list(range(k))
+def _independent_subsets(space: HermitianSpace, *lifts: np.ndarray) -> list[list[int]]:
+    # each lift chosen adds a quaternionic line: complex rank 2.  A prefix's singular values
+    # lie within the block's extremes, so a full-rank leading block is the greedy pick
+    k = min(lifts[0].shape[1], space.dim)
+    full = matrix_rank(np.stack([two_columns(S[:, :k]) for S in lifts])) == 2 * k
+    return [list(range(k)) if f else _greedy_subset(space, S) for f, S in zip(full, lifts)]
+
+
+def _greedy_subset(space: HermitianSpace, lifts: np.ndarray) -> list[int]:
     chosen: list[int] = []
     for k in range(lifts.shape[1]):
         if matrix_rank(two_columns(lifts[:, chosen + [k]])) == 2 * len(chosen) + 2:
@@ -336,47 +327,49 @@ def congruent(config_a: PointConfig, config_b: PointConfig, tol: float = DECIDER
     the first configuration onto the corresponding point of the second,
     projectively and within tolerance, up to the central sign; one that fails
     its check after the Gram matrices align leaves the decision Inconclusive.
+    So does a numerical failure on valid inputs; invalid ones raise.
     """
     if (config_a.m, config_a.i) != (config_b.m, config_b.i):
         return Decision(Verdict.NOT_CONGRUENT, reason="shape (m, i) differs")
     if config_a.space.dim != config_b.space.dim:
         raise DimensionMismatchError("configurations live in different spaces")
     space = config_a.space
+    try:
+        # sp1_align solves for the residual unit quaternion: no canonical gauge
+        sng_a, sng_b = _rescaled(config_a), _rescaled(config_b)
+        for sng in (sng_a, sng_b):
+            _check_pattern(sng)
+        mu = orbit_equal(sng_a, sng_b, tol)
+        if mu is None:
+            return Decision(Verdict.NOT_CONGRUENT, reason="semi-normalized Gram orbits differ")
 
-    # sp1_align solves for the residual unit quaternion: no canonical gauge
-    sng_a, sng_b = _rescaled(config_a), _rescaled(config_b)
-    for sng in (sng_a, sng_b):
-        _check_pattern(sng)
-    mu = orbit_equal(sng_a, sng_b, tol)
-    if mu is None:
-        return Decision(Verdict.NOT_CONGRUENT,
-                        reason="semi-normalized Gram orbits differ")
+        lifts_a = sng_a.lifts
+        lifts_b = right_times(sng_b.lifts, *mu.complex_pair())
 
-    lifts_a = sng_a.lifts
-    lifts_b = right_times(sng_b.lifts, *mu.complex_pair())
+        subset, subset_b = _independent_subsets(space, lifts_a, lifts_b)
+        if subset != subset_b:
+            raise NumericalError("configurations disagree on their independent subsets")
+        span_a, span_b = lifts_a[:, subset], lifts_b[:, subset]
+        if len(subset) < space.dim:
+            fill_a, signs_a = orthonormal_form_basis(space, _form_perp_basis(space, span_a))
+            fill_b, signs_b = orthonormal_form_basis(space, _form_perp_basis(space, span_b))
+            if signs_a != signs_b:
+                raise NumericalError("perp signatures disagree for equal Gram matrices")
+            span_a = np.concatenate([span_a, fill_a], axis=1)
+            span_b = np.concatenate([span_b, fill_b], axis=1)
 
-    subset = _independent_subset(space, lifts_a)
-    if subset != _independent_subset(space, lifts_b):
-        raise NumericalError("configurations disagree on their independent subsets")
-    span_a, span_b = lifts_a[:, subset], lifts_b[:, subset]
-    if len(subset) < space.dim:
-        fill_a, signs_a = orthonormal_form_basis(space, _form_perp_basis(space, span_a))
-        fill_b, signs_b = orthonormal_form_basis(space, _form_perp_basis(space, span_b))
-        if signs_a != signs_b:
-            raise NumericalError("perp signatures disagree for equal Gram matrices")
-        span_a = np.concatenate([span_a, fill_a], axis=1)
-        span_b = np.concatenate([span_b, fill_b], axis=1)
+        witness = space.project_to_group(
+            HMatrix.from_columns(span_b) @ HMatrix.from_columns(span_a).inverse())
 
-    witness = space.project_to_group(
-        HMatrix.from_columns(span_b) @ HMatrix.from_columns(span_a).inverse())
-
-    if not space.is_member(witness, WITNESS_MEMBER_TOL):
-        raise NumericalError("witness drifted off the isometry group")
-    worst = float(np.max(line_residuals(witness.emb @ lifts_a, lifts_b)))
-    if not worst <= tol:  # a residual that is not a number fails too
-        return Decision(Verdict.INCONCLUSIVE,
-                        reason=f"witness verification failed (residual {worst:.3e})")
-    return Decision(Verdict.CONGRUENT, witness=witness, residual=worst)
+        if not space.is_member(witness, WITNESS_MEMBER_TOL):
+            raise NumericalError("witness drifted off the isometry group")
+        worst = float(np.max(line_residuals(witness.emb @ lifts_a, lifts_b)))
+        if not worst <= tol:  # a residual that is not a number fails too
+            return Decision(Verdict.INCONCLUSIVE,
+                            reason=f"witness verification failed (residual {worst:.3e})")
+        return Decision(Verdict.CONGRUENT, witness=witness, residual=worst)
+    except NumericalError as exc:
+        return Decision(Verdict.INCONCLUSIVE, reason=f"numerical failure: {exc}")
 
 
 # ---------------------------------------------------------------------------

@@ -291,7 +291,8 @@ class HermitianSpace:
     def classify_vector(self, z: HVector, tol: float = DEFAULT_TOL) -> PointType:
         """:func:`point_types` of z, from the real diagonal of :meth:`pairings`."""
         S = z.s[:, None]
-        return point_types(np.diagonal(self.pairings(S)[..., 0]), S, tol)[0]
+        return point_types(np.diagonal(self.pairings(S)[..., 0]),
+                           np.linalg.norm(S, axis=0) ** 2, tol)[0]
 
     def member_residual(self, A: HMatrix) -> float:
         """Frobenius norm of A* H A - H in the embedding."""
@@ -325,16 +326,15 @@ class HermitianSpace:
         return f"HermitianSpace(n={self.n})"
 
 
-def point_types(self_pairings: np.ndarray, S: np.ndarray,
+def point_types(self_pairings: np.ndarray, norms2: np.ndarray,
                 tol: float = DEFAULT_TOL) -> list[PointType]:
-    """Null when |<z,z>| <= tol |z|^2, else the sign of <z,z>, for every
-    stacked column z of S, given the real self-pairings <z,z>."""
-    sq_norms = np.linalg.norm(S, axis=0) ** 2
-    if not sq_norms.all():
+    """Null when |<z,z>| <= tol |z|^2, else the sign of <z,z>, for vectors z
+    given by their real self-pairings <z,z> and squared norms |z|^2."""
+    if not norms2.all():
         raise ValueError("cannot classify the zero vector")
-    return [PointType.NULL if abs(val) <= tol * sq
-            else PointType.NEGATIVE if val < 0 else PointType.POSITIVE
-            for val, sq in zip(self_pairings, sq_norms)]
+    null, neg = (np.abs(self_pairings) <= tol * norms2).tolist(), (self_pairings < 0).tolist()
+    return [PointType.NULL if z else PointType.NEGATIVE if n else PointType.POSITIVE
+            for z, n in zip(null, neg)]
 
 
 # ---------------------------------------------------------------------------
@@ -408,11 +408,12 @@ def nullspace(M: np.ndarray, rtol: float = RANK_RTOL) -> np.ndarray:
     return Vh[rank:].conj().T
 
 
-def matrix_rank(M: np.ndarray, rtol: float = RANK_RTOL) -> int:
+def matrix_rank(M: np.ndarray, rtol: float = RANK_RTOL) -> "int | np.ndarray":
+    """Numerical rank of M, or of each matrix of a stack (..., a, b) at its own cutoff."""
     s = np.linalg.svd(M, compute_uv=False)
     if s.size == 0:
         return 0
-    return int(np.sum(s > rtol * max(s[0], 1.0)))
+    return np.sum(s > rtol * np.maximum(s[..., :1], 1.0), axis=-1)
 
 
 def quaternionic_basis(columns: np.ndarray, expected: int) -> np.ndarray:

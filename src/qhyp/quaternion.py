@@ -250,6 +250,13 @@ def rotation_matrix(q: "Quaternion | np.ndarray") -> np.ndarray:
     return R if R.ndim == 2 else np.moveaxis(R, (0, 1), (-2, -1))
 
 
+def conjugated_by(mu: Quaternion, a: np.ndarray) -> np.ndarray:
+    """Components of conj(mu) * a * mu for unit mu: real parts stay, imaginary parts turn."""
+    out = a.copy()
+    out[..., 1:] = a[..., 1:] @ rotation_matrix(mu.conj()).T
+    return out
+
+
 def canonical_sign(q: Quaternion) -> Quaternion:
     """Pick the representative of {q, -q} with positive leading component."""
     for c in (q.a0, q.a1, q.a2, q.a3):
@@ -277,7 +284,9 @@ def sp1_align(v: np.ndarray, w: np.ndarray,
     SVD as the right singular vectors whose singular value is within
     ``tol * scale`` of the smallest.  On exact data the smallest is zero up
     to rounding; otherwise the least-squares optimum and its near-ties are
-    tried, and the final check certifies or rejects the result.
+    tried, and the final check certifies or rejects the result: every
+    |conj(mu) w_k mu - v_k| must be within ``tol * scale``, with conj(mu) w mu
+    from one 3x3 rotation of the imaginary parts (:func:`conjugated_by`).
 
     Degenerate inputs (all imaginary parts zero or collinear) have a circle
     of solutions or more; the representative closest to 1, the normalized
@@ -289,24 +298,21 @@ def sp1_align(v: np.ndarray, w: np.ndarray,
     w = np.asarray(w, dtype=float).reshape(-1, 4)
     if len(v) != len(w):
         raise DimensionMismatchError(f"length mismatch: {len(v)} vs {len(w)}")
-    vn, wn = np.linalg.norm(v, axis=1), np.linalg.norm(w, axis=1)
-    scale = max(1.0, float(np.max(vn, initial=0.0)), float(np.max(wn, initial=0.0)))
-    if (np.any(np.abs(v[:, 0] - w[:, 0]) > tol * scale)
-            or np.any(np.abs(vn - wn) > tol * scale)):
+    vn, wn = np.sqrt(np.einsum("kc,kc->k", v, v)), np.sqrt(np.einsum("kc,kc->k", w, w))
+    scale = max(1.0, float(vn.max(initial=0.0)), float(wn.max(initial=0.0)))
+    if (np.abs(v[:, 0] - w[:, 0]) > tol * scale).any() or (np.abs(vn - wn) > tol * scale).any():
         return None
 
     if len(v) == 0:  # nothing to align
         return ONE
     _, s, vt = np.linalg.svd((left_matrix(w) - right_matrix(v)).reshape(-1, 4),
                              full_matrices=False)
-    null = vt[int(np.sum(s > s[-1] + tol * scale)):]
+    null = vt[int((s > s[-1] + tol * scale).sum()):]
     proj = null.T @ null  # column c: projection of the c-th unit onto the solutions
-    norms = np.linalg.norm(proj, axis=0)
-    c = int(np.argmax(norms > tol))
-    mu = canonical_sign(Quaternion.from_seq(proj[:, c] / norms[c]))
-
-    m = mu.to_array()
-    aligned = qmul_array(qmul_array(qconj_array(m), w), m)
-    if np.any(np.linalg.norm(aligned - v, axis=1) > tol * np.maximum(vn, scale)):
+    norms = np.sqrt(np.einsum("rc,rc->c", proj, proj))
+    c = int((norms > tol).argmax())
+    mu = canonical_sign(Quaternion(*(proj[:, c] / norms[c]).tolist()))
+    d = conjugated_by(mu, w) - v
+    if (np.sqrt(np.einsum("kc,kc->k", d, d)) > tol * scale).any():
         return None
     return mu

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qhyp import cli
+from qhyp import cli, gram
 from qhyp.cli import main
 from qhyp.errors import InvalidSpecError
 from qhyp.isometry import Classification, HyperbolicSpec, random_semisimple
@@ -254,6 +254,23 @@ def test_congruent_command_exit_codes(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     if report["verdict"] == "not_congruent":
         assert code == 1
+
+
+def test_congruent_command_prints_a_numerical_failure_as_inconclusive(tmp_path, capsys,
+                                                                      monkeypatch):
+    # the decider answers Inconclusive itself, so the CLI prints the decision
+    # document and exits 3 instead of printing an error
+    sp = HermitianSpace(2)
+    rng = np.random.default_rng(12)
+    cfg = sample_config(sp, 5, 3, rng)
+    moved = apply_isometry(cfg, random_member(sp, rng))
+    paths = [write(tmp_path, f"{k}.json", config_to_json(c)) for k, c in (("a", cfg), ("b", moved))]
+    monkeypatch.setattr(gram, "_independent_subsets", lambda space, a, b: [[0, 1, 2], [0, 2, 3]])
+    assert main(["congruent", *paths]) == 3
+    out, err = capsys.readouterr()
+    report = json.loads(out)
+    assert report["verdict"] == "inconclusive" and report["witness"] is None
+    assert report["reason"].startswith("numerical failure: ") and err == ""
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])

@@ -15,7 +15,7 @@ from qhyp.gram import (
     PointConfig,
     SemiNormalizedGram,
     _gauge_rotation,
-    _independent_subset,
+    _independent_subsets,
     congruent,
     gram_of,
     orbit_equal,
@@ -36,7 +36,8 @@ from qhyp.invariants import (
 from qhyp.isometry import random_member
 from qhyp.linalg import (HermitianSpace, HVector, PointType, matrix_rank, right_times,
                          stacked_from_components, two_columns)
-from qhyp.quaternion import Quaternion, complex_pairs, qconj_array, qmul_array, quaternion_array
+from qhyp.quaternion import (Quaternion, complex_pairs, conjugated_by, qconj_array, qmul_array,
+                             quaternion_array, sp1_align)
 from qhyp.tolerances import (ANGLE_ZERO_TOL, DECIDER_TOL, DEFAULT_TOL, DEGENERACY_FACTOR,
                               PATTERN_TOL)
 from qhyp.sampling import (
@@ -498,7 +499,7 @@ def test_independent_subset_matches_the_greedy_reference():
         for m in range(3, 11):
             for i in (0, *range(3, m + 1)):
                 lifts = sample_config(sp, m, i, rng).lifts
-                chosen = _independent_subset(sp, lifts)
+                chosen, = _independent_subsets(sp, lifts)
                 assert chosen == _greedy_subset(sp, lifts) == list(range(min(m, n + 1)))
 
 
@@ -519,7 +520,7 @@ def test_independent_subset_matches_the_greedy_reference_when_rank_deficient(
     elif dependent == "combination":
         lifts[:, 2] = (right_times(lifts[:, 0], *q0.complex_pair())
                        + right_times(lifts[:, 1], *q1.complex_pair()))
-    assert _independent_subset(sp, lifts) == _greedy_subset(sp, lifts) == expected
+    assert _independent_subsets(sp, lifts) == [_greedy_subset(sp, lifts)] == [expected]
 
 
 def _field_config(sp, m, i, rng, field):
@@ -559,6 +560,7 @@ def test_congruent_makes_one_rank_test_per_configuration_and_no_gauge(monkeypatc
     cfg = sample_config(sp, m, i, rng)
     moved = apply_isometry(cfg, random_member(sp, rng))
     calls = {"rank": 0, "gauge": 0}
+    shapes = []
 
     def counted(name, f):
         def wrapper(*args, **kwargs):
@@ -566,10 +568,13 @@ def test_congruent_makes_one_rank_test_per_configuration_and_no_gauge(monkeypatc
             return f(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(gram, "matrix_rank", counted("rank", gram.matrix_rank))
+    monkeypatch.setattr(gram, "matrix_rank",
+                        counted("rank", lambda M: shapes.append(M.shape) or matrix_rank(M)))
     monkeypatch.setattr(gram, "_gauge_rotation", counted("gauge", gram._gauge_rotation))
     assert congruent(cfg, moved).verdict is Verdict.CONGRUENT
-    assert calls == {"rank": 2, "gauge": 0}
+    # one stacked SVD holds both configurations' leading blocks
+    k = min(m, n + 1)
+    assert calls == {"rank": 1, "gauge": 0} and shapes == [(2, 2 * (n + 1), 2 * k)]
     semi_normalize(cfg)
     assert calls["gauge"] == 1  # the counter counts
 
@@ -659,6 +664,119 @@ def test_gram_of_null_point_at_its_threshold(factor, kind):
     lifts[0, 1], lifts[2, 1] = 1.0, b
     cfg = gram_of(HermitianSpace(2), lifts, DEFAULT_TOL)
     assert cfg.kinds == (PointType.NULL, kind)
+
+
+# -- the rescaled Gram matrix and the alignment certificate against their references ----
+
+def _reference_rescaled_gram(cfg):
+    """conj(lam_k) g_kj lam_j as two Hamilton products over the whole (m, m, 4) array."""
+    m, i, g = cfg.m, cfg.i, cfg.gram
+    if i >= 3:
+        lam1 = math.sqrt(np.linalg.norm(g[1, 2])
+                         / (np.linalg.norm(g[0, 1]) * np.linalg.norm(g[0, 2])))
+    else:
+        lam1 = 1.0 / math.sqrt(-g[0, 0, 0])
+    w = lam1 * g[0]
+    wn = np.linalg.norm(w, axis=1)
+    nul, neg = slice(1, max(i, 1)), slice(max(i, 1), m)
+    lam = np.zeros((m, 4))
+    lam[0, 0] = lam1
+    lam[nul] = qconj_array(w[nul]) / wn[nul, None] ** 2
+    lam[neg] = qconj_array(w[neg]) / (wn[neg] * np.sqrt(-np.diagonal(g[..., 0])[neg]))[:, None]
+    return qmul_array(qmul_array(qconj_array(lam)[:, None], g), lam[None, :])
+
+
+def _reference_certificate(mu, v, w):
+    """|conj(mu) w_k mu - v_k| per row, as two Hamilton products."""
+    m = mu.to_array()
+    return np.linalg.norm(qmul_array(qmul_array(qconj_array(m), w), m) - v, axis=1)
+
+
+#: (n, m, i): the bench shapes, a bare triple and a wide null block
+EQUIVALENCE_SHAPES = [(3, 3, 3), (2, 5, 3), (4, 6, 0), (4, 8, 4), (6, 9, 3)]
+
+
+@pytest.mark.parametrize("n,m,i", EQUIVALENCE_SHAPES)
+def test_rescaled_gram_is_the_two_product_reference(n, m, i):
+    # the pairings product of the rescaled lifts against the rescaling of the
+    # Gram matrix, with lifts rescaled by quaternions of modulus 1e-6 .. 1e6
+    sp = HermitianSpace(n)
+    rng = np.random.default_rng(700 + 10 * n + m)
+    for _ in range(6):
+        cfg = _rescaled(sample_config(sp, m, i, rng), rng)
+        ref = _reference_rescaled_gram(cfg)
+        bound = 1e-12 * max(1.0, float(np.max(np.linalg.norm(ref, axis=-1))))
+        assert max_entry_gap(gram._rescaled(cfg).gram, ref) <= bound
+
+
+@pytest.mark.parametrize("n,m,i", EQUIVALENCE_SHAPES)
+def test_alignment_certificate_is_the_two_product_reference(n, m, i):
+    # one rotation of the imaginary parts against two Hamilton products, for
+    # the solved mu of a moved copy and for a random mu between independent draws
+    sp = HermitianSpace(n)
+    rng = np.random.default_rng(800 + 10 * n + m)
+    for _ in range(6):
+        a = _rescaled(sample_config(sp, m, i, rng), rng)
+        b = _rescaled(apply_isometry(a, random_member(sp, rng)), rng)
+        c = _rescaled(sample_config(sp, m, i, rng), rng)
+        v, w, x = (gram._rescaled(cfg).v_entries() for cfg in (a, b, c))
+        mu = sp1_align(v, w, DECIDER_TOL)
+        assert mu is not None
+        for q, y in ((mu, w), (random_unit_quaternion(rng), x)):
+            new = np.linalg.norm(conjugated_by(q, y) - v, axis=1)
+            assert np.max(np.abs(new - _reference_certificate(q, v, y))) <= 1e-14
+
+
+# -- numerical failures in the congruence decider -----------------------------------
+
+def test_congruent_subset_disagreement_is_inconclusive(monkeypatch):
+    sp = HermitianSpace(2)
+    rng = np.random.default_rng(75)
+    cfg = sample_config(sp, 5, 3, rng)
+    moved = apply_isometry(cfg, random_member(sp, rng))
+    monkeypatch.setattr(gram, "_independent_subsets", lambda space, a, b: [[0, 1, 2], [0, 1, 3]])
+    dec = congruent(cfg, moved)
+    assert dec.verdict is Verdict.INCONCLUSIVE and dec.witness is None
+    assert dec.reason == ("numerical failure: configurations disagree on their "
+                          "independent subsets")
+
+
+def test_congruent_perp_signature_disagreement_is_inconclusive(monkeypatch):
+    # three points in H^{3,1} span a proper subspace, so each side completes
+    # its span by a form-orthonormal basis of the complement; the second
+    # completion reports flipped signs
+    sp = HermitianSpace(3)
+    rng = np.random.default_rng(76)
+    cfg = sample_config(sp, 3, 3, rng)
+    moved = apply_isometry(cfg, random_member(sp, rng))
+    calls = []
+    basis = gram.orthonormal_form_basis
+
+    def flipped(space, S):
+        fill, signs = basis(space, S)
+        calls.append(signs)
+        return fill, signs if len(calls) == 1 else [-s for s in signs]
+
+    monkeypatch.setattr(gram, "orthonormal_form_basis", flipped)
+    dec = congruent(cfg, moved)
+    assert len(calls) == 2
+    assert dec.verdict is Verdict.INCONCLUSIVE and dec.witness is None
+    assert dec.reason == "numerical failure: perp signatures disagree for equal Gram matrices"
+
+
+def test_congruent_input_errors_still_raise():
+    sp, rng = HermitianSpace(2), np.random.default_rng(77)
+    pair = sample_config(sp, 3, 3, rng).lifts[:, :2]
+    two = gram_of(sp, pair, kinds=[PointType.NULL] * 2)
+    with pytest.raises(InvalidSpecError, match="at least three points"):
+        congruent(two, two)
+    one_null = gram_of(sp, np.concatenate([sample_config(sp, 3, 3, rng).lifts[:, :1],
+                                           sample_config(sp, 3, 0, rng).lifts[:, :3]], axis=1))
+    assert one_null.i == 1
+    with pytest.raises(InvalidSpecError, match="one or two null points"):
+        congruent(one_null, one_null)
+    with pytest.raises(DimensionMismatchError):
+        congruent(sample_config(sp, 4, 4, rng), sample_config(HermitianSpace(3), 4, 4, rng))
 
 
 # -- reconstruction -----------------------------------------------------------------

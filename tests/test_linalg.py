@@ -276,7 +276,7 @@ def test_point_types_is_the_one_vector_rule_per_vector():
 
     def types(vectors):
         S = stacked(vectors)
-        return point_types(np.diagonal(sp.pairings(S)[..., 0]), S)
+        return point_types(np.diagonal(sp.pairings(S)[..., 0]), np.linalg.norm(S, axis=0) ** 2)
 
     vectors = [qv(0, 1, 0), qv(-1, 0, 1), qv(1, 0, 0), qv(1e-12, 0, 1), qv(J, 2, 1)]
     assert types(vectors) == [sp.classify_vector(v) for v in vectors]

@@ -581,28 +581,29 @@ def test_congruent_makes_one_rank_test_per_configuration_and_no_gauge(monkeypatc
 
 # -- checks at their thresholds -----------------------------------------------------
 
-PATTERN_CASES = {
-    # condition -> (edit of a valid (5, 3) semi-normalized Gram by d, message)
-    "diagonal real": (lambda g, d: g.__setitem__((3, 3, 0), g[3, 3, 0] + d), "diagonal entry"),
-    "diagonal imaginary": (lambda g, d: g.__setitem__((1, 1, 2), g[1, 1, 2] + d),
-                           "diagonal entry"),
-    "first-row null": (lambda g, d: g.__setitem__((0, 2, 3), g[0, 2, 3] + d),
-                       "first-row null entry not 1"),
-    "first-row imaginary": (lambda g, d: g.__setitem__((0, 4, 1), g[0, 4, 1] + d),
-                            "first-row entry not positive real"),
-    "|g_23|": (lambda g, d: g.__setitem__((1, 2), g[1, 2] * (1.0 + d)), r"\|g_23\| != 1"),
-}
+#: (entry of a valid (5, 3) semi-normalized Gram matrix, message): a component
+#: is moved by d, the whole entry g_23 scaled by 1 + d
+PATTERN_CASES = [
+    ((3, 3, 0), "diagonal entry"),  # real part of a negative point's entry
+    ((1, 1, 2), "diagonal entry"),  # imaginary part of a null point's entry
+    ((0, 2, 3), "first-row null entry not 1"),
+    ((0, 4, 1), "first-row entry not positive real"),  # imaginary part
+    ((1, 2), r"\|g_23\| != 1"),
+]
 
 
-@pytest.mark.parametrize("condition", sorted(PATTERN_CASES))
-def test_check_pattern_at_its_threshold(condition):
+@pytest.mark.parametrize("entry,message", PATTERN_CASES, ids=[
+    "diagonal-real", "diagonal-imaginary", "first-row-null", "first-row-imaginary", "g23-modulus"])
+def test_check_pattern_at_its_threshold(entry, message):
     # each check passes a deviation of half PATTERN_TOL and refuses twice it,
     # with its own message
-    edit, message = PATTERN_CASES[condition]
     sng = semi_normalize(sample_config(HermitianSpace(2), 5, 3, np.random.default_rng(70)))
     for factor, passes in ((0.5, True), (2.0, False)):
         g = sng.gram.copy()
-        edit(g, factor * PATTERN_TOL)
+        if len(entry) == 3:
+            g[entry] += factor * PATTERN_TOL
+        else:
+            g[entry] *= 1.0 + factor * PATTERN_TOL
         perturbed = SemiNormalizedGram(5, 3, g)
         if passes:
             gram._check_pattern(perturbed)

@@ -20,14 +20,31 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .decision import Decision, Verdict
-from .errors import (DegenerateConfigurationError, DimensionMismatchError, InvalidSpecError,
-                     NumericalError)
+from .errors import (
+    DegenerateConfigurationError,
+    DimensionMismatchError,
+    GramSchmidtError,
+    InvalidSpecError,
+    NumericalError,
+)
 from .invariants import InvariantProfile, ProjPoint, _gram_profile, _slot_table
-from .linalg import (HermitianSpace, HMatrix, HVector, PointType, line_residuals, matrix_rank,
-                     nullspace, orthonormal_form_basis, point_types, quaternionic_basis,
-                     right_times, stacked, two_columns)
+from .linalg import (
+    HermitianSpace,
+    HMatrix,
+    HVector,
+    PointType,
+    line_residuals,
+    matrix_rank,
+    nullspace,
+    orthonormal_form_basis,
+    point_types,
+    quaternionic_basis,
+    right_times,
+    stacked,
+    two_columns,
+)
 from .quaternion import (Quaternion, canonical_sign, complex_pairs, conjugated_by, qconj_array,
-                         qmul_array, quaternion_array, rotation_matrix, sp1_align)
+                         qmul_array, quaternion_array, sp1_align)
 from .tolerances import (BASE_MODULUS_TOL, DECIDER_TOL, DEFAULT_TOL, DEGENERACY_FACTOR,
                          GAUGE_FLOOR_FACTOR, PATTERN_TOL, ROUND_TRIP_TOL, SLOT_REDUNDANCY_RTOL,
                          WITNESS_MEMBER_TOL)
@@ -66,14 +83,14 @@ class PointConfig:
 
 
 def gram_of(space: HermitianSpace, points: "Sequence[ProjPoint] | np.ndarray",
-            tol: float = DEFAULT_TOL, kinds: Optional[Sequence[PointType]] = None,
-            copy: bool = True) -> PointConfig:
+            tol: float = DEFAULT_TOL, kinds: Optional[Sequence[PointType]] = None) -> PointConfig:
     """Assemble and validate the Gram matrix of an ordered point tuple.
 
     ``points`` holds ProjPoints, or is the stacked (2N, m) array of their
-    lifts, which is copied (with ``copy=False``, only if it is not C-ordered
-    complex).  An array's point types are ``kinds`` or, left out, are read at
-    ``tol`` off the real diagonal of the pairings product, the Gram matrix.
+    lifts.  A C-ordered complex array is taken over as the configuration's
+    lifts without a copy and made read-only; any other is copied.  An
+    array's point types are ``kinds`` or, left out, are read at ``tol`` off
+    the real diagonal of the pairings product, the Gram matrix.
 
     Points must be distinct, ordered nulls-first, and of null or negative
     type only.  Distinctness is certified through the Gram entries: distinct
@@ -83,7 +100,7 @@ def gram_of(space: HermitianSpace, points: "Sequence[ProjPoint] | np.ndarray",
     if not isinstance(points, np.ndarray):
         pts = list(points)
         points, kinds = stacked([p.lift for p in pts]), [p.kind for p in pts]
-    lifts = np.array(points, dtype=complex, order="C", copy=copy or None)
+    lifts = np.asarray(points, dtype=complex, order="C")
     if lifts.ndim != 2 or lifts.shape[1] < 2:
         raise InvalidSpecError("a configuration needs at least two points")
     g = _hermitian(space.pairings(lifts))
@@ -97,13 +114,17 @@ def gram_of(space: HermitianSpace, points: "Sequence[ProjPoint] | np.ndarray",
     if (neg[:-1] & ~neg[1:]).any():
         raise InvalidSpecError("ordering violated: null point after a negative one")
 
-    absg2 = (g * g).sum(axis=2)
-    re = np.diagonal(g[..., 0])
+    # both tests read the pairings of the unit lifts, h_kj = g_kj / (|p_k| |p_j|), which
+    # neither overflow nor underflow when squared at any lift scale
+    scale = 1.0 / np.sqrt(norms2)
+    h = g * (scale[:, None] * scale)[..., None]
+    absh2 = (h * h).sum(axis=2)
+    re = np.diagonal(h[..., 0])
     zero_tol = DEGENERACY_FACTOR * tol
-    # |g_kj| <= zero_tol |p_k| |p_j|, squared
-    zero = absg2 <= zero_tol ** 2 * (norms2[:, None] * norms2)
+    # |g_kj| <= zero_tol |p_k| |p_j|
+    zero = absh2 <= zero_tol ** 2
     # both negative, so d = |g_kj|^2 / (g_kk g_jj) <= 1 + zero_tol reads
-    bad = zero | (neg[:, None] & neg & (absg2 <= (1.0 + zero_tol) * (re[:, None] * re)))
+    bad = zero | (neg[:, None] & neg & (absh2 <= (1.0 + zero_tol) * (re[:, None] * re)))
     bad.flat[::len(bad) + 1] = False  # each point against itself
     if bad.any():
         k, j = np.argwhere(bad)[0]  # bad is symmetric, so k < j
@@ -224,20 +245,22 @@ def _rescaled(config: PointConfig) -> SemiNormalizedGram:
     if m < 3:
         raise InvalidSpecError("semi-normalization needs at least three points")
     if i in (1, 2):
-        raise InvalidSpecError("configurations with one or two null points are not supported")
+        raise InvalidSpecError(
+            "configurations with one or two null points are not supported")
     g = config.gram
 
     # p_k -> p_k * lam_k.  lam_1 is a positive real, so conj(lam_1) g_1j =
     # lam_1 g_1j = w_j; null points take w_j^-1, negative points
-    # w_j^-1 |w_j| / sqrt(-g_jj)
+    # w_j^-1 |w_j| / sqrt(-g_jj); no product of two moduli, which leaves the float range
+    # at extreme lift scales
     if i >= 3:
-        lam1 = math.sqrt(math.hypot(*g[1, 2]) / (math.hypot(*g[0, 1]) * math.hypot(*g[0, 2])))
+        lam1 = math.sqrt(math.hypot(*g[1, 2]) / math.hypot(*g[0, 1]) / math.hypot(*g[0, 2]))
     else:  # i == 0
         lam1 = 1.0 / math.sqrt(-g[0, 0, 0])
     first = max(i, 1)
     w = lam1 * g[0, 1:]
     div = np.einsum("kc,kc->k", w, w)
-    div[first - 1:] = np.sqrt(div[first - 1:] * -np.diagonal(g[..., 0])[first:])
+    div[first - 1:] = np.sqrt(div[first - 1:]) * np.sqrt(-np.diagonal(g[..., 0])[first:])
     lam = np.concatenate([[(lam1, 0.0, 0.0, 0.0)], qconj_array(w) / div[:, None]])
     # the Gram matrix of the rescaled lifts, conj(lam_k) g_kj lam_j, is one product
     lifts = right_times(config.lifts, *complex_pairs(lam))
@@ -259,7 +282,7 @@ def _gauge_rotation(entries: np.ndarray) -> Quaternion:
         return Quaternion.one()
     ux, uy, uz = (im[found[0]] / math.sqrt(imn2[found[0]])).tolist()
     w, x, y, z = _turn(ux, (0.0, -uz, uy), (0.0, 0.0, 0.0, 1.0))  # mu1: i onto u
-    v = im @ rotation_matrix(Quaternion(w, -x, -y, -z))[1:].T  # Im(conj(mu1) e mu1) on j, k
+    v = conjugated_by(Quaternion(w, x, y, z), entries)[:, 2:]  # conj(mu1) e mu1 on j, k
     found = np.flatnonzero(np.sqrt(np.einsum("kc,kc->k", v, v)) > floor)
     if not found.size:
         return canonical_sign(Quaternion(w, x, y, z))
@@ -368,7 +391,7 @@ def congruent(config_a: PointConfig, config_b: PointConfig, tol: float = DECIDER
             return Decision(Verdict.INCONCLUSIVE,
                             reason=f"witness verification failed (residual {worst:.3e})")
         return Decision(Verdict.CONGRUENT, witness=witness, residual=worst)
-    except NumericalError as exc:
+    except (NumericalError, GramSchmidtError, np.linalg.LinAlgError) as exc:
         return Decision(Verdict.INCONCLUSIVE, reason=f"numerical failure: {exc}")
 
 

@@ -103,7 +103,7 @@ def config_from_json(data: dict) -> PointConfig:
     lifts = _components(points, "points")
     if lifts.shape[1:] != (n + 1, 4):
         raise InvalidSpecError(f"each point needs {n + 1} quaternion coordinates")
-    cfg = gram_of(space, stacked_from_components(lifts), WIRE_TOL, copy=False)
+    cfg = gram_of(space, stacked_from_components(lifts), WIRE_TOL)
     declared = data.get("i")
     if declared is not None and _integer(declared, "i") != cfg.i:
         raise InvalidSpecError(f"declared i={declared} but found {cfg.i} null points")

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from qhyp.decision import Verdict
-from qhyp.errors import (DegenerateConfigurationError, DimensionMismatchError,
+from qhyp.errors import (DegenerateConfigurationError, DimensionMismatchError, GramSchmidtError,
                          InvalidSpecError, NumericalError)
 from qhyp import gram, serialize
 from qhyp.gram import (
@@ -120,6 +120,21 @@ def test_gram_of_matches_pairing_at_extreme_scales(n, i):
     assert np.max(np.abs(g[0, max(i, 1):, 1:]), initial=0.0) < 1e-9
     if i >= 3:
         assert abs(np.linalg.norm(g[1, 2]) - 1.0) < 1e-9
+
+
+def test_gram_of_takes_over_a_c_ordered_complex_array():
+    # that array becomes the read-only lifts; any other array is copied
+    sp = HermitianSpace(2)
+    src = sample_config(sp, 4, 3, np.random.default_rng(64)).lifts
+    kinds = [PointType.NULL] * 3 + [PointType.NEGATIVE]
+    lifts = src.copy()
+    cfg = gram_of(sp, lifts, kinds=kinds)
+    assert cfg.lifts is lifts and not lifts.flags.writeable
+    for other in (np.asfortranarray(src), np.repeat(src, 2, axis=1)[:, ::2]):
+        assert other.flags.writeable
+        cfg = gram_of(sp, other, kinds=kinds)
+        assert cfg.lifts is not other and other.flags.writeable
+        assert cfg.lifts.flags.c_contiguous and cfg.lifts.dtype == complex
 
 
 def test_gram_objects_are_immutable():
@@ -667,6 +682,23 @@ def test_gram_of_null_point_at_its_threshold(factor, kind):
     assert cfg.kinds == (PointType.NULL, kind)
 
 
+@pytest.mark.parametrize("scale", [1e100, 1e-100])
+@pytest.mark.parametrize("m,i", [(4, 4), (5, 3), (5, 0)])
+def test_decoder_and_decider_accept_a_configuration_at_any_lift_scale(m, i, scale):
+    # points are projective: the zero-pairing and coincidence tests read the
+    # pairings of unit lifts, whose squares neither overflow nor underflow,
+    # and the rescaling forms no product of two moduli
+    sp = HermitianSpace(3)
+    cfg = sample_config(sp, m, i, np.random.default_rng(3))
+    data = serialize.config_to_json(cfg)
+    data["points"] = (scale * np.array(data["points"])).tolist()
+    decoded = serialize.config_from_json(data)
+    assert decoded.kinds == cfg.kinds
+    assert max_entry_gap(decoded.gram / scale ** 2, cfg.gram) <= 1e-12 * max(
+        1.0, float(np.max(np.abs(cfg.gram))))
+    assert congruent(cfg, decoded).verdict is Verdict.CONGRUENT
+
+
 # -- the rescaled Gram matrix and the alignment certificate against their references ----
 
 def _reference_rescaled_gram(cfg):
@@ -763,6 +795,27 @@ def test_congruent_perp_signature_disagreement_is_inconclusive(monkeypatch):
     assert len(calls) == 2
     assert dec.verdict is Verdict.INCONCLUSIVE and dec.witness is None
     assert dec.reason == "numerical failure: perp signatures disagree for equal Gram matrices"
+
+
+@pytest.mark.parametrize("target,error", [
+    ("orthonormal_form_basis", GramSchmidtError("restricted form is degenerate on the span")),
+    ("inverse", np.linalg.LinAlgError("Singular matrix")),
+])
+def test_congruent_linear_algebra_failure_is_inconclusive(monkeypatch, target, error):
+    # the perp completion and the inverse of the span raise ValueErrors of
+    # their own on valid input; both read as numerical failures too
+    sp = HermitianSpace(3)
+    rng = np.random.default_rng(78)
+    cfg = sample_config(sp, 3, 3, rng)
+    moved = apply_isometry(cfg, random_member(sp, rng))
+
+    def fail(*args):
+        raise error
+
+    monkeypatch.setattr(gram.HMatrix if target == "inverse" else gram, target, fail)
+    dec = congruent(cfg, moved)
+    assert dec.verdict is Verdict.INCONCLUSIVE and dec.witness is None
+    assert dec.reason == f"numerical failure: {error}"
 
 
 def test_congruent_input_errors_still_raise():

@@ -128,9 +128,9 @@ def decompose(members: Sequence[Isometry]) -> None:
             for x, _, _ in found:
                 decompose([x])
         return
-    for (x, eigen, kind), coeffs in zip(found, traces):
+    for (x, eigen, kind), coeffs in zip(found, traces[:, :space.n].copy()):
         # classification last: it marks a decomposed member
-        x.eigen, x._real_trace, x.classification = eigen, coeffs[:space.n].copy(), kind
+        x.eigen, x._real_trace, x.classification = eigen, coeffs, kind
 
 
 def _classify_from_eigen(eigen: EigenData) -> Classification:
@@ -152,22 +152,17 @@ def _class_multisets_match(a: EigenData, b: EigenData) -> Optional[list[tuple[in
     pairs, or None.  A sorted zip would misalign near-ties."""
     if len(a.reps) != len(b.reps):
         return None
-    mults_a, mults_b = a.multiplicities.tolist(), b.multiplicities.tolist()
-    used = [False] * len(mults_b)
+    unmatched = list(zip(range(len(b.reps)), b.moduli, b.angles, b.multiplicities.tolist()))
     pairs = []
-    for ia, (ma, ta) in enumerate(zip(a.moduli, a.angles)):
-        hit = None
-        for idx, (mb, tb) in enumerate(zip(b.moduli, b.angles)):
-            if used[idx] or mults_b[idx] != mults_a[ia]:
-                continue
-            scale = max(1.0, ma, mb)
-            if abs(ma - mb) <= CLASS_MATCH_TOL * scale and abs(ta - tb) <= CLASS_MATCH_TOL:
-                hit = idx
+    for ia, (ma, ta, ka) in enumerate(zip(a.moduli, a.angles, a.multiplicities.tolist())):
+        for pos, (ib, mb, tb, kb) in enumerate(unmatched):
+            if (kb == ka and abs(ma - mb) <= CLASS_MATCH_TOL * max(1.0, ma, mb)
+                    and abs(ta - tb) <= CLASS_MATCH_TOL):
+                del unmatched[pos]
+                pairs.append((ia, ib))
                 break
-        if hit is None:
+        else:
             return None
-        used[hit] = True
-        pairs.append((ia, hit))
     return pairs
 
 
@@ -186,14 +181,11 @@ def conjugate_single(A: Isometry, B: Isometry) -> bool:
     if _class_multisets_match(ea, eb) is None:
         return False
     if A.classification is Classification.ELLIPTIC:
-        neg_a = [k for k, kind in enumerate(ea.kinds) if kind == PointType.NEGATIVE]
-        neg_b = [k for k, kind in enumerate(eb.kinds) if kind == PointType.NEGATIVE]
-        if len(neg_a) != 1 or len(neg_b) != 1:
+        if ea.kinds.count(PointType.NEGATIVE) != 1 or eb.kinds.count(PointType.NEGATIVE) != 1:
             raise NumericalError("elliptic element without a unique negative class")
-        a, b = neg_a[0], neg_b[0]
-        if (abs(ea.moduli[a] - eb.moduli[b]) > CLASS_MATCH_TOL
-                or abs(ea.angles[a] - eb.angles[b]) > CLASS_MATCH_TOL):
-            return False
+        a, b = ea.kinds.index(PointType.NEGATIVE), eb.kinds.index(PointType.NEGATIVE)
+        return not (abs(ea.moduli[a] - eb.moduli[b]) > CLASS_MATCH_TOL
+                    or abs(ea.angles[a] - eb.angles[b]) > CLASS_MATCH_TOL)
     return True
 
 

@@ -42,18 +42,11 @@ class PointType(Enum):
     POSITIVE = "positive"
 
 
-def _j_mat(N: int) -> np.ndarray:
-    J = np.zeros((2 * N, 2 * N))
-    J[:N, N:] = -np.eye(N)
-    J[N:, :N] = np.eye(N)
-    return J
-
-
 def _times_j(s: np.ndarray) -> np.ndarray:
     """Stacked form of x*j: (x1; x2) -> (-conj(x2); conj(x1)), for a stacked
     vector or for every column of a stacked array."""
-    N = s.shape[0] // 2
-    return np.concatenate([-np.conj(s[N:]), np.conj(s[:N])])
+    N, t = s.shape[0] // 2, np.conj(s)
+    return np.concatenate([-t[N:], t[:N]])
 
 
 class HVector:
@@ -93,6 +86,12 @@ class HVector:
         return f"HVector(dim={self.dim})"
 
 
+#: component and sign of the real and imaginary part of each embedding block
+#: [[A1, -conj(A2)], [A2, conj(A1)]] (A1 = a0 + a1 i, A2 = a2 - a3 i)
+_EMBED_INDEX = np.array([[[0, 1], [2, 3]], [[2, 3], [0, 1]]])
+_EMBED_SIGN = np.array([[[1.0, 1.0], [-1.0, -1.0]], [[1.0, -1.0], [1.0, -1.0]]])
+
+
 class HMatrix:
     """Square quaternionic matrix stored by its complex embedding."""
 
@@ -102,10 +101,9 @@ class HMatrix:
         emb = np.asarray(emb, dtype=complex)
         if emb.ndim != 2 or emb.shape[0] != emb.shape[1] or emb.shape[0] % 2 != 0:
             raise DimensionMismatchError("embedding must be square with even size")
-        if check:
+        if check:  # J conj(emb) = emb J, for J = [[0, -I], [I, 0]]
             N = emb.shape[0] // 2
-            J = _j_mat(N)
-            drift = np.linalg.norm(J @ np.conj(emb) - emb @ J)
+            drift = np.linalg.norm(_times_j(emb) - np.concatenate([emb[:, N:], -emb[:, :N]], 1))
             if drift > J_STRUCTURE_RTOL * max(1.0, np.linalg.norm(emb)):
                 raise NumericalError("matrix does not have quaternionic J-structure")
         self.emb = emb
@@ -118,15 +116,14 @@ class HMatrix:
 
     @staticmethod
     def from_components(a: np.ndarray) -> "HMatrix":
-        """The matrix with (N, N, 4) quaternion components ``a``."""
-        A1, A2 = complex_pairs(a)
-        if A1.ndim != 2 or A1.shape[0] != A1.shape[1]:
+        """The matrix with (N, N, 4) quaternion components ``a``: the blocks
+        [[A1, -conj(A2)], [A2, conj(A1)]] of :func:`complex_pairs`, each real
+        and imaginary part one component copied or negated, in one gather."""
+        a = np.asarray(a, dtype=float)
+        if a.ndim != 3 or a.shape[0] != a.shape[1] or a.shape[2] != 4:
             raise DimensionMismatchError("grid must be square")
-        N = len(A1)
-        emb = np.empty((2 * N, 2 * N), dtype=complex)
-        emb[:N, :N], emb[N:, :N] = A1, A2
-        emb[:N, N:], emb[N:, N:] = -np.conj(A2), np.conj(A1)
-        return HMatrix(emb, check=False)
+        parts = (a[..., _EMBED_INDEX] * _EMBED_SIGN).transpose(2, 0, 3, 1, 4)
+        return HMatrix(parts.reshape(2 * len(a), -1, 2).view(complex)[..., 0], check=False)
 
     @staticmethod
     def diag_complex(values: Sequence[complex]) -> "HMatrix":
@@ -300,7 +297,8 @@ class HermitianSpace:
         return _norm(M.conj().T[:, self.perm] @ M - self.H_emb) / math.sqrt(2.0)
 
     def is_member(self, A: HMatrix, tol: float = DEFAULT_TOL) -> bool:
-        return self.member_residual(A) <= tol * max(1.0, A.norm() ** 2)
+        resid = self.member_residual(A)  # within tol needs no scale: max(1, |A|^2) >= 1
+        return resid <= tol or resid <= tol * max(1.0, A.norm() ** 2)
 
     def project_to_group(self, A: HMatrix) -> HMatrix:
         """Generalized polar factor: Newton steps M -> (mu M + (mu M)^-⋆) / 2 with
@@ -353,14 +351,15 @@ def spectrum_char_coeffs(eigs: np.ndarray, tol: float = CHAR_COEFF_TOL) -> np.nd
     lams = np.ascontiguousarray(eigs.T)  # lams[k]: eigenvalue k of each row
     coeffs = np.zeros((len(lams) + 1,) + lams.shape[1:], dtype=complex)
     coeffs[0] = 1.0
-    for k, lam in enumerate(lams):  # times (x - lam)
-        coeffs[1:k + 2] -= lam * coeffs[:k + 1]
+    high, low, product = coeffs[1:], coeffs[:-1], np.empty_like(lams)
+    for lam in lams:  # times (x - lam); the coefficients past the degree stay zero
+        np.subtract(high, np.multiply(lam, low, out=product), out=high)
     coeffs = coeffs.T
-    scale = np.maximum(1.0, np.abs(coeffs).max(axis=-1))
-    if (np.abs(coeffs.imag).max(axis=-1) > tol * scale).any():
+    bound = tol * np.maximum(1.0, np.abs(coeffs).max(axis=-1))
+    if (np.abs(coeffs.imag).max(axis=-1) > bound).any():
         raise NumericalError("characteristic coefficients have imaginary residue")
     full = coeffs.real[..., 1:-1]
-    if (np.abs(full - full[..., ::-1]).max(axis=-1) > tol * scale).any():
+    if (np.abs(full - full[..., ::-1]).max(axis=-1) > bound).any():
         raise NumericalError("characteristic coefficients are not palindromic")
     return full
 
@@ -404,7 +403,7 @@ def nullspace(M: np.ndarray, rtol: float = RANK_RTOL) -> np.ndarray:
     if s.size == 0:
         return np.eye(M.shape[1], dtype=complex)
     cutoff = rtol * max(s[0], 1.0)
-    rank = int(np.sum(s > cutoff))
+    rank = int((s > cutoff).sum())
     return Vh[rank:].conj().T
 
 
@@ -445,7 +444,8 @@ def _links(eigs: np.ndarray) -> np.ndarray:
     re, im = eigs.real, np.abs(eigs.imag)
     dx, dy = re[..., :, None] - re[..., None, :], im[..., :, None] - im[..., None, :]
     near = np.sqrt(dx * dx + dy * dy) < CLUSTER_RTOL * np.maximum(1.0, np.abs(eigs))[..., None]
-    return near & ~np.tri(eigs.shape[-1], dtype=bool)
+    index = np.arange(eigs.shape[-1])
+    return near & (index[:, None] < index)
 
 
 def _clusters(links: np.ndarray) -> list[list[int]]:
@@ -490,24 +490,22 @@ def right_eigen(A: "HMatrix | Sequence[HMatrix]", space: HermitianSpace,
     mats = np.array([M.emb for M in A])
     spectra, V = np.linalg.eig(mats)
     links = _links(spectra)
-    regular = np.all(links.sum(axis=1) + links.sum(axis=2) == 1, axis=1)  # every cluster a pair
-    clusters = [(k, idx) for k in np.flatnonzero(~regular).tolist() for idx in _clusters(links[k])]
-    pairs = np.argwhere(links & regular[:, None, None])  # rows (k, a, b)
-    if clusters:
-        pairs = np.concatenate([pairs, np.array([[k, *idx] for k, idx in clusters
-                                                 if len(idx) == 2], dtype=int).reshape(-1, 3)])
+    single = (links | links.swapaxes(1, 2)).sum(axis=2) == 1  # linked to one other eigenvalue
+    regular = single.all(axis=1)  # every cluster a pair
+    clusters = [(k, idx) for k in (~regular).nonzero()[0].tolist() for idx in _clusters(links[k])]
+    # rows (k, a, b): the clusters of two, a and b linked and to nothing else
+    pairs = np.array((links & single[:, :, None] & single[:, None, :]).nonzero()).T
     owner, P = pairs[:, 0], pairs[:, 1:]
     lam = spectra[owner[:, None], P]
     re, im = lam.real.sum(axis=1) / 2, np.abs(lam.imag).sum(axis=1) / 2
-    S = V[owner, :, P[np.arange(len(P)), np.argmax(lam.imag, axis=1)]].T.copy()
+    S = V[owner, :, np.where(lam.imag[:, 1] > lam.imag[:, 0], P[:, 1], P[:, 0])].T.copy()
     vals = _self_pairings(space, S)
     null = np.abs(vals) <= tol * np.maximum(1.0, np.linalg.norm(S, axis=0) ** 2)
     np.divide(S, np.sqrt(np.abs(vals)), out=S, where=~null)
     kinds = [PointType.NULL if z else PointType.NEGATIVE if v < 0 else PointType.POSITIVE
              for z, v in zip(null.tolist(), vals.tolist())]
-    reps = [_class_rep(r, i) for r, i in zip(re.tolist(), im.tolist())]
-    # the classes, one entry each: member, rep, multiplicity, kind, stacked vectors
-    classes = (owner.tolist(), reps, [1] * len(P), kinds, [S])
+    # the classes in chunks: member, rep, multiplicity, kind, stacked vectors
+    classes = ([owner], [_class_reps(re, im)], [np.ones(len(P), int)], [kinds], [S])
     errors: dict[int, QhypError] = {}
     for k, idx in clusters:
         if len(idx) == 2 or k in errors:
@@ -515,68 +513,72 @@ def right_eigen(A: "HMatrix | Sequence[HMatrix]", space: HermitianSpace,
         try:
             if len(idx) % 2 != 0:
                 raise NumericalError("eigenvalue cluster of odd size; clustering failed")
-            rep = _class_rep(spectra[k, idx].real.mean(), np.abs(spectra[k, idx].imag).mean())
+            rep = _class_reps(spectra[k, idx].real.mean(), np.abs(spectra[k, idx].imag).mean())
             kind, B = _type_and_normalize(
                 space, _eigenspace_basis(mats[k], rep, len(idx) // 2), rep, tol)
-            for column, x in zip(classes, (k, rep, len(idx) // 2, kind, B)):
+            for column, x in zip(classes, ([k], [rep], [len(idx) // 2], [kind], B)):
                 column.append(x)
         except QhypError as exc:
             errors[k] = exc
-    data = _eigen_data(space, *classes, spectra)
+    data = _eigen_data(space, *(c[0] if len(c) == 1 else np.concatenate(c, -1) for c in classes),
+                       spectra)
     return [errors[k] if k in errors else data[k] for k in range(len(mats))]
 
 
-def _class_rep(re: float, im: float) -> complex:
-    """The class representative re + i im, made real when im is within CLUSTER_RTOL."""
-    rep = complex(re, im)
-    return complex(re, 0.0) if im <= CLUSTER_RTOL * max(1.0, abs(rep)) else rep
+def _class_reps(re: "np.ndarray | float", im: "np.ndarray | float") -> "np.ndarray | complex":
+    """The class representatives re + i im, made real where im is within CLUSTER_RTOL."""
+    return re + 1j * np.where(im <= CLUSTER_RTOL * np.maximum(1.0, np.hypot(re, im)), 0.0, im)
 
 
-def _eigen_data(space: HermitianSpace, member: list, reps: list, mults: list, kinds: list,
-                blocks: list, spectra: np.ndarray) -> dict:
-    """member -> EigenData, or its error, from the classes of the stack
-    members: every member's classes sorted by decreasing modulus then angle
-    in one pass, and the null pair of a hyperbolic member rescaled."""
-    reps = np.array(reps, dtype=complex)
+def _eigen_data(space: HermitianSpace, member: np.ndarray, reps: np.ndarray, mults: np.ndarray,
+                kinds: Sequence[PointType], V: np.ndarray, spectra: np.ndarray) -> dict:
+    """member -> EigenData, or its error, from the class arrays of the stack members (V:
+    their vectors, class after class): every member's classes sorted by decreasing
+    modulus then angle in one pass, the hyperbolic members' null pairs rescaled in one."""
     moduli = np.hypot(reps.real, reps.imag)  # abs(rep), bit for bit
-    order = np.lexsort((np.arctan2(reps.imag, reps.real), -moduli, member)).tolist()
-    first = [0, *accumulate(mults)]
-    cols = [j for c in order for j in range(first[c], first[c + 1])]
-    V = np.concatenate(blocks, axis=1)[:, cols]
-    member, mults, kinds, moduli = ([x[c] for c in order] for x in (member, mults, kinds, moduli))
-    reps, first = reps[order], [0, *accumulate(mults)]
-    spans: dict[int, tuple[int, int]] = {}  # member -> its classes lo:hi
-    for c, k in enumerate(member):
-        spans[k] = (spans.get(k, (c,))[0], c + 1)
-    out = {}
-    for k, (lo, hi) in spans.items():
-        nulls = [c for c in range(lo, hi) if kinds[c] == PointType.NULL]
-        try:
-            if first[hi] - first[lo] != len(V) // 2:
-                raise NumericalError("class multiplicities do not sum to the dimension")
-            if len(nulls) == 2 and abs(moduli[nulls[0]] - 1.0) >= UNIT_MODULUS_TOL:
-                _rescale_null_pair(space, V, first[nulls[0]], first[nulls[1]])  # big, small
-        except NumericalError as exc:
-            out[k] = exc
-    mults = np.array(mults)
-    for k, (lo, hi) in spans.items():
-        if k not in out:
-            out[k] = EigenData(reps[lo:hi], mults[lo:hi], tuple(kinds[lo:hi]),
-                               V[:, first[lo]:first[hi]], spectra[k])
+    order = np.lexsort((np.arctan2(reps.imag, reps.real), -moduli, member))
+    start, order_list = [0, *accumulate(mults.tolist())], order.tolist()  # before the sort
+    V = V[:, [j for c in order_list for j in range(start[c], start[c + 1])]]
+    member, reps, mults = member[order], reps[order], mults[order]
+    lo = member.searchsorted(np.arange(len(spectra) + 1)).tolist()  # member k: lo[k]:lo[k + 1]
+    first = [0, *accumulate(mults.tolist())]  # class c: columns first[c]:first[c + 1]
+    kinds, moduli = [kinds[c] for c in order_list], moduli[order].tolist()
+    out, nulls = {}, []  # nulls: (member, column of a, column of r) of the pairs to rescale
+    for k, (lo_k, hi_k) in enumerate(zip(lo, lo[1:])):
+        kk = kinds[lo_k:hi_k]
+        if first[hi_k] - first[lo_k] != len(V) // 2:
+            out[k] = NumericalError("class multiplicities do not sum to the dimension")
+        elif kk.count(PointType.NULL) == 2:  # big, small
+            a, r = (lo_k + i for i, kind in enumerate(kk) if kind is PointType.NULL)
+            if abs(moduli[a] - 1.0) >= UNIT_MODULUS_TOL:
+                nulls.append((k, first[a], first[r]))
+    for (k, _, _), zero in zip(nulls, _rescale_null_pairs(space, V, nulls)):
+        if zero:
+            out[k] = NumericalError("null eigenvectors pair to zero")
+    for k, (lo_k, hi_k) in enumerate(zip(lo, lo[1:])):
+        if k not in out and lo_k < hi_k:
+            out[k] = EigenData(reps[lo_k:hi_k], mults[lo_k:hi_k], tuple(kinds[lo_k:hi_k]),
+                               V[:, first[lo_k]:first[hi_k]], spectra[k])
     return out
 
 
-def _rescale_null_pair(space: HermitianSpace, V: np.ndarray, ia: int, ir: int) -> None:
-    """Rescale in place the attracting/repelling null pair a = V[:, ia],
-    r = V[:, ir] of a hyperbolic element so that <a, r> = 1."""
-    a, r = V[:, ia].copy(), V[:, ir].copy()
-    h = two_columns(r[:, None]).conj().T @ a[space.perm]  # <a, r> = h[0] + j h[1]
-    hn = _norm(h)
-    if hn == 0.0:
-        raise NumericalError("null eigenvectors pair to zero")
+def _rescale_null_pairs(space: HermitianSpace, V: np.ndarray, pairs: list) -> list[bool]:
+    """Rescale each attracting/repelling null pair a = V[:, ia], r = V[:, ir], (member, ia,
+    ir) in ``pairs``, to <a, r> = 1 in place; True where <a, r> = 0 (columns left unread)."""
+    if not pairs:
+        return []
+    _, ia, ir = np.array(pairs).T
+    a, r, N = V[:, ia], V[:, ir], len(V) // 2
+    # <a, r> = h[p, 0] + j h[p, 1], from the product [r, r j]* a[perm] of each pair
+    T = np.empty((len(pairs), 2 * N, 2), dtype=complex)
+    T[:, :, 0], T[:, :N, 1], T[:, N:, 1] = r.T.conj(), -r[N:].T, r[:N].T
+    h = (T.swapaxes(1, 2) @ np.ascontiguousarray(a[space.perm].T)[..., None])[..., 0]
+    hn = [_norm(x) for x in h]
     # a / sqrt(hn) and r nu sqrt(hn) with conj(nu) = h^-1 pair to one
-    z1, z2 = h * (math.sqrt(hn) / (hn * hn))
-    V[:, ia], V[:, ir] = a * (1.0 / math.sqrt(hn)), right_times(r, z1, z2)
+    z = h * np.array([x and math.sqrt(x) / (x * x) for x in hn])[:, None]
+    V[:, ia] = a * np.array([x and 1.0 / math.sqrt(x) for x in hn])
+    V[:, ir] = right_times(r, z[:, 0], z[:, 1])
+    return [x == 0.0 for x in hn]
 
 
 def _eigenspace_basis(M: np.ndarray, rep: complex, mult: int) -> np.ndarray:
@@ -609,7 +611,7 @@ def _form_gram(space: HermitianSpace, S: np.ndarray) -> np.ndarray:
 
 def _self_pairings(space: HermitianSpace, B: np.ndarray) -> np.ndarray:
     """Re <b, b> for a stacked vector b, or for every column b of B."""
-    return np.einsum("i...,i...->...", B.conj(), space.H_emb @ B).real
+    return np.einsum("i...,i...->...", B.conj(), B[space.perm]).real
 
 
 def _type_and_normalize(space: HermitianSpace, S: np.ndarray, rep: complex,

@@ -19,14 +19,16 @@ verify leaves them Inconclusive.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .decision import Decision, Verdict
-from .errors import NumericalError, UnsupportedElementError
+from .errors import (DimensionMismatchError, GramSchmidtError, NumericalError,
+                     UnsupportedElementError)
 from .isometry import Classification, Isometry, conjugate_single, decompose
-from .linalg import EigenData, HMatrix, PointType, nullspace, two_columns
-from .quaternion import left_matrix, right_matrix
+from .linalg import HMatrix, PointType, _norm, nullspace, two_columns
+from .quaternion import from_complex_pairs, left_matrix, right_matrix
 from .tolerances import (DECIDER_TOL, FIXED_SET_RANK_ATOL, GROUP_MULTIPLE_RTOL, INTERTWINER_RTOL,
                          NORMAL_FORM_RTOL, REAL_CLASS_RTOL, REASSEMBLY_RTOL, TRACE_RTOL,
                          WITNESS_MEMBER_TOL)
@@ -63,43 +65,36 @@ class EigenFrame:
 
 
 def _ordered_classes(A: Isometry) -> list[int]:
-    e = A.eigen
-    classes = range(len(e.kinds))
-    if A.classification is Classification.HYPERBOLIC:
-        a, r = sorted((c for c in classes if e.kinds[c] == PointType.NULL),
-                      key=lambda c: -e.moduli[c])
-        mids = sorted((c for c in classes if c not in (a, r)), key=lambda c: e.angles[c])
+    """A hyperbolic null pair (big, small) around the rest, or the negative class first."""
+    e, hyperbolic = A.eigen, A.classification is Classification.HYPERBOLIC
+    end = PointType.NULL if hyperbolic else PointType.NEGATIVE
+    ends = [c for c, kind in enumerate(e.kinds) if kind is end]
+    mids = sorted((c for c, k in enumerate(e.kinds) if k is not end), key=e.angles.__getitem__)
+    if hyperbolic:
+        a, r = ends  # the classes come by decreasing modulus
         return [a] + mids + [r]
-    neg = [c for c in classes if e.kinds[c] == PointType.NEGATIVE]
-    return neg + sorted((c for c in classes if c not in neg), key=lambda c: e.angles[c])
+    return ends + mids
 
 
 def eigenframe(A: Isometry) -> EigenFrame:
     """Assemble the normalized eigenframe; verifies the reassembly residual."""
     if not A.is_semisimple():
         raise UnsupportedElementError("parabolic elements have no eigenframe")
-    ordered, e = _ordered_classes(A), A.eigen
-    cols = [j for c in ordered for j in range(e.starts[c], e.starts[c + 1])]
-    reps = np.repeat(e.reps, e.multiplicities)[cols].tolist()  # each column's rep
-    C = HMatrix.from_columns(e.vectors[:, cols])
-    E = HMatrix.diag_complex(reps)
+    e, order = A.eigen, _ordered_classes(A)
+    cols = [j for c in order for j in range(e.starts[c], e.starts[c + 1])]
+    reps = e.reps[[c for c in order for _ in range(e.starts[c], e.starts[c + 1])]]  # of each column
+    C, E = HMatrix.from_columns(e.vectors[:, cols]), HMatrix.diag_complex(reps)
     Cinv = C.inverse()
-    resid = (C @ E @ Cinv - A.matrix).norm()
-    if resid > REASSEMBLY_RTOL * max(1.0, A.matrix.norm()):
+    # C E C^-1 - A, with E applied as the scale of each column of C
+    resid = _norm((C.emb * E.emb.diagonal()) @ Cinv.emb - A.matrix.emb) / np.sqrt(2.0)
+    if resid > REASSEMBLY_RTOL and resid > REASSEMBLY_RTOL * max(1.0, A.matrix.norm()):
         raise NumericalError(f"eigenframe reassembly residual {resid:.3e}")
-    return EigenFrame(A.classification, tuple(reps), C, E, Cinv)
+    return EigenFrame(A.classification, tuple(reps.tolist()), C, E, Cinv)
 
 
 # ---------------------------------------------------------------------------
 # Common fixed points
 # ---------------------------------------------------------------------------
-
-def _fixed_sets(e: EigenData, offset: int) -> list[list[int]]:
-    """For each null or negative class, the columns of two_columns(e.vectors)
-    (from ``offset`` on) that span its eigenspace."""
-    return [list(range(offset + 2 * e.starts[c], offset + 2 * e.starts[c + 1]))
-            for c, kind in enumerate(e.kinds) if kind in (PointType.NULL, PointType.NEGATIVE)]
-
 
 def have_common_fixed_point(A: Isometry, B: Isometry) -> bool:
     """Shared fixed point on the closed ball: intersecting fixed eigenspaces,
@@ -112,17 +107,20 @@ def have_common_fixed_point(A: Isometry, B: Isometry) -> bool:
     if not A.is_semisimple() or not B.is_semisimple():
         raise UnsupportedElementError("parabolic element has no class data")
     width = len(A.eigen.vectors)  # 2N complex columns [s, s j] for each member
-    sets_a, sets_b = _fixed_sets(A.eigen, 0), _fixed_sets(B.eigen, width)
+    # the columns of two_columns([A.eigen.vectors, B.eigen.vectors]) of each fixed set
+    sets_a, sets_b = ([list(range(offset + 2 * e.starts[c], offset + 2 * e.starts[c + 1]))
+                       for c, kind in enumerate(e.kinds) if kind is not PointType.POSITIVE]
+                      for e, offset in ((A.eigen, 0), (B.eigen, width)))
     if not sets_a or not sets_b:
         return False
     bases = sets_a + sets_b + [a + b for a in sets_a for b in sets_b]
     T = two_columns(np.concatenate(  # then a zero column, 2 * width, to pad with
-        [A.eigen.vectors, B.eigen.vectors, np.zeros((len(A.eigen.vectors), 1))], axis=1))
+        [A.eigen.vectors, B.eigen.vectors, np.zeros((width, 1))], axis=1))
     wide = max(map(len, bases))
     stack = T[:, [b + [2 * width] * (wide - len(b)) for b in bases]].transpose(1, 0, 2)
-    ranks = np.count_nonzero(np.linalg.svd(stack, compute_uv=False) > FIXED_SET_RANK_ATOL, axis=1)
+    ranks = (np.linalg.svd(stack, compute_uv=False) > FIXED_SET_RANK_ATOL).sum(axis=1).tolist()
     na, nb = len(sets_a), len(sets_b)
-    return bool(np.any(ranks[na + nb:] < np.add.outer(ranks[:na], ranks[na:na + nb]).ravel()))
+    return any(rank < ranks[k // nb] + ranks[na + k % nb] for k, rank in enumerate(ranks[na + nb:]))
 
 
 # ---------------------------------------------------------------------------
@@ -139,73 +137,90 @@ def pair_conjugate(A: Isometry, B: Isometry, A2: Isometry, B2: Isometry,
     multiple of a group element; both report REASON_NO_CONJUGATOR, after one
     null space.  Otherwise the witness is the polar factor of the sum of the
     null-space basis, whatever the dimension, once it is a member that
-    conjugates both pairs directly; if not, Inconclusive.
+    conjugates both pairs directly; if not, Inconclusive, as is a numerical
+    failure; members of different spaces, parabolic or with a common fixed point raise.
     """
-    decompose((A, B, A2, B2))
-    if Classification.PARABOLIC in [x.classification for x in (A, B, A2, B2)]:
-        raise UnsupportedElementError("decider supports semisimple pairs only")
-    if have_common_fixed_point(A, B) or have_common_fixed_point(A2, B2):
-        raise UnsupportedElementError("pairs must not have a common fixed point")
-
-    ta, ta2 = A.real_trace(), A2.real_trace()
-    tb, tb2 = B.real_trace(), B2.real_trace()
-    scale = max(1.0, float(np.abs(ta).max()), float(np.abs(tb).max()))
-    if (np.abs(ta - ta2).max() > TRACE_RTOL * scale
-            or np.abs(tb - tb2).max() > TRACE_RTOL * scale):
-        return Decision(Verdict.NOT_CONJUGATE, reason=REASON_TRACE)
-    if not conjugate_single(A, A2) or not conjugate_single(B, B2):
-        return Decision(Verdict.NOT_CONJUGATE, reason=REASON_CLASSES)
-
-    fa, fa2 = eigenframe(A), eigenframe(A2)
-    if (fa.E - fa2.E).norm() > NORMAL_FORM_RTOL * max(1.0, fa.E.norm()):
-        return Decision(Verdict.NOT_CONJUGATE, reason=REASON_CLASSES)
-
-    # a conjugator W gives X = fa2.C^-1 W fa.C with M2 X = X M
-    m = (fa.Cinv @ B.matrix @ fa.C).components()
-    m2 = (fa2.Cinv @ B2.matrix @ fa2.C).components()
-
-    # X commutes with E: zero between classes, and complex in a nonreal class
-    reps = np.array(fa.reps)
-    block = (reps[:, None] == reps[None, :])[..., None]
-    nonreal = np.abs(reps.imag) > REAL_CLASS_RTOL * np.maximum(1.0, np.abs(reps))
-    free = block & ~(nonreal[:, None, None] & (np.arange(4) >= 2))
-    null = nullspace(_intertwiner_rows(m, m2, free), INTERTWINER_RTOL)
-    if null.shape[1] == 0:
-        return Decision(Verdict.NOT_CONJUGATE, reason=REASON_NO_CONJUGATOR)
-
-    # the conjugators are closed under W -> W^-⋆: the polar iteration stays in them
-    x = np.zeros(free.shape)
-    x[free] = null.sum(axis=1)
-    W = fa2.C @ HMatrix.from_components(x) @ fa.Cinv
-    space, H = A.space, A.space.H_emb
-    if null.shape[1] == 1:
-        # every conjugator is a real multiple of W, so W* H W = c H with c > 0
-        G = W.emb.conj().T @ H @ W.emb
-        c = np.vdot(H, G).real / np.vdot(H, H).real
-        if not c > 0 or np.linalg.norm(G - c * H) > GROUP_MULTIPLE_RTOL * c * np.linalg.norm(H):
-            return Decision(Verdict.NOT_CONJUGATE, reason=REASON_NO_CONJUGATOR)
+    if len({x.space.dim for x in (A, B, A2, B2)}) != 1:
+        raise DimensionMismatchError("pair members live in different spaces")
     try:
-        C = space.project_to_group(W)
-    except NumericalError:  # a singular sum
+        decompose((A, B, A2, B2))
+        if Classification.PARABOLIC in [x.classification for x in (A, B, A2, B2)]:
+            raise UnsupportedElementError("decider supports semisimple pairs only")
+        if have_common_fixed_point(A, B) or have_common_fixed_point(A2, B2):
+            raise UnsupportedElementError("pairs must not have a common fixed point")
+
+        ta, tb, ta2, tb2 = (x.real_trace().tolist() for x in (A, B, A2, B2))
+        scale = max(1.0, *map(abs, ta), *map(abs, tb))
+        if max(abs(x - y) for x, y in zip(ta + tb, ta2 + tb2)) > TRACE_RTOL * scale:
+            return Decision(Verdict.NOT_CONJUGATE, reason=REASON_TRACE)
+        if not conjugate_single(A, A2) or not conjugate_single(B, B2):
+            return Decision(Verdict.NOT_CONJUGATE, reason=REASON_CLASSES)
+
+        fa, fa2 = eigenframe(A), eigenframe(A2)
+        gap = (fa.E - fa2.E).norm()  # a scale max(1, |E|) >= 1 matters only past NORMAL_FORM_RTOL
+        if gap > NORMAL_FORM_RTOL and gap > NORMAL_FORM_RTOL * max(1.0, fa.E.norm()):
+            return Decision(Verdict.NOT_CONJUGATE, reason=REASON_CLASSES)
+
+        # a conjugator W gives X = fa2.C^-1 W fa.C with M2 X = X M
+        N = A.space.dim
+        m, m2 = ((f.Cinv.emb @ X.matrix.emb @ f.C.emb)[:, :N] for f, X in ((fa, B), (fa2, B2)))
+
+        # X commutes with E: zero between classes, and complex in a nonreal class
+        reps = fa.E.emb.diagonal()[:N]
+        nonreal = np.abs(reps.imag) > REAL_CLASS_RTOL * np.maximum(1.0, np.abs(reps))
+        free = (reps[:, None] == reps)[..., None] & ~(nonreal[:, None, None] & (np.arange(4) >= 2))
+        null = nullspace(_intertwiner_rows(*(from_complex_pairs(x[:N], x[N:]) for x in (m, m2)),
+                                           free), INTERTWINER_RTOL)
+        if null.shape[1] == 0:
+            return Decision(Verdict.NOT_CONJUGATE, reason=REASON_NO_CONJUGATOR)
+
+        # the conjugators are closed under W -> W^-⋆: the polar iteration stays in them
+        x = np.zeros(free.shape)
+        x[free] = null.sum(axis=1)
+        W = fa2.C @ HMatrix.from_components(x) @ fa.Cinv
+        space = A.space
+        if null.shape[1] == 1:
+            # every conjugator is a real multiple of W, so W* H W = c H with c > 0
+            H, G = space.H_emb, W.emb.conj().T[:, space.perm] @ W.emb
+            c = np.vdot(H, G).real / len(H)  # H is a permutation matrix: <H, H> = 2N
+            if not c > 0 or _norm(G - c * H) > GROUP_MULTIPLE_RTOL * c * np.sqrt(len(H)):
+                return Decision(Verdict.NOT_CONJUGATE, reason=REASON_NO_CONJUGATOR)
+        try:
+            C = space.project_to_group(W)
+        except NumericalError:  # a singular sum
+            return Decision(Verdict.INCONCLUSIVE, reason=REASON_UNVERIFIED)
+        if space.is_member(C, WITNESS_MEMBER_TOL):  # and so invertible
+            Ci = C.inverse()
+            resid = (C @ A.matrix @ Ci - A2.matrix).norm() + (C @ B.matrix @ Ci - B2.matrix).norm()
+            if resid < tol or resid < tol * max(1.0, A.matrix.norm() + B.matrix.norm()):
+                return Decision(Verdict.CONJUGATE, witness=C, residual=resid)
         return Decision(Verdict.INCONCLUSIVE, reason=REASON_UNVERIFIED)
-    if space.is_member(C, WITNESS_MEMBER_TOL):  # and so invertible
-        Ci = C.inverse()
-        resid = (C @ A.matrix @ Ci - A2.matrix).norm() + (C @ B.matrix @ Ci - B2.matrix).norm()
-        if resid < tol * max(1.0, A.matrix.norm() + B.matrix.norm()):
-            return Decision(Verdict.CONJUGATE, witness=C, residual=resid)
-    return Decision(Verdict.INCONCLUSIVE, reason=REASON_UNVERIFIED)
+    except (NumericalError, GramSchmidtError, np.linalg.LinAlgError) as exc:
+        return Decision(Verdict.INCONCLUSIVE, reason=f"numerical failure: {exc}")
 
 
 def _intertwiner_rows(m: np.ndarray, m2: np.ndarray, free: np.ndarray) -> np.ndarray:
     """Real matrix of X -> M2 X - X M, with rows the raveled (N, N, 4)
     components of the image and columns the components of X marked in the
-    (N, N, 4) mask ``free`` (the others held at zero)."""
-    N = len(m)
-    l, j, c = np.nonzero(free)
+    (N, N, 4) mask ``free`` (the others held at zero): each entry a signed
+    component of M2 minus one of M, gathered by the tables of the mask."""
+    left, right = _intertwiner_tables(free.tobytes(), len(m))
+    return (np.concatenate([m2.ravel(), -m2.ravel(), [0.0]])[left]
+            - np.concatenate([m.ravel(), -m.ravel(), [0.0]])[right])
+
+
+@lru_cache(maxsize=64)
+def _intertwiner_tables(free: bytes, N: int) -> np.ndarray:
+    """For each entry of :func:`_intertwiner_rows`, its M2 X and its X M term
+    as an index into [q, -q, 0] for the raveled components q (-1: no term)."""
+    l, j, c = np.nonzero(np.frombuffer(free, dtype=bool).reshape(N, N, 4))
     k = np.arange(len(l))
-    rows = np.zeros((N, N, 4, len(l)))
+    coded = np.arange(1.0, 4 * N * N + 1).reshape(N, N, 4)  # component index + 1
+    terms = np.zeros((2, N, N, 4, len(l)))
     # unknown k is component c of X[l, j]: (M2 X)[i, j] holds M2[i, l] X[l, j],
     # and (X M)[l, i] holds X[l, j] M[j, i]
-    rows[:, j, :, k] = left_matrix(m2)[:, l, :, c]
-    rows[l, :, :, k] -= right_matrix(m)[j, :, :, c]
-    return rows.reshape(4 * N * N, len(l))
+    terms[0][:, j, :, k] = left_matrix(coded)[:, l, :, c]
+    terms[1][l, :, :, k] = right_matrix(coded)[j, :, :, c]
+    tables = (np.where(terms < 0, 4 * N * N - terms, terms) - 1).astype(np.int32)
+    tables.setflags(write=False)
+    return tables.reshape(2, 4 * N * N, len(l))

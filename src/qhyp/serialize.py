@@ -12,6 +12,7 @@ only.  CSV flattens quaternions into four adjacent columns suffixed
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Any
 
 import numpy as np
@@ -52,7 +53,7 @@ def _components(rows: Any, what: str) -> np.ndarray:
     if comps.ndim != 3:
         raise InvalidSpecError(f"{what} must be lists of quaternions, got shape {comps.shape}")
     # asarray also reads null as NaN, and numeric strings and booleans as numbers
-    if ({type(x) for row in rows for q in row for x in q} - _NUMBER_TYPES
+    if (set(map(type, chain.from_iterable(chain.from_iterable(rows)))) - _NUMBER_TYPES
             or not np.isfinite(comps).all()):
         raise InvalidSpecError(f"{what} must be finite numbers")
     return comps

@@ -352,7 +352,8 @@ def _pair_files(tmp_path, n, seed):
 
 def test_numerical_error_exits_inconclusive(tmp_path, capsys, monkeypatch):
     # a decoded member's decomposition fails inside the decider: the input
-    # was well formed, so the exit code is 3 (inconclusive), not 2
+    # was well formed, so the decider answers Inconclusive with the failure as
+    # its reason, and the CLI prints that decision and exits 3 (not 2)
     from qhyp import isometry
     from qhyp.errors import NumericalError
 
@@ -363,7 +364,10 @@ def test_numerical_error_exits_inconclusive(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(isometry, "spectrum_char_coeffs", failing)
     assert main(["conjugate-pair", *paths]) == 3
     out, err = capsys.readouterr()
-    assert out == "" and "imaginary residue" in err
+    report = json.loads(out)
+    assert report["verdict"] == "inconclusive" and report["witness"] is None and err == ""
+    assert report["reason"] == ("numerical failure: characteristic coefficients have "
+                                "imaginary residue")
 
 
 def test_malformed_pair_exits_2(tmp_path, capsys):

@@ -431,6 +431,41 @@ def test_spectrum_product_matches_np_poly(n):
         assert np.all(diff <= 1e-14 * np.poly(-np.abs(eigs))[1:-1])
 
 
+def test_is_member_bound_scales_with_the_squared_norm():
+    # a residual within tol passes without the scale; past it, the bound is
+    # tol * max(1, |A|^2): a boost of norm about 1e3, moved off the group,
+    # is a member at tol = 2 r / |A|^2 and not at r / (2 |A|^2)
+    sp = HermitianSpace(2)
+    A = HMatrix.diag_complex([1e3, 1.0, 1e-3])
+    moved = A + HMatrix.from_components(np.full((3, 3, 4), 1e-9))
+    r, scale = sp.member_residual(moved), moved.norm() ** 2
+    assert scale > 1e5 and r > 1e-9
+    assert sp.is_member(moved, 2 * r / scale)
+    assert not sp.is_member(moved, r / (2 * scale))
+    assert sp.is_member(A, 1e-15) and sp.member_residual(A) == 0.0
+
+
+def _sliced_product(eigs):
+    """The product recurrence as written before the full-length pass: each
+    factor (x - lam) updates only the coefficients up to the new degree."""
+    lams = np.ascontiguousarray(eigs.T)
+    coeffs = np.zeros((len(lams) + 1,) + lams.shape[1:], dtype=complex)
+    coeffs[0] = 1.0
+    for k, lam in enumerate(lams):
+        coeffs[1:k + 2] -= lam * coeffs[:k + 1]
+    return coeffs.T.real[..., 1:-1]
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 8])
+def test_spectrum_product_matches_the_sliced_recurrence_bitwise(n):
+    # one member, a stack of members and exact zero parts: the coefficients
+    # past the degree stay +0 and change nothing
+    spectra = np.linalg.eigvals(np.array([M.emb for M in _eigen_members(n)]))
+    for eigs in (spectra, spectra[1], np.array([2.0, 0.5, 1j, -1j])):
+        got = spectrum_char_coeffs(eigs)
+        assert got.tobytes() == _sliced_product(eigs).tobytes()
+
+
 def test_spectrum_product_keeps_both_checks():
     # (x - i)^2 has imaginary coefficients; (x - 2)(x - 1/2)(x - 3)^2 real
     # ones that are not palindromic

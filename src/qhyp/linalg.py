@@ -86,12 +86,6 @@ class HVector:
         return f"HVector(dim={self.dim})"
 
 
-#: component and sign of the real and imaginary part of each embedding block
-#: [[A1, -conj(A2)], [A2, conj(A1)]] (A1 = a0 + a1 i, A2 = a2 - a3 i)
-_EMBED_INDEX = np.array([[[0, 1], [2, 3]], [[2, 3], [0, 1]]])
-_EMBED_SIGN = np.array([[[1.0, 1.0], [-1.0, -1.0]], [[1.0, -1.0], [1.0, -1.0]]])
-
-
 class HMatrix:
     """Square quaternionic matrix stored by its complex embedding."""
 
@@ -116,14 +110,11 @@ class HMatrix:
 
     @staticmethod
     def from_components(a: np.ndarray) -> "HMatrix":
-        """The matrix with (N, N, 4) quaternion components ``a``: the blocks
-        [[A1, -conj(A2)], [A2, conj(A1)]] of :func:`complex_pairs`, each real
-        and imaginary part one component copied or negated, in one gather."""
-        a = np.asarray(a, dtype=float)
-        if a.ndim != 3 or a.shape[0] != a.shape[1] or a.shape[2] != 4:
+        """The matrix with (N, N, 4) quaternion components ``a``, first columns [A1; A2]."""
+        A1, A2 = complex_pairs(a)
+        if A1.ndim != 2 or A1.shape[0] != A1.shape[1]:
             raise DimensionMismatchError("grid must be square")
-        parts = (a[..., _EMBED_INDEX] * _EMBED_SIGN).transpose(2, 0, 3, 1, 4)
-        return HMatrix(parts.reshape(2 * len(a), -1, 2).view(complex)[..., 0], check=False)
+        return HMatrix.from_columns(np.concatenate([A1, A2]))
 
     @staticmethod
     def diag_complex(values: Sequence[complex]) -> "HMatrix":
@@ -351,9 +342,8 @@ def spectrum_char_coeffs(eigs: np.ndarray, tol: float = CHAR_COEFF_TOL) -> np.nd
     lams = np.ascontiguousarray(eigs.T)  # lams[k]: eigenvalue k of each row
     coeffs = np.zeros((len(lams) + 1,) + lams.shape[1:], dtype=complex)
     coeffs[0] = 1.0
-    high, low, product = coeffs[1:], coeffs[:-1], np.empty_like(lams)
     for lam in lams:  # times (x - lam); the coefficients past the degree stay zero
-        np.subtract(high, np.multiply(lam, low, out=product), out=high)
+        np.subtract(coeffs[1:], lam * coeffs[:-1], out=coeffs[1:])
     coeffs = coeffs.T
     bound = tol * np.maximum(1.0, np.abs(coeffs).max(axis=-1))
     if (np.abs(coeffs.imag).max(axis=-1) > bound).any():

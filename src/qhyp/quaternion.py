@@ -212,9 +212,7 @@ def complex_pairs(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def from_complex_pairs(z1: np.ndarray, z2: np.ndarray) -> np.ndarray:
     """Inverse of :func:`complex_pairs`: the (..., 4) components of z1 + j*z2."""
     z1, z2 = np.asarray(z1), np.asarray(z2)
-    out = np.empty(z1.shape + (4,))
-    out[..., 0], out[..., 1], out[..., 2], out[..., 3] = z1.real, z1.imag, z2.real, -z2.imag
-    return out
+    return np.stack([z1.real, z1.imag, z2.real, -z2.imag], axis=-1)
 
 
 #: left_matrix(q)[r, c] = q[_MUL_IDX[r, c]] * _LEFT_SIGN[r, c], and the same

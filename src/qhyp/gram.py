@@ -103,7 +103,7 @@ def gram_of(space: HermitianSpace, points: "Sequence[ProjPoint] | np.ndarray",
     lifts = np.asarray(points, dtype=complex, order="C")
     if lifts.ndim != 2 or lifts.shape[1] < 2:
         raise InvalidSpecError("a configuration needs at least two points")
-    g = _hermitian(space.pairings(lifts))
+    g = space.pairings(lifts)
     norms2 = (lifts.conj() * lifts).real.sum(axis=0)
     if kinds is None:
         kinds = point_types(np.diagonal(g[..., 0]), norms2, tol)
@@ -133,11 +133,6 @@ def gram_of(space: HermitianSpace, points: "Sequence[ProjPoint] | np.ndarray",
                 f"points {k + 1} and {j + 1} pair to zero (coincident or degenerate)")
         raise DegenerateConfigurationError(f"negative points {k + 1} and {j + 1} coincide")
     return PointConfig(space, lifts, kinds, g)
-
-
-def _hermitian(g: np.ndarray) -> np.ndarray:
-    """A pairings product made exactly Hermitian, g[k, j] = conj(g[j, k]), as the form is."""
-    return 0.5 * (g + qconj_array(g).transpose(1, 0, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +259,7 @@ def _rescaled(config: PointConfig) -> SemiNormalizedGram:
     lam = np.concatenate([[(lam1, 0.0, 0.0, 0.0)], qconj_array(w) / div[:, None]])
     # the Gram matrix of the rescaled lifts, conj(lam_k) g_kj lam_j, is one product
     lifts = right_times(config.lifts, *complex_pairs(lam))
-    return SemiNormalizedGram(m, i, _hermitian(config.space.pairings(lifts)), lifts)
+    return SemiNormalizedGram(m, i, config.space.pairings(lifts), lifts)
 
 
 def _gauge_rotation(entries: np.ndarray) -> Quaternion:
@@ -281,15 +276,15 @@ def _gauge_rotation(entries: np.ndarray) -> Quaternion:
     if not found.size:
         return Quaternion.one()
     ux, uy, uz = (im[found[0]] / math.sqrt(imn2[found[0]])).tolist()
-    w, x, y, z = _turn(ux, (0.0, -uz, uy), (0.0, 0.0, 0.0, 1.0))  # mu1: i onto u
-    v = conjugated_by(Quaternion(w, x, y, z), entries)[:, 2:]  # conj(mu1) e mu1 on j, k
+    mu1 = Quaternion(*_turn(ux, (0.0, -uz, uy), (0.0, 0.0, 0.0, 1.0)))  # i onto u
+    v = conjugated_by(mu1, entries)[:, 2:]  # conj(mu1) e mu1 on j, k
     found = np.flatnonzero(np.sqrt(np.einsum("kc,kc->k", v, v)) > floor)
     if not found.size:
-        return canonical_sign(Quaternion(w, x, y, z))
+        return canonical_sign(mu1)
     vy, vz = v[found[0]].tolist()
     r = math.hypot(vy, vz)
-    c, s, _, _ = _turn(vy / r, (vz / r, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0))  # mu2: j onto (0, vy, vz)
-    return canonical_sign(Quaternion(w * c - x * s, w * s + x * c, y * c + z * s, z * c - y * s))
+    mu2 = Quaternion(*_turn(vy / r, (vz / r, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0)))  # j onto (0, vy, vz)
+    return canonical_sign(mu1 * mu2)
 
 
 def _turn(cos: float, axis: tuple, half_turn: tuple) -> tuple:

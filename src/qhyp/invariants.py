@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 import numpy as np
 
 from .errors import DegenerateConfigurationError, InvalidSpecError
-from .linalg import HermitianSpace, HVector, PointType, stacked
+from .linalg import HermitianSpace, HVector, PointType, point_types
 from .quaternion import Quaternion, qconj_array, qmul_array, quaternion_array
 from .tolerances import (ANGLE_RANGE_TOL, ANGLE_ZERO_TOL, DEFAULT_TOL, DISTANCE_FLOOR_TOL,
                          DIVISION_FLOOR, QUADRUPLE_RELATION_TOL, ROTATION_ZERO_RTOL,
@@ -34,32 +34,33 @@ class ProjPoint:
     lift: HVector
     kind: PointType
 
-    @staticmethod
-    def from_lift(space: HermitianSpace, lift: HVector,
-                  tol: float = DEFAULT_TOL) -> "ProjPoint":
-        return ProjPoint(lift, space.classify_vector(lift, tol))
-
-    def rescaled(self, q: Quaternion) -> "ProjPoint":
-        return ProjPoint(self.lift.times(q), self.kind)
-
 
 # ---------------------------------------------------------------------------
 # Cross ratios
 # ---------------------------------------------------------------------------
 
-def _cross_ratios(space: HermitianSpace, lifts: np.ndarray, quads: Sequence[Sequence[int]],
-                  tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Four-point ratios of rows (z1, z2, z3, z4) of column indices into the
-    stacked (2N, m) ``lifts``.
+def _pairings(space: HermitianSpace, lifts: np.ndarray,
+              count: int) -> tuple[np.ndarray, np.ndarray, list[PointType]]:
+    """The :meth:`HermitianSpace.pairings` product of ``count`` stacked (2N, count)
+    lifts, their norms, and their point types read off the product's diagonal."""
+    if np.shape(lifts)[1:] != (count,):
+        raise InvalidSpecError(f"need the stacked lifts of {count} points")
+    g, norms = space.pairings(lifts), np.linalg.norm(lifts, axis=0)
+    return g, norms, point_types(np.diagonal(g[..., 0]), norms ** 2)
 
-    One array pass over one :meth:`HermitianSpace.pairings` product.  Returns
-    the (k, 4) ratios and the mask of rows with a factor |<z,w>| <= tol *
-    max(|z||w|, DIVISION_FLOOR), whose ratios mean nothing.
+
+def _cross_ratios(g: np.ndarray, norms: np.ndarray, quads: Sequence[Sequence[int]],
+                  tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Four-point ratios of rows (z1, z2, z3, z4) of point indices into the
+    pairings product ``g`` of lifts with norms ``norms``.
+
+    One array pass.  Returns the (k, 4) ratios and the mask of rows with a
+    factor |<z,w>| <= tol * max(|z||w|, DIVISION_FLOOR), whose ratios mean
+    nothing.
     """
     z1, z2, z3, z4 = np.asarray(quads, dtype=int).reshape(-1, 4).T
     z, w = np.stack([z3, z3, z4, z4]), np.stack([z1, z2, z2, z1])
-    f = space.pairings(lifts)[w, z]  # <z, w> sits at [w, z]
-    norms = np.linalg.norm(lifts, axis=0)
+    f = g[w, z]  # <z, w> sits at [w, z]
     vanish = np.linalg.norm(f, axis=-1) <= tol * np.maximum(norms[z] * norms[w], DIVISION_FLOOR)
     a, b, c, d = f
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -72,31 +73,32 @@ def _require_factors(vanish: np.ndarray) -> None:
         raise DegenerateConfigurationError("vanishing pairing in a cross-ratio factor")
 
 
-def cross_ratio(space: HermitianSpace, z1: ProjPoint, z2: ProjPoint,
-                z3: ProjPoint, z4: ProjPoint, tol: float = DEFAULT_TOL) -> Quaternion:
-    """Quaternionic four-point ratio <z3,z1> <z3,z2>^-1 <z4,z2> <z4,z1>^-1.
+def cross_ratio(space: HermitianSpace, lifts: np.ndarray) -> Quaternion:
+    """Quaternionic four-point ratio <z3,z1> <z3,z2>^-1 <z4,z2> <z4,z1>^-1 of
+    the points with stacked (2N, 4) lifts (z1, z2, z3, z4).
 
     The value depends on the chosen lifts, but its similarity class
     (real part and modulus) does not.
     """
-    x, vanish = _cross_ratios(space, stacked([z.lift for z in (z1, z2, z3, z4)]),
-                              [(0, 1, 2, 3)], tol)
+    g, norms, _ = _pairings(space, lifts, 4)
+    x, vanish = _cross_ratios(g, norms, [(0, 1, 2, 3)], DEFAULT_TOL)
     _require_factors(vanish)
     return Quaternion.from_seq(x[0])
 
 
-def cross_ratio_triple(space: HermitianSpace, z1: ProjPoint, z2: ProjPoint,
-                       z3: ProjPoint, z4: ProjPoint) -> tuple[Quaternion, Quaternion, Quaternion]:
-    """The three symmetric-group orbit representatives of the cross ratio.
+def cross_ratio_triple(space: HermitianSpace,
+                       lifts: np.ndarray) -> tuple[Quaternion, Quaternion, Quaternion]:
+    """The three symmetric-group orbit representatives of the cross ratio of
+    the points with stacked (2N, 4) lifts.
 
     For quadruples of null points the moduli satisfy |X2| = |X1| |X3| and the
     boundary slack is nonnegative; both are asserted for such quadruples.
     """
-    x, vanish = _cross_ratios(space, stacked([z.lift for z in (z1, z2, z3, z4)]),
-                              [(0, 1, 2, 3), (0, 3, 2, 1), (1, 3, 2, 0)], DEFAULT_TOL)
+    g, norms, kinds = _pairings(space, lifts, 4)
+    x, vanish = _cross_ratios(g, norms, [(0, 1, 2, 3), (0, 3, 2, 1), (1, 3, 2, 0)], DEFAULT_TOL)
     _require_factors(vanish)
     x1, x2, x3 = (Quaternion.from_seq(v) for v in x)
-    if all(p.kind == PointType.NULL for p in (z1, z2, z3, z4)):
+    if all(k == PointType.NULL for k in kinds):
         lhs = x2.norm()
         rhs = x1.norm() * x3.norm()
         if abs(lhs - rhs) > QUADRUPLE_RELATION_TOL * max(1.0, lhs, rhs):
@@ -125,19 +127,20 @@ def boundary_quadruple_slack(x1: Quaternion, x2: Quaternion, x3: Quaternion) -> 
 # Angular and distance invariants
 # ---------------------------------------------------------------------------
 
-def angular_invariant(space: HermitianSpace, z1: ProjPoint, z2: ProjPoint,
-                      z3: ProjPoint) -> float:
-    """arccos of Re(-T)/|T| for the Hermitian triple product T; lies in [0, pi/2].
+def angular_invariant(space: HermitianSpace, lifts: np.ndarray) -> float:
+    """arccos of Re(-T)/|T| for the Hermitian triple product T of the points
+    with stacked (2N, 3) lifts (z1, z2, z3); lies in [0, pi/2].
 
     T = <z1,z2> <z3,z1> <z2,z3>.  In this order the two pairings of each lift
     are cyclically adjacent, so rescaling a lift by a quaternion multiplies T
     by a positive real and at most conjugates it by a unit quaternion: Re/|.|
     of T does not depend on the lifts.
     """
-    t = (space.herm(z1.lift, z2.lift) * space.herm(z3.lift, z1.lift)
-         * space.herm(z2.lift, z3.lift))
+    g, norms, _ = _pairings(space, lifts, 3)
+    t = (Quaternion.from_seq(g[1, 0]) * Quaternion.from_seq(g[0, 2])
+         * Quaternion.from_seq(g[2, 1]))
     tn = t.norm()
-    scale = (z1.lift.norm() * z2.lift.norm() * z3.lift.norm()) ** 2
+    scale = float(np.prod(norms)) ** 2
     if tn <= DEFAULT_TOL * max(scale, DIVISION_FLOOR):
         raise DegenerateConfigurationError("vanishing Hermitian triple product")
     val = float(np.clip(-t.re / tn, -1.0, 1.0))
@@ -149,17 +152,18 @@ def angular_invariant(space: HermitianSpace, z1: ProjPoint, z2: ProjPoint,
     return min(angle, math.pi / 2)
 
 
-def distance_invariant(space: HermitianSpace, p: ProjPoint, q: ProjPoint) -> float:
-    """(<q,p><p,q>) / (<q,q><p,p>) for two negative points; real and >= 1.
+def distance_invariant(space: HermitianSpace, lifts: np.ndarray) -> float:
+    """(<q,p><p,q>) / (<q,q><p,p>) for two negative points with stacked (2N, 2)
+    lifts (p, q); real and >= 1.
 
     Equals cosh^2(rho/2) in the invariant metric, so it is 1 exactly at
     coincidence.
     """
-    if p.kind != PointType.NEGATIVE or q.kind != PointType.NEGATIVE:
+    g, _, kinds = _pairings(space, lifts, 2)
+    if kinds != [PointType.NEGATIVE, PointType.NEGATIVE]:
         raise InvalidSpecError("distance invariant needs two negative points")
-    num = space.herm(q.lift, p.lift)
-    den = space.herm(q.lift, q.lift).re * space.herm(p.lift, p.lift).re
-    val = num.norm_sq() / den
+    num = Quaternion.from_seq(g[0, 1])  # <q, p>
+    val = num.norm_sq() / float(g[1, 1, 0] * g[0, 0, 0])
     if val < 1.0 - DISTANCE_FLOOR_TOL:
         raise DegenerateConfigurationError("distance invariant below 1")
     return max(val, 1.0)
@@ -374,7 +378,8 @@ def profile(config: "PointConfig", tol: float = DEFAULT_TOL) -> InvariantProfile
     prof = profile_from_gram(sng)
 
     quads = _slot_table(config.m, config.i).quads
-    direct, vanish = _cross_ratios(config.space, sng.lifts, quads, tol)
+    direct, vanish = _cross_ratios(config.space.pairings(sng.lifts),
+                                   np.linalg.norm(sng.lifts, axis=0), quads, tol)
     values = quaternion_array(s.value for s in prof.x_slots)
     agree = (np.linalg.norm(direct - values, axis=1)
              <= SLOT_IDENTITY_RTOL * np.maximum(1.0, np.linalg.norm(direct, axis=1)))

@@ -30,7 +30,7 @@ from .errors import (
     NumericalError,
     QhypError,
 )
-from .quaternion import Quaternion, complex_pairs, from_complex_pairs
+from .quaternion import Quaternion, complex_pairs, from_complex_pairs, qconj_array
 from .tolerances import (BASIS_RANK_RTOL, CENTRALIZER_RTOL, CHAR_COEFF_TOL, CLUSTER_RTOL,
                          DEFAULT_TOL, DIVISION_FLOOR, FORM_DEGENERACY_RTOL, J_STRUCTURE_RTOL,
                          NEWTON_MAX_STEPS, NEWTON_STEP_RTOL, RANK_RTOL, UNIT_MODULUS_TOL)
@@ -269,18 +269,13 @@ class HermitianSpace:
 
     def pairings(self, S: np.ndarray) -> np.ndarray:
         """(m, m, 4) components of <s_j, s_k> at [k, j] for the stacked (2N, m)
-        columns of S: one product T* H S, as in :meth:`herm`."""
+        columns of S: one product T* H S, as in :meth:`herm`, with H S the rows
+        of S permuted, made exactly Hermitian, g[k, j] = conj(g[j, k]), as the form is."""
         if S.ndim != 2 or S.shape[0] != 2 * self.dim:
             raise DimensionMismatchError("vector dimension does not match the space")
-        T = two_columns(S)
-        A = T.conj().T @ self.H_emb @ T[:, 0::2]
-        return from_complex_pairs(A[0::2], A[1::2])
-
-    def classify_vector(self, z: HVector, tol: float = DEFAULT_TOL) -> PointType:
-        """:func:`point_types` of z, from the real diagonal of :meth:`pairings`."""
-        S = z.s[:, None]
-        return point_types(np.diagonal(self.pairings(S)[..., 0]),
-                           np.linalg.norm(S, axis=0) ** 2, tol)[0]
+        A = two_columns(S).conj().T @ S[self.perm]
+        g = from_complex_pairs(A[0::2], A[1::2])
+        return 0.5 * (g + qconj_array(g).transpose(1, 0, 2))
 
     def member_residual(self, A: HMatrix) -> float:
         """Frobenius norm of A* H A - H in the embedding."""

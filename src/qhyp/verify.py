@@ -23,7 +23,6 @@ from .errors import DegenerateConfigurationError, QhypError
 from .gram import congruent, gram_of, orbit_equal, reconstruct_gram, semi_normalize
 from .invariants import (
     InvariantProfile,
-    ProjPoint,
     angular_invariant,
     boundary_quadruple_slack,
     cross_ratio,
@@ -43,7 +42,7 @@ from .isometry import (
     random_semisimple,
 )
 from .linalg import (HermitianSpace, HMatrix, HVector, PointType, components_from_stacked,
-                     stacked_from_components)
+                     right_times, stacked, stacked_from_components)
 from .pairs import (
     REASON_NO_CONJUGATOR,
     REASON_TRACE,
@@ -51,7 +50,8 @@ from .pairs import (
     have_common_fixed_point,
     pair_conjugate,
 )
-from .quaternion import Quaternion, qconj_array, rotation_matrix, sp1_align
+from .quaternion import (Quaternion, complex_pairs, qconj_array, quaternion_array,
+                         rotation_matrix, sp1_align)
 from .sampling import (
     apply_isometry,
     random_elliptic_spec,
@@ -152,8 +152,8 @@ def _moved(C: HMatrix, X: Isometry) -> Isometry:
     return Isometry(X.space.project_to_group(C @ X.matrix @ C.inverse()), X.space)
 
 
-def _null_points(sp: HermitianSpace, rng, k: int) -> list[ProjPoint]:
-    return [ProjPoint(sample_null_lift(sp, rng), PointType.NULL) for _ in range(k)]
+def _null_lifts(sp: HermitianSpace, rng, k: int) -> np.ndarray:
+    return stacked([sample_null_lift(sp, rng) for _ in range(k)])
 
 
 def _bumped(spec, step: float = 1e-3):
@@ -187,20 +187,19 @@ def criterion_1(tally: _Trials, rng: np.random.Generator, quick: bool) -> str:
     # per invariant: its trial count, its point sampler, and the values a
     # group element keeps, the first of them the scale the drift is taken at
     invariants = [
-        (per_kind, lambda sp: _null_points(sp, rng, 3),
-         lambda sp, pts: (angular_invariant(sp, *pts),)),
-        (per_kind, lambda sp: sample_config(sp, 2, 0, rng).points,
-         lambda sp, pts: (distance_invariant(sp, *pts),)),
-        (2 * per_kind, lambda sp: _null_points(sp, rng, 4),
-         lambda sp, pts: _similarity_class(cross_ratio(sp, *pts))),
+        (per_kind, lambda sp: _null_lifts(sp, rng, 3),
+         lambda sp, lifts: (angular_invariant(sp, lifts),)),
+        (per_kind, lambda sp: sample_config(sp, 2, 0, rng).lifts,
+         lambda sp, lifts: (distance_invariant(sp, lifts),)),
+        (2 * per_kind, lambda sp: _null_lifts(sp, rng, 4),
+         lambda sp, lifts: _similarity_class(cross_ratio(sp, lifts))),
     ]
     for count, draw, values in invariants:
         for _ in range(count):
             sp = HermitianSpace(int(rng.integers(1, 4)))
-            pts = draw(sp)
-            v0 = values(sp, pts)
-            C = random_member(sp, rng)
-            v1 = values(sp, [ProjPoint(C.apply(p.lift), p.kind) for p in pts])
+            lifts = draw(sp)
+            v0 = values(sp, lifts)
+            v1 = values(sp, random_member(sp, rng).emb @ lifts)
             drift = max(abs(a - b) for a, b in zip(v0, v1)) / max(1.0, v0[0])
             tally.check("drift", drift, DRIFT_BOUND)
 
@@ -234,7 +233,7 @@ def criterion_3(tally: _Trials, rng: np.random.Generator, quick: bool) -> str:
     for _ in range(trials):
         sp = HermitianSpace(int(rng.integers(1, 5)))
         try:
-            x1, x2, x3 = cross_ratio_triple(sp, *_null_points(sp, rng, 4))
+            x1, x2, x3 = cross_ratio_triple(sp, _null_lifts(sp, rng, 4))
         except DegenerateConfigurationError:  # the library refused the quadruple: a failed trial
             tally.check("mod", math.inf, RELATION_BOUND)
             continue
@@ -270,7 +269,7 @@ def criterion_4(tally: _Trials, rng: np.random.Generator, quick: bool) -> str:
     # every boundary triple at n=1 lies on one quaternionic line: A = pi/2
     sp1 = HermitianSpace(1)
     for _ in range(trials):
-        a = angular_invariant(sp1, *_null_points(sp1, rng, 3))
+        a = angular_invariant(sp1, _null_lifts(sp1, rng, 3))
         tally.check("line", abs(a - math.pi / 2), ANGLE_BOUND)
     # totally real triples: invariant 0
     sp2 = HermitianSpace(2)
@@ -279,8 +278,7 @@ def criterion_4(tally: _Trials, rng: np.random.Generator, quick: bool) -> str:
         vals = 0.3 + np.cumsum(base)  # separated parameters: distinct points
         z = np.zeros((3, 3, 4))
         z[:, :, 0] = np.stack([-vals, np.sqrt(2 * vals), np.ones(3)], axis=1)
-        a = angular_invariant(sp2, *(ProjPoint.from_lift(sp2, HVector(stacked_from_components(q)))
-                                     for q in z))
+        a = angular_invariant(sp2, stacked_from_components(z))
         tally.check("real", a, ANGLE_BOUND)
     # equal invariant implies congruent, with a verified witness; alternating
     # the dimension exercises witness construction both with and without
@@ -308,8 +306,8 @@ def criterion_5(tally: _Trials, rng: np.random.Generator, quick: bool) -> str:
         sp = HermitianSpace(n)
         cfg = sample_config(sp, m, i, rng)
         s1 = semi_normalize(cfg)
-        pts = [p.rescaled(random_unit_quaternion(rng)) for p in cfg.points]
-        s2 = semi_normalize(gram_of(sp, pts))
+        lam = quaternion_array(random_unit_quaternion(rng) for _ in range(m))
+        s2 = semi_normalize(gram_of(sp, right_times(cfg.lifts, *complex_pairs(lam))))
         tally.require("aligned", orbit_equal(s1, s2, DRIFT_BOUND) is not None)
     return f"{tally.score('aligned')} rescaling trials aligned"
 
@@ -395,26 +393,21 @@ def _perturbed_config(cfg, rng, delta: float = 1e-3):
     base = semi_normalize(cfg)
     for _ in range(10):
         idx = int(rng.integers(0, cfg.m))
-        pts = list(cfg.points)
-        kind = pts[idx].kind
-        if kind == PointType.NULL:
-            z = (components_from_stacked(pts[idx].lift.s)
+        lifts = cfg.lifts.copy()
+        if cfg.kinds[idx] == PointType.NULL:
+            z = (components_from_stacked(lifts[:, idx])
                  + components_from_stacked(sample_null_lift(sp, rng).s) * 0.05)
-            # re-null: solve 2 Re(conj(z_last) z_1) + |middle|^2 = 0 by
-            # moving z_1 along z_last
-            sq, p = z * z, z[-1] * z[0]
-            norms_sq = (sq[:, 0] + sq[:, 1] + sq[:, 2] + sq[:, 3]).tolist()
-            pair = p[0] + p[1] + p[2] + p[3]
-            shift = -(2 * pair + sum(norms_sq[1:-1])) / (2 * norms_sq[-1])
+            # re-null: moving z_1 along z_last by a real shift adds 2 shift |z_last|^2 to <z, z>
+            lift = HVector(stacked_from_components(z))
+            shift = -sp.herm(lift, lift).re / (2 * np.dot(z[-1], z[-1]))
             z[0] = z[0] + z[-1] * shift
-            cand = HVector(stacked_from_components(z))
+            lifts[:, idx] = stacked_from_components(z)
         else:
-            cand = pts[idx].lift + sample_null_lift(sp, rng).times(delta * 10)
-            if sp.classify_vector(cand, 1e-9) != PointType.NEGATIVE:
-                continue
-        pts[idx] = ProjPoint.from_lift(sp, cand)
+            lifts[:, idx] += sample_null_lift(sp, rng).times(delta * 10).s
         try:
-            other = gram_of(sp, pts)
+            other = gram_of(sp, lifts)
+            if other.kinds != cfg.kinds:  # the moved point changed its type
+                continue
             probe = semi_normalize(other)
         except QhypError:
             continue

@@ -13,7 +13,7 @@ from qhyp.cli import main
 from qhyp.errors import InvalidSpecError
 from qhyp.isometry import Classification, HyperbolicSpec, random_semisimple
 from qhyp.gram import gram_of
-from qhyp.linalg import HermitianSpace, HVector, stacked_from_components
+from qhyp.linalg import HermitianSpace, HVector, point_types, stacked_from_components
 from qhyp.sampling import apply_isometry, sample_config
 from qhyp.isometry import random_member
 from qhyp.serialize import (
@@ -82,7 +82,9 @@ def test_config_decoder_forms_one_pairings_product(monkeypatch):
     assert shapes == [(10, 8)]
     monkeypatch.undo()
     vectors = [HVector(stacked_from_components(np.array(a))) for a in data["points"]]
-    ref = gram_of(sp, [ProjPoint(v, sp.classify_vector(v, WIRE_TOL)) for v in vectors], WIRE_TOL)
+    kinds = [point_types(np.diagonal(sp.pairings(v.s[:, None])[..., 0]),
+                         np.linalg.norm(v.s[:, None], axis=0) ** 2, WIRE_TOL)[0] for v in vectors]
+    ref = gram_of(sp, [ProjPoint(v, k) for v, k in zip(vectors, kinds)], WIRE_TOL)
     assert cfg.kinds == ref.kinds
     assert np.array_equal(cfg.lifts, ref.lifts) and np.array_equal(cfg.gram, ref.gram)
 

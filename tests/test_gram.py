@@ -6,6 +6,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qhyp.decision import Verdict
 from qhyp.errors import (DegenerateConfigurationError, DimensionMismatchError, GramSchmidtError,
@@ -27,6 +29,10 @@ from qhyp.invariants import (
     PairSlot,
     ProjPoint,
     XSlot,
+    angular_invariant,
+    cross_ratio,
+    cross_ratio_triple,
+    distance_invariant,
     _rotation_invariants,
     profile,
     profile_from_gram,
@@ -34,8 +40,8 @@ from qhyp.invariants import (
     x_slot_indices,
 )
 from qhyp.isometry import random_member
-from qhyp.linalg import (HermitianSpace, HVector, PointType, matrix_rank, right_times,
-                         stacked_from_components, two_columns)
+from qhyp.linalg import (HermitianSpace, HVector, PointType, line_residuals, matrix_rank,
+                         right_times, stacked, stacked_from_components, two_columns)
 from qhyp.quaternion import (Quaternion, complex_pairs, conjugated_by, qconj_array, qmul_array,
                              quaternion_array, sp1_align)
 from qhyp.tolerances import (ANGLE_ZERO_TOL, DECIDER_TOL, DEFAULT_TOL, DEGENERACY_FACTOR,
@@ -57,8 +63,14 @@ def qv(*entries):
         q if isinstance(q, Quaternion) else Quaternion.real(q) for q in entries)))
 
 
-def pp(space, *entries):
-    return ProjPoint.from_lift(space, qv(*entries))
+def lifts(*points):
+    """The stacked (2N, m) lifts of points given by their quaternion entries."""
+    return stacked([qv(*entries) for entries in points])
+
+
+def times_each(cfg, qs):
+    """The lifts of ``cfg`` with column k times the quaternion qs[k] on the right."""
+    return right_times(cfg.lifts, *complex_pairs(quaternion_array(qs)))
 
 
 def max_entry_gap(a, b):
@@ -70,7 +82,7 @@ def max_entry_gap(a, b):
 
 def test_gram_of_null_pair():
     sp = HermitianSpace(1)
-    cfg = gram_of(sp, [pp(sp, 0, 1), pp(sp, 1, 0)])
+    cfg = gram_of(sp, lifts((0, 1), (1, 0)))
     one = [1.0, 0.0, 0.0, 0.0]
     assert max_entry_gap(cfg.gram, [[np.zeros(4), one], [one, np.zeros(4)]]) <= 1e-9
 
@@ -85,14 +97,14 @@ def test_gram_hermitian_symmetry():
 def test_gram_of_ordering_violation():
     sp = HermitianSpace(1)
     with pytest.raises(InvalidSpecError):
-        gram_of(sp, [pp(sp, -1, 1), pp(sp, 0, 1)])
+        gram_of(sp, lifts((-1, 1), (0, 1)))
 
 
 def test_gram_of_coincident_points():
     sp = HermitianSpace(1)
-    p = pp(sp, -1, 1)
+    p = qv(-1, 1)
     with pytest.raises(DegenerateConfigurationError):
-        gram_of(sp, [p, ProjPoint(p.lift.times(Quaternion(0.3, 1, 0, 0)), p.kind)])
+        gram_of(sp, stacked([p, p.times(Quaternion(0.3, 1, 0, 0))]))
 
 
 @pytest.mark.parametrize("n", [1, 2, 4, 8])
@@ -104,13 +116,13 @@ def test_gram_of_matches_pairing_at_extreme_scales(n, i):
     sp = HermitianSpace(n)
     rng = np.random.default_rng(500 + 10 * n + i)
     moduli = rng.permutation(np.logspace(-6, 6, m))
-    pts = [p.rescaled(random_unit_quaternion(rng) * r)
-           for p, r in zip(sample_config(sp, m, i, rng).points, moduli)]
-    cfg = gram_of(sp, pts)
-    for k, pk in enumerate(pts):
-        for j, pj in enumerate(pts):
-            ref = sp.herm(pj.lift, pk.lift).to_array()
-            assert np.linalg.norm(cfg.gram[k, j] - ref) <= 1e-12 * pk.lift.norm() * pj.lift.norm()
+    cfg = sample_config(sp, m, i, rng)
+    cfg = gram_of(sp, times_each(cfg, [random_unit_quaternion(rng) * r for r in moduli]))
+    vectors = [HVector(s) for s in cfg.lifts.T]
+    for k, pk in enumerate(vectors):
+        for j, pj in enumerate(vectors):
+            ref = sp.herm(pj, pk).to_array()
+            assert np.linalg.norm(cfg.gram[k, j] - ref) <= 1e-12 * pk.norm() * pj.norm()
 
     g = semi_normalize(cfg).gram
     target = [[0.0 if k < i else -1.0, 0.0, 0.0, 0.0] for k in range(m)]
@@ -269,8 +281,7 @@ def test_semi_normalize_idempotent_gauge():
     rng = np.random.default_rng(52)
     cfg = sample_config(sp, 5, 3, rng)
     s1 = semi_normalize(cfg)
-    pts = [ProjPoint.from_lift(sp, HVector(v)) for v in s1.lifts.T]
-    s2 = semi_normalize(gram_of(sp, pts))
+    s2 = semi_normalize(gram_of(sp, s1.lifts))
     assert max_entry_gap(s2.gram, s1.gram) <= 1e-8
 
 
@@ -281,8 +292,8 @@ def test_gauge_theorem_random_rescalings():
     cfg = sample_config(sp, 5, 3, rng)
     s1 = semi_normalize(cfg)
     for _ in range(25):
-        pts = [p.rescaled(random_unit_quaternion(rng)) for p in cfg.points]
-        s2 = semi_normalize(gram_of(sp, pts))
+        lam = [random_unit_quaternion(rng) for _ in range(cfg.m)]
+        s2 = semi_normalize(gram_of(sp, times_each(cfg, lam)))
         mu = orbit_equal(s1, s2, 1e-8)
         assert mu is not None
 
@@ -333,19 +344,16 @@ def boundary_triple_with_angle(sp, aval, axis):
     """Triple (inf, o, u) of null points whose angular invariant is aval."""
     z1 = Quaternion.real(-math.cos(aval)) + axis * math.sin(aval)
     z2 = Quaternion.real(math.sqrt(2 * math.cos(aval)))
-    u = pp(sp, z1, z2, 1)
-    return gram_of(sp, [pp(sp, 1, 0, 0), pp(sp, 0, 0, 1), u])
+    return gram_of(sp, lifts((1, 0, 0), (0, 0, 1), (z1, z2, 1)))
 
 
 def test_boundary_triples_classified_by_angular_invariant():
     sp = HermitianSpace(2)
-    from qhyp.invariants import angular_invariant
-
     t1 = boundary_triple_with_angle(sp, 0.4, Quaternion.i())
     t2 = boundary_triple_with_angle(sp, 0.4, Quaternion(0, 0.6, 0.8, 0))
     t3 = boundary_triple_with_angle(sp, 1.1, Quaternion.i())
-    assert angular_invariant(sp, *t1.points) == pytest.approx(0.4, abs=1e-10)
-    assert angular_invariant(sp, *t2.points) == pytest.approx(0.4, abs=1e-10)
+    assert angular_invariant(sp, t1.lifts) == pytest.approx(0.4, abs=1e-10)
+    assert angular_invariant(sp, t2.lifts) == pytest.approx(0.4, abs=1e-10)
     # equal invariants: congruent with verified witness
     dec = congruent(t1, t2)
     assert dec.verdict is Verdict.CONGRUENT and dec.residual < 1e-7
@@ -393,8 +401,8 @@ def test_congruent_scrambled_lifts_same_points():
     sp = HermitianSpace(2)
     rng = np.random.default_rng(59)
     cfg = sample_config(sp, 5, 3, rng)
-    pts = [p.rescaled(random_quaternion(rng) + Quaternion.real(1.2)) for p in cfg.points]
-    cfg2 = gram_of(sp, pts)
+    lam = [random_quaternion(rng) + Quaternion.real(1.2) for _ in range(cfg.m)]
+    cfg2 = gram_of(sp, times_each(cfg, lam))
     dec = congruent(cfg, cfg2)
     assert dec.verdict is Verdict.CONGRUENT
     assert dec.residual < 1e-7
@@ -477,7 +485,7 @@ def test_complex_subfield_stays_complex(m, i, n, cayley_member):
     # accepts their images under a complex member of U(n,1)
     sp = HermitianSpace(n)
     rng = np.random.default_rng(700 + 10 * m + i)
-    cfg = gram_of(sp, [ProjPoint.from_lift(sp, _complex_lift(sp, rng, k < i)) for k in range(m)])
+    cfg = gram_of(sp, stacked([_complex_lift(sp, rng, k < i) for k in range(m)]))
     assert cfg.i == i
     C = cayley_member(sp, rng)
     assert sp.is_member(C, 1e-10)
@@ -542,8 +550,8 @@ def _field_config(sp, m, i, rng, field):
     """A random configuration with quaternionic, complex or real lifts."""
     if field == "quaternion":
         return sample_config(sp, m, i, rng)
-    return gram_of(sp, [ProjPoint.from_lift(sp, _complex_lift(sp, rng, k < i, field == "real"))
-                        for k in range(m)])
+    return gram_of(sp, stacked([_complex_lift(sp, rng, k < i, field == "real")
+                                for k in range(m)]))
 
 
 @pytest.mark.parametrize("field", ["quaternion", "complex", "real"])
@@ -924,11 +932,7 @@ def test_array_pass_matches_the_per_slot_construction_bitwise(m, i, n):
 
 def test_reconstruct_all_real_profile():
     sp = HermitianSpace(2)
-    pts = [pp(sp, Quaternion.real(-1.0), 1, 1),
-           pp(sp, Quaternion.real(-2.5), 2, 1),
-           pp(sp, Quaternion.real(-5.0), 3, 1),
-           pp(sp, Quaternion.real(-1.5), 1, 1)]
-    cfg = gram_of(sp, pts)
+    cfg = gram_of(sp, lifts((-1.0, 1, 1), (-2.5, 2, 1), (-5.0, 3, 1), (-1.5, 1, 1)))
     prof = profile(cfg)
     rebuilt = reconstruct_gram(prof)
     assert np.max(np.linalg.norm(rebuilt.gram[..., 1:], axis=-1)) < 1e-9
@@ -1033,3 +1037,60 @@ def test_reconstruct_rejects_degenerate_profiles(m, i):
         warnings.simplefilter("error")
         with pytest.raises(InvalidSpecError, match="degenerate profile"):
             reconstruct_gram(bad)
+
+
+# -- configuration-side properties at every lift scale ----------------------------
+
+#: (n, m, i): boundary, all-negative and mixed shapes, spanning and not
+PROPERTY_SHAPES = [(1, 4, 4), (2, 5, 3), (3, 4, 0), (3, 6, 4), (4, 8, 4)]
+
+
+@st.composite
+def moved_and_independent_configs(draw):
+    """(a0, a, b, c): a configuration a0, a0 and its image under a random
+    member with their lifts rescaled by quaternions of modulus 1e-6 .. 1e6
+    (a and b), and an independent draw c rescaled the same way.  The rescaled
+    configurations read their point types off their Gram matrices."""
+    n, m, i = draw(st.sampled_from(PROPERTY_SHAPES))
+    sp = HermitianSpace(n)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+
+    def rescaled(cfg):
+        exponents = draw(st.lists(st.floats(-6.0, 6.0), min_size=m, max_size=m))
+        q = rng.normal(size=(m, 4))
+        q *= 10.0 ** np.array(exponents)[:, None] / np.linalg.norm(q, axis=1, keepdims=True)
+        return gram_of(sp, right_times(cfg.lifts, *complex_pairs(q)))
+
+    a0 = sample_config(sp, m, i, rng)
+    b = apply_isometry(a0, random_member(sp, rng))
+    return a0, rescaled(a0), rescaled(b), rescaled(sample_config(sp, m, i, rng))
+
+
+def _point_invariants(cfg):
+    """The four point invariants of a configuration's leading points, the
+    quaternion-valued ones as similarity classes (modulus, real part)."""
+    sp, S = cfg.space, cfg.lifts
+    out = [angular_invariant(sp, S[:, :3])]
+    for x in (cross_ratio(sp, S[:, :4]), *cross_ratio_triple(sp, S[:, :4])):
+        out += [x.norm(), x.re]
+    if cfg.m - cfg.i >= 2:
+        out.append(distance_invariant(sp, S[:, -2:]))
+    return np.array(out)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(moved_and_independent_configs())
+def test_congruence_and_point_invariants_hold_at_every_lift_scale(configs):
+    a0, a, b, c = configs
+    assert a.kinds == b.kinds == c.kinds == a0.kinds
+    for x, y, verdict in ((a, b, Verdict.CONGRUENT), (a, c, Verdict.NOT_CONGRUENT)):
+        forward, backward = congruent(x, y), congruent(y, x)
+        assert forward.verdict is backward.verdict is verdict
+        for dec, (u, v) in ((forward, (x, y)), (backward, (y, x))):
+            if dec.positive:
+                # the witness maps each point of u onto the matching point of v
+                assert a0.space.is_member(dec.witness, 1e-8)
+                assert np.max(line_residuals(dec.witness.emb @ u.lifts, v.lifts)) <= DECIDER_TOL
+    ref = _point_invariants(a0)
+    for cfg in (a, b):
+        assert np.allclose(_point_invariants(cfg), ref, rtol=1e-8, atol=1e-10)

@@ -9,9 +9,9 @@ from qhyp import invariants
 from qhyp.errors import DegenerateConfigurationError, InvalidSpecError
 from qhyp.invariants import (
     InvariantProfile,
-    ProjPoint,
     _cross_ratios,
     angular_invariant,
+    boundary_quadruple_slack,
     cross_ratio,
     cross_ratio_triple,
     distance_invariant,
@@ -21,8 +21,8 @@ from qhyp.invariants import (
     x_slot_indices,
 )
 from qhyp.isometry import random_member
-from qhyp.linalg import HermitianSpace, HVector, PointType, stacked, stacked_from_components
-from qhyp.quaternion import Quaternion, quaternion_array, sp1_align
+from qhyp.linalg import HermitianSpace, HVector, right_times, stacked, stacked_from_components
+from qhyp.quaternion import Quaternion, complex_pairs, quaternion_array, sp1_align
 from qhyp.sampling import (
     apply_isometry,
     random_quaternion,
@@ -39,8 +39,14 @@ def qv(*entries):
         q if isinstance(q, Quaternion) else Quaternion.real(q) for q in entries)))
 
 
-def pp(space, *entries):
-    return ProjPoint.from_lift(space, qv(*entries))
+def lifts(*points):
+    """The stacked (2N, m) lifts of points given by their quaternion entries."""
+    return stacked([qv(*entries) for entries in points])
+
+
+def times_each(S, qs):
+    """The stacked lifts S with column k times the quaternion qs[k] on the right."""
+    return right_times(S, *complex_pairs(quaternion_array(qs)))
 
 
 @pytest.fixture
@@ -51,67 +57,64 @@ def sp1():
 # -- cross ratio --------------------------------------------------------------
 
 def test_cross_ratio_standard_quadruple(sp1):
-    o = pp(sp1, 0, 1)
-    inf = pp(sp1, 1, 0)
-    u = pp(sp1, I, 1)
-    v = pp(sp1, J, 1)
-    x = cross_ratio(sp1, o, inf, u, v)
+    # o, infinity, u and v
+    x = cross_ratio(sp1, lifts((0, 1), (1, 0), (I, 1), (J, 1)))
     assert x.approx_eq(-K, 1e-12)
 
 
 def test_cross_ratio_telescoping(sp1):
-    o = pp(sp1, 0, 1)
-    inf = pp(sp1, 1, 0)
-    u = pp(sp1, I, 1)
-    x = cross_ratio(sp1, o, inf, u, u)
+    x = cross_ratio(sp1, lifts((0, 1), (1, 0), (I, 1), (I, 1)))
     assert x.approx_eq(ONE, 1e-12)
 
 
 def test_cross_ratio_class_lift_independent(sp1):
     rng = np.random.default_rng(40)
-    o = pp(sp1, 0, 1)
-    inf = pp(sp1, 1, 0)
-    u = pp(sp1, I, 1)
-    v = pp(sp1, Quaternion(0.3, 0.2, -0.5, 0.1), 1)
+    S = lifts((0, 1), (1, 0), (I, 1), (Quaternion(0.3, 0.2, -0.5, 0.1), 1))
     # the similarity class of a quaternion is its (norm, real part)
-    base = cross_ratio(sp1, o, inf, u, v)
+    base = cross_ratio(sp1, S)
     for _ in range(50):
-        pts = [p.rescaled(random_quaternion(rng) + Quaternion.real(1.5))
-               for p in (o, inf, u, v)]
-        x = cross_ratio(sp1, *pts)
+        x = cross_ratio(sp1, times_each(S, [random_quaternion(rng) + Quaternion.real(1.5)
+                                            for _ in range(4)]))
         assert abs(x.norm() - base.norm()) < 1e-10 * max(1, base.norm())
         assert abs(x.re - base.re) < 1e-10
 
 
 def test_cross_ratio_degenerate_pairing(sp1):
-    o = pp(sp1, 0, 1)
-    inf = pp(sp1, 1, 0)
     with pytest.raises(DegenerateConfigurationError):
-        cross_ratio(sp1, o, inf, o, inf)
+        cross_ratio(sp1, lifts((0, 1), (1, 0), (0, 1), (1, 0)))
+
+
+def test_point_invariants_take_the_lifts_of_their_point_count(sp1):
+    S = lifts((0, 1), (1, 0), (I, 1), (J, 1))
+    for invariant, count in ((cross_ratio, 4), (cross_ratio_triple, 4),
+                             (angular_invariant, 3), (distance_invariant, 2)):
+        for wrong in (S[:, :count - 1], S[:, 0]):
+            with pytest.raises(InvalidSpecError, match=f"stacked lifts of {count} points"):
+                invariant(sp1, wrong)
+    with pytest.raises(ValueError, match="zero vector"):
+        cross_ratio(sp1, np.concatenate([S[:, :3], np.zeros((4, 1))], axis=1))
 
 
 def test_batched_cross_ratios_flag_each_vanishing_row(sp1):
-    o, inf, u, v = pp(sp1, 0, 1), pp(sp1, 1, 0), pp(sp1, I, 1), pp(sp1, J, 1)
-    lifts = stacked([p.lift for p in (o, inf, u, v)])
+    S = lifts((0, 1), (1, 0), (I, 1), (J, 1))
     # the second row's factor <z3, z1> is <o, o> = 0
-    x, vanish = _cross_ratios(sp1, lifts, [(0, 1, 2, 3), (0, 1, 0, 1)], 1e-9)
+    x, vanish = _cross_ratios(sp1.pairings(S), np.linalg.norm(S, axis=0),
+                              [(0, 1, 2, 3), (0, 1, 0, 1)], 1e-9)
     assert vanish.tolist() == [False, True]
-    assert Quaternion.from_seq(x[0]).approx_eq(cross_ratio(sp1, o, inf, u, v), 1e-15)
+    assert Quaternion.from_seq(x[0]).approx_eq(cross_ratio(sp1, S), 1e-15)
     with pytest.raises(DegenerateConfigurationError,
                        match="vanishing pairing in a cross-ratio factor"):
-        cross_ratio_triple(sp1, o, inf, o, v)
+        cross_ratio_triple(sp1, S[:, [0, 1, 0, 3]])
 
 
 def test_cross_ratio_triple_relations():
-    from qhyp.invariants import boundary_quadruple_slack
-
     for n, always_tight in ((2, True), (3, False)):
         sp = HermitianSpace(n)
         rng = np.random.default_rng(41)
         slacks = []
         for _ in range(50):
-            pts = [ProjPoint(sample_null_lift(sp, rng), PointType.NULL) for _ in range(4)]
-            x1, x2, x3 = cross_ratio_triple(sp, *pts)
+            x1, x2, x3 = cross_ratio_triple(sp, stacked([sample_null_lift(sp, rng)
+                                                         for _ in range(4)]))
             assert abs(x2.norm() - x1.norm() * x3.norm()) < 1e-8 * max(1, x2.norm())
             slack = boundary_quadruple_slack(x1, x2, x3)
             assert slack >= -1e-8
@@ -123,37 +126,41 @@ def test_cross_ratio_triple_relations():
             assert max(slacks) > 1e-3
 
 
+def test_cross_ratio_triple_types_its_points_from_the_pairings():
+    # the boundary relations bind null quadruples only: with a negative and a
+    # positive point, read off the pairings' diagonal, the slack is -8 and the
+    # triple is returned, not refused
+    S = lifts((0, 0, 1), (1, 0, 0), (-1, 0, 1), (2, 0, 1))
+    x1, x2, x3 = cross_ratio_triple(HermitianSpace(2), S)
+    assert boundary_quadruple_slack(x1, x2, x3) == pytest.approx(-8.0, abs=1e-12)
+
+
 # -- angular invariant ----------------------------------------------------------
 
 def test_angular_whole_line_is_right_angle(sp1):
-    o = pp(sp1, 0, 1)
-    inf = pp(sp1, 1, 0)
-    u = pp(sp1, I, 1)
-    assert angular_invariant(sp1, o, inf, u) == pytest.approx(math.pi / 2, abs=1e-12)
+    assert angular_invariant(sp1, lifts((0, 1), (1, 0), (I, 1))) == pytest.approx(
+        math.pi / 2, abs=1e-12)
 
 
 def test_angular_totally_real_triple():
     sp = HermitianSpace(2)
     # real coordinates only: all pairings real, invariant 0
-    a = pp(sp, Quaternion.real(-0.5), 1, 1)
-    b = pp(sp, Quaternion.real(-2.0), 2, 1)
-    c = pp(sp, Quaternion.real(-4.5), 3, 1)
-    assert angular_invariant(sp, a, b, c) < 1e-9
+    S = lifts((Quaternion.real(-0.5), 1, 1), (Quaternion.real(-2.0), 2, 1),
+              (Quaternion.real(-4.5), 3, 1))
+    assert angular_invariant(sp, S) < 1e-9
 
 
 def test_angular_isometry_invariant():
     sp = HermitianSpace(2)
     rng = np.random.default_rng(42)
-    triples = [[ProjPoint(sample_null_lift(sp, rng), PointType.NULL) for _ in range(3)]
-               for _ in range(20)]
-    triples.append(sample_config(sp, 4, 0, np.random.default_rng(0)).points[:3])
-    for pts in triples:
-        a0 = angular_invariant(sp, *pts)
+    triples = [stacked([sample_null_lift(sp, rng) for _ in range(3)]) for _ in range(20)]
+    triples.append(sample_config(sp, 4, 0, np.random.default_rng(0)).lifts[:, :3])
+    for S in triples:
+        a0 = angular_invariant(sp, S)
         C = random_member(sp, rng)
-        moved = [ProjPoint(C.apply(p.lift), p.kind) for p in pts]
-        assert abs(angular_invariant(sp, *moved) - a0) < 1e-9
-        rescaled = [p.rescaled(random_quaternion(rng)) for p in pts]
-        assert abs(angular_invariant(sp, *rescaled) - a0) < 1e-9
+        assert abs(angular_invariant(sp, C.emb @ S) - a0) < 1e-9
+        rescaled = times_each(S, [random_quaternion(rng) for _ in range(3)])
+        assert abs(angular_invariant(sp, rescaled) - a0) < 1e-9
         assert 0 <= a0 <= math.pi / 2 + 1e-12
 
 
@@ -162,9 +169,7 @@ def test_angular_isometry_invariant():
 def test_distance_invariant_cosh_identity(sp1):
     # interior points -t and -1 on the real axis: rho = log t, d = cosh^2(rho/2)
     t = 3.7
-    p = ProjPoint.from_lift(sp1, qv(-1, 1))
-    q = ProjPoint.from_lift(sp1, qv(-t, 1))
-    d = distance_invariant(sp1, p, q)
+    d = distance_invariant(sp1, lifts((-1, 1), (-t, 1)))
     rho = math.log(t)
     assert d == pytest.approx(math.cosh(rho / 2) ** 2, rel=1e-12)
 
@@ -172,21 +177,20 @@ def test_distance_invariant_cosh_identity(sp1):
 def test_distance_invariant_lift_independent_and_invariant():
     sp = HermitianSpace(2)
     rng = np.random.default_rng(43)
-    cfg = sample_config(sp, 2, 0, rng)
-    p, q = cfg.points
-    d0 = distance_invariant(sp, p, q)
+    S = sample_config(sp, 2, 0, rng).lifts
+    d0 = distance_invariant(sp, S)
     assert d0 >= 1 - 1e-12
     for _ in range(20):
         lam = random_quaternion(rng) + Quaternion.real(1.5)
-        assert distance_invariant(sp, p.rescaled(lam), q) == pytest.approx(d0, rel=1e-10)
+        assert distance_invariant(sp, times_each(S, [lam, ONE])) == pytest.approx(d0, rel=1e-10)
         C = random_member(sp, rng)
-        moved = [ProjPoint(C.apply(x.lift), x.kind) for x in (p, q)]
-        assert distance_invariant(sp, *moved) == pytest.approx(d0, rel=1e-9)
+        assert distance_invariant(sp, C.emb @ S) == pytest.approx(d0, rel=1e-9)
 
 
 def test_distance_invariant_wrong_type(sp1):
-    with pytest.raises(InvalidSpecError):
-        distance_invariant(sp1, pp(sp1, 0, 1), pp(sp1, -1, 1))
+    # the types are read off the pairings: a null point is refused
+    with pytest.raises(InvalidSpecError, match="two negative points"):
+        distance_invariant(sp1, lifts((0, 1), (-1, 1)))
 
 
 # -- rotation invariant -------------------------------------------------------------
@@ -277,12 +281,8 @@ def test_profile_structure(m, i, n):
 def test_profile_all_real_config():
     sp = HermitianSpace(2)
     # real-coordinate negative points: all invariant quaternion slots real
-    pts = [pp(sp, Quaternion.real(-1.0), 1, 1),
-           pp(sp, Quaternion.real(-2.5), 2, 1),
-           pp(sp, Quaternion.real(-5.0), 3, 1),
-           pp(sp, Quaternion.real(-1.5), 1, 1)]
     from qhyp.gram import gram_of
-    cfg = gram_of(sp, pts)
+    cfg = gram_of(sp, lifts((-1.0, 1, 1), (-2.5, 2, 1), (-5.0, 3, 1), (-1.5, 1, 1)))
     assert cfg.i == 0
     prof = profile(cfg)
     assert prof.t_count == 0

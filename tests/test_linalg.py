@@ -41,7 +41,8 @@ from qhyp.linalg import (
     two_columns,
 )
 from qhyp.pairs import eigenframe
-from qhyp.quaternion import Quaternion, complex_pairs, from_complex_pairs, quaternion_array
+from qhyp.quaternion import (Quaternion, complex_pairs, from_complex_pairs, qconj_array,
+                             quaternion_array)
 from qhyp.gram import SemiNormalizedGram
 from qhyp.tolerances import (CHAR_COEFF_TOL, DIVISION_FLOOR, NEWTON_MAX_STEPS, NEWTON_STEP_RTOL,
                              UNIT_MODULUS_TOL)
@@ -217,9 +218,11 @@ def test_stacked_arrays_match_the_per_vector_results_bitwise(N, m):
                                 axis=1)
     assert np.array_equal(two_columns(S), per_vector)
     sp = HermitianSpace(N - 1)
-    A = per_vector.conj().T @ sp.H_emb @ per_vector[:, 0::2]
+    # H is a permutation matrix: H S is S with its rows permuted
+    A = per_vector.conj().T @ per_vector[sp.perm, 0::2]
+    ref = from_complex_pairs(A[0::2], A[1::2])
     g = sp.pairings(S)
-    assert np.array_equal(g, from_complex_pairs(A[0::2], A[1::2]))
+    assert np.array_equal(g, 0.5 * (ref + qconj_array(ref).transpose(1, 0, 2)))
     for k, j in [(0, 1), (m - 1, 0), (2, 2)]:
         gap = (Quaternion.from_seq(g[k, j]) - sp.herm(vectors[j], vectors[k])).norm()
         assert gap <= 1e-14 * vectors[j].norm() * vectors[k].norm()
@@ -261,28 +264,29 @@ def test_herm_symmetry_and_sesquilinearity():
         assert lhs.approx_eq(rhs, 1e-11)
 
 
-def test_classify_vector():
+def _types(sp, vectors):
+    """The point types of vectors, read off the diagonal of one pairings product."""
+    S = stacked(vectors)
+    return point_types(np.diagonal(sp.pairings(S)[..., 0]), np.linalg.norm(S, axis=0) ** 2)
+
+
+def test_point_types_of_one_vector():
     sp = HermitianSpace(1)
-    assert sp.classify_vector(qv(0, 1)) == PointType.NULL
-    assert sp.classify_vector(qv(-1, 1)) == PointType.NEGATIVE
+    assert _types(sp, [qv(0, 1)]) == [PointType.NULL]
+    assert _types(sp, [qv(-1, 1)]) == [PointType.NEGATIVE]
     sp2 = HermitianSpace(2)
-    assert sp2.classify_vector(qv(0, 1, 0)) == PointType.POSITIVE
+    assert _types(sp2, [qv(0, 1, 0)]) == [PointType.POSITIVE]
     with pytest.raises(ValueError):
-        sp.classify_vector(qv(0, 0))
+        _types(sp, [qv(0, 0)])
 
 
 def test_point_types_is_the_one_vector_rule_per_vector():
     sp = HermitianSpace(2)
-
-    def types(vectors):
-        S = stacked(vectors)
-        return point_types(np.diagonal(sp.pairings(S)[..., 0]), np.linalg.norm(S, axis=0) ** 2)
-
     vectors = [qv(0, 1, 0), qv(-1, 0, 1), qv(1, 0, 0), qv(1e-12, 0, 1), qv(J, 2, 1)]
-    assert types(vectors) == [sp.classify_vector(v) for v in vectors]
-    assert types(vectors)[:3] == [PointType.POSITIVE, PointType.NEGATIVE, PointType.NULL]
+    assert _types(sp, vectors) == [_types(sp, [v])[0] for v in vectors]
+    assert _types(sp, vectors)[:3] == [PointType.POSITIVE, PointType.NEGATIVE, PointType.NULL]
     with pytest.raises(ValueError):
-        types([qv(0, 1, 0), qv(0, 0, 0)])
+        _types(sp, [qv(0, 1, 0), qv(0, 0, 0)])
 
 
 # -- membership -------------------------------------------------------------

@@ -33,7 +33,7 @@ def _reference_config(space, m, i, rng, scramble_lifts=False):
         pts = [ProjPoint(HVector(_reference_lift(space, rng, k >= i)),
                          PointType.NEGATIVE if k >= i else PointType.NULL) for k in range(m)]
         if scramble_lifts:
-            pts = [p.rescaled(random_quaternion(rng, 1.0))
+            pts = [ProjPoint(p.lift.times(random_quaternion(rng, 1.0)), p.kind)
                    if rng.uniform() < 0.8 else p for p in pts]
         try:
             return gram_of(space, pts)

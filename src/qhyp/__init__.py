@@ -19,7 +19,6 @@ from .decision import Decision, Verdict
 from .errors import (
     DegenerateConfigurationError,
     DimensionMismatchError,
-    GramSchmidtError,
     InvalidSpecError,
     NotSemisimpleError,
     NumericalError,
@@ -68,7 +67,7 @@ from .quaternion import DEFAULT_TOL, Quaternion, sp1_align
 __all__ = [
     "Classification", "Decision", "DEFAULT_TOL", "DegenerateConfigurationError",
     "DimensionMismatchError", "EigenData", "EigenFrame", "EllipticSpec",
-    "GramSchmidtError", "HermitianSpace", "HMatrix", "HVector", "HyperbolicSpec",
+    "HermitianSpace", "HMatrix", "HVector", "HyperbolicSpec",
     "InvalidSpecError", "InvariantProfile", "Isometry", "NotSemisimpleError",
     "NumericalError", "PointConfig", "PointType", "ProjPoint", "QhypError",
     "Quaternion", "SemiNormalizedGram", "UnsupportedElementError", "Verdict",

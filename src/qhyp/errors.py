@@ -21,10 +21,6 @@ class DegenerateConfigurationError(QhypError, ValueError):
     """A point configuration violates a nondegeneracy precondition."""
 
 
-class GramSchmidtError(QhypError, ValueError):
-    """Orthogonalization failed: dependent vectors or unattainable sign pattern."""
-
-
 class InvalidSpecError(QhypError, ValueError):
     """A generator or profile specification is malformed or inconsistent."""
 

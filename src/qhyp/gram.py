@@ -23,7 +23,6 @@ from .decision import Decision, Verdict
 from .errors import (
     DegenerateConfigurationError,
     DimensionMismatchError,
-    GramSchmidtError,
     InvalidSpecError,
     NumericalError,
 )
@@ -332,7 +331,7 @@ def _greedy_subset(space: HermitianSpace, lifts: np.ndarray) -> list[int]:
 
 def _form_perp_basis(space: HermitianSpace, span: np.ndarray) -> np.ndarray:
     """Stacked quaternionic basis of the form-orthogonal complement of a span."""
-    ns = nullspace(two_columns(span).conj().T @ space.H_emb)
+    ns = nullspace(two_columns(span).conj().T[:, space.perm])
     if ns.shape[1] % 2 != 0:
         raise NumericalError("perp space is not quaternionic")
     return quaternionic_basis(ns, ns.shape[1] // 2)
@@ -386,7 +385,7 @@ def congruent(config_a: PointConfig, config_b: PointConfig, tol: float = DECIDER
             return Decision(Verdict.INCONCLUSIVE,
                             reason=f"witness verification failed (residual {worst:.3e})")
         return Decision(Verdict.CONGRUENT, witness=witness, residual=worst)
-    except (NumericalError, GramSchmidtError, np.linalg.LinAlgError) as exc:
+    except (NumericalError, np.linalg.LinAlgError) as exc:
         return Decision(Verdict.INCONCLUSIVE, reason=f"numerical failure: {exc}")
 
 

@@ -17,7 +17,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import (
-    GramSchmidtError,
     InvalidSpecError,
     NotSemisimpleError,
     NumericalError,
@@ -270,7 +269,7 @@ def random_frame(space: HermitianSpace, rng: np.random.Generator,
         vecs = stacked_from_components(rng.uniform(-1.0, 1.0, (N, N, 4)))
         try:
             basis, signs = orthonormal_form_basis(space, vecs)
-        except (GramSchmidtError, NumericalError):
+        except NumericalError:
             continue
         if signs[0] != -1:
             continue

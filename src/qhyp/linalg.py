@@ -24,7 +24,6 @@ import numpy as np
 
 from .errors import (
     DimensionMismatchError,
-    GramSchmidtError,
     InvalidSpecError,
     NotSemisimpleError,
     NumericalError,
@@ -227,27 +226,15 @@ def line_residuals(U: np.ndarray, Q: np.ndarray) -> np.ndarray:
 # Hermitian space
 # ---------------------------------------------------------------------------
 
-def corner_form(N: int) -> np.ndarray:
-    """Anti-diagonal-corner Hermitian form: ones at (0, N-1), (N-1, 0), identity middle."""
-    H = np.zeros((N, N))
-    H[0, N - 1] = 1.0
-    H[N - 1, 0] = 1.0
-    if N > 2:
-        H[1:N - 1, 1:N - 1] = np.eye(N - 2)
-    return H
-
-
 @lru_cache(maxsize=None)
-def _form_arrays(N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The corner form, and the permutation perm and permutation matrix
-    H_emb = diag(H, H) of its embedding (H_emb X H_emb = X[perm][:, perm]),
-    read-only: one set per dimension, shared by every space."""
+def _form_perm(N: int) -> np.ndarray:
+    """The form as one permutation.  H has ones at (0, N-1), (N-1, 0) and on the rest of
+    the diagonal, and its embedding diag(H, H) at (k, perm[k]), so H X is X[perm] and X H
+    is X[:, perm].  Read-only, one per dimension, shared by every space."""
     perm = np.arange(2 * N)
     perm[[0, N - 1, N, 2 * N - 1]] = [N - 1, 0, 2 * N - 1, N]
-    arrays = corner_form(N), perm, np.eye(2 * N, dtype=complex)[perm]
-    for a in arrays:
-        a.setflags(write=False)
-    return arrays
+    perm.setflags(write=False)
+    return perm
 
 
 class HermitianSpace:
@@ -258,13 +245,13 @@ class HermitianSpace:
             raise InvalidSpecError("need n >= 1")
         self.n = n
         self.dim = n + 1
-        self.H, self.perm, self.H_emb = _form_arrays(self.dim)
+        self.perm = _form_perm(self.dim)
 
     def herm(self, z: HVector, w: HVector) -> Quaternion:
         """The form <z, w> = w* H z (conjugate-linear in w)."""
         if z.dim != self.dim or w.dim != self.dim:
             raise DimensionMismatchError("vector dimension does not match the space")
-        M = two_columns(w.s[:, None]).conj().T @ self.H_emb @ two_columns(z.s[:, None])
+        M = two_columns(w.s[:, None]).conj().T[:, self.perm] @ two_columns(z.s[:, None])
         return Quaternion.from_complex_pair(M[0, 0], M[1, 0])
 
     def pairings(self, S: np.ndarray) -> np.ndarray:
@@ -280,7 +267,9 @@ class HermitianSpace:
     def member_residual(self, A: HMatrix) -> float:
         """Frobenius norm of A* H A - H in the embedding."""
         M = A.emb
-        return _norm(M.conj().T[:, self.perm] @ M - self.H_emb) / math.sqrt(2.0)
+        D = M.conj().T[:, self.perm] @ M
+        D.reshape(-1)[np.arange(0, D.size, len(D)) + self.perm] -= 1.0  # minus H, at (k, perm[k])
+        return _norm(D) / math.sqrt(2.0)
 
     def is_member(self, A: HMatrix, tol: float = DEFAULT_TOL) -> bool:
         resid = self.member_residual(A)  # within tol needs no scale: max(1, |A|^2) >= 1
@@ -584,7 +573,7 @@ def _eigenspace_basis(M: np.ndarray, rep: complex, mult: int) -> np.ndarray:
 def _form_blocks(space: HermitianSpace, S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The form on the span of the stacked columns S, g[r, c] = <s_c, s_r> = G1 + j*G2,
     as one product [G1; G2] = T* H S with T = [S, J conj(S)]."""
-    G = np.concatenate([S, _times_j(S)], axis=1).conj().T @ space.H_emb @ S
+    G = np.concatenate([S, _times_j(S)], axis=1).conj().T[:, space.perm] @ S
     return G[:S.shape[1]], G[S.shape[1]:]
 
 
@@ -655,7 +644,7 @@ def _form_orthonormal(space: HermitianSpace, S: np.ndarray, eigs: np.ndarray,
     """Form-orthonormal basis of span(S) from the eigh of its restricted-form embedding."""
     scale = max(1.0, float(np.max(np.abs(eigs))))
     if np.min(np.abs(eigs)) < FORM_DEGENERACY_RTOL * scale:
-        raise GramSchmidtError("restricted form is degenerate on the span")
+        raise NumericalError("restricted form is degenerate on the span")
 
     # a coefficient vector c in H^m (stacked) combines the columns as T c
     T = np.concatenate([S, _times_j(S)], axis=1)
@@ -669,7 +658,7 @@ def _form_orthonormal(space: HermitianSpace, S: np.ndarray, eigs: np.ndarray,
             v = T @ cv
             val = _self_pairings(space, v)
             if (val < 0) != (sign < 0):
-                raise GramSchmidtError("sign bookkeeping failed in diagonalization")
+                raise NumericalError("sign bookkeeping failed in diagonalization")
             out.append(v / math.sqrt(abs(val)))
             signs.append(sign)
     # re-orthogonalize residual cross terms (one Gram-Schmidt sweep)
@@ -682,7 +671,8 @@ def _polish_orthogonality(space: HermitianSpace, basis: list[np.ndarray],
     for v in basis:
         w = v
         for u, su in zip(out, signs):
+            # w - u * <w, u> su; u2* H kept C-ordered, as an F-ordered one takes another gemv
             u2 = two_columns(u[:, None])
-            w = w - su * (u2 @ (u2.conj().T @ space.H_emb @ w))  # w - u * <w, u> su
+            w = w - su * (u2 @ (np.ascontiguousarray(u2.conj().T[:, space.perm]) @ w))
         out.append(w / math.sqrt(abs(_self_pairings(space, w))))
     return np.stack(out, axis=1)

@@ -24,8 +24,7 @@ from functools import lru_cache
 import numpy as np
 
 from .decision import Decision, Verdict
-from .errors import (DimensionMismatchError, GramSchmidtError, NumericalError,
-                     UnsupportedElementError)
+from .errors import DimensionMismatchError, NumericalError, UnsupportedElementError
 from .isometry import Classification, Isometry, conjugate_single, decompose
 from .linalg import HMatrix, PointType, _norm, nullspace, two_columns
 from .quaternion import from_complex_pairs, left_matrix, right_matrix
@@ -181,9 +180,10 @@ def pair_conjugate(A: Isometry, B: Isometry, A2: Isometry, B2: Isometry,
         space = A.space
         if null.shape[1] == 1:
             # every conjugator is a real multiple of W, so W* H W = c H with c > 0
-            H, G = space.H_emb, W.emb.conj().T[:, space.perm] @ W.emb
-            c = np.vdot(H, G).real / len(H)  # H is a permutation matrix: <H, H> = 2N
-            if not c > 0 or _norm(G - c * H) > GROUP_MULTIPLE_RTOL * c * np.sqrt(len(H)):
+            G = W.emb.conj().T[:, space.perm] @ W.emb[:, space.perm]  # W* H W H = c I: H H = I
+            c = np.trace(G).real / len(G)
+            G.flat[::len(G) + 1] -= c
+            if not c > 0 or _norm(G) > GROUP_MULTIPLE_RTOL * c * np.sqrt(len(G)):
                 return Decision(Verdict.NOT_CONJUGATE, reason=REASON_NO_CONJUGATOR)
         try:
             C = space.project_to_group(W)
@@ -195,7 +195,7 @@ def pair_conjugate(A: Isometry, B: Isometry, A2: Isometry, B2: Isometry,
             if resid < tol or resid < tol * max(1.0, A.matrix.norm() + B.matrix.norm()):
                 return Decision(Verdict.CONJUGATE, witness=C, residual=resid)
         return Decision(Verdict.INCONCLUSIVE, reason=REASON_UNVERIFIED)
-    except (NumericalError, GramSchmidtError, np.linalg.LinAlgError) as exc:
+    except (NumericalError, np.linalg.LinAlgError) as exc:
         return Decision(Verdict.INCONCLUSIVE, reason=f"numerical failure: {exc}")
 
 

@@ -61,10 +61,6 @@ class Quaternion:
     def j() -> "Quaternion":
         return Quaternion(0.0, 0.0, 1.0)
 
-    @staticmethod
-    def k() -> "Quaternion":
-        return Quaternion(0.0, 0.0, 0.0, 1.0)
-
     # -- views -------------------------------------------------------------
 
     @property

@@ -16,7 +16,8 @@ from qhyp.linalg import HMatrix
 def _cayley_member(sp, rng):
     """(I + Y)(I - Y)^-1 for a complex Y with Y* H + H Y = 0: a U(n,1) member."""
     X = 0.3 * (rng.normal(size=(sp.dim, sp.dim)) + 1j * rng.normal(size=(sp.dim, sp.dim)))
-    Y = np.linalg.inv(sp.H) @ (X - X.conj().T)
+    H = np.eye(sp.dim)[sp.perm[:sp.dim]]  # the form, one block of its embedding's permutation
+    Y = np.linalg.inv(H) @ (X - X.conj().T)
     eye = np.eye(sp.dim)
     C = (eye + Y) @ np.linalg.inv(eye - Y)
     return HMatrix(np.block([[C, np.zeros_like(C)], [np.zeros_like(C), C.conj()]]))

@@ -372,6 +372,20 @@ def test_numerical_error_exits_inconclusive(tmp_path, capsys, monkeypatch):
                                 "imaginary residue")
 
 
+def test_failed_orthogonalization_exits_3(tmp_path, capsys, monkeypatch):
+    # a valid member whose repeated real class cannot be orthonormalized
+    # against the form: a numerical failure on well-formed input, exit 3 (not 2)
+    from qhyp import linalg
+    from qhyp.isometry import EllipticSpec
+
+    A = random_semisimple(Classification.ELLIPTIC, 3, EllipticSpec((1.0, 0.0, 0.0, 0.0)), seed=5)
+    path = write(tmp_path, "m.json", hmatrix_to_json(A.matrix))
+    monkeypatch.setattr(linalg, "FORM_DEGENERACY_RTOL", 2.0)  # every restricted form degenerate
+    assert main(["classify", path]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: restricted form is degenerate on the span\n"
+
+
 def test_malformed_pair_exits_2(tmp_path, capsys):
     p1, p2 = _pair_files(tmp_path, 2, 14)
     missing = write(tmp_path, "missing.json", {"A": json.loads(Path(p1).read_text())["A"]})

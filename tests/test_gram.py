@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qhyp.decision import Verdict
-from qhyp.errors import (DegenerateConfigurationError, DimensionMismatchError, GramSchmidtError,
-                         InvalidSpecError, NumericalError)
+from qhyp.errors import (DegenerateConfigurationError, DimensionMismatchError, InvalidSpecError,
+                         NumericalError)
 from qhyp import gram, serialize
 from qhyp.gram import (
     PointConfig,
@@ -806,12 +806,12 @@ def test_congruent_perp_signature_disagreement_is_inconclusive(monkeypatch):
 
 
 @pytest.mark.parametrize("target,error", [
-    ("orthonormal_form_basis", GramSchmidtError("restricted form is degenerate on the span")),
+    ("orthonormal_form_basis", NumericalError("restricted form is degenerate on the span")),
     ("inverse", np.linalg.LinAlgError("Singular matrix")),
 ])
 def test_congruent_linear_algebra_failure_is_inconclusive(monkeypatch, target, error):
-    # the perp completion and the inverse of the span raise ValueErrors of
-    # their own on valid input; both read as numerical failures too
+    # the perp completion raises a NumericalError and the inverse of the span
+    # a LinAlgError on valid input; both read as numerical failures
     sp = HermitianSpace(3)
     rng = np.random.default_rng(78)
     cfg = sample_config(sp, 3, 3, rng)

@@ -30,7 +30,7 @@ from qhyp.sampling import (
     sample_null_lift,
 )
 
-I, J, K = Quaternion.i(), Quaternion.j(), Quaternion.k()
+I, J, K = Quaternion.i(), Quaternion.j(), Quaternion(0, 0, 0, 1)
 ONE = Quaternion.one()
 
 

@@ -15,6 +15,7 @@ from qhyp.isometry import (
     random_member,
     random_semisimple,
 )
+from qhyp import gram, linalg
 from qhyp.errors import NumericalError
 from qhyp.linalg import (
     CLUSTER_RTOL,
@@ -22,11 +23,12 @@ from qhyp.linalg import (
     HMatrix,
     HVector,
     PointType,
-    corner_form,
     line_residuals,
+    nullspace,
     _clusters,
     _links,
     _eigenspace_basis,
+    _form_blocks,
     _self_pairings,
     _times_j,
     _type_and_normalize,
@@ -43,14 +45,14 @@ from qhyp.linalg import (
 from qhyp.pairs import eigenframe
 from qhyp.quaternion import (Quaternion, complex_pairs, from_complex_pairs, qconj_array,
                              quaternion_array)
-from qhyp.gram import SemiNormalizedGram
+from qhyp.gram import SemiNormalizedGram, _form_perp_basis
 from qhyp.tolerances import (CHAR_COEFF_TOL, DIVISION_FLOOR, NEWTON_MAX_STEPS, NEWTON_STEP_RTOL,
                              UNIT_MODULUS_TOL)
 from qhyp.sampling import (random_elliptic_spec, random_hyperbolic_spec, sample_pair,
                            sample_semisimple)
 
 HYP, ELL = Classification.HYPERBOLIC, Classification.ELLIPTIC
-I, J, K = Quaternion.i(), Quaternion.j(), Quaternion.k()
+I, J, K = Quaternion.i(), Quaternion.j(), Quaternion(0, 0, 0, 1)
 ONE = Quaternion.one()
 Q0 = Quaternion()
 
@@ -240,14 +242,28 @@ def test_corner_form_n1_values():
     assert sp.herm(w, w).approx_eq(Quaternion.real(-1), 1e-14)
 
 
+def corner_form(sp):
+    """The space's form as a dense matrix, read off its permutation."""
+    return np.eye(sp.dim)[sp.perm[:sp.dim]]
+
+
+def embedded_form(sp):
+    """The embedding diag(H, H) of the space's form as a dense permutation matrix."""
+    return np.eye(2 * sp.dim)[sp.perm]
+
+
 @pytest.mark.parametrize("n", range(1, 9))
 def test_corner_form_has_signature_n_1(n):
-    # HermitianSpace takes this form as given, so its signature is checked here
-    H = corner_form(n + 1)
+    # HermitianSpace takes this form as given, so its values and signature are checked here
+    sp = HermitianSpace(n)
+    H, N = corner_form(sp), n + 1
+    want = np.eye(N)
+    want[[0, N - 1]] = want[[N - 1, 0]]  # ones at (0, N-1), (N-1, 0), identity middle
+    np.testing.assert_array_equal(H, want)
     eigs = np.linalg.eigvalsh(H)
     assert (np.sum(eigs > 0.5), np.sum(eigs < -0.5)) == (n, 1)
     zero = np.zeros_like(H)
-    np.testing.assert_array_equal(HermitianSpace(n).H_emb, np.block([[H, zero], [zero, H]]))
+    np.testing.assert_array_equal(embedded_form(sp), np.block([[H, zero], [zero, H]]))
 
 
 def test_herm_symmetry_and_sesquilinearity():
@@ -364,7 +380,7 @@ def test_line_residuals_match_the_lstsq_reference(N):
 
 def _dense_polar_factor(space, A):
     """project_to_group with H inv(M)^* H formed as two dense products."""
-    H, M, last = space.H_emb, A.emb, math.inf
+    H, M, last = np.eye(2 * space.dim, dtype=complex)[space.perm], A.emb, math.inf
     for _ in range(NEWTON_MAX_STEPS):
         mu = math.exp(-np.linalg.slogdet(M)[1] / len(M))
         M_next = 0.5 * (mu * M + H @ np.linalg.inv(M).conj().T @ H / mu)
@@ -383,11 +399,62 @@ def test_project_to_group_permutation_is_the_dense_product(n):
     sp = HermitianSpace(n)
     rng = np.random.default_rng(170 + n)
     X = np.linalg.inv(random_hmatrix(rng, n + 1).emb).conj().T
-    assert np.array_equal(X[np.ix_(sp.perm, sp.perm)], sp.H_emb @ X @ sp.H_emb)
+    H = embedded_form(sp)
+    assert np.array_equal(X[np.ix_(sp.perm, sp.perm)], H @ X @ H)
     U = random_member(sp, rng)
     for scale in (1e-3, 0.1, 1.0):
         A = HMatrix(U.emb + scale * random_hmatrix(rng, n + 1).emb, check=False)
         assert np.array_equal(sp.project_to_group(A).emb, _dense_polar_factor(sp, A))
+
+
+def _dense_polish(space, basis, signs):
+    """_polish_orthogonality with <w, u> formed as the dense product u2* H w."""
+    H, out = embedded_form(space), []
+    for v in basis:
+        w = v
+        for u, su in zip(out, signs):
+            u2 = two_columns(u[:, None])
+            w = w - su * (u2 @ (u2.conj().T @ H @ w))
+        out.append(w / math.sqrt(abs(_self_pairings(space, w))))
+    return np.stack(out, axis=1)
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_form_products_are_the_dense_products(n, monkeypatch):
+    # the space keeps its form as a permutation, so a product with H permutes
+    # the columns of the left factor: bit for bit the dense product with H
+    sp, rng = HermitianSpace(n), np.random.default_rng(180 + n)
+    H, N = embedded_form(sp), n + 1
+    z, w = random_hvector(rng, N), random_hvector(rng, N)
+    M = two_columns(w.s[:, None]).conj().T @ H @ two_columns(z.s[:, None])
+    assert np.array_equal(sp.herm(z, w).to_array(),
+                          Quaternion.from_complex_pair(M[0, 0], M[1, 0]).to_array())
+    for A in (random_member(sp, rng), random_hmatrix(rng, N)):
+        E = A.emb
+        assert sp.member_residual(A) == np.linalg.norm(E.conj().T @ H @ E - H) / math.sqrt(2.0)
+    S = stacked_from_components(rng.uniform(-1.0, 1.0, (N, N, 4)))
+    G1, G2 = _form_blocks(sp, S)
+    T = np.concatenate([S, _times_j(S)], axis=1)
+    assert np.array_equal(np.concatenate([G1, G2]), T.conj().T @ H @ S)
+    # the perp basis is the null space of the rows T* H of the span
+    seen = []
+    monkeypatch.setattr(gram, "nullspace", lambda X: seen.append(X) or nullspace(X))
+    _form_perp_basis(sp, S[:, :n])
+    assert np.array_equal(seen[0], two_columns(S[:, :n]).conj().T @ H)
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_orthonormal_form_basis_polish_is_the_dense_product(n, monkeypatch):
+    # the polishing sweep's <w, u> takes u2* H as a C-ordered left factor, as
+    # the dense product gives it: an F-ordered one changes the bits
+    sp, rng = HermitianSpace(n), np.random.default_rng(190 + n)
+    spans = [stacked_from_components(rng.uniform(-1.0, 1.0, (m, n + 1, 4)))
+             for m in range(1, n + 2) for _ in range(3)]
+    got = [orthonormal_form_basis(sp, S) for S in spans]
+    monkeypatch.setattr(linalg, "_polish_orthogonality", _dense_polish)
+    for S, (basis, signs) in zip(spans, got):
+        want, want_signs = orthonormal_form_basis(sp, S)
+        assert signs == want_signs and np.array_equal(basis, want)
 
 
 # -- characteristic polynomial ----------------------------------------------

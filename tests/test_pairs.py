@@ -12,8 +12,7 @@ from hypothesis import strategies as st
 
 from qhyp import isometry, serialize
 from qhyp.decision import Verdict
-from qhyp.errors import (DimensionMismatchError, GramSchmidtError, NumericalError,
-                         UnsupportedElementError)
+from qhyp.errors import DimensionMismatchError, NumericalError, UnsupportedElementError
 from qhyp.isometry import (
     Classification,
     EllipticSpec,
@@ -235,6 +234,27 @@ def test_pair_conjugate_grassmannian_separated():
     N = len(reps)
     block = np.repeat(reps[:, None] == reps[None, :], 4).reshape(N, N, 4)
     assert nullspace(_intertwiner_rows(m, m2, block), INTERTWINER_RTOL).shape[1] > 0
+
+
+@pytest.mark.parametrize("lone", ["scaled", "scrambled"])
+def test_lone_intertwiner_must_be_a_group_multiple(lone, monkeypatch):
+    # a one-dimensional intertwiner space: W* H W = c H for a multiple W of a
+    # conjugator, whatever its scale c, and is far from every c H for another W
+    sp, rng = HermitianSpace(2), np.random.default_rng(913)
+    A, B = sample_pair(sp, rng, kinds=(HYP, ELL))
+    members = [Isometry(X.matrix, sp) for X in (A, B, *conjugated_pair(sp, A, B, rng))]
+
+    def lone_column(*args):
+        null = nullspace(*args)
+        assert null.shape[1] == 1
+        return 3.7 * null if lone == "scaled" else rng.uniform(-1.0, 1.0, null.shape)
+
+    monkeypatch.setattr(pairs, "nullspace", lone_column)
+    dec = pair_conjugate(*members)
+    if lone == "scaled":
+        assert dec.verdict is Verdict.CONJUGATE
+    else:
+        assert dec.verdict is Verdict.NOT_CONJUGATE and dec.reason == REASON_NO_CONJUGATOR
 
 
 @pytest.mark.parametrize("moved", ["grassmannian", "orbit"])
@@ -576,7 +596,7 @@ def test_ill_conditioned_images_are_decided_or_inconclusive():
 
 @pytest.mark.parametrize("target, error", [
     ("spectrum_char_coeffs", NumericalError("characteristic coefficients have imaginary residue")),
-    ("eigenframe", GramSchmidtError("restricted form is degenerate on the span")),
+    ("eigenframe", NumericalError("restricted form is degenerate on the span")),
     ("nullspace", np.linalg.LinAlgError("SVD did not converge")),
 ])
 def test_pair_decider_turns_a_numerical_failure_into_inconclusive(monkeypatch, target, error):

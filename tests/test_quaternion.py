@@ -20,7 +20,7 @@ from qhyp.quaternion import (
     sp1_align,
 )
 
-I, J, K = Quaternion.i(), Quaternion.j(), Quaternion.k()
+I, J, K = Quaternion.i(), Quaternion.j(), Quaternion(0, 0, 0, 1)
 
 
 def random_quaternion(rng, scale=1.0):

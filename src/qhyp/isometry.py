@@ -28,10 +28,10 @@ from .linalg import (
     HermitianSpace,
     HMatrix,
     PointType,
+    class_char_coeffs,
     matrix_rank,
     orthonormal_form_basis,
     right_eigen,
-    spectrum_char_coeffs,
     stacked_from_components,
     two_columns,
 )
@@ -97,7 +97,7 @@ def decompose(members: Sequence[Isometry]) -> None:
     space and tolerance together, with one stacked :func:`right_eigen` and
     one stacked characteristic-coefficient pass (any others decompose on
     first use).  Each member gets its own result, or keeps the error that its
-    decomposition alone raises."""
+    decomposition alone raises: both passes treat every member alone."""
     todo = [x for x in dict.fromkeys(members)
             if "classification" not in vars(x) and "_error" not in vars(x)]
     if not todo:
@@ -117,19 +117,12 @@ def decompose(members: Sequence[Isometry]) -> None:
                 x._error = exc
     if not found:
         return
-    try:
-        traces = spectrum_char_coeffs(np.array([eigen.spectrum for _, eigen, _ in found]),
-                                      max(tol, CHAR_COEFF_TOL))
-    except NumericalError as exc:  # pin the error on its members: each alone
-        if len(found) == 1:
-            found[0][0]._error = exc
-        else:
-            for x, _, _ in found:
-                decompose([x])
-        return
-    for (x, eigen, kind), coeffs in zip(found, traces[:, :space.n].copy()):
-        # classification last: it marks a decomposed member
-        x.eigen, x._real_trace, x.classification = eigen, coeffs, kind
+    traces, palindromic = class_char_coeffs([e for _, e, _ in found], max(tol, CHAR_COEFF_TOL))
+    for (x, eigen, kind), coeffs, ok in zip(found, traces[:, :space.n].copy(), palindromic):
+        if not ok:
+            x._error = NumericalError("characteristic coefficients are not palindromic")
+        else:  # classification last: it marks a decomposed member
+            x.eigen, x._real_trace, x.classification = eigen, coeffs, kind
 
 
 def _classify_from_eigen(eigen: EigenData) -> Classification:
@@ -214,7 +207,7 @@ def equal_by_invariants(A: Isometry, B: Isometry) -> bool:
     if not A.is_semisimple() or not B.is_semisimple():
         raise UnsupportedElementError("equality test supports semisimple elements only")
     ta, tb = A.real_trace(), B.real_trace()
-    if not np.allclose(ta, tb, atol=TRACE_RTOL * max(1.0, float(np.max(np.abs(ta))))):
+    if not np.allclose(ta, tb, rtol=0.0, atol=TRACE_RTOL * max(1.0, float(np.max(np.abs(ta))))):
         return False
     pairs = _class_multisets_match(A.eigen, B.eigen)
     return pairs is not None and all(_eigensets_equal(A.eigen, ia, B.eigen, ib)

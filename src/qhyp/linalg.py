@@ -314,28 +314,24 @@ def point_types(self_pairings: np.ndarray, norms2: np.ndarray,
 # Characteristic polynomial
 # ---------------------------------------------------------------------------
 
-def spectrum_char_coeffs(eigs: np.ndarray, tol: float = CHAR_COEFF_TOL) -> np.ndarray:
-    """Middle coefficients (a_1 .. a_{2n+1}) of the characteristic polynomial
-    of an embedding with eigenvalues ``eigs``, or of every embedding of a
-    stack whose eigenvalues are the rows of ``eigs``.
-
-    The leading and trailing coefficients are 1 and are dropped.  Imaginary
-    parts must vanish and the sequence must be palindromic; a violation
-    signals a non-member or a numerical failure.
-    """
-    lams = np.ascontiguousarray(eigs.T)  # lams[k]: eigenvalue k of each row
-    coeffs = np.zeros((len(lams) + 1,) + lams.shape[1:], dtype=complex)
+def class_char_coeffs(eigens: Sequence[EigenData],
+                      tol: float = CHAR_COEFF_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """Middle coefficients a_1 .. a_{2N-1} of the characteristic polynomial of
+    each member's embedding, the product of (x^2 - 2 Re lam x + |lam|^2)^k over
+    its classes (rep lam, multiplicity k), as rows; and where a row is
+    palindromic within tol max(1, |a|): a defect signals an inaccurate spectrum."""
+    reps = np.concatenate([e.reps for e in eigens]).repeat(
+        np.concatenate([e.multiplicities for e in eigens])).reshape(len(eigens), -1).T
+    coeffs = np.zeros((2 * len(reps) + 1, len(eigens)))
     coeffs[0] = 1.0
-    for lam in lams:  # times (x - lam); the coefficients past the degree stay zero
-        np.subtract(coeffs[1:], lam * coeffs[:-1], out=coeffs[1:])
-    coeffs = coeffs.T
-    bound = tol * np.maximum(1.0, np.abs(coeffs).max(axis=-1))
-    if (np.abs(coeffs.imag).max(axis=-1) > bound).any():
-        raise NumericalError("characteristic coefficients have imaginary residue")
-    full = coeffs.real[..., 1:-1]
-    if (np.abs(full - full[..., ::-1]).max(axis=-1) > bound).any():
-        raise NumericalError("characteristic coefficients are not palindromic")
-    return full
+    for b, c in zip(-2.0 * reps.real, reps.real ** 2 + reps.imag ** 2):
+        new = b * coeffs[:-1]  # times (x^2 + b x + c); the coefficients past the degree stay zero
+        new += coeffs[1:]
+        new[1:] += c * coeffs[:-2]
+        coeffs[1:] = new
+    full = coeffs.T[:, 1:-1]
+    bound = tol * np.maximum(1.0, np.abs(full).max(axis=1))
+    return full, np.abs(full - full[:, ::-1]).max(axis=1) <= bound
 
 
 # ---------------------------------------------------------------------------
@@ -348,21 +344,20 @@ class EigenData:
     angle, as arrays: their representatives ``reps`` (angle folded into
     [0, pi]), ``multiplicities`` and ``kinds``, and the stacked (2N, N)
     ``vectors`` of their pinned eigensets, class after class, so that A x =
-    x * reps[k] for every column x of class k; and the embedding's spectrum
-    they were read from.  The arrays are read-only; the classes' moduli,
-    angles and first columns are tuples made at construction."""
+    x * reps[k] for every column x of class k.  The arrays are read-only;
+    the classes' moduli, angles and first columns are tuples made at
+    construction."""
 
     reps: np.ndarray
     multiplicities: np.ndarray
     kinds: tuple[PointType, ...]
     vectors: np.ndarray
-    spectrum: np.ndarray
     moduli: tuple[float, ...] = field(init=False)
     angles: tuple[float, ...] = field(init=False)
     starts: tuple[int, ...] = field(init=False)  # class k: columns starts[k]:starts[k + 1]
 
     def __post_init__(self) -> None:
-        for a in (self.reps, self.multiplicities, self.vectors, self.spectrum):
+        for a in (self.reps, self.multiplicities, self.vectors):
             a.setflags(write=False)
         reps = self.reps.tolist()
         object.__setattr__(self, "moduli", tuple([abs(r) for r in reps]))
@@ -494,8 +489,8 @@ def right_eigen(A: "HMatrix | Sequence[HMatrix]", space: HermitianSpace,
                 column.append(x)
         except QhypError as exc:
             errors[k] = exc
-    data = _eigen_data(space, *(c[0] if len(c) == 1 else np.concatenate(c, -1) for c in classes),
-                       spectra)
+    data = _eigen_data(space, len(mats),
+                       *(c[0] if len(c) == 1 else np.concatenate(c, -1) for c in classes))
     return [errors[k] if k in errors else data[k] for k in range(len(mats))]
 
 
@@ -504,9 +499,9 @@ def _class_reps(re: "np.ndarray | float", im: "np.ndarray | float") -> "np.ndarr
     return re + 1j * np.where(im <= CLUSTER_RTOL * np.maximum(1.0, np.hypot(re, im)), 0.0, im)
 
 
-def _eigen_data(space: HermitianSpace, member: np.ndarray, reps: np.ndarray, mults: np.ndarray,
-                kinds: Sequence[PointType], V: np.ndarray, spectra: np.ndarray) -> dict:
-    """member -> EigenData, or its error, from the class arrays of the stack members (V:
+def _eigen_data(space: HermitianSpace, count: int, member: np.ndarray, reps: np.ndarray,
+                mults: np.ndarray, kinds: Sequence[PointType], V: np.ndarray) -> dict:
+    """member -> EigenData, or its error, from the class arrays of ``count`` stack members (V:
     their vectors, class after class): every member's classes sorted by decreasing
     modulus then angle in one pass, the hyperbolic members' null pairs rescaled in one."""
     moduli = np.hypot(reps.real, reps.imag)  # abs(rep), bit for bit
@@ -514,7 +509,7 @@ def _eigen_data(space: HermitianSpace, member: np.ndarray, reps: np.ndarray, mul
     start, order_list = [0, *accumulate(mults.tolist())], order.tolist()  # before the sort
     V = V[:, [j for c in order_list for j in range(start[c], start[c + 1])]]
     member, reps, mults = member[order], reps[order], mults[order]
-    lo = member.searchsorted(np.arange(len(spectra) + 1)).tolist()  # member k: lo[k]:lo[k + 1]
+    lo = member.searchsorted(np.arange(count + 1)).tolist()  # member k: lo[k]:lo[k + 1]
     first = [0, *accumulate(mults.tolist())]  # class c: columns first[c]:first[c + 1]
     kinds, moduli = [kinds[c] for c in order_list], moduli[order].tolist()
     out, nulls = {}, []  # nulls: (member, column of a, column of r) of the pairs to rescale
@@ -532,7 +527,7 @@ def _eigen_data(space: HermitianSpace, member: np.ndarray, reps: np.ndarray, mul
     for k, (lo_k, hi_k) in enumerate(zip(lo, lo[1:])):
         if k not in out and lo_k < hi_k:
             out[k] = EigenData(reps[lo_k:hi_k], mults[lo_k:hi_k], tuple(kinds[lo_k:hi_k]),
-                               V[:, first[lo_k]:first[hi_k]], spectra[k])
+                               V[:, first[lo_k]:first[hi_k]])
     return out
 
 

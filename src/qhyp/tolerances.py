@@ -45,8 +45,8 @@ J_STRUCTURE_RTOL = 1e-9
 NEWTON_STEP_RTOL = 1e-15
 #: the polar iteration onto the group stops after this many steps at most
 NEWTON_MAX_STEPS = 50
-#: characteristic coefficients: the largest imaginary residue and palindrome
-#: defect (relative); also the floor of a caller's tolerance for them
+#: characteristic coefficients: the largest palindrome defect (relative);
+#: also the floor of a caller's tolerance for it
 CHAR_COEFF_TOL = 1e-9
 #: a null pair whose larger modulus is within this of 1 is left unscaled
 UNIT_MODULUS_TOL = 1e-12

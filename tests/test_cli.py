@@ -357,19 +357,19 @@ def test_numerical_error_exits_inconclusive(tmp_path, capsys, monkeypatch):
     # was well formed, so the decider answers Inconclusive with the failure as
     # its reason, and the CLI prints that decision and exits 3 (not 2)
     from qhyp import isometry
-    from qhyp.errors import NumericalError
 
-    def failing(*args):
-        raise NumericalError("characteristic coefficients have imaginary residue")
+    def failing(eigens, tol, _real=isometry.class_char_coeffs):  # every row fails its check
+        coeffs, _ = _real(eigens, tol)
+        return coeffs, np.zeros(len(coeffs), dtype=bool)
 
     paths = _pair_files(tmp_path, 2, 14)
-    monkeypatch.setattr(isometry, "spectrum_char_coeffs", failing)
+    monkeypatch.setattr(isometry, "class_char_coeffs", failing)
     assert main(["conjugate-pair", *paths]) == 3
     out, err = capsys.readouterr()
     report = json.loads(out)
     assert report["verdict"] == "inconclusive" and report["witness"] is None and err == ""
-    assert report["reason"] == ("numerical failure: characteristic coefficients have "
-                                "imaginary residue")
+    assert report["reason"] == ("numerical failure: characteristic coefficients are not "
+                                "palindromic")
 
 
 def test_failed_orthogonalization_exits_3(tmp_path, capsys, monkeypatch):

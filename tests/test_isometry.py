@@ -169,6 +169,18 @@ def test_equal_by_invariants_reflexive():
     assert equal_by_invariants(A, A2)
 
 
+def test_equal_by_invariants_compares_traces_at_trace_rtol_alone():
+    # the trace test's one threshold is TRACE_RTOL = 1e-7 relative to the
+    # trace's scale, not numpy's default rtol of 1e-5 on top of it: a
+    # relative drift of 1e-6 separates the elements
+    A = random_semisimple(Classification.HYPERBOLIC, 2,
+                          HyperbolicSpec(1.6, 0.8, (0.5,)), seed=11)
+    B = Isometry(A.matrix.copy(), A.space)
+    assert equal_by_invariants(A, B)
+    B._real_trace = A.real_trace() * (1 + 1e-6)
+    assert not equal_by_invariants(A, B)
+
+
 def test_equal_by_invariants_negated():
     sp = HermitianSpace(1)
     A = Isometry(HMatrix.diag_complex([2.0, 0.5]), sp)
@@ -256,7 +268,7 @@ def test_lazy_decomposition_can_be_shared_between_threads():
                 random_semisimple(Classification.ELLIPTIC, 2, EllipticSpec((0.4, 1.2, 2.5)),
                                   seed=6, space=sp).matrix]
     readers = [lambda x: x.real_trace(), lambda x: x.eigen.moduli, lambda x: x.classification,
-               lambda x: x.eigen.spectrum]
+               lambda x: x.eigen.reps]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:

@@ -32,12 +32,12 @@ from qhyp.linalg import (
     _self_pairings,
     _times_j,
     _type_and_normalize,
+    class_char_coeffs,
     components_from_stacked,
     orthonormal_form_basis,
     point_types,
     right_eigen,
     right_times,
-    spectrum_char_coeffs,
     stacked,
     stacked_from_components,
     two_columns,
@@ -460,8 +460,11 @@ def test_orthonormal_form_basis_polish_is_the_dense_product(n, monkeypatch):
 # -- characteristic polynomial ----------------------------------------------
 
 def char_poly_real_coeffs(A, tol=CHAR_COEFF_TOL):
-    """Middle coefficients of the characteristic polynomial of A's embedding."""
-    return spectrum_char_coeffs(np.linalg.eigvals(A.emb), tol)
+    """Middle coefficients of the characteristic polynomial of A's embedding,
+    from the classes of right_eigen, palindromic within tol."""
+    coeffs, palindromic = class_char_coeffs([right_eigen(A, HermitianSpace(A.dim - 1))], tol)
+    assert palindromic.tolist() == [True]
+    return coeffs[0]
 
 
 def test_char_poly_identity():
@@ -494,12 +497,23 @@ def test_char_poly_palindromic_on_random_members():
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_spectrum_product_matches_np_poly(n):
-    # relative to the coefficients of prod (x + |lam|), the scale of the
-    # rounding error of any expansion of the product
-    for M in _eigen_members(n):
-        eigs = np.linalg.eigvals(M.emb)
-        diff = np.abs(spectrum_char_coeffs(eigs) - np.poly(eigs).real[1:-1])
-        assert np.all(diff <= 1e-14 * np.poly(-np.abs(eigs))[1:-1])
+    # the class product against np.poly of the spectrum right_eigen read its
+    # classes from (the same stacked eig).  A class rep is the folded mean of
+    # its eigenvalues, so the two polynomials agree to first order in eig's
+    # error; at these members' conditioning what is left is rounding.  An
+    # expansion by repeated multiply-adds is off by at most gamma_k = k u /
+    # (1 - k u) times the coefficients of prod (x + |lam|), k the roundings
+    # along one term: at most 5 per quadratic factor (2 of them in |lam|^2)
+    # and 3 per complex linear factor of np.poly, times sqrt 2 for the real
+    # part of a complex product, so k = 5N + 2N * 3 sqrt 2 < 14N for both.
+    sp, members = HermitianSpace(n), _eigen_members(n)
+    spectra = np.linalg.eig(np.array([M.emb for M in members]))[0]
+    coeffs, palindromic = class_char_coeffs(right_eigen(members, sp))
+    assert palindromic.all()
+    k, u = 14 * sp.dim, np.finfo(float).eps / 2
+    for eigs, got in zip(spectra, coeffs):
+        diff = np.abs(got - np.poly(eigs).real[1:-1])
+        assert np.all(diff <= k * u / (1 - k * u) * np.poly(-np.abs(eigs))[1:-1])
 
 
 def test_is_member_bound_scales_with_the_squared_norm():
@@ -516,36 +530,19 @@ def test_is_member_bound_scales_with_the_squared_norm():
     assert sp.is_member(A, 1e-15) and sp.member_residual(A) == 0.0
 
 
-def _sliced_product(eigs):
-    """The product recurrence as written before the full-length pass: each
-    factor (x - lam) updates only the coefficients up to the new degree."""
-    lams = np.ascontiguousarray(eigs.T)
-    coeffs = np.zeros((len(lams) + 1,) + lams.shape[1:], dtype=complex)
-    coeffs[0] = 1.0
-    for k, lam in enumerate(lams):
-        coeffs[1:k + 2] -= lam * coeffs[:k + 1]
-    return coeffs.T.real[..., 1:-1]
-
-
-@pytest.mark.parametrize("n", [1, 2, 4, 8])
-def test_spectrum_product_matches_the_sliced_recurrence_bitwise(n):
-    # one member, a stack of members and exact zero parts: the coefficients
-    # past the degree stay +0 and change nothing
-    spectra = np.linalg.eigvals(np.array([M.emb for M in _eigen_members(n)]))
-    for eigs in (spectra, spectra[1], np.array([2.0, 0.5, 1j, -1j])):
-        got = spectrum_char_coeffs(eigs)
-        assert got.tobytes() == _sliced_product(eigs).tobytes()
-
-
 def test_spectrum_product_keeps_both_checks():
-    # (x - i)^2 has imaginary coefficients; (x - 2)(x - 1/2)(x - 3)^2 real
-    # ones that are not palindromic
-    with pytest.raises(NumericalError, match="imaginary residue"):
-        spectrum_char_coeffs(np.array([2.0, 0.5, 1j, 1j]))
-    with pytest.raises(NumericalError, match="not palindromic"):
-        spectrum_char_coeffs(np.array([2.0, 0.5, 3.0, 3.0], dtype=complex))
-    assert np.array_equal(spectrum_char_coeffs(np.array([2.0, 0.5, 1j, -1j])),
-                          [-2.5, 2.0, -2.5])
+    # two checks guard the product.  An embedding whose spectrum is not
+    # closed under conjugation, such as diag(2, 1/2, i, i), has no
+    # quaternionic J-structure and is refused as an HMatrix; and a row that
+    # is not palindromic, such as the product (x - 2)^2 (x - 3)^2 of diag(2, 3)
+    # (no member), is masked alone
+    sp = HermitianSpace(1)
+    with pytest.raises(NumericalError, match="J-structure"):
+        HMatrix(np.diag([2.0, 0.5, 1j, 1j]))
+    coeffs, palindromic = class_char_coeffs(
+        right_eigen([diag_member([2.0, 0.5]), HMatrix.diag_complex([2.0, 3.0])], sp))
+    assert palindromic.tolist() == [True, False]
+    assert coeffs.tolist() == [[-5.0, 8.25, -5.0], [-10.0, 37.0, -60.0]]
 
 
 def _random_member(space, rng, cond_max=200.0):
@@ -675,7 +672,7 @@ def test_eigen_data_is_immutable():
     data = right_eigen(A, sp)
     with pytest.raises(dataclasses.FrozenInstanceError):
         data.kinds = ()
-    for array in (data.spectrum, data.reps, data.multiplicities, data.vectors):
+    for array in (data.reps, data.multiplicities, data.vectors):
         with pytest.raises(ValueError):
             array[0] = 0
     assert all(isinstance(x, tuple) for x in (data.kinds, data.moduli, data.angles, data.starts))
@@ -753,8 +750,7 @@ def test_right_eigen_repeated_real_class(angles):
 
 def _same_eigen_data(x, y):
     return (np.array_equal(x.reps, y.reps) and np.array_equal(x.multiplicities, y.multiplicities)
-            and x.kinds == y.kinds and np.array_equal(x.vectors, y.vectors)
-            and np.array_equal(x.spectrum, y.spectrum))
+            and x.kinds == y.kinds and np.array_equal(x.vectors, y.vectors))
 
 
 @pytest.mark.parametrize("n", range(1, 6))

@@ -121,6 +121,22 @@ def test_thresholds_live_in_the_table():
     assert found == []
 
 
+def test_numpy_closeness_tests_name_both_thresholds():
+    # np.allclose and np.isclose bring rtol = 1e-5 and atol = 1e-8 of their
+    # own, thresholds outside the table: every call passes both
+    found = []
+    for path in sorted(Path(qhyp.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and isinstance(node.func.value, ast.Name) and node.func.value.id == "np"
+                    and node.func.attr in ("allclose", "isclose")):
+                positional = ("a", "b", "rtol", "atol")[:len(node.args)]
+                given = {k.arg for k in node.keywords} | set(positional)
+                if not {"rtol", "atol"} <= given:
+                    found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 #: every threshold at its value; moving one is a visible edit here too, and
 #: speed is never bought by loosening a tolerance
 PINNED = {

@@ -492,38 +492,15 @@ def test_pair_decider_builds_no_quaternions(n, kinds, monkeypatch):
     ("hh", 1), ("hh", 2), ("hh", 3), ("ee", 1), ("ee", 2), ("ee", 3), ("he", 1),
     pytest.param("he", 2, marks=pytest.mark.xfail(
         strict=True, raises=AssertionError,
-        reason="CHANGES.md FOUND: the imaginary-residue check of the characteristic "
-               "coefficients rejects a conjugated complex member of norm 5.6e3, so the "
-               "decision is Inconclusive (numerical failure)")),
+        reason="CHANGES.md FOUND: the palindromy check of the characteristic "
+               "coefficients rejects a conjugated complex member of norm 5.6e3 at seed 3, "
+               "so the decision is Inconclusive (numerical failure)")),
     ("he", 3)])
 def test_complex_pairs(kinds, n, cayley_member):
-    # SU(n,1): pairs of complex members C diag(...) C^-1 and their images
-    # under another complex member are conjugate by a complex witness.  An
-    # elliptic normal form preserves diag(-1, 1, ..., 1); F maps that form
-    # to the corner form, so F diag(...) F^-1 is a member.
-    sp = HermitianSpace(n)
-    F = np.eye(sp.dim, dtype=complex)
-    F[np.ix_([0, -1], [0, -1])] = np.array([[1, 1], [-1, 1]]) / np.sqrt(2)
-    F = HMatrix(np.block([[F, np.zeros_like(F)], [np.zeros_like(F), F.conj()]]))
+    # SU(n,1): pairs of complex members and their images under another
+    # complex member are conjugate by a complex witness
     for seed in range(10):
-        rng = np.random.default_rng(900 + 1000 * ["hh", "ee", "he"].index(kinds) + 10 * n + seed)
-        members = []
-        for kind in kinds:
-            if kind == "h":
-                r, theta = rng.uniform(1.3, 3.0), rng.uniform(0.2, 2.9)
-                middle = np.exp(1j * np.sort(rng.uniform(0.2, 2.9, n - 1)))
-                E = HMatrix.diag_complex([r * np.exp(1j * theta), *middle,
-                                          np.exp(1j * theta) / r])
-            else:
-                angles = rng.uniform(0.2, 2.9, n + 1)
-                E = F @ HMatrix.diag_complex(np.exp(1j * angles)) @ F.inverse()
-            C = cayley_member(sp, rng)
-            members.append(Isometry(sp.project_to_group(C @ E @ C.inverse()), sp))
-            assert members[-1].classification is (HYP if kind == "h" else ELL)
-        A, B = members
-        C0 = cayley_member(sp, rng)
-        A2, B2 = (Isometry(sp.project_to_group(C0 @ X.matrix @ C0.inverse()), sp)
-                  for X in (A, B))
+        sp, A, B, A2, B2 = _complex_pair(kinds, n, seed, cayley_member)
         dec = pair_conjugate(A, B, A2, B2)
         assert dec.verdict is Verdict.CONJUGATE
         W = dec.witness
@@ -531,6 +508,55 @@ def test_complex_pairs(kinds, n, cayley_member):
         assert (W @ A.matrix @ W.inverse() - A2.matrix).norm() < bound
         assert (W @ B.matrix @ W.inverse() - B2.matrix).norm() < bound
         assert np.max(np.abs(W.emb[sp.dim:, :sp.dim])) <= 1e-12
+
+
+def _complex_pair(kinds, n, seed, cayley_member):
+    """The space, a pair (A, B) of complex members C diag(...) C^-1 of the
+    kinds ("h" or "e" each) and its image (A2, B2) under another complex
+    member, at one seed of test_complex_pairs.  An elliptic normal form
+    preserves diag(-1, 1, ..., 1); F maps that form to the corner form, so
+    F diag(...) F^-1 is a member."""
+    sp = HermitianSpace(n)
+    F = np.eye(sp.dim, dtype=complex)
+    F[np.ix_([0, -1], [0, -1])] = np.array([[1, 1], [-1, 1]]) / np.sqrt(2)
+    F = HMatrix(np.block([[F, np.zeros_like(F)], [np.zeros_like(F), F.conj()]]))
+    rng = np.random.default_rng(900 + 1000 * ["hh", "ee", "he"].index(kinds) + 10 * n + seed)
+    members = []
+    for kind in kinds:
+        if kind == "h":
+            r, theta = rng.uniform(1.3, 3.0), rng.uniform(0.2, 2.9)
+            middle = np.exp(1j * np.sort(rng.uniform(0.2, 2.9, n - 1)))
+            E = HMatrix.diag_complex([r * np.exp(1j * theta), *middle, np.exp(1j * theta) / r])
+        else:
+            angles = rng.uniform(0.2, 2.9, n + 1)
+            E = F @ HMatrix.diag_complex(np.exp(1j * angles)) @ F.inverse()
+        C = cayley_member(sp, rng)
+        members.append(Isometry(sp.project_to_group(C @ E @ C.inverse()), sp))
+        assert members[-1].classification is (HYP if kind == "h" else ELL)
+    C0 = cayley_member(sp, rng)
+    return (sp, *members, *(Isometry(sp.project_to_group(C0 @ X.matrix @ C0.inverse()), sp)
+                            for X in members))
+
+
+def test_decompose_marks_only_the_member_whose_row_fails(cayley_member):
+    # seed 3 of test_complex_pairs[he-2]: in one stacked decomposition B2
+    # (elliptic, norm 5.6e3, condition number 3.2e7) fails the palindromy
+    # check and keeps that error; the other three decompose as they do alone
+    sp, *members = _complex_pair("he", 2, 3, cayley_member)
+    stacked, alone = ([Isometry(x.matrix, sp) for x in members] for _ in range(2))
+    isometry.decompose(stacked)
+    for x in alone:
+        isometry.decompose([x])
+    for x in (stacked[3], alone[3]):
+        with pytest.raises(NumericalError, match="not palindromic"):
+            x.real_trace()
+    assert stacked[3].matrix.norm() > 5e3 and stacked[3].matrix.cond() > 3e7
+    for x, y in zip(stacked[:3], alone):
+        assert x.classification is y.classification
+        assert np.array_equal(x.real_trace(), y.real_trace())
+        assert all(np.array_equal(getattr(x.eigen, f), getattr(y.eigen, f))
+                   for f in ("reps", "multiplicities", "vectors"))
+        assert x.eigen.kinds == y.eigen.kinds
 
 
 def _fancy_index_intertwiner_rows(m, m2, free):
@@ -595,7 +621,7 @@ def test_ill_conditioned_images_are_decided_or_inconclusive():
 
 
 @pytest.mark.parametrize("target, error", [
-    ("spectrum_char_coeffs", NumericalError("characteristic coefficients have imaginary residue")),
+    ("class_char_coeffs", NumericalError("characteristic coefficients are not palindromic")),
     ("eigenframe", NumericalError("restricted form is degenerate on the span")),
     ("nullspace", np.linalg.LinAlgError("SVD did not converge")),
 ])
@@ -605,10 +631,13 @@ def test_pair_decider_turns_a_numerical_failure_into_inconclusive(monkeypatch, t
     A, B = sample_pair(sp, rng, kinds=(HYP, ELL))
     members = [Isometry(X.matrix, sp) for X in (A, B, *conjugated_pair(sp, A, B, rng))]
 
-    def fail(*args):
+    def fail(*args, _real=isometry.class_char_coeffs):
+        if target == "class_char_coeffs":  # every row fails its check
+            coeffs, _ = _real(*args)
+            return coeffs, np.zeros(len(coeffs), dtype=bool)
         raise error
 
-    monkeypatch.setattr(isometry if target == "spectrum_char_coeffs" else pairs, target, fail)
+    monkeypatch.setattr(isometry if target == "class_char_coeffs" else pairs, target, fail)
     dec = pair_conjugate(*members)
     assert dec.verdict is Verdict.INCONCLUSIVE and dec.witness is None
     assert dec.reason == f"numerical failure: {error}"

@@ -365,10 +365,10 @@ def profile(config: "PointConfig", tol: float = DEFAULT_TOL) -> InvariantProfile
 
     The configuration is semi-normalized and the profile read off the Gram
     entry identities.  Then every cross-ratio slot is evaluated from its
-    defining four-point product on the semi-normalized lifts, in one array
-    pass, and the first slot with a vanishing factor (at ``tol``, its only
-    use) or off its identity by more than SLOT_IDENTITY_RTOL * max(1,
-    |direct|) raises.
+    defining four-point product on the same semi-normalized Gram array, in
+    one array pass, and the first slot with a vanishing factor (at ``tol``,
+    its only use) or off its identity by more than SLOT_IDENTITY_RTOL *
+    max(1, |direct|) raises.
     """
     from .gram import semi_normalize
 
@@ -378,8 +378,7 @@ def profile(config: "PointConfig", tol: float = DEFAULT_TOL) -> InvariantProfile
     prof = profile_from_gram(sng)
 
     quads = _slot_table(config.m, config.i).quads
-    direct, vanish = _cross_ratios(config.space.pairings(sng.lifts),
-                                   np.linalg.norm(sng.lifts, axis=0), quads, tol)
+    direct, vanish = _cross_ratios(sng.gram, np.linalg.norm(sng.lifts, axis=0), quads, tol)
     values = quaternion_array(s.value for s in prof.x_slots)
     agree = (np.linalg.norm(direct - values, axis=1)
              <= SLOT_IDENTITY_RTOL * np.maximum(1.0, np.linalg.norm(direct, axis=1)))

@@ -36,8 +36,7 @@ from .linalg import (
     two_columns,
 )
 from .tolerances import (CHAR_COEFF_TOL, CLASS_MATCH_TOL, DEFAULT_TOL, FRAME_COND_MAX,
-                         GENERATED_MEMBER_TOL, HYPERBOLIC_MODULUS_TOL, REAL_CLASS_RTOL, SPAN_RTOL,
-                         TRACE_RTOL)
+                         GENERATED_MEMBER_TOL, HYPERBOLIC_MODULUS_TOL, REAL_CLASS_RTOL, SPAN_RTOL)
 
 
 class Classification(Enum):
@@ -139,79 +138,55 @@ def _classify_from_eigen(eigen: EigenData) -> Classification:
 # Single-element conjugacy (eigenvalue-class comparison)
 # ---------------------------------------------------------------------------
 
-def _class_multisets_match(a: EigenData, b: EigenData) -> Optional[list[tuple[int, int]]]:
-    """Greedy tolerance matching of two class multisets: the matched index
-    pairs, or None.  A sorted zip would misalign near-ties."""
-    if len(a.reps) != len(b.reps):
-        return None
-    unmatched = list(zip(range(len(b.reps)), b.moduli, b.angles, b.multiplicities.tolist()))
-    pairs = []
-    for ia, (ma, ta, ka) in enumerate(zip(a.moduli, a.angles, a.multiplicities.tolist())):
-        for pos, (ib, mb, tb, kb) in enumerate(unmatched):
-            if (kb == ka and abs(ma - mb) <= CLASS_MATCH_TOL * max(1.0, ma, mb)
-                    and abs(ta - tb) <= CLASS_MATCH_TOL):
-                del unmatched[pos]
-                pairs.append((ia, ib))
-                break
-        else:
-            return None
-    return pairs
-
-
 def conjugate_single(A: Isometry, B: Isometry) -> bool:
     """Decide conjugacy of two semisimple elements from their eigenvalue classes.
 
-    Hyperbolic elements need equal similarity-class multisets; elliptic
-    elements additionally need the same negative class.  Elements of
-    different classification are never conjugate.
+    The normal form is the classification and the classes in frame order:
+    conjugate elements have the same kinds and multiplicities class by
+    class, and representatives within CLASS_MATCH_TOL * max(1, |lam|, |mu|).
+    Frame order puts an elliptic element's negative class first, so the
+    comparison pins it.
     """
     if not A.is_semisimple() or not B.is_semisimple():
         raise UnsupportedElementError("conjugacy test supports semisimple elements only")
     if A.classification is not B.classification:
         return False
     ea, eb = A.eigen, B.eigen
-    if _class_multisets_match(ea, eb) is None:
-        return False
-    if A.classification is Classification.ELLIPTIC:
-        if ea.kinds.count(PointType.NEGATIVE) != 1 or eb.kinds.count(PointType.NEGATIVE) != 1:
-            raise NumericalError("elliptic element without a unique negative class")
-        a, b = ea.kinds.index(PointType.NEGATIVE), eb.kinds.index(PointType.NEGATIVE)
-        return not (abs(ea.moduli[a] - eb.moduli[b]) > CLASS_MATCH_TOL
-                    or abs(ea.angles[a] - eb.angles[b]) > CLASS_MATCH_TOL)
-    return True
+    same = (ea.kinds == eb.kinds and ea.multiplicities.tolist() == eb.multiplicities.tolist()
+            and all(abs(x - y) <= CLASS_MATCH_TOL * max(1.0, abs(x), abs(y))
+                    for x, y in zip(ea.reps.tolist(), eb.reps.tolist())))
+    if (same and A.classification is Classification.ELLIPTIC
+            and ea.kinds.count(PointType.NEGATIVE) != 1):
+        raise NumericalError("elliptic element without a unique negative class")
+    return same
 
 
 # ---------------------------------------------------------------------------
 # Equality by invariants
 # ---------------------------------------------------------------------------
 
-def _eigensets_equal(a: EigenData, ia: int, b: EigenData, ib: int) -> bool:
-    """True when class ia of ``a`` and class ib of ``b`` have eigensets that
-    span one subspace: the right quaternionic span when a's class is real,
-    the complex span of the stacked vectors otherwise."""
-    B1 = a.vectors[:, a.starts[ia]:a.starts[ia + 1]]
-    B2 = b.vectors[:, b.starts[ib]:b.starts[ib + 1]]
-    if abs(a.reps[ia].imag) <= REAL_CLASS_RTOL * max(1.0, a.moduli[ia]):
+def _eigensets_equal(a: EigenData, b: EigenData, k: int) -> bool:
+    """True when class k of ``a`` and of ``b`` have eigensets that span one
+    subspace: the right quaternionic span when a's class is real, the
+    complex span of the stacked vectors otherwise."""
+    B1 = a.vectors[:, a.starts[k]:a.starts[k + 1]]
+    B2 = b.vectors[:, b.starts[k]:b.starts[k + 1]]
+    if abs(a.reps[k].imag) <= REAL_CLASS_RTOL * max(1.0, a.moduli[k]):
         B1, B2 = two_columns(B1), two_columns(B2)
     return (matrix_rank(B1, SPAN_RTOL) == matrix_rank(B2, SPAN_RTOL)
             == matrix_rank(np.concatenate([B1, B2], axis=1), SPAN_RTOL))
 
 
 def equal_by_invariants(A: Isometry, B: Isometry) -> bool:
-    """Decide A == B from real trace, projective fixed sets, and eigensets.
+    """Decide A == B from the normal form, projective fixed sets, and eigensets.
 
-    For each nonreal class the pinned eigenset (a point on the class
-    Grassmannian) must agree as a complex subspace, which also pins the
-    projective fixed set; real classes are compared by quaternionic span.
+    The elements must be conjugate, and then each class's pinned eigenset
+    (a point on the class Grassmannian) must agree with the same class's:
+    as a complex subspace for a nonreal class, which also pins the
+    projective fixed set, and by quaternionic span for a real class.
     """
-    if not A.is_semisimple() or not B.is_semisimple():
-        raise UnsupportedElementError("equality test supports semisimple elements only")
-    ta, tb = A.real_trace(), B.real_trace()
-    if not np.allclose(ta, tb, rtol=0.0, atol=TRACE_RTOL * max(1.0, float(np.max(np.abs(ta))))):
-        return False
-    pairs = _class_multisets_match(A.eigen, B.eigen)
-    return pairs is not None and all(_eigensets_equal(A.eigen, ia, B.eigen, ib)
-                                     for ia, ib in pairs)
+    return conjugate_single(A, B) and all(_eigensets_equal(A.eigen, B.eigen, k)
+                                          for k in range(len(A.eigen.reps)))
 
 
 # ---------------------------------------------------------------------------

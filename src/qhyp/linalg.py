@@ -340,9 +340,10 @@ def class_char_coeffs(eigens: Sequence[EigenData],
 
 @dataclass(frozen=True, eq=False)  # arrays have no single truth value: equality is identity
 class EigenData:
-    """The similarity classes of right eigenvalues, by decreasing modulus then
-    angle, as arrays: their representatives ``reps`` (angle folded into
-    [0, pi]), ``multiplicities`` and ``kinds``, and the stacked (2N, N)
+    """The similarity classes of right eigenvalues in frame order (expanding
+    null, negative, positive, contracting null, by angle within each), as
+    arrays: their representatives ``reps`` (angle folded into [0, pi]),
+    ``multiplicities`` and ``kinds``, and the stacked (2N, N)
     ``vectors`` of their pinned eigensets, class after class, so that A x =
     x * reps[k] for every column x of class k.  The arrays are read-only;
     the classes' moduli, angles and first columns are tuples made at
@@ -502,10 +503,13 @@ def _class_reps(re: "np.ndarray | float", im: "np.ndarray | float") -> "np.ndarr
 def _eigen_data(space: HermitianSpace, count: int, member: np.ndarray, reps: np.ndarray,
                 mults: np.ndarray, kinds: Sequence[PointType], V: np.ndarray) -> dict:
     """member -> EigenData, or its error, from the class arrays of ``count`` stack members (V:
-    their vectors, class after class): every member's classes sorted by decreasing
-    modulus then angle in one pass, the hyperbolic members' null pairs rescaled in one."""
+    their vectors, class after class): every member's classes sorted into frame order in one
+    pass, the hyperbolic members' null pairs rescaled in one."""
     moduli = np.hypot(reps.real, reps.imag)  # abs(rep), bit for bit
-    order = np.lexsort((np.arctan2(reps.imag, reps.real), -moduli, member))
+    # frame order: expanding null (rank 0), negative, positive, contracting null (3), by angle
+    rank = [{PointType.NEGATIVE: 1, PointType.POSITIVE: 2}.get(kind, 0 if m > 1.0 else 3)
+            for kind, m in zip(kinds, moduli.tolist())]
+    order = np.lexsort((np.arctan2(reps.imag, reps.real), rank, member))
     start, order_list = [0, *accumulate(mults.tolist())], order.tolist()  # before the sort
     V = V[:, [j for c in order_list for j in range(start[c], start[c + 1])]]
     member, reps, mults = member[order], reps[order], mults[order]

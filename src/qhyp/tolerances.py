@@ -1,6 +1,6 @@
 """Every numerical threshold qhyp decides with, named once.
 
-Each verdict compares a trace, an eigenvalue class or a Gram / cross-ratio
+Each verdict compares an eigenvalue class, a rank or a Gram / cross-ratio
 entry with a threshold, so these values are the decision policy.  Names
 follow what a threshold decides, not its value: two names may share a value
 and still change independently.  The acceptance bounds of ``qhyp.verify``
@@ -59,10 +59,9 @@ HYPERBOLIC_MODULUS_TOL = 1e-8
 GENERATED_MEMBER_TOL = 1e-7
 #: random frames with a condition number above this are drawn again
 FRAME_COND_MAX = 1e6
-#: eigenvalue classes match when moduli (relative) and angles agree within this
+#: eigenvalue classes match, class by class in frame order, when their
+#: representatives agree within this (relative)
 CLASS_MATCH_TOL = 1e-7
-#: real traces agree within this, relative to their largest entry (at least 1)
-TRACE_RTOL = 1e-7
 #: eigensets span one subspace when ranks agree at this relative cutoff
 SPAN_RTOL = 1e-7
 #: largest relative residual of an eigenframe reassembled as C E C^-1
@@ -70,8 +69,6 @@ REASSEMBLY_RTOL = 1e-8
 #: absolute singular-value cutoff (numpy ``matrix_rank``) of the
 #: common-fixed-point test
 FIXED_SET_RANK_ATOL = 1e-8
-#: normal forms of conjugate first members agree within this (relative)
-NORMAL_FORM_RTOL = 1e-6
 #: relative singular-value cutoff of the pair intertwiner null space
 INTERTWINER_RTOL = 1e-7
 #: W is a multiple of a group element when W* H W is within this (relative) of c H, c > 0

@@ -44,8 +44,8 @@ from .isometry import (
 from .linalg import (HermitianSpace, HMatrix, HVector, PointType, components_from_stacked,
                      right_times, stacked, stacked_from_components)
 from .pairs import (
+    REASON_CLASSES,
     REASON_NO_CONJUGATOR,
-    REASON_TRACE,
     eigenframe,
     have_common_fixed_point,
     pair_conjugate,
@@ -463,8 +463,8 @@ def criterion_9(tally: _Trials, rng: np.random.Generator, quick: bool) -> str:
             if have_common_fixed_point(A, B) or have_common_fixed_point(A2, B):
                 continue
             dec = pair_conjugate(A, B, A2, B, RESIDUAL_BOUND)
-            tally.require("trace", dec.verdict is Verdict.NOT_CONJUGATE
-                          and dec.reason == REASON_TRACE)
+            tally.require("classes", dec.verdict is Verdict.NOT_CONJUGATE
+                          and dec.reason == REASON_CLASSES)
         elif mode == 1:
             A, B = sample_pair(sp, rng)
             B2 = _moved(random_member(sp, rng), B)
@@ -504,7 +504,7 @@ def criterion_9(tally: _Trials, rng: np.random.Generator, quick: bool) -> str:
             tally.require("moved", dec.verdict is Verdict.NOT_CONJUGATE
                           or _residual(dec) < RESIDUAL_BOUND)
     return (f"{tally.score('conjugate')} conjugate pairs accepted (max residual "
-            f"{tally.worst['conjugate']:.2e}); separated: trace {tally.score('trace')}, "
+            f"{tally.worst['conjugate']:.2e}); separated: classes {tally.score('classes')}, "
             f"orbit {tally.score('orbit')}, Grassmannian {tally.score('grassmannian')}; "
             f"repeated classes: {tally.score('repeated')} conjugate accepted, "
             f"{tally.score('moved')} moved decided")

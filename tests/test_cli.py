@@ -14,7 +14,7 @@ from qhyp.errors import InvalidSpecError
 from qhyp.isometry import Classification, HyperbolicSpec, random_semisimple
 from qhyp.gram import gram_of
 from qhyp.linalg import HermitianSpace, HVector, point_types, stacked_from_components
-from qhyp.sampling import apply_isometry, sample_config
+from qhyp.sampling import apply_isometry, sample_config, sample_semisimple
 from qhyp.isometry import random_member
 from qhyp.serialize import (
     config_from_json,
@@ -190,6 +190,28 @@ def test_classify_command(tmp_path, capsys, hyperbolic_json):
     report = json.loads(capsys.readouterr().out)
     assert report["type"] == "hyperbolic"
     assert report["real_trace"] == pytest.approx([-5.0])
+
+
+def test_classify_lists_conjugate_classes_in_one_order(tmp_path, capsys):
+    # classes come in frame order, so a member and its conjugate print the
+    # same list up to rounding, entry by entry
+    sp = HermitianSpace(4)
+    rng = np.random.default_rng(38)
+    for t in range(20):
+        A = sample_semisimple(sp, rng, Classification.ELLIPTIC)
+        C = random_member(sp, rng)
+        B = sp.project_to_group(C @ A.matrix @ C.inverse())
+        reports = []
+        for name, M in (("a.json", A.matrix), ("b.json", B)):
+            assert main(["classify", write(tmp_path, name, hmatrix_to_json(M))]) == 0
+            reports.append(json.loads(capsys.readouterr().out)["classes"])
+        a, b = reports
+        assert [(c["type"], c["multiplicity"]) for c in a] == \
+            [(c["type"], c["multiplicity"]) for c in b]
+        assert a[0]["type"] == "negative"
+        for x, y in zip(a, b):
+            assert abs(x["modulus"] - y["modulus"]) <= 1e-7
+            assert abs(x["angle"] - y["angle"]) <= 1e-7
 
 
 def test_classify_csv(tmp_path, capsys, hyperbolic_json):

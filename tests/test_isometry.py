@@ -18,8 +18,12 @@ from qhyp.isometry import (
     random_member,
     random_semisimple,
 )
-from qhyp.linalg import HermitianSpace, HMatrix, HVector, stacked, stacked_from_components
+from qhyp.decision import Verdict
+from qhyp.linalg import (HermitianSpace, HMatrix, HVector, PointType, stacked,
+                         stacked_from_components)
+from qhyp.pairs import REASON_CLASSES, pair_conjugate
 from qhyp.quaternion import Quaternion, quaternion_array
+from qhyp.sampling import sample_semisimple
 
 ONE = Quaternion.one()
 Q0 = Quaternion()
@@ -169,16 +173,50 @@ def test_equal_by_invariants_reflexive():
     assert equal_by_invariants(A, A2)
 
 
-def test_equal_by_invariants_compares_traces_at_trace_rtol_alone():
-    # the trace test's one threshold is TRACE_RTOL = 1e-7 relative to the
-    # trace's scale, not numpy's default rtol of 1e-5 on top of it: a
-    # relative drift of 1e-6 separates the elements
-    A = random_semisimple(Classification.HYPERBOLIC, 2,
-                          HyperbolicSpec(1.6, 0.8, (0.5,)), seed=11)
-    B = Isometry(A.matrix.copy(), A.space)
-    assert equal_by_invariants(A, B)
-    B._real_trace = A.real_trace() * (1 + 1e-6)
-    assert not equal_by_invariants(A, B)
+@pytest.mark.parametrize("kind", [Classification.HYPERBOLIC, Classification.ELLIPTIC])
+@pytest.mark.parametrize("shift, separated", [(1e-6, True), (1e-10, False)])
+def test_class_match_tol_from_both_sides(kind, shift, separated):
+    # CLASS_MATCH_TOL = 1e-7 (relative) is the one class threshold: a normal
+    # form moved by 1e-6 separates in every decider that reads the classes, a
+    # move of 1e-10 in none.  The same seed gives both elements one frame.
+    sp = HermitianSpace(2)
+    if kind is Classification.HYPERBOLIC:  # the boost r moves
+        specs = [HyperbolicSpec(1.6 * (1 + s), 0.8, (0.5,)) for s in (0.0, shift)]
+    else:  # the negative class's angle moves
+        specs = [EllipticSpec((0.5 * (1 + s), 1.2, 2.0)) for s in (0.0, shift)]
+    A, A2 = (random_semisimple(kind, 2, spec, seed=11, space=sp) for spec in specs)
+    assert conjugate_single(A, A2) == conjugate_single(A2, A) == (not separated)
+    assert equal_by_invariants(A, A2) == equal_by_invariants(A2, A) == (not separated)
+    B = sample_semisimple(sp, np.random.default_rng(36), Classification.HYPERBOLIC)
+    dec = pair_conjugate(A, B, A2, B)
+    if separated:
+        assert (dec.verdict, dec.reason) == (Verdict.NOT_CONJUGATE, REASON_CLASSES)
+    else:
+        assert dec.verdict is Verdict.CONJUGATE
+
+
+@pytest.mark.parametrize("kind", [Classification.HYPERBOLIC, Classification.ELLIPTIC])
+def test_conjugate_members_list_their_classes_in_one_order(kind):
+    # frame order (expanding null, negative, positive, contracting null, by
+    # angle within each) does not hang on rounding: A and C A C^-1 list their
+    # classes alike, so index k of one is index k of the other
+    sp = HermitianSpace(4)
+    rng = np.random.default_rng(37)
+    for _ in range(100):
+        A = sample_semisimple(sp, rng, kind)
+        C = random_member(sp, rng)
+        B = Isometry(sp.project_to_group(C @ A.matrix @ C.inverse()), sp)
+        ea, eb = A.eigen, B.eigen
+        assert ea.kinds == eb.kinds
+        assert ea.multiplicities.tolist() == eb.multiplicities.tolist()
+        assert np.abs(ea.reps - eb.reps).max() <= 1e-7 * max(1.0, np.abs(ea.reps).max())
+        positive = [t for t, k in zip(ea.angles, ea.kinds) if k is PointType.POSITIVE]
+        assert positive == sorted(positive)
+        if kind is Classification.HYPERBOLIC:
+            assert (ea.kinds[0], ea.kinds[-1]) == (PointType.NULL, PointType.NULL)
+            assert ea.moduli[0] > 1.0 > ea.moduli[-1]
+        else:
+            assert ea.kinds[0] is PointType.NEGATIVE
 
 
 def test_equal_by_invariants_negated():

@@ -827,8 +827,8 @@ RefClass = collections.namedtuple("RefClass", "rep multiplicity kind vectors")
 def _per_class_right_eigen(A, sp, tol=1e-9):
     """The per-class loop that right_eigen's array pass replaced: a mean, an
     eig column and a normalization for each simple class, and the null pair
-    rescaled through herm and quaternion arithmetic.  RefClass records, by
-    decreasing modulus then angle."""
+    rescaled through herm and quaternion arithmetic.  RefClass records, in
+    frame order: expanding null, negative, positive, contracting null, by angle."""
     M = A.emb
     spectrum, V = np.linalg.eig(M)
     classes = []
@@ -851,7 +851,9 @@ def _per_class_right_eigen(A, sp, tol=1e-9):
                 kind = PointType.NEGATIVE if val < 0 else PointType.POSITIVE
                 vectors = (HVector(S[:, 0] / math.sqrt(abs(val))),)
         classes.append(RefClass(rep, mult, kind, vectors))
-    classes.sort(key=lambda c: (-abs(c.rep), math.atan2(c.rep.imag, c.rep.real)))
+    rank = {PointType.NEGATIVE: 1, PointType.POSITIVE: 2}  # a null class: 0 or 3 by |rep| > 1
+    classes.sort(key=lambda c: (rank.get(c.kind, 0 if abs(c.rep) > 1 else 3),
+                                math.atan2(c.rep.imag, c.rep.real)))
     nulls = sorted((c for c in classes if c.kind is PointType.NULL), key=lambda c: -abs(c.rep))
     if len(nulls) == 2 and abs(abs(nulls[0].rep) - 1.0) >= UNIT_MODULUS_TOL:
         (big, small), (a, r) = nulls, (c.vectors[0] for c in nulls)
